@@ -27,6 +27,7 @@ from .core import (
 from .errors import GuaranteeViolation, InputError
 from .ordinal import run_ordinal
 from .rbf import Transcript, TruthfulResponder, run_rbf
+from .verify import check_targets
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,7 @@ def gen_hard2_responders(n: int, i: int, k1: int, k2: int, t: int) -> Hard2Famil
     m = len(values)
     row = tuple(values)
     inst = Instance((row,), m)
-    if sum(row) != n:
+    if inst.totals[0] != n:
         raise GuaranteeViolation("hard2 target valuation does not total n")
 
     # Four groups of unit parts. Good layout: alphas at [0, k1+k2), thirds at
@@ -332,11 +333,8 @@ def _demonstrate_ordinal_tight(spec: HardInstanceSpec) -> FailureReport:
     fam = gen_ordinal_tight(spec.n)
     alloc, run = run_ordinal(fam.instance, expected_d=fam.d, witnesses=(fam.witness,) * spec.n)
     thresholds = ThresholdList.constant(spec.n, 1)
-    unsatisfied = []
-    for agent in range(spec.n):
-        value = bundle_value(fam.instance, agent, alloc.bundles[agent])
-        if value < 1:
-            unsatisfied.append((agent, value, Fraction(1)))
+    report = check_targets(fam.instance, alloc, thresholds.taus)
+    unsatisfied = [(c.agent, c.value, c.target) for c in report.checks if not c.ok]
     if not unsatisfied:
         raise GuaranteeViolation(
             "tight family produced a full-share allocation; construction broken"
@@ -375,11 +373,13 @@ def _demonstrate_hard1(
     alloc, transcript = run_rbf(
         responder, n, fam.instance.num_goods, thresholds, PriorityRanking.identity(n)
     )
-    unsatisfied = []
-    for agent in fam.rich_agents:  # share value is 1 for every agent here
-        value = bundle_value(fam.instance, agent, alloc.bundles[agent])
-        if value < thresholds.taus[agent]:
-            unsatisfied.append((agent, value, thresholds.taus[agent]))
+    # Under the identity ranking agent r holds rank r, and every share is 1.
+    report = check_targets(fam.instance, alloc, thresholds.taus)
+    unsatisfied = [
+        (c.agent, c.value, c.target)
+        for c in report.checks
+        if c.agent in fam.rich_agents and not c.ok
+    ]
     if not unsatisfied:
         raise GuaranteeViolation(
             "hard1 run satisfied every rich agent; construction broken"

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 from . import bobw, oracle, verify
 from .adversarial import HardInstanceSpec, demonstrate_failure, gen_hard1, gen_hard2_responders, gen_ordinal_tight
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction, bundle_value
+from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction
 from .errors import GuaranteeViolation, InputError, MmsKitError, SearchBudgetExceeded
 from .ordinal import run_1_out_of_d
 from .rbf import Transcript, priority_thresholds, run_rbf_truthful
@@ -34,16 +34,16 @@ NODE_BUDGET_ENV = "MMSKIT_NODE_BUDGET"
 # JSON encoding / decoding
 
 
-def rational_str(x: Fraction) -> str:
-    return str(x)
-
-
 def instance_to_json(inst: Instance) -> dict[str, Any]:
     return {
         "agents": inst.num_agents,
         "goods": inst.num_goods,
-        "valuations": [[rational_str(v) for v in row] for row in inst.valuations],
+        "valuations": [[str(v) for v in row] for row in inst.valuations],
     }
+
+
+def _is_count(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def instance_from_json(obj: Any) -> Instance:
@@ -55,12 +55,11 @@ def instance_from_json(obj: Any) -> Instance:
         rows = obj["valuations"]
     except KeyError as exc:
         raise InputError(f"instance file is missing key {exc}") from exc
-    if not isinstance(n, int) or not isinstance(m, int) or n < 0 or m < 0:
+    if not (_is_count(n) and _is_count(m)):
         raise InputError("'agents' and 'goods' must be non-negative integers")
-    if not isinstance(rows, list) or len(rows) != n:
-        raise InputError(f"'valuations' must be a list of {n} rows")
-    inst = Instance.from_rows(rows, num_goods=m)
-    return inst
+    if not (isinstance(rows, list) and len(rows) == n and all(isinstance(r, list) for r in rows)):
+        raise InputError(f"'valuations' must be a list of {n} lists")
+    return Instance.from_rows(rows, num_goods=m)
 
 
 def allocation_to_json(alloc: Allocation) -> dict[str, Any]:
@@ -71,15 +70,13 @@ def allocation_to_json(alloc: Allocation) -> dict[str, Any]:
 
 
 def allocation_from_json(obj: Any) -> Allocation:
-    if not isinstance(obj, dict) or "bundles" not in obj:
-        raise InputError("allocation file must hold an object with 'bundles'")
-    bundles = tuple(frozenset(b) for b in obj["bundles"])
-    unallocated = frozenset(obj.get("unallocated", []))
-    return Allocation(bundles, unallocated)
+    if not isinstance(obj, dict) or not isinstance(obj.get("bundles"), list):
+        raise InputError("allocation file must hold an object with a 'bundles' list")
+    return Allocation(tuple(obj["bundles"]), obj.get("unallocated", []))
 
 
 def thresholds_to_json(t: ThresholdList) -> list[str]:
-    return [rational_str(x) for x in t.taus]
+    return [str(x) for x in t.taus]
 
 
 def transcript_to_json(tr: Transcript) -> dict[str, Any]:
@@ -144,8 +141,8 @@ def report_to_json(report: verify.GuaranteeReport) -> dict[str, Any]:
         "perAgent": [
             {
                 "agent": c.agent,
-                "value": rational_str(c.value),
-                "target": rational_str(c.target),
+                "value": str(c.value),
+                "target": str(c.target),
                 "ok": c.ok,
             }
             for c in report.checks
@@ -174,15 +171,17 @@ def _emit(payload: Any, output: str | None) -> None:
 
 
 def _node_budget(args: argparse.Namespace) -> int | None:
-    if args.node_budget is not None:
-        return args.node_budget
-    env = os.environ.get(NODE_BUDGET_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"{NODE_BUDGET_ENV} must be an integer, got {env!r}") from exc
-    return None
+    """The flag, else the environment variable, else None (the oracle's default)."""
+    raw = args.node_budget if args.node_budget is not None else os.environ.get(NODE_BUDGET_ENV)
+    if raw is None:
+        return None
+    try:
+        budget = int(raw)
+    except ValueError as exc:
+        raise InputError(f"{NODE_BUDGET_ENV} must be an integer, got {raw!r}") from exc
+    if budget < 0:
+        raise InputError(f"the node budget must be non-negative, got {budget}")
+    return budget
 
 
 def _parse_thresholds(spec: str, n: int) -> ThresholdList:
@@ -197,7 +196,10 @@ def _parse_thresholds(spec: str, n: int) -> ThresholdList:
 def _parse_ranking(spec: str, n: int) -> PriorityRanking:
     if spec == "identity":
         return PriorityRanking.identity(n)
-    ranks = tuple(int(part.strip()) for part in spec.split(","))
+    try:
+        ranks = tuple(int(part.strip()) for part in spec.split(","))
+    except ValueError as exc:
+        raise InputError(f"ranking must be 'identity' or a list of ints, got {spec!r}") from exc
     if len(ranks) != n:
         raise InputError(f"expected {n} ranks, got {len(ranks)}")
     return PriorityRanking(ranks)
@@ -209,16 +211,15 @@ def _parse_ranking(spec: str, n: int) -> PriorityRanking:
 
 def _cmd_mms(args: argparse.Namespace) -> int:
     inst = instance_from_json(_load_json(args.instance))
-    budget = _node_budget(args)
     agents = [args.agent] if args.agent is not None else list(range(inst.num_agents))
     results = []
     for agent in agents:
-        res = oracle.mms(inst, agent, args.d, node_budget=budget)
+        res = oracle.mms(inst, agent, args.d, node_budget=args.node_budget)
         results.append(
             {
                 "agent": agent,
                 "d": args.d,
-                "value": rational_str(res.value),
+                "value": str(res.value),
                 "witness": [sorted(p) for p in res.witness.parts],
             }
         )
@@ -228,21 +229,17 @@ def _cmd_mms(args: argparse.Namespace) -> int:
 
 def _cmd_ordinal(args: argparse.Namespace) -> int:
     inst = instance_from_json(_load_json(args.instance))
-    result = run_1_out_of_d(inst, node_budget=_node_budget(args))
+    result = run_1_out_of_d(inst, node_budget=args.node_budget)
+    # run_1_out_of_d has checked every pair and raises on any shortfall.
     per_agent = [
-        {
-            "agent": i,
-            "value": rational_str(value),
-            "share": rational_str(share),
-            "ok": value >= share,
-        }
+        {"agent": i, "value": str(value), "share": str(share), "ok": True}
         for i, (value, share) in enumerate(result.guarantees)
     ]
     payload = {
         "d": result.d,
         "allocation": allocation_to_json(result.allocation),
         "perAgent": per_agent,
-        "allOk": all(entry["ok"] for entry in per_agent),
+        "allOk": True,
         "earlyTermination": bool(result.run and result.run.terminated_early),
     }
     _emit(payload, args.output)
@@ -256,27 +253,19 @@ def _cmd_rbf(args: argparse.Namespace) -> int:
     ranking = _parse_ranking(args.ranking, n)
     alloc, transcript = run_rbf_truthful(inst, thresholds, ranking)
     structure = verify.check_transcript(transcript)
-    per_agent = []
-    all_ok = True
-    for i in range(n):
-        target = thresholds.taus[ranking.rank_of[i]]
-        value = bundle_value(inst, i, alloc.bundles[i])
-        ok = value >= target
-        all_ok &= ok
-        per_agent.append(
-            {"agent": i, "value": rational_str(value), "target": rational_str(target), "ok": ok}
-        )
+    # Unit-share instances: every agent's share is 1, so her target is her tau.
+    targets = [thresholds.taus[ranking.rank_of[i]] for i in range(n)]
+    report = verify.check_targets(inst, alloc, targets)
     payload = {
         "allocation": allocation_to_json(alloc),
         "transcript": transcript_to_json(transcript),
         "thresholds": thresholds_to_json(thresholds),
-        "perAgent": per_agent,
-        "allOk": all_ok,
+        **report_to_json(report),
         "structureOk": structure.ok,
         "structureViolations": list(structure.violations),
     }
     _emit(payload, args.output)
-    if args.thresholds == "default" and not (all_ok and structure.ok):
+    if args.thresholds == "default" and not (report.all_ok and structure.ok):
         raise GuaranteeViolation(
             "a default-threshold run violated its guarantee or structure checks"
         )
@@ -296,8 +285,8 @@ def _cmd_bobw(args: argparse.Namespace) -> int:
             }
             for ranking, alloc in dist.support
         ],
-        "perAgentExAnte": [rational_str(v) for v in dist.ex_ante],
-        "perAgentExPostMin": [rational_str(v) for v in dist.ex_post_min],
+        "perAgentExAnte": [str(v) for v in dist.ex_ante],
+        "perAgentExPostMin": [str(v) for v in dist.ex_post_min],
     }
     if args.seed is not None:
         ranking, alloc = bobw.sample_allocation(dist, args.seed)
@@ -325,8 +314,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             {
                 "family": "hard1",
                 "i": args.i,
-                "alpha": rational_str(fam.alpha),
-                "epsilon": rational_str(fam.epsilon),
+                "alpha": str(fam.alpha),
+                "epsilon": str(fam.epsilon),
             }
         )
     else:  # hard2
@@ -340,10 +329,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "k1": fam.k1,
             "k2": fam.k2,
             "t": fam.t,
-            "alpha": rational_str(fam.alpha),
-            "epsilon": rational_str(fam.epsilon),
+            "alpha": str(fam.alpha),
+            "epsilon": str(fam.epsilon),
             "targetAgent": fam.target_agent,
-            "targetValuation": [rational_str(v) for v in fam.instance.valuations[0]],
+            "targetValuation": [str(v) for v in fam.instance.valuations[0]],
         }
     _emit(payload, args.output)
     return EXIT_OK
@@ -357,10 +346,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         "n": report.n,
         "thresholds": thresholds_to_json(report.thresholds),
         "witnessAgent": report.witness_agent,
-        "witnessValue": rational_str(report.witness_value),
-        "witnessTarget": rational_str(report.witness_target),
+        "witnessValue": str(report.witness_value),
+        "witnessTarget": str(report.witness_target),
         "unsatisfied": [
-            {"agent": a, "value": rational_str(v), "target": rational_str(t)}
+            {"agent": a, "value": str(v), "target": str(t)}
             for a, v, t in report.unsatisfied
         ],
         "reductionCount": report.reduction_count,
@@ -374,16 +363,15 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = instance_from_json(_load_json(args.instance))
     alloc = allocation_from_json(_load_json(args.allocation))
-    budget = _node_budget(args)
     if args.mode == "1ood":
         if args.d is None:
             raise InputError("mode '1ood' needs --d")
-        report = verify.check_1_out_of_d(inst, alloc, args.d, node_budget=budget)
+        report = verify.check_1_out_of_d(inst, alloc, args.d, node_budget=args.node_budget)
         payload = {"mode": "1ood", "d": args.d, **report_to_json(report)}
     else:
         thresholds = _parse_thresholds(args.thresholds, inst.num_agents)
         ranking = _parse_ranking(args.ranking, inst.num_agents)
-        report = verify.check_t_mms(inst, alloc, ranking, thresholds, node_budget=budget)
+        report = verify.check_t_mms(inst, alloc, ranking, thresholds, node_budget=args.node_budget)
         payload = {
             "mode": "tmms",
             "thresholds": thresholds_to_json(thresholds),
@@ -472,6 +460,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.node_budget = _node_budget(args)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

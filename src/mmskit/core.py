@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -79,7 +80,30 @@ class Instance:
 
     def total_value(self, agent: int) -> Fraction:
         self._check_agent(agent)
-        return sum(self.valuations[agent], Fraction(0))
+        return self.totals[agent]
+
+    @cached_property
+    def totals(self) -> tuple[Fraction, ...]:
+        """Each agent's exact value for all goods, computed once per instance."""
+        return tuple(sum(row, Fraction(0)) for row in self.valuations)
+
+    @cached_property
+    def ordered(self) -> bool:
+        """True when every agent's values are non-increasing in the good index."""
+        return all(a >= b for row in self.valuations for a, b in zip(row, row[1:]))
+
+    def require_ordered(self, total: int | None = None) -> None:
+        """Raise InputError unless the instance is ordered and, when ``total``
+        is given, every agent values all goods at exactly ``total``."""
+        if not self.ordered:
+            raise InputError("instance is not ordered (some agent's values increase)")
+        if total is not None:
+            for i, t in enumerate(self.totals):
+                if t != total:
+                    raise InputError(
+                        f"agent {i} values all goods at {t}, expected {total} "
+                        f"for a {total}-normalized instance"
+                    )
 
     def _check_agent(self, agent: int) -> None:
         if not 0 <= agent < self.num_agents:
@@ -87,7 +111,10 @@ class Instance:
 
 
 def _as_index_set(goods: Iterable[int]) -> frozenset[int]:
-    s = frozenset(goods)
+    try:
+        s = frozenset(goods)
+    except TypeError as exc:
+        raise InputError(f"not a collection of good indices: {goods!r}") from exc
     for g in s:
         if not isinstance(g, int) or isinstance(g, bool) or g < 0:
             raise InputError(f"good index must be a non-negative int, got {g!r}")

@@ -9,13 +9,11 @@ share value for d = 4 * ceil(n / 3) bundles.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Allocation, Instance, Partition, bundle_value
 from .errors import GuaranteeViolation, InputError
-from . import oracle
 from .transform import (
     PipelineRecord,
     normalize,
@@ -26,6 +24,7 @@ from .transform import (
     reinstate,
     unpick,
 )
+from .verify import check_1_out_of_d
 
 
 @dataclass(frozen=True)
@@ -41,34 +40,19 @@ class OrdinalRun:
 
 
 def is_ordered(inst: Instance) -> bool:
-    return all(
-        inst.value(i, g) >= inst.value(i, g + 1)
-        for i in range(inst.num_agents)
-        for g in range(inst.num_goods - 1)
-    )
+    return inst.ordered
 
 
-def _validate_normalized(inst: Instance, d: int | None, witnesses) -> None:
-    if witnesses is not None:
-        if len(witnesses) != inst.num_agents:
-            raise InputError("one witness partition per agent required")
-        if d is None:
-            d = witnesses[0].d
-        for i, w in enumerate(witnesses):
-            if w.ground_set != frozenset(range(inst.num_goods)):
-                raise InputError(f"witness of agent {i} does not cover all goods")
-            for part in w.parts:
-                if bundle_value(inst, i, part) != 1:
-                    raise InputError(
-                        f"witness part of agent {i} has value "
-                        f"{bundle_value(inst, i, part)}, expected 1"
-                    )
-    for i in range(inst.num_agents):
-        if inst.total_value(i) != d:
-            raise InputError(
-                f"agent {i} values all goods at {inst.total_value(i)}, "
-                f"expected {d} for a {d}-normalized instance"
-            )
+def _validate_witnesses(inst: Instance, witnesses: tuple[Partition, ...]) -> None:
+    if len(witnesses) != inst.num_agents:
+        raise InputError("one witness partition per agent required")
+    for i, w in enumerate(witnesses):
+        if w.ground_set != frozenset(range(inst.num_goods)):
+            raise InputError(f"witness of agent {i} does not cover all goods")
+        for part in w.parts:
+            value = bundle_value(inst, i, part)
+            if value != 1:
+                raise InputError(f"witness part of agent {i} has value {value}, expected 1")
 
 
 def run_ordinal(
@@ -93,10 +77,11 @@ def run_ordinal(
         raise InputError("need at least one agent")
     if m < 2 * n:
         raise InputError(f"need at least 2n = {2 * n} goods, got {m}")
-    if not is_ordered(inst):
-        raise InputError("instance is not ordered (some agent's values increase)")
-    if expected_d is not None or witnesses is not None:
-        _validate_normalized(inst, expected_d, witnesses)
+    if expected_d is None and witnesses:
+        expected_d = witnesses[0].d
+    inst.require_ordered(expected_d)
+    if witnesses is not None:
+        _validate_witnesses(inst, witnesses)
 
     initial = tuple(frozenset({k, 2 * n - 1 - k}) for k in range(n))
     final = [set(b) for b in initial]
@@ -160,27 +145,21 @@ class OneOutOfDResult:
     d: int
     record: PipelineRecord | None
     run: OrdinalRun | None
-    guarantees: tuple[tuple[Fraction, Fraction], ...] | None  # (value, share) per agent
+    guarantees: tuple[tuple[Fraction, Fraction], ...]  # (value, share) per agent
 
 
 def _positive_count(inst: Instance, agent: int) -> int:
     return sum(1 for g in range(inst.num_goods) if inst.value(agent, g) > 0)
 
 
-def run_1_out_of_d(
-    inst: Instance,
-    node_budget: int | None = None,
-    guarantee_check: bool = True,
-    strict: bool = True,
-) -> OneOutOfDResult:
+def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDResult:
     """Give every agent at least her share value for d = 4 * ceil(n / 3).
 
     Composes: drop agents with a zero share target, clone agent 0 up to a
     multiple of 3 agents, normalize, order, pad goods to 2n, run the bag
     filler, then pick goods back and undo the padding. The final allocation
-    is compared against the exact oracle share of every original agent
-    unless ``guarantee_check`` is off; with ``strict`` off a violation only
-    warns instead of raising (it should never fire either way).
+    is compared against the exact oracle share of every original agent, and
+    a shortfall raises GuaranteeViolation (it contradicts the theorem).
     """
     n = inst.num_agents
     if n < 1:
@@ -245,22 +224,14 @@ def run_1_out_of_d(
             )
         allocation = reinstate(unpick(ordered_alloc, record), record)
 
-    guarantees = None
-    if guarantee_check:
-        pairs = []
-        for i in range(n):
-            share = oracle.mms(inst, i, d_target, node_budget=node_budget).value
-            value = bundle_value(inst, i, allocation.bundles[i])
-            pairs.append((value, share))
-            if value < share:
-                message = (
-                    f"agent {i} received {value}, below her {d_target}-bundle "
-                    f"share {share}"
-                )
-                if strict:
-                    raise GuaranteeViolation(message)
-                warnings.warn(message)
-        guarantees = tuple(pairs)
+    report = check_1_out_of_d(inst, allocation, d_target, node_budget=node_budget)
+    for c in report.checks:
+        if not c.ok:
+            raise GuaranteeViolation(
+                f"agent {c.agent} received {c.value}, below her {d_target}-bundle "
+                f"share {c.target}"
+            )
+    guarantees = tuple((c.value, c.target) for c in report.checks)
 
     return OneOutOfDResult(allocation, d_target, record, run, guarantees)
 

@@ -136,7 +136,13 @@ def run_rbf(
     if ranking.num_agents != n:
         raise InputError(f"ranking covers {ranking.num_agents} agents, expected {n}")
     if isinstance(responder, TruthfulResponder):
-        _validate_truthful_input(responder.instance, n, m)
+        inst = responder.instance
+        if inst.num_agents != n or inst.num_goods != m:
+            raise InputError(
+                f"responder instance is {inst.num_agents}x{inst.num_goods}, "
+                f"engine was told {n}x{m}"
+            )
+        inst.require_ordered(n)
 
     by_rank = ranking.agents_by_rank()
     tau_of = {agent: thresholds.taus[rank] for rank, agent in enumerate(by_rank)}
@@ -196,7 +202,10 @@ def run_rbf(
         open_bags = list(range(k))
         waiting = [a for a in by_rank if a in agents_left]
         while waiting:
-            assert len(waiting) == len(open_bags)
+            if len(waiting) != len(open_bags):
+                raise GuaranteeViolation(
+                    f"{len(waiting)} agents wait for {len(open_bags)} open bags"
+                )
             hit = None
             for agent in waiting:
                 for b in open_bags:
@@ -254,20 +263,3 @@ def run_rbf_truthful(
         TruthfulResponder(inst), inst.num_agents, inst.num_goods, thresholds, ranking
     )
 
-
-def _validate_truthful_input(inst: Instance, n: int, m: int) -> None:
-    if inst.num_agents != n or inst.num_goods != m:
-        raise InputError(
-            f"responder instance is {inst.num_agents}x{inst.num_goods}, "
-            f"engine was told {n}x{m}"
-        )
-    for i in range(n):
-        row = inst.valuations[i]
-        for g in range(m - 1):
-            if row[g] < row[g + 1]:
-                raise InputError(f"instance is not ordered (agent {i}, good {g + 1})")
-        if inst.total_value(i) != n:
-            raise InputError(
-                f"agent {i} values all goods at {inst.total_value(i)}, expected {n} "
-                f"(instance must be unit-normalized)"
-            )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .core import (
     Allocation,
@@ -44,20 +45,38 @@ class GuaranteeReport:
         return all(c.ok for c in self.checks)
 
 
+def check_targets(
+    inst: Instance, alloc: Allocation, targets: Sequence[Fraction]
+) -> GuaranteeReport:
+    """Per-agent exact comparison: agent i passes when her bundle is worth
+    at least ``targets[i]``; the comparison is inclusive."""
+    n = inst.num_agents
+    if alloc.num_agents != n or len(targets) != n:
+        raise InputError(
+            f"instance has {n} agents, allocation {alloc.num_agents} bundles, "
+            f"{len(targets)} targets"
+        )
+    checks = []
+    for i, target in enumerate(targets):
+        value = bundle_value(inst, i, alloc.bundles[i])
+        checks.append(AgentCheck(i, value, target, value >= target))
+    return GuaranteeReport(tuple(checks))
+
+
 def check_1_out_of_d(
     inst: Instance, alloc: Allocation, d: int, node_budget: int | None = None
 ) -> GuaranteeReport:
     """Per-agent exact comparison of bundle value against the d-bundle share."""
+    # Reject a mismatched allocation before the oracle spends any budget.
     if alloc.num_agents != inst.num_agents:
         raise InputError(
             f"allocation has {alloc.num_agents} bundles, instance {inst.num_agents} agents"
         )
-    checks = []
-    for i in range(inst.num_agents):
-        share = oracle.mms(inst, i, d, node_budget=node_budget).value
-        value = bundle_value(inst, i, alloc.bundles[i])
-        checks.append(AgentCheck(i, value, share, value >= share))
-    return GuaranteeReport(tuple(checks))
+    shares = [
+        oracle.mms(inst, i, d, node_budget=node_budget).value
+        for i in range(inst.num_agents)
+    ]
+    return check_targets(inst, alloc, shares)
 
 
 def check_t_mms(
@@ -71,13 +90,12 @@ def check_t_mms(
     n = inst.num_agents
     if alloc.num_agents != n or ranking.num_agents != n or len(thresholds) != n:
         raise InputError("allocation, ranking and thresholds must match the instance")
-    checks = []
-    for i in range(n):
-        share = oracle.mms(inst, i, n, node_budget=node_budget).value
-        target = thresholds.taus[ranking.rank_of[i]] * share
-        value = bundle_value(inst, i, alloc.bundles[i])
-        checks.append(AgentCheck(i, value, target, value >= target))
-    return GuaranteeReport(tuple(checks))
+    targets = [
+        thresholds.taus[ranking.rank_of[i]]
+        * oracle.mms(inst, i, n, node_budget=node_budget).value
+        for i in range(n)
+    ]
+    return check_targets(inst, alloc, targets)
 
 
 @dataclass(frozen=True)
@@ -181,8 +199,8 @@ def check_unit_share_structure(
     violations: list[str] = []
     for i in range(n):
         row = inst.valuations[i]
-        if inst.total_value(i) != d:
-            violations.append(f"agent {i}: total value {inst.total_value(i)} != {d}")
+        if inst.totals[i] != d:
+            violations.append(f"agent {i}: total value {inst.totals[i]} != {d}")
         if witnesses is not None:
             for part in witnesses[i].parts:
                 pv = bundle_value(inst, i, part)

@@ -108,6 +108,16 @@ def test_rotation_guarantees_on_random_instances():
             assert dist.ex_post_min[agent] >= thresholds.taus[-1]
 
 
+def test_rotation_distribution_rejects_unordered_and_non_unit_instances():
+    thresholds = priority_thresholds(2)
+    quarter, half = Fraction(1, 4), Fraction(1, 2)
+    unordered = Instance.from_rows([[half, quarter, half, 3 * quarter]] * 2)
+    non_unit = Instance.from_rows([[1, 1, 1, 0]] * 2)
+    for inst in (unordered, non_unit):
+        with pytest.raises(InputError):
+            cyclic_rotation_distribution(inst, thresholds)
+
+
 def test_sampling_is_reproducible_and_validated():
     inst, _ = random_normalized_ordered(random.Random(2), 3, 7)
     dist = cyclic_rotation_distribution(inst, priority_thresholds(3))

@@ -227,3 +227,50 @@ def test_deterministic_output(instance_file, capsys):
     main(["rbf", path])
     second = capsys.readouterr().out
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Malformed input
+
+
+_UNIT_PAIR = {"agents": 2, "goods": 4, "valuations": [["1/2"] * 4] * 2}
+_ONE_ROW = {"agents": 1, "goods": 3, "valuations": [[1, 2, 3]]}
+
+
+@pytest.mark.parametrize(
+    "files, argv, env",
+    [
+        (
+            {"inst": {"agents": 1, "goods": 3, "valuations": ["123"]}},
+            ["mms", "{inst}", "--d", "1"],
+            {},
+        ),
+        (
+            {"inst": {"agents": True, "goods": 1, "valuations": [[1]]}},
+            ["mms", "{inst}", "--d", "1"],
+            {},
+        ),
+        (
+            {"inst": _UNIT_PAIR, "alloc": {"bundles": [5, []]}},
+            ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "2"],
+            {},
+        ),
+        ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "a,b"], {}),
+        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "2", "--node-budget", "-5"], {}),
+        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "2"], {"MMSKIT_NODE_BUDGET": "-5"}),
+    ],
+    ids=[
+        "string-row", "bool-agents", "int-bundle", "text-ranking", "negative-flag", "negative-env"
+    ],
+)
+def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, monkeypatch, files, argv, env):
+    paths = {}
+    for name, obj in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1

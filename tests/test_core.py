@@ -68,6 +68,26 @@ def test_instance_rejects_ragged_and_negative():
         Instance.from_rows([[1, "-1/2"]])
 
 
+_values = st.fractions(min_value=0, max_value=3, max_denominator=4)
+
+
+@given(
+    st.integers(0, 5).flatmap(
+        lambda m: st.lists(st.lists(_values, min_size=m, max_size=m), min_size=1, max_size=4)
+    ),
+    st.booleans(),
+)
+def test_instance_totals_and_order_match_recomputation(rows, sort_rows):
+    if sort_rows:
+        rows = [sorted(row, reverse=True) for row in rows]
+    inst = Instance.from_rows(rows)
+    assert inst.totals == tuple(sum(row, Fraction(0)) for row in rows)
+    assert inst.ordered == all(
+        row[g] >= row[g + 1] for row in rows for g in range(len(row) - 1)
+    )
+    assert [inst.total_value(i) for i in range(len(rows))] == list(inst.totals)
+
+
 def test_bundle_value_empty_is_zero():
     inst = Instance.from_rows([[1, 2, 3]])
     assert bundle_value(inst, 0, frozenset()) == 0

@@ -14,7 +14,7 @@ from mmskit.transform import (
     unpick,
 )
 from mmskit.ordinal import run_1_out_of_d
-from mmskit.verify import check_unit_share_structure
+from mmskit.verify import check_1_out_of_d, check_unit_share_structure
 
 from _instances import random_instance, random_normalized_ordered
 
@@ -178,6 +178,8 @@ def test_pipeline_roundtrip_values_never_drop():
         assert result.guarantees is not None
         for value, share in result.guarantees:
             assert value >= share
+        report = check_1_out_of_d(inst, result.allocation, result.d)
+        assert result.guarantees == tuple((c.value, c.target) for c in report.checks)
 
 
 def test_unpick_single_agent_keeps_everything():
