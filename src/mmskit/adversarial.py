@@ -104,6 +104,12 @@ def gen_ordinal_tight(n: int) -> OrdinalTightFamily:
 # hard1
 
 
+# Cap on hard1's good count n/epsilon, which a short epsilon literal could
+# make arbitrarily large. ``demo`` builds about 4n goods and ``gen``'s default
+# epsilon 1/(12n) builds 12n^2, so the cap admits the default up to n = 91.
+HARD1_MAX_GOODS = 100_000
+
+
 @dataclass(frozen=True)
 class Hard1Family:
     instance: Instance
@@ -117,7 +123,8 @@ def gen_hard1(n: int, i: int, epsilon: Fraction) -> Hard1Family:
     """Agents 0..i-1 share a valuation whose every reduction shape is worth
     at most alpha_i; the rest value every good at epsilon.
 
-    ``epsilon`` must be a unit fraction (the flat agents own n/epsilon goods).
+    ``epsilon`` must be a unit fraction (the flat agents own n/epsilon goods),
+    and n/epsilon at most ``HARD1_MAX_GOODS``.
     """
     spec = HardInstanceSpec("hard1", n, i=i)
     epsilon = Fraction(epsilon)
@@ -125,6 +132,8 @@ def gen_hard1(n: int, i: int, epsilon: Fraction) -> Hard1Family:
         raise InputError(f"epsilon must be a positive unit fraction, got {epsilon}")
     if n / epsilon < 2 * n + i - 1:
         raise InputError("epsilon too large: flat agents need >= 2n+i-1 goods")
+    if n / epsilon > HARD1_MAX_GOODS:
+        raise InputError(f"epsilon too small: n/epsilon exceeds {HARD1_MAX_GOODS} goods")
     delta = Fraction(1, 3 * n + i - 2)
     alpha = 3 * n * delta
     m = int(n / epsilon)

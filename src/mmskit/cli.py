@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from . import bobw, oracle, verify
 from .adversarial import HardInstanceSpec, demonstrate_failure, gen_hard1, gen_hard2_responders, gen_ordinal_tight
@@ -157,7 +157,7 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer over the digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -385,8 +385,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # Parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an InputError (exit 1, one line) instead of
+    argparse's multi-line message and exit 2, which means an exhausted budget."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mmskit",
         description="Exact maximin-share fair division: shares, allocations, verification.",
     )

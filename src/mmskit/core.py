@@ -8,6 +8,7 @@ are exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,17 +18,31 @@ from .errors import InputError
 
 RationalLike = Union[Fraction, int, str]
 
+# Bounds on a rational literal, so that a few bytes of input cannot ask for a
+# huge integer: "1e1000000000" would be a billion digits long.
+LITERAL_MAX_CHARS = 1000
+LITERAL_MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
+
 
 def as_fraction(x: RationalLike) -> Fraction:
     """Convert an int, a "p/q" string, or a Fraction to an exact Fraction.
 
     Floats are rejected on purpose: they would silently break exactness.
+    A string may hold at most ``LITERAL_MAX_CHARS`` characters and an
+    exponent of at most ``LITERAL_MAX_EXPONENT`` in absolute value.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        if len(x) > LITERAL_MAX_CHARS:
+            raise InputError(f"rational literal longer than {LITERAL_MAX_CHARS} characters")
+        if "e" in x or "E" in x:  # skip the regex on the common "p/q" and integer forms
+            exponent = _EXPONENT.search(x)
+            if exponent and abs(int(exponent.group(1))) > LITERAL_MAX_EXPONENT:
+                raise InputError(f"rational literal exponent beyond +-{LITERAL_MAX_EXPONENT}: {x!r}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

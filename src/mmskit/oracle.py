@@ -4,6 +4,11 @@
 deliberately unoptimized enumerator over all set partitions, kept as an
 independent cross-check. Both return the exact optimum or raise; neither
 ever returns an approximate answer.
+
+The search runs on Python ints. MMS scales linearly, so ``mms`` multiplies
+the agent's row by L, the least common multiple of its denominators, searches
+the integer row, and returns the integer optimum divided by L: the same exact
+value and witness as a search on the Fractions themselves.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable
 
 from .core import Instance, Partition
@@ -28,37 +34,35 @@ class MmsResult:
     witness: Partition
 
 
-class _OptimumReached(Exception):
-    """Internal: the incumbent matched the root upper bound; stop searching."""
-
-
-def _waterfill_upper_bound(sums: list[Fraction], remaining: Fraction) -> Fraction:
+def _waterfill_upper_bound(sums: list[int], remaining: int) -> int:
     # Fractional relaxation: pour the remaining value onto the lowest parts.
+    # Returns the relaxation's ceiling: for an integer incumbent b,
+    # ceil(x) <= b exactly when x <= b, so the ceiling prunes as x would.
     s = sorted(sums)
     d = len(s)
-    prefix = Fraction(0)
+    prefix = 0
     for k in range(1, d):
         prefix += s[k - 1]
         if k * s[k] - prefix > remaining:
-            return (prefix + remaining) / k
-    return (prefix + s[d - 1] + remaining) / d
+            return -(-(prefix + remaining) // k)
+    return -(-(prefix + s[d - 1] + remaining) // d)
 
 
 @lru_cache(maxsize=65536)
-def _search(vals: tuple[Fraction, ...], d: int, budget: int) -> tuple[Fraction, tuple[int, ...]]:
+def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int, ...]]:
     """Maximize the minimum part sum over partitions of ``vals`` into d parts.
 
-    ``vals`` must be positive and non-increasing with len(vals) >= d >= 2.
+    ``vals`` must be positive ints, non-increasing, with len(vals) >= d >= 2.
     Returns (optimal min, part index per item). Deterministic: the witness is
     the greedy seed when the seed is already optimal, otherwise the last
-    strict improvement found in a fixed depth-first order.
+    strict improvement found in a fixed depth-first order. The depth-first
+    search keeps its own stack, so no recursion limit applies to it.
     """
     K = len(vals)
     total = sum(vals)
-    root_ub = total / d
 
     # Greedy seed: assign each item to the currently lightest part.
-    sums = [Fraction(0)] * d
+    sums = [0] * d
     seed = [0] * K
     for t, v in enumerate(vals):
         j = min(range(d), key=lambda p: (sums[p], p))
@@ -66,50 +70,58 @@ def _search(vals: tuple[Fraction, ...], d: int, budget: int) -> tuple[Fraction, 
         seed[t] = j
     best_val = min(sums)
     best_assign = tuple(seed)
-    if best_val == root_ub:
+    if best_val * d == total:
         return best_val, best_assign
 
-    suffix = [Fraction(0)] * (K + 1)
+    suffix = [0] * (K + 1)
     for t in range(K - 1, -1, -1):
         suffix[t] = suffix[t + 1] + vals[t]
 
-    sums = [Fraction(0)] * d
+    sums = [0] * d
     assign = [0] * K
+    next_part = [0] * K  # per depth: the first part not yet tried
+    tried: list[set[int]] = [set() for _ in range(K)]  # per depth: part sums tried
     nodes = 0
-
-    def place(t: int) -> None:
-        nonlocal nodes, best_val, best_assign
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(budget, nodes)
-        if t == K:
-            m = min(sums)
-            if m > best_val:
-                best_val = m
-                best_assign = tuple(assign)
-                if best_val == root_ub:
-                    raise _OptimumReached
-            return
-        if _waterfill_upper_bound(sums, suffix[t]) <= best_val:
-            return
-        # Equal-value items are interchangeable: force non-decreasing part
-        # indices among them. Parts with equal current sums are symmetric:
-        # try only the first of each sum (this also covers "first empty part").
-        lo = assign[t - 1] if t > 0 and vals[t] == vals[t - 1] else 0
-        tried: set[Fraction] = set()
-        for j in range(lo, d):
-            if sums[j] in tried:
+    t = 0
+    entering = True  # False when returning to depth t from its child
+    while t >= 0:
+        if entering:
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(budget, nodes)
+            if t == K:
+                m = min(sums)
+                if m > best_val:
+                    best_val = m
+                    best_assign = tuple(assign)
+                    if best_val * d == total:
+                        break
+            if t == K or _waterfill_upper_bound(sums, suffix[t]) <= best_val:
+                t -= 1
+                entering = False
                 continue
-            tried.add(sums[j])
-            sums[j] += vals[t]
-            assign[t] = j
-            place(t + 1)
-            sums[j] -= vals[t]
-
-    try:
-        place(0)
-    except _OptimumReached:
-        pass
+            # Equal-value items are interchangeable: force non-decreasing part
+            # indices among them. Parts with equal current sums are symmetric:
+            # try only the first of each sum (this also covers "first empty part").
+            next_part[t] = assign[t - 1] if t > 0 and vals[t] == vals[t - 1] else 0
+            tried[t].clear()
+        else:
+            sums[assign[t]] -= vals[t]
+        v = vals[t]
+        seen = tried[t]
+        for j in range(next_part[t], d):
+            s = sums[j]
+            if s not in seen:
+                seen.add(s)
+                sums[j] = s + v
+                assign[t] = j
+                next_part[t] = j + 1
+                t += 1
+                entering = True
+                break
+        else:
+            t -= 1
+            entering = False
     return best_val, best_assign
 
 
@@ -154,13 +166,16 @@ def mms(
         parts = [set(good_list)] + [set() for _ in range(d - 1)]
         return MmsResult(Fraction(0), Partition(tuple(frozenset(p) for p in parts)))
 
-    vals = tuple(inst.value(agent, g) for g in positive)
-    value, assign = _search(vals, d, budget)
+    # MMS scales linearly, so the search runs on the row times the LCM of its
+    # denominators: exact, and on ints rather than Fractions.
+    vals = [inst.value(agent, g) for g in positive]
+    scale = lcm(*(v.denominator for v in vals))
+    value, assign = _search(tuple(v.numerator * (scale // v.denominator) for v in vals), d, budget)
     parts = [set() for _ in range(d)]
     for t, g in enumerate(positive):
         parts[assign[t]].add(g)
     parts[0].update(zero)  # zero-valued goods do not affect any part value
-    return MmsResult(value, Partition(tuple(frozenset(p) for p in parts)))
+    return MmsResult(Fraction(value, scale), Partition(tuple(frozenset(p) for p in parts)))
 
 
 def mms_naive(

@@ -15,6 +15,7 @@ from mmskit import (
     gen_ordinal_tight,
     mms,
 )
+from mmskit.adversarial import HARD1_MAX_GOODS
 from mmskit.ordinal import is_ordered
 
 
@@ -101,6 +102,14 @@ def test_hard1_parameter_validation():
         gen_hard1(2, 3, Fraction(1, 30))
     with pytest.raises(InputError):
         gen_hard1(5, 4, Fraction(2, 3))  # not a unit fraction
+
+
+def test_hard1_good_count_is_capped_before_anything_is_built():
+    # 4 * 10^9 goods: rejected from n and epsilon alone.
+    with pytest.raises(InputError, match="epsilon too small"):
+        gen_hard1(4, 3, Fraction(1, 10**9))
+    with pytest.raises(InputError, match="epsilon too small"):
+        gen_hard1(4, 3, Fraction(1, HARD1_MAX_GOODS // 4 + 1))
 
 
 # ---------------------------------------------------------------------------

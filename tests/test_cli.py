@@ -99,6 +99,19 @@ def test_cmd_mms_malformed_json(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"agents": 1, "goods": 1, "valuations": [[' + b"7" * 5000 + b"]]}", b'\xff\xfe{"agents": 1}'],
+    ids=["integer-over-digit-limit", "not-utf8"],
+)
+def test_cmd_mms_unreadable_json_is_an_input_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["mms", str(bad), "--d", "1"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_cmd_mms_budget_exhaustion(instance_file, capsys):
     rng = random.Random(1)
     inst = Instance.from_rows([[rng.randint(50, 99) for _ in range(14)]])
@@ -258,9 +271,12 @@ _ONE_ROW = {"agents": 1, "goods": 3, "valuations": [[1, 2, 3]]}
         ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "a,b"], {}),
         ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "2", "--node-budget", "-5"], {}),
         ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "2"], {"MMSKIT_NODE_BUDGET": "-5"}),
+        ({}, ["mms"], {}),
+        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "x"], {}),
     ],
     ids=[
-        "string-row", "bool-agents", "int-bundle", "text-ranking", "negative-flag", "negative-env"
+        "string-row", "bool-agents", "int-bundle", "text-ranking", "negative-flag", "negative-env",
+        "missing-args", "non-int-flag",
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, monkeypatch, files, argv, env):
@@ -274,3 +290,10 @@ def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, monkeypatch
     assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mms", "--help"])
+    assert exc.value.code == 0
+    assert "--d" in capsys.readouterr().out

@@ -17,6 +17,7 @@ from mmskit import (
     bundle_value,
     is_T_mms,
 )
+from mmskit.core import LITERAL_MAX_CHARS, LITERAL_MAX_EXPONENT
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
 
@@ -38,6 +39,19 @@ def test_as_fraction_rejects_floats_and_garbage():
         as_fraction("not-a-number")
     with pytest.raises(InputError):
         as_fraction("1/0")
+
+
+def test_as_fraction_bounds_literal_length_and_exponent():
+    assert as_fraction("1e5") == 10**5
+    assert as_fraction(f"1e-{LITERAL_MAX_EXPONENT}") == Fraction(1, 10**LITERAL_MAX_EXPONENT)
+    for literal in (
+        f"1e{LITERAL_MAX_EXPONENT + 1}",
+        f"2.5E-{LITERAL_MAX_EXPONENT + 1}",
+        f"1e+{LITERAL_MAX_EXPONENT + 1:_}",
+        "7" * (LITERAL_MAX_CHARS + 1),
+    ):
+        with pytest.raises(InputError):
+            as_fraction(literal)
 
 
 def test_fraction_canonical_form():

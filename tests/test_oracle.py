@@ -97,6 +97,65 @@ def test_oracle_matches_naive_on_random_instances():
         _witness_is_valid(inst, 0, d, goods, slow)
 
 
+def test_oracle_matches_naive_on_rational_rows():
+    # Mixed denominators up to 9 exercise the search's LCM scaling.
+    rng = random.Random(16)
+    for _ in range(120):
+        m = rng.randint(1, 10)
+        d = rng.randint(1, 4)
+        inst = Instance.from_rows(
+            [[Fraction(rng.randint(0, 30), rng.randint(1, 9)) for _ in range(m)]]
+        )
+        fast = mms(inst, 0, d)
+        slow = mms_naive(inst, 0, d)
+        assert fast.value == slow.value, (inst.valuations, d)
+        _witness_is_valid(inst, 0, d, range(m), fast)
+
+
+@pytest.mark.parametrize(
+    "row, d, value, parts",
+    [
+        (
+            ["7/2", "9/4", "5/3", "11/6", "13/9", "8/7", "6/5", "4/3", "10/9", "1/2"],
+            3,
+            Fraction(239, 45),
+            [[0, 3], [1, 4, 5, 9], [2, 6, 7, 8]],
+        ),
+        (
+            ["50/3", "41/7", "93/8", "22/9", "67/5", "16/3", "88/9", "35/4", "29/6", "71/2", "9/7"],
+            4,
+            Fraction(16717, 630),
+            [[9], [0, 7, 10], [1, 3, 4, 8], [2, 5, 6]],
+        ),
+        (
+            ["1/2", "1/3", "1/4", "1/5", "1/6", "1/7", "1/8", "1/9", "2/3", "3/4", "4/5", "5/6"],
+            3,
+            Fraction(1021, 630),
+            [[10, 11], [0, 2, 6, 9], [1, 3, 4, 5, 7, 8]],
+        ),
+    ],
+)
+def test_rational_rows_keep_their_pinned_witness(row, d, value, parts):
+    # The value and witness the Fraction-valued search returned. None of them
+    # is the greedy seed, so each comes from the depth-first search itself.
+    inst = Instance.from_rows([[Fraction(v) for v in row]])
+    res = mms(inst, 0, d)
+    assert res.value == value
+    assert res.witness.parts == tuple(frozenset(p) for p in parts)
+
+
+def test_thousands_of_goods_end_in_a_result_or_a_budget_error():
+    # The depth-first search is as deep as the row is long.
+    rng = random.Random(17)
+    inst = Instance.from_rows([[rng.randint(1, 10**6) for _ in range(3000)]])
+    try:
+        res = mms(inst, 0, 7, node_budget=10**5)
+    except SearchBudgetExceeded as err:
+        assert err.budget == 10**5
+    else:
+        _witness_is_valid(inst, 0, 7, range(3000), res)
+
+
 def test_monotone_in_bundle_count():
     rng = random.Random(12)
     for _ in range(40):
