@@ -27,7 +27,12 @@ from .core import (
 from .errors import GuaranteeViolation, InputError
 from .ordinal import run_ordinal
 from .rbf import Transcript, TruthfulResponder, run_rbf
-from .verify import check_targets
+from .verify import check_targets, check_witness
+
+# Cap on the values (agents x goods) of an ordinalTight or hard2 family,
+# checked from its parameters before anything is built. It admits both
+# families up to n = 58 at t = 3.
+FAMILY_MAX_VALUES = 10_000
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,7 @@ class HardInstanceSpec:
         if self.family == "hard1":
             if self.n < 3 or self.i is None or not 3 <= self.i <= self.n:
                 raise InputError("hard1 needs n >= 3 and a target rank 3 <= i <= n")
+            return  # hard1's size is set by epsilon, which gen_hard1 caps
         if self.family == "hard2":
             if self.i is None or self.k1 is None or self.k2 is None or self.t is None:
                 raise InputError("hard2 needs i, k1, k2, t")
@@ -58,6 +64,13 @@ class HardInstanceSpec:
                 raise InputError("hard2 needs k1 >= 1, k2 >= 0, t >= 3")
             if self.k1 + self.k2 >= self.i or 2 * self.k1 + self.k2 > self.n:
                 raise InputError("hard2 needs k1 + k2 < i and 2*k1 + k2 <= n")
+            values = 2 * self.n + (self.n - self.k1 - self.k2) ** 2 * self.t
+        else:  # ordinalTight: n identical rows of 2n + 1 + 3(d - n) goods
+            values = self.n * (2 * self.n + 1 + 3 * ((4 * self.n - 2) // 3 - self.n))
+        if values > FAMILY_MAX_VALUES:
+            raise InputError(
+                f"{self.family} family would hold {values} values, more than {FAMILY_MAX_VALUES}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +87,7 @@ class OrdinalTightFamily:
 def gen_ordinal_tight(n: int) -> OrdinalTightFamily:
     """All agents share one valuation that defeats bag filling at
     d = floor((4n-2)/3): every initial bag is worth exactly 1 - 1/(3n)."""
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
+    HardInstanceSpec("ordinalTight", n)
     d = (4 * n - 2) // 3
     m = 2 * n + 1 + 3 * (d - n)
     row = tuple(
@@ -92,11 +104,8 @@ def gen_ordinal_tight(n: int) -> OrdinalTightFamily:
             frozenset({k + n - 1 - 1, 2 * d + n - k - 1, 2 * d - n + k + 1 - 1})
         )
     witness = Partition(tuple(parts))
-    for part in witness.parts:
-        if bundle_value(inst, 0, part) != 1:
-            raise GuaranteeViolation("tight-family witness part is not worth 1")
-    if witness.ground_set != frozenset(range(m)):
-        raise GuaranteeViolation("tight-family witness does not cover all goods")
+    if violations := check_witness(inst, 0, witness):
+        raise GuaranteeViolation(f"tight-family {violations[0]}")
     return OrdinalTightFamily(inst, d, witness)
 
 
@@ -160,11 +169,8 @@ def gen_hard1(n: int, i: int, epsilon: Fraction) -> Hard1Family:
     if tail:
         parts[0] = parts[0] | tail
     witness = Partition(tuple(parts))
-    for part in witness.parts:
-        if bundle_value(inst, 0, part) != 1:
-            raise GuaranteeViolation("hard1 witness part is not worth 1")
-    if witness.ground_set != frozenset(range(m)):
-        raise GuaranteeViolation("hard1 witness does not cover all goods")
+    if violations := check_witness(inst, 0, witness):
+        raise GuaranteeViolation(f"hard1 {violations[0]}")
     return Hard1Family(inst, alpha, epsilon, witness, tuple(range(i)))
 
 
@@ -267,8 +273,6 @@ def gen_hard2_responders(n: int, i: int, k1: int, k2: int, t: int) -> Hard2Famil
     m = len(values)
     row = tuple(values)
     inst = Instance((row,), m)
-    if inst.totals[0] != n:
-        raise GuaranteeViolation("hard2 target valuation does not total n")
 
     # Four groups of unit parts. Good layout: alphas at [0, k1+k2), thirds at
     # [k1+k2, 2n-k2), complements at [2n-k2, 2n), fillers from 2n on.
@@ -286,14 +290,9 @@ def gen_hard2_responders(n: int, i: int, k1: int, k2: int, t: int) -> Hard2Famil
     for j in range(n - 2 * k1 - k2):  # two thirds + t*(n-k2) fillers
         chunk, fillers = fillers[: t * (n - k2)], fillers[t * (n - k2):]
         parts.append(frozenset(set(rest_thirds[2 * j: 2 * j + 2]) | set(chunk)))
-    if fillers or len(rest_thirds) != 2 * (n - 2 * k1 - k2):
-        raise GuaranteeViolation("hard2 partition does not use every good exactly once")
     witness = Partition(tuple(parts))
-    for part in witness.parts:
-        if bundle_value(inst, 0, part) != 1:
-            raise GuaranteeViolation("hard2 witness part is not worth 1")
-    if witness.ground_set != frozenset(range(m)):
-        raise GuaranteeViolation("hard2 witness does not cover all goods")
+    if violations := check_witness(inst, 0, witness):
+        raise GuaranteeViolation(f"hard2 {violations[0]}")
     return Hard2Family(n, i, k1, k2, t, alpha, epsilon, i - 1, inst, witness)
 
 

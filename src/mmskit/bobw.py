@@ -6,18 +6,24 @@ layer certifies inequalities that mix exact rational sums with logarithms;
 logarithms are enclosed in rational intervals (series with an explicit tail
 bound) at 50+ decimal digits, so every certified comparison is a plain
 rational comparison.
+
+Each averaged bound is one ``_AverageBound``. One engine, ``_certify``, serves
+closed forms and range sweeps: it sums the harmonic window by exact binary
+splitting (Haible and Papanikolaou, 1998) and cross-multiplies the unreduced
+sum against the bound's certified constant.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import Allocation, Instance, PriorityRanking, ThresholdList, bundle_value
 from .errors import GuaranteeViolation, InputError
-from .rbf import Transcript, run_rbf_truthful
+from .rbf import Transcript, priority_thresholds, run_rbf_truthful
 
 ENCLOSURE_DIGITS = 55
 
@@ -123,21 +129,78 @@ def sample_allocation(
 
 
 # ---------------------------------------------------------------------------
-# Average-threshold lower bound
+# Certified average bounds
 
 
-def _gamma_sum_parts(n: int) -> tuple[int, int, int, Fraction]:
-    """Split sum_i max(2n/(2n+i-1), floor) into its harmonic head and flat tail.
+@dataclass(frozen=True)
+class _AverageBound:
+    """The average (1/n) sum_{i=1}^{n} f(i), bounded by constant(n) for n >= least_n.
 
-    Returns (K, p, q, floor): the first K ranks take the harmonic branch,
-    whose sum is 2n * p/q with (p, q) unreduced.
+    ``split(n)`` is (flat, c, a, b) with sum_i f(i) = flat + c * sum_{j=a}^{b} 1/j.
+    ``constant(n)`` takes the conservative end of each log enclosure.
     """
+
+    name: str
+    least_n: int
+    split: Callable[[int], tuple[Fraction, int, int, int]]
+    constant: Callable[[int], Fraction]
+    floor: bool  # the average is at least constant(n); else at most
+
+
+# Only the bound constants call it, so ln(4/3) and ln(10/9) are enclosed once per process.
+_ln = functools.cache(ln_enclosure)
+
+
+def _gamma_split(n: int) -> tuple[Fraction, int, int, int]:
+    # Ranks 1..K take the harmonic branch 2n/(2n+i-1), the rest the floor:
+    # 2n/(2n+i-1) >= floor  <=>  2n+i-1 <= 24n^2/(9n+1).
     floor = Fraction(3, 4) + Fraction(1, 12 * n)
-    # 2n/(2n+i-1) >= floor  <=>  2n+i-1 <= 24n^2/(9n+1)
-    t_max = (24 * n * n) // (9 * n + 1)
-    K = min(n, max(0, t_max - 2 * n + 1))
-    p, q = _reciprocal_range_sum(2 * n, 2 * n + K - 1)
-    return K, p, q, floor
+    K = min(n, max(0, (24 * n * n) // (9 * n + 1) - 2 * n + 1))
+    return (n - K) * floor, 2 * n, 2 * n, 2 * n + K - 1
+
+
+def _hard2_split(n: int) -> tuple[Fraction, int, int, int]:
+    # Ranks 1..i1 take the linear branch, ranks i1+1..i2 sit on the 5/6
+    # plateau, and the rest take the harmonic branch 3n/(3n+i-2).
+    i1 = n // 2 + 1
+    i2 = min((3 * n + 10) // 5, n)
+    flat = i1 - Fraction((i1 - 1) * i1, 6 * n) + Fraction(5, 6) * (i2 - i1)
+    return flat, 3 * n, 3 * n + i2 - 1, 4 * n - 2
+
+
+_GAMMA = _AverageBound(
+    "average threshold floor", 1, _gamma_split,
+    lambda n: 2 * _ln(4, 3)[1] + Fraction(1, 4) + Fraction(1, 36 * n), floor=True,
+)
+_HARD1 = _AverageBound(  # ranks 1 and 2 worth 1, rank i >= 3 capped at 3n/(3n+i-2)
+    "hard1 ceiling", 2, lambda n: (Fraction(2), 3 * n, 3 * n + 1, 4 * n - 2),
+    lambda n: 3 * _ln(4, 3)[0] + Fraction(1, 2 * n), floor=False,
+)
+_HARD2 = _AverageBound(
+    "hard2 ceiling", 1, _hard2_split,
+    lambda n: Fraction(13, 24) + 3 * _ln(10, 9)[0] + Fraction(1, 3 * n), floor=False,
+)
+
+
+def _certify(bound: _AverageBound, n: int) -> tuple[int, int]:
+    """The average at n as an unreduced (numerator, denominator) pair, certified
+    against ``bound.constant(n)`` by cross-multiplication."""
+    if n < bound.least_n:
+        raise InputError(f"n must be >= {bound.least_n}, got {n}")
+    flat, c, a, b = bound.split(n)
+    p, q = _reciprocal_range_sum(a, b)
+    num = flat.numerator * q + c * p * flat.denominator
+    den = n * flat.denominator * q
+    constant = bound.constant(n)
+    lhs, rhs = num * constant.denominator, constant.numerator * den
+    if (lhs < rhs) if bound.floor else (lhs > rhs):
+        raise GuaranteeViolation(f"{bound.name} fails at n={n}")
+    return num, den
+
+
+def _closed_form(bound: _AverageBound, n: int) -> tuple[Fraction, str]:
+    num, den = _certify(bound, n)
+    return Fraction(num, den), fraction_to_decimal(bound.constant(n))
 
 
 def gamma_lower_bound(n: int) -> tuple[Fraction, str]:
@@ -146,32 +209,7 @@ def gamma_lower_bound(n: int) -> tuple[Fraction, str]:
     Returns (exact average, decimal string of the floor's upper enclosure)
     and asserts average >= 2*ln(4/3) + 1/4 + 1/(36n) rigorously.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    K, p, q, floor = _gamma_sum_parts(n)
-    exact = (2 * n * Fraction(p, q) + (n - K) * floor) / n
-    _, ln_hi = ln_enclosure(4, 3)
-    bound_hi = 2 * ln_hi + Fraction(1, 4) + Fraction(1, 36 * n)
-    if exact < bound_hi:
-        raise GuaranteeViolation(
-            f"average threshold {exact} fell below its floor for n={n}"
-        )
-    return exact, fraction_to_decimal(bound_hi)
-
-
-def verify_gamma_bound_range(lo: int, hi: int) -> None:
-    """Assert the gamma floor for every n in [lo, hi] without reducing the
-    huge intermediate fractions (cross-multiplied comparisons)."""
-    _, ln_hi = ln_enclosure(4, 3)
-    for n in range(lo, hi + 1):
-        K, p, q, floor = _gamma_sum_parts(n)
-        rhs = n * (2 * ln_hi + Fraction(1, 4) + Fraction(1, 36 * n)) - (n - K) * floor
-        if 2 * n * p * rhs.denominator < rhs.numerator * q:
-            raise GuaranteeViolation(f"gamma floor fails at n={n}")
-
-
-# ---------------------------------------------------------------------------
-# Hard-family average upper bounds
+    return _closed_form(_GAMMA, n)
 
 
 def hard1_upper_bound(n: int) -> tuple[Fraction, str]:
@@ -179,29 +217,7 @@ def hard1_upper_bound(n: int) -> tuple[Fraction, str]:
 
     Asserts the average is at most 3*ln(4/3) + 1/(2n) rigorously.
     """
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
-    p, q = _reciprocal_range_sum(3 * n + 1, 4 * n - 2)
-    exact = (2 + 3 * n * Fraction(p, q)) / n
-    ln_lo, _ = ln_enclosure(4, 3)
-    bound_lo = 3 * ln_lo + Fraction(1, 2 * n)
-    if exact > bound_lo:
-        raise GuaranteeViolation(f"hard1 average exceeds its ceiling for n={n}")
-    return exact, fraction_to_decimal(bound_lo)
-
-
-def _hard2_sum_parts(n: int) -> tuple[Fraction, int, int, int]:
-    """Exact pieces of sum_i min(3n/(3n+i-2), max(5/6, 1-(i-1)/(3n))).
-
-    The first i1 ranks take the linear branch, ranks i1+1..i2 sit on the 5/6
-    plateau, and the rest take the harmonic branch (returned unreduced).
-    """
-    i1 = n // 2 + 1
-    i2 = min((3 * n + 10) // 5, n)
-    linear = i1 - Fraction((i1 - 1) * i1, 6 * n)
-    plateau = Fraction(5, 6) * (i2 - i1)
-    p, q = _reciprocal_range_sum(3 * n + i2 - 1, 4 * n - 2) if i2 < n else (0, 1)
-    return linear + plateau, p, q, i2
+    return _closed_form(_HARD1, n)
 
 
 def hard2_upper_bound(n: int) -> tuple[Fraction, str]:
@@ -209,32 +225,21 @@ def hard2_upper_bound(n: int) -> tuple[Fraction, str]:
 
     Asserts the average is at most 13/24 + 3*ln(10/9) + 1/(3n) rigorously.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    flat, p, q, _ = _hard2_sum_parts(n)
-    exact = (flat + 3 * n * Fraction(p, q)) / n
-    ln_lo, _ = ln_enclosure(10, 9)
-    bound_lo = Fraction(13, 24) + 3 * ln_lo + Fraction(1, 3 * n)
-    if exact > bound_lo:
-        raise GuaranteeViolation(f"hard2 average exceeds its ceiling for n={n}")
-    return exact, fraction_to_decimal(bound_lo)
+    return _closed_form(_HARD2, n)
+
+
+def verify_gamma_bound_range(lo: int, hi: int) -> None:
+    """Assert the gamma floor for every n in [lo, hi]."""
+    for n in range(lo, hi + 1):
+        _certify(_GAMMA, n)
 
 
 def verify_hard_bound_range(lo: int, hi: int) -> None:
-    """Assert both hard-family ceilings for every n in [lo, hi] using
-    cross-multiplied comparisons on the unreduced sums."""
-    ln43_lo, _ = ln_enclosure(4, 3)
-    ln109_lo, _ = ln_enclosure(10, 9)
-    for n in range(max(lo, 2), hi + 1):
-        p, q = _reciprocal_range_sum(3 * n + 1, 4 * n - 2)
-        rhs = n * (3 * ln43_lo + Fraction(1, 2 * n)) - 2
-        if 3 * n * p * rhs.denominator > rhs.numerator * q:
-            raise GuaranteeViolation(f"hard1 ceiling fails at n={n}")
+    """Assert both hard-family ceilings for every n in [lo, hi], hard1 from n = 2."""
     for n in range(lo, hi + 1):
-        flat, p, q, _ = _hard2_sum_parts(n)
-        rhs = n * (Fraction(13, 24) + 3 * ln109_lo + Fraction(1, 3 * n)) - flat
-        if 3 * n * p * rhs.denominator > rhs.numerator * q:
-            raise GuaranteeViolation(f"hard2 ceiling fails at n={n}")
+        _certify(_HARD2, n)
+        if n >= _HARD1.least_n:
+            _certify(_HARD1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +293,15 @@ def integral_bound_check(values: Sequence[Fraction], integral: IntegralValue) ->
 
 def integral_check_gamma(n: int) -> bool:
     """Sandwich check for the average-threshold curve on [0, n-1]."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    floor = Fraction(3, 4) + Fraction(1, 12 * n)
-    values = [max(Fraction(2 * n, 2 * n + x), floor) for x in range(n)]
+    values = priority_thresholds(n).taus
     beta = Fraction(2 * n * (3 * n - 1), 9 * n + 1)  # branch switch point
     end = Fraction(n - 1)
     if beta >= end:
         integral = IntegralValue(log_terms=((Fraction(2 * n), (2 * n + end) / (2 * n)),))
     else:
+        # Past the switch point the curve sits on its floor, the last threshold.
         integral = IntegralValue(
-            exact=floor * (end - beta),
+            exact=values[-1] * (end - beta),
             log_terms=((Fraction(2 * n), (2 * n + beta) / (2 * n)),),
         )
     return integral_bound_check(values, integral)

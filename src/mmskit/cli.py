@@ -300,13 +300,13 @@ def _cmd_bobw(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    # Validate every parameter before the default epsilon divides by n.
+    HardInstanceSpec(args.family, args.n, i=args.i, k1=args.k1, k2=args.k2, t=args.t)
     if args.family == "ordinalTight":
         fam = gen_ordinal_tight(args.n)
         payload = instance_to_json(fam.instance)
         payload.update({"family": "ordinalTight", "d": fam.d})
     elif args.family == "hard1":
-        if args.i is None:
-            raise InputError("hard1 needs --i")
         eps = as_fraction(args.epsilon) if args.epsilon else Fraction(1, 12 * args.n)
         fam = gen_hard1(args.n, args.i, eps)
         payload = instance_to_json(fam.instance)
@@ -319,8 +319,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             }
         )
     else:  # hard2
-        if args.i is None or args.k1 is None or args.k2 is None:
-            raise InputError("hard2 needs --i, --k1 and --k2")
         fam = gen_hard2_responders(args.n, args.i, args.k1, args.k2, args.t)
         payload = {
             "family": "hard2",

@@ -24,7 +24,7 @@ from .transform import (
     reinstate,
     unpick,
 )
-from .verify import check_1_out_of_d
+from .verify import check_1_out_of_d, check_witness
 
 
 @dataclass(frozen=True)
@@ -39,20 +39,12 @@ class OrdinalRun:
     satisfied: tuple[bool, ...]  # per agent: got a bag it values >= 1
 
 
-def is_ordered(inst: Instance) -> bool:
-    return inst.ordered
-
-
 def _validate_witnesses(inst: Instance, witnesses: tuple[Partition, ...]) -> None:
     if len(witnesses) != inst.num_agents:
         raise InputError("one witness partition per agent required")
     for i, w in enumerate(witnesses):
-        if w.ground_set != frozenset(range(inst.num_goods)):
-            raise InputError(f"witness of agent {i} does not cover all goods")
-        for part in w.parts:
-            value = bundle_value(inst, i, part)
-            if value != 1:
-                raise InputError(f"witness part of agent {i} has value {value}, expected 1")
+        if violations := check_witness(inst, i, w):
+            raise InputError(f"agent {i}: {violations[0]}")
 
 
 def run_ordinal(

@@ -183,13 +183,22 @@ def equivalence_expand(inst: Instance, d: int) -> tuple[Instance, ThresholdList]
 # Structural facts of ordered unit-share instances
 
 
+def check_witness(inst: Instance, agent: int, witness: Partition) -> tuple[str, ...]:
+    """Violations of a unit-share witness, empty if none: its parts must cover
+    exactly the goods 0..m-1, and each must be worth exactly 1 to ``agent``."""
+    if witness.ground_set != frozenset(range(inst.num_goods)):
+        return (f"witness does not cover exactly the {inst.num_goods} goods",)
+    values = (bundle_value(inst, agent, part) for part in witness.parts)
+    return tuple(f"witness part worth {v} != 1" for v in values if v != 1)
+
+
 def check_unit_share_structure(
     inst: Instance, d: int, witnesses: tuple[Partition, ...] | None = None
 ) -> tuple[str, ...]:
     """Violations of the ordered d-normalized structure facts, empty if none.
 
-    Needs m >= 2d. Checks per agent: total value d (and witness parts worth
-    exactly 1 when given); the top good worth <= 1; the middle pair {d, d+1}
+    Needs m >= 2d. Checks per agent: total value d (and, when given, the
+    witness by ``check_witness``); the top good worth <= 1; the middle pair {d, d+1}
     worth <= 1; good d+1 worth <= 1/2; and every tail of the nested pairs
     C_k = {k, 2d-k+1} summing to at most its length.
     """
@@ -202,10 +211,7 @@ def check_unit_share_structure(
         if inst.totals[i] != d:
             violations.append(f"agent {i}: total value {inst.totals[i]} != {d}")
         if witnesses is not None:
-            for part in witnesses[i].parts:
-                pv = bundle_value(inst, i, part)
-                if pv != 1:
-                    violations.append(f"agent {i}: witness part worth {pv} != 1")
+            violations += [f"agent {i}: {v}" for v in check_witness(inst, i, witnesses[i])]
         if row[0] > 1:
             violations.append(f"agent {i}: top good worth {row[0]} > 1")
         middle = row[d - 1] + row[d]

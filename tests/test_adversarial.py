@@ -15,8 +15,8 @@ from mmskit import (
     gen_ordinal_tight,
     mms,
 )
-from mmskit.adversarial import HARD1_MAX_GOODS
-from mmskit.ordinal import is_ordered
+from mmskit import adversarial
+from mmskit.adversarial import FAMILY_MAX_VALUES, HARD1_MAX_GOODS
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +36,7 @@ def test_tight_good_count_stays_below_3n():
     for n in range(2, 13):
         fam = gen_ordinal_tight(n)
         assert fam.instance.num_goods <= 3 * n - 1
-        assert is_ordered(fam.instance)
+        assert fam.instance.ordered
 
 
 def test_tight_witness_certifies_unit_shares():
@@ -80,7 +80,7 @@ def test_hard1_witness_and_shapes():
     for n, i in [(3, 3), (5, 4), (6, 3), (7, 7)]:
         fam = gen_hard1(n, i, Fraction(1, 6 * n))
         inst = fam.instance
-        assert is_ordered(inst)
+        assert inst.ordered
         for part in fam.witness.parts:
             assert bundle_value(inst, 0, part) == 1
         assert fam.witness.ground_set == frozenset(range(inst.num_goods))
@@ -133,7 +133,7 @@ def test_hard2_with_complement_goods():
     assert fam.alpha == 1 - Fraction(3, 18)
     for part in fam.witness.parts:
         assert bundle_value(fam.instance, 0, part) == 1
-    assert is_ordered(fam.instance)
+    assert fam.instance.ordered
 
 
 def test_hard2_alpha_sits_in_the_proof_window():
@@ -152,6 +152,37 @@ def test_hard2_parameter_validation():
         gen_hard2_responders(6, 4, 3, 1, 3)  # 2k1 + k2 > n
     with pytest.raises(InputError):
         gen_hard2_responders(6, 4, 3, 0, 2)  # t < 3
+
+
+# ---------------------------------------------------------------------------
+# Size cap of ordinalTight and hard2
+
+
+def test_family_size_is_capped_before_anything_is_built(monkeypatch):
+    def no_instance(*args, **kwargs):
+        raise AssertionError("a family instance was built")
+
+    monkeypatch.setattr(adversarial, "Instance", no_instance)
+    # 3 * 10^6 values and 9 * 10^5 fillers, rejected from the parameters
+    # alone. The sizes stay small enough that a broken cap fails fast.
+    with pytest.raises(InputError, match="values"):
+        gen_ordinal_tight(1000)
+    with pytest.raises(InputError, match="values"):
+        gen_hard2_responders(4, 2, 1, 0, 10**5)
+    with pytest.raises(InputError, match="values"):
+        demonstrate_failure(HardInstanceSpec("ordinalTight", 1000))
+
+
+def test_family_cap_counts_the_values_a_family_holds():
+    # n = 58 is the largest n admitted at t = 3; its built instances fit.
+    tight = gen_ordinal_tight(58).instance
+    hard2 = gen_hard2_responders(58, 2, 1, 0, 3).instance
+    for inst in (tight, hard2):
+        assert inst.num_agents * inst.num_goods <= FAMILY_MAX_VALUES
+    with pytest.raises(InputError, match="values"):
+        gen_ordinal_tight(59)
+    with pytest.raises(InputError, match="values"):
+        gen_hard2_responders(59, 2, 1, 0, 3)
 
 
 # ---------------------------------------------------------------------------

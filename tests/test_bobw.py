@@ -1,11 +1,13 @@
 """Rotation distributions and the certified analytic bounds."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from mmskit import (
+    GuaranteeViolation,
     Instance,
     InputError,
     cyclic_rotation_distribution,
@@ -15,6 +17,7 @@ from mmskit import (
     priority_thresholds,
     sample_allocation,
 )
+from mmskit import bobw
 from mmskit.bobw import (
     IntegralValue,
     fraction_to_decimal,
@@ -244,3 +247,58 @@ def test_proof_curves_for_small_sizes():
         assert integral_check_hard2(n)
         if n >= 2:
             assert integral_check_hard1(n)
+
+
+# ---------------------------------------------------------------------------
+# The certified-bound engine
+
+
+_BOUND_CALLS = [
+    (gamma_lower_bound, ()),
+    (hard1_upper_bound, ()),
+    (hard2_upper_bound, ()),
+    (verify_gamma_bound_range, (3,)),  # a sweep's lo, up to hi = 3
+    (verify_hard_bound_range, (3,)),
+    (integral_check_gamma, ()),
+    (integral_check_hard1, ()),
+    (integral_check_hard2, ()),
+]
+
+
+@pytest.mark.parametrize("n", [-1, 0])
+@pytest.mark.parametrize(
+    "function, extra_args", _BOUND_CALLS, ids=[f.__name__ for f, _ in _BOUND_CALLS]
+)
+def test_every_bound_function_rejects_n_below_one(function, extra_args, n):
+    with pytest.raises(InputError):
+        function(n, *extra_args)
+
+
+@pytest.mark.parametrize(
+    "record, closed_form, sweep",
+    [
+        ("_GAMMA", gamma_lower_bound, verify_gamma_bound_range),
+        ("_HARD1", hard1_upper_bound, verify_hard_bound_range),
+        ("_HARD2", hard2_upper_bound, verify_hard_bound_range),
+    ],
+)
+def test_a_bound_moved_past_the_exact_average_fails(monkeypatch, record, closed_form, sweep):
+    # At n = 5 the bound's constant is replaced by the exact average, then by
+    # the exact average moved 1/10^6 to the failing side; other n keep theirs.
+    n = 5
+    bound = getattr(bobw, record)
+    exact, _ = closed_form(n)
+    step = Fraction(1, 10**6) if bound.floor else -Fraction(1, 10**6)
+    for shift, fails in ((0, False), (step, True)):
+        moved = dataclasses.replace(
+            bound, constant=lambda m: exact + shift if m == n else bound.constant(m)
+        )
+        monkeypatch.setattr(bobw, record, moved)
+        if fails:
+            with pytest.raises(GuaranteeViolation, match="n=5"):
+                closed_form(n)
+            with pytest.raises(GuaranteeViolation, match="n=5"):
+                sweep(n - 1, n + 1)
+        else:  # both comparisons are inclusive
+            assert closed_form(n)[0] == exact
+            sweep(n - 1, n + 1)

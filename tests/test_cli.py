@@ -292,6 +292,23 @@ def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, monkeypatch
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "hard1", "--n", "0", "--i", "3"],
+        # Just over the family cap, so that a broken cap fails fast.
+        ["gen", "hard2", "--n", "4", "--i", "2", "--k1", "1", "--k2", "0", "--t", "2000"],
+        ["gen", "ordinalTight", "--n", "100"],
+        ["demo", "ordinalTight", "--n", "100"],
+    ],
+    ids=["hard1-zero-n", "hard2-large-t", "gen-tight-large-n", "demo-tight-large-n"],
+)
+def test_family_parameters_are_checked_before_anything_is_built(capsys, argv):
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mms", "--help"])

@@ -6,10 +6,12 @@ from fractions import Fraction
 from mmskit import (
     Allocation,
     Instance,
+    Partition,
     PriorityRanking,
     check_1_out_of_d,
     check_t_mms,
     check_transcript,
+    check_unit_share_structure,
     equivalence_expand,
     is_T_mms,
     mms,
@@ -17,6 +19,7 @@ from mmskit import (
     run_rbf_truthful,
 )
 from mmskit.rbf import ReductionEvent, Transcript
+from mmskit.verify import check_witness
 
 from _instances import random_instance, random_normalized_ordered
 
@@ -158,3 +161,32 @@ def test_expand_bidirectional_equivalence():
         lhs = is_T_mms(expanded, alloc_d, ranking, thresholds, shares)
         rhs = check_1_out_of_d(inst, restricted, d).all_ok
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# Unit-share witnesses
+
+
+def test_witness_check_reports_coverage_and_part_values():
+    inst = Instance.from_rows([[Fraction(1, 2)] * 4])
+    assert check_witness(inst, 0, Partition(({0, 1}, {2, 3}))) == ()
+    assert check_witness(inst, 0, Partition(({0, 1}, {2}))) == (
+        "witness does not cover exactly the 4 goods",
+    )
+    assert check_witness(inst, 0, Partition(({0, 1}, {2, 3, 4}))) == (
+        "witness does not cover exactly the 4 goods",
+    )
+    assert check_witness(inst, 0, Partition(({0, 1, 2}, {3}))) == (
+        "witness part worth 3/2 != 1",
+        "witness part worth 1/2 != 1",
+    )
+
+
+def test_unit_share_structure_checks_witness_coverage():
+    # Every part is worth 1, but good 3 is in no part.
+    inst = Instance.from_rows([[Fraction(1, 2)] * 4])
+    short = Partition(({0, 1}, {2}))
+    assert check_unit_share_structure(inst, 2, (Partition(({0, 1}, {2, 3})),)) == ()
+    assert check_unit_share_structure(inst, 2, (short,)) == (
+        "agent 0: witness does not cover exactly the 4 goods",
+    )
