@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -88,24 +89,42 @@ class Instance:
         return len(self.valuations)
 
     def value(self, agent: int, good: int) -> Fraction:
-        self._check_agent(agent)
-        if not 0 <= good < self.num_goods:
-            raise InputError(f"good index {good} out of range [0, {self.num_goods})")
+        self.check_agent(agent)
+        self.check_good(good)
         return self.valuations[agent][good]
 
     def total_value(self, agent: int) -> Fraction:
-        self._check_agent(agent)
+        self.check_agent(agent)
         return self.totals[agent]
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The exact value kernel: each agent's row in integer form, computed
+        once per instance.
+
+        ``scaled[i]`` is ``(ints, L)``, where L is the least common multiple of
+        the denominators of agent i's row and ``valuations[i][g] ==
+        Fraction(ints[g], L)``. Sums and comparisons within one row run on
+        these ints: a bundle is worth ``sum(ints[g]) / L``, and it is worth at
+        least 1 exactly when that sum is at least L. MMS scales linearly, so
+        the share oracle searches the int row and divides its optimum by L:
+        the same exact value and witness as a search on the Fractions.
+        """
+        out = []
+        for row in self.valuations:
+            scale = lcm(*(v.denominator for v in row))
+            out.append((tuple(v.numerator * (scale // v.denominator) for v in row), scale))
+        return tuple(out)
 
     @cached_property
     def totals(self) -> tuple[Fraction, ...]:
         """Each agent's exact value for all goods, computed once per instance."""
-        return tuple(sum(row, Fraction(0)) for row in self.valuations)
+        return tuple(Fraction(sum(ints), scale) for ints, scale in self.scaled)
 
     @cached_property
     def ordered(self) -> bool:
         """True when every agent's values are non-increasing in the good index."""
-        return all(a >= b for row in self.valuations for a, b in zip(row, row[1:]))
+        return all(a >= b for ints, _ in self.scaled for a, b in zip(ints, ints[1:]))
 
     def require_ordered(self, total: int | None = None) -> None:
         """Raise InputError unless the instance is ordered and, when ``total``
@@ -120,9 +139,13 @@ class Instance:
                         f"for a {total}-normalized instance"
                     )
 
-    def _check_agent(self, agent: int) -> None:
+    def check_agent(self, agent: int) -> None:
         if not 0 <= agent < self.num_agents:
             raise InputError(f"agent index {agent} out of range [0, {self.num_agents})")
+
+    def check_good(self, good: int) -> None:
+        if not 0 <= good < self.num_goods:
+            raise InputError(f"good index {good} out of range [0, {self.num_goods})")
 
 
 def _as_index_set(goods: Iterable[int]) -> frozenset[int]:
@@ -256,11 +279,15 @@ class PriorityRanking:
 
 
 def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
-    """Exact additive value of a bundle: the sum of the agent's good values."""
-    total = Fraction(0)
+    """Exact additive value of a bundle: the sum of the agent's good values,
+    added as the ints of ``Instance.scaled``."""
+    inst.check_agent(agent)
+    ints, scale = inst.scaled[agent]
+    total = 0
     for g in _as_index_set(bundle):
-        total += inst.value(agent, g)
-    return total
+        inst.check_good(g)
+        total += ints[g]
+    return Fraction(total, scale)
 
 
 def is_T_mms(

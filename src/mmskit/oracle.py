@@ -3,12 +3,8 @@
 ``mms`` is a branch-and-bound multiway partition search; ``mms_naive`` is a
 deliberately unoptimized enumerator over all set partitions, kept as an
 independent cross-check. Both return the exact optimum or raise; neither
-ever returns an approximate answer.
-
-The search runs on Python ints. MMS scales linearly, so ``mms`` multiplies
-the agent's row by L, the least common multiple of its denominators, searches
-the integer row, and returns the integer optimum divided by L: the same exact
-value and witness as a search on the Fractions themselves.
+ever returns an approximate answer. ``mms`` searches the agent's integer row
+from ``Instance.scaled``; ``mms_naive`` adds the Fractions themselves.
 """
 
 from __future__ import annotations
@@ -16,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable
 
 from .core import Instance, Partition
@@ -126,12 +121,12 @@ def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int,
 
 
 def _resolve_goods(inst: Instance, agent: int, goods: Iterable[int] | None) -> list[int]:
+    inst.check_agent(agent)
     if goods is None:
         return list(range(inst.num_goods))
     out = sorted(set(goods))
     for g in out:
-        if not 0 <= g < inst.num_goods:
-            raise InputError(f"good index {g} out of range [0, {inst.num_goods})")
+        inst.check_good(g)
     return out
 
 
@@ -151,26 +146,20 @@ def mms(
         raise InputError(f"d must be >= 1, got {d}")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     good_list = _resolve_goods(inst, agent, goods)
+    ints, scale = inst.scaled[agent]
     if d == 1:
-        total = sum((inst.value(agent, g) for g in good_list), Fraction(0))
-        return MmsResult(total, Partition((frozenset(good_list),)))
+        total = sum(ints[g] for g in good_list)
+        return MmsResult(Fraction(total, scale), Partition((frozenset(good_list),)))
 
-    positive = sorted(
-        (g for g in good_list if inst.value(agent, g) > 0),
-        key=lambda g: (-inst.value(agent, g), g),
-    )
-    zero = [g for g in good_list if inst.value(agent, g) == 0]
+    positive = sorted((g for g in good_list if ints[g]), key=lambda g: (-ints[g], g))
+    zero = [g for g in good_list if not ints[g]]
 
     if len(positive) < d:
         # Some part must stay empty of positive goods: the maximin is 0.
         parts = [set(good_list)] + [set() for _ in range(d - 1)]
         return MmsResult(Fraction(0), Partition(tuple(frozenset(p) for p in parts)))
 
-    # MMS scales linearly, so the search runs on the row times the LCM of its
-    # denominators: exact, and on ints rather than Fractions.
-    vals = [inst.value(agent, g) for g in positive]
-    scale = lcm(*(v.denominator for v in vals))
-    value, assign = _search(tuple(v.numerator * (scale // v.denominator) for v in vals), d, budget)
+    value, assign = _search(tuple(ints[g] for g in positive), d, budget)
     parts = [set() for _ in range(d)]
     for t, g in enumerate(positive):
         parts[assign[t]].add(g)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Instance, Partition, bundle_value
+from .core import Allocation, Instance, Partition
 from .errors import GuaranteeViolation, InputError
 from .transform import (
     PipelineRecord,
@@ -83,11 +83,12 @@ def run_ordinal(
     j = 2 * n  # next unconsumed good
     terminated_early = False
 
+    rows = inst.scaled
     for k in range(n):
+        # Each agent's value of bag k in the ints of her row: worth >= 1 when >= L.
+        sums = [ints[k] + ints[2 * n - 1 - k] for ints, _ in rows]
         while True:
-            liker = next(
-                (i for i in unassigned if bundle_value(inst, i, final[k]) >= 1), None
-            )
+            liker = next((i for i in unassigned if sums[i] >= rows[i][1]), None)
             if liker is not None:
                 assignment[k] = liker
                 unassigned.remove(liker)
@@ -97,6 +98,8 @@ def run_ordinal(
                 break
             final[k].add(j)
             fills.append((k, j))
+            for i in unassigned:
+                sums[i] += rows[i][0][j]
             j += 1
         if terminated_early:
             break
@@ -140,15 +143,11 @@ class OneOutOfDResult:
     guarantees: tuple[tuple[Fraction, Fraction], ...]  # (value, share) per agent
 
 
-def _positive_count(inst: Instance, agent: int) -> int:
-    return sum(1 for g in range(inst.num_goods) if inst.value(agent, g) > 0)
-
-
 def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDResult:
     """Give every agent at least her share value for d = 4 * ceil(n / 3).
 
     Composes: drop agents with a zero share target, clone agent 0 up to a
-    multiple of 3 agents, normalize, order, pad goods to 2n, run the bag
+    multiple of 3 agents, pad goods to 2n, normalize, order, run the bag
     filler, then pick goods back and undo the padding. The final allocation
     is compared against the exact oracle share of every original agent, and
     a shortfall raises GuaranteeViolation (it contradicts the theorem).
@@ -159,7 +158,9 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
     d_target = 4 * ((n + 2) // 3)
 
     # An agent's d-bundle share is positive iff she values >= d goods positively.
-    survivors = tuple(i for i in range(n) if _positive_count(inst, i) >= d_target)
+    survivors = tuple(
+        i for i, (ints, _) in enumerate(inst.scaled) if sum(1 for v in ints if v) >= d_target
+    )
     dropped = frozenset(range(n)) - set(survivors)
 
     record = None
@@ -181,20 +182,16 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
         padded, duplicated = pad_agents_to_multiple_of_3(base)
         n_run = padded.num_agents
         d_run = 4 * n_run // 3
+        # The oracle puts the zero-valued dummy goods in each witness's part 0.
+        padded, dummies = pad_goods(padded, 2 * n_run)
         normalized, witnesses, dropped_again = normalize(padded, d_run, node_budget)
         if dropped_again:
             raise GuaranteeViolation(
                 "an agent with a positive share target lost it during "
                 f"normalization: {sorted(dropped_again)}"
             )
-        normalized, dummies = pad_goods(normalized, 2 * n_run)
         ordered, perms = order(normalized)
-        # Witnesses predate good padding; rewrite them in sorted positions and
-        # absorb the dummy positions into the first part (zero value).
-        ordered_witnesses = tuple(
-            _absorb_dummies(permute_partition(w, perms[i]), ordered.num_goods)
-            for i, w in enumerate(witnesses)
-        )
+        ordered_witnesses = tuple(permute_partition(w, perms[i]) for i, w in enumerate(witnesses))
         record = PipelineRecord(
             original=inst,
             d_target=d_target,
@@ -227,12 +224,3 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
 
     return OneOutOfDResult(allocation, d_target, record, run, guarantees)
 
-
-def _absorb_dummies(partition: Partition, num_goods: int) -> Partition:
-    covered = partition.ground_set
-    missing = frozenset(range(num_goods)) - covered
-    if not missing:
-        return partition
-    parts = list(partition.parts)
-    parts[0] = parts[0] | missing
-    return Partition(tuple(parts))

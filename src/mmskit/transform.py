@@ -89,14 +89,14 @@ def normalize(
         if result.value == 0:
             dropped.add(i)
             continue
-        part_of_good: dict[int, Fraction] = {}
+        # Both a good and its part are scaled by the row's L, which cancels.
+        ints, _ = inst.scaled[i]
+        part_of_good: dict[int, int] = {}
         for part in result.witness.parts:
-            pv = bundle_value(inst, i, part)
+            pv = sum(ints[g] for g in part)
             for g in part:
                 part_of_good[g] = pv
-        row = tuple(
-            inst.value(i, g) / part_of_good[g] for g in range(inst.num_goods)
-        )
+        row = tuple(Fraction(ints[g], part_of_good[g]) for g in range(inst.num_goods))
         surviving_rows.append(row)
         witnesses.append(result.witness)
     return Instance(tuple(surviving_rows), inst.num_goods), tuple(witnesses), frozenset(dropped)
@@ -111,10 +111,10 @@ def order(inst: Instance) -> tuple[Instance, tuple[tuple[int, ...], ...]]:
     """
     perms: list[tuple[int, ...]] = []
     rows: list[tuple[Fraction, ...]] = []
-    for i in range(inst.num_agents):
-        perm = tuple(sorted(range(inst.num_goods), key=lambda g: (-inst.value(i, g), g)))
+    for row, (ints, _) in zip(inst.valuations, inst.scaled):
+        perm = tuple(sorted(range(inst.num_goods), key=lambda g: (-ints[g], g)))
         perms.append(perm)
-        rows.append(tuple(inst.value(i, g) for g in perm))
+        rows.append(tuple(row[g] for g in perm))
     return Instance(tuple(rows), inst.num_goods), tuple(perms)
 
 
@@ -151,7 +151,8 @@ def unpick(ordered_alloc: Allocation, record: PipelineRecord) -> Allocation:
         a = owner.get(pos)
         if a is None:
             continue
-        g = max(remaining, key=lambda g: (norm.value(a, g), -g))
+        ints, _ = norm.scaled[a]
+        g = max(remaining, key=lambda g: (ints[g], -g))
         picked[a].add(g)
         remaining.remove(g)
     result = Allocation(tuple(frozenset(p) for p in picked), frozenset(remaining))

@@ -140,24 +140,15 @@ def check_transcript(tr: Transcript) -> TranscriptReport:
 
     if tr.phase2_agents:
         n_f = len(tr.phase2_agents)
-        type2_cut = ord_st(tr.phase2_goods, {n_f})
-        type3_cut = ord_st(tr.phase2_goods, {2 * n_f})
-        cut2 = max(type2_cut) if type2_cut else None
-        cut3 = max(type3_cut) if type3_cut else None
+        cuts = {2: ord_st(tr.phase2_goods, {n_f}), 3: ord_st(tr.phase2_goods, {2 * n_f})}
         for k, event in enumerate(tr.reductions):
-            if event.type == 2 and cut2 is not None:
-                bad = [g for g in event.bundle if g <= cut2]
+            if cuts.get(event.type):
+                (cut,) = cuts[event.type]
+                bad = [g for g in event.bundle if g <= cut]
                 if bad:
                     violations.append(
-                        f"type-2 reduction {k} took goods {sorted(bad)} ranked at or "
-                        f"above the surviving cutoff {cut2}"
-                    )
-            if event.type == 3 and cut3 is not None:
-                bad = [g for g in event.bundle if g <= cut3]
-                if bad:
-                    violations.append(
-                        f"type-3 reduction {k} took goods {sorted(bad)} ranked at or "
-                        f"above the surviving cutoff {cut3}"
+                        f"type-{event.type} reduction {k} took goods {sorted(bad)} "
+                        f"ranked at or above the surviving cutoff {cut}"
                     )
     return TranscriptReport(tuple(violations))
 

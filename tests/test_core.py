@@ -102,6 +102,35 @@ def test_instance_totals_and_order_match_recomputation(rows, sort_rows):
     assert [inst.total_value(i) for i in range(len(rows))] == list(inst.totals)
 
 
+@given(
+    st.integers(0, 6).flatmap(
+        lambda m: st.lists(
+            st.lists(
+                st.one_of(st.just(Fraction(0)), st.fractions(0, 50, max_denominator=12)),
+                min_size=m,
+                max_size=m,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    ),
+    st.booleans(),
+    st.data(),
+)
+def test_integer_kernel_matches_fraction_recomputation(rows, sort_rows, data):
+    # Rows mix denominators and zeros, so each row's L differs.
+    if sort_rows:
+        rows = [sorted(row, reverse=True) for row in rows]
+    inst = Instance.from_rows(rows)
+    for i, row in enumerate(rows):
+        ints, scale = inst.scaled[i]
+        assert [Fraction(v, scale) for v in ints] == row
+        bundle = data.draw(st.frozensets(st.integers(0, len(row) - 1)) if row else st.just(frozenset()))
+        assert bundle_value(inst, i, bundle) == sum((row[g] for g in bundle), Fraction(0))
+    assert inst.totals == tuple(sum(row, Fraction(0)) for row in rows)
+    assert inst.ordered == all(a >= b for row in rows for a, b in zip(row, row[1:]))
+
+
 def test_bundle_value_empty_is_zero():
     inst = Instance.from_rows([[1, 2, 3]])
     assert bundle_value(inst, 0, frozenset()) == 0

@@ -144,6 +144,35 @@ def test_rational_rows_keep_their_pinned_witness(row, d, value, parts):
     assert res.witness.parts == tuple(frozenset(p) for p in parts)
 
 
+@pytest.mark.parametrize(
+    "row, goods, d, value, parts",
+    [
+        (
+            ["5/2", "23/8", "13/9", "10", "29/6", "4", "5/9", "7/5", "11/4", "5", "7/4", "18/7"],
+            [0, 1, 3, 5, 7, 8, 9],
+            3,
+            Fraction(37, 4),
+            [[3], [1, 7, 9], [0, 5, 8]],
+        ),
+        (
+            ["19/3", "5/2", "21/5", "4/3", "3/4", "21/2", "2/3", "11/4", "3/7"],
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            3,
+            Fraction(109, 12),
+            [[5], [0, 7], [1, 2, 3, 4, 6]],
+        ),
+    ],
+)
+def test_goods_subset_with_another_lcm_keeps_its_pinned_witness(row, goods, d, value, parts):
+    # The search runs on the full row's integer form, whose LCM (a multiple of
+    # 7 here) differs from the subset's. The witness is the one a search scaled
+    # by the subset's own LCM returned, and not the greedy seed.
+    inst = Instance.from_rows([row])
+    res = mms(inst, 0, d, goods=goods)
+    assert res.value == value == mms_naive(inst, 0, d, goods=goods).value
+    assert res.witness.parts == tuple(frozenset(p) for p in parts)
+
+
 def test_thousands_of_goods_end_in_a_result_or_a_budget_error():
     # The depth-first search is as deep as the row is long.
     rng = random.Random(17)

@@ -6,13 +6,53 @@ from pathlib import Path
 import mmskit
 
 
+def _modules():
+    root = Path(mmskit.__file__).parent
+    return {
+        path.relative_to(root).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(root.rglob("*.py"))
+    }
+
+
 def test_no_assert_statements_in_the_package():
     # `python -O` strips assert statements, so an invariant must raise instead.
-    root = Path(mmskit.__file__).parent
     found = [
-        f"{path.relative_to(root)}:{node.lineno}"
-        for path in sorted(root.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_core_scales_rows_to_integers():
+    # One owner of the integer form of a row: Instance.scaled.
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and any(a.name == "lcm" for a in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "lcm")
+    ]
+    assert found and all(f.startswith("core.py:") for f in found), found
+
+
+def test_naive_oracle_never_reads_the_integer_kernel():
+    # mms_naive is the independent reference: it adds Fractions, and neither it
+    # nor an oracle.py helper it calls reads Instance.scaled.
+    functions = {
+        node.name: node
+        for node in _modules()["oracle.py"].body
+        if isinstance(node, ast.FunctionDef)
+    }
+    todo, reached = ["mms_naive"], set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name) and node.id in functions:
+                todo.append(node.id)
+            assert not (isinstance(node, ast.Attribute) and node.attr == "scaled"), (name, node.lineno)
+    assert "_resolve_goods" in reached

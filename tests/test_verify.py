@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from mmskit import (
     Allocation,
     Instance,
@@ -106,6 +108,41 @@ def test_goods_shortfall_is_flagged():
     tr = _transcript_with_types([2], n=8, m=9)
     report = check_transcript(tr)
     assert any("only" in v or "phase 2" in v for v in report.violations)
+
+
+@pytest.mark.parametrize(
+    "types, n, m, violations",
+    [
+        (
+            [2, 3, 4, 3],
+            8,
+            30,
+            (
+                "type-2 reduction 0 took goods [0, 1] ranked at or above the surviving cutoff 13",
+                "type-3 reduction 1 took goods [2, 3, 4] ranked at or above the surviving cutoff 17",
+                "type-3 reduction 3 took goods [7, 8, 9] ranked at or above the surviving cutoff 17",
+            ),
+        ),
+        (
+            [3],
+            2,
+            5,
+            ("type-3 reduction 0 took goods [0, 1, 2] ranked at or above the surviving cutoff 4",),
+        ),
+        (
+            # Too few surviving goods for a type-3 cutoff: only type 2 is checked.
+            [3, 2],
+            3,
+            7,
+            (
+                "phase 2 started with 2 goods for 2 agents",
+                "type-2 reduction 1 took goods [3, 4] ranked at or above the surviving cutoff 6",
+            ),
+        ),
+    ],
+)
+def test_reductions_above_the_surviving_cutoff_are_flagged(types, n, m, violations):
+    assert check_transcript(_transcript_with_types(types, n, m)).violations == violations
 
 
 def test_truthful_runs_always_pass():
