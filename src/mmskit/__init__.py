@@ -8,7 +8,6 @@ from .core import (
     ThresholdList,
     as_fraction,
     bundle_value,
-    is_T_mms,
 )
 from .errors import GuaranteeViolation, InputError, MmsKitError, SearchBudgetExceeded
 from .oracle import MmsResult, mms, mms_naive
@@ -79,7 +78,6 @@ __all__ = [
     "gen_ordinal_tight",
     "hard1_upper_bound",
     "hard2_upper_bound",
-    "is_T_mms",
     "mms",
     "mms_naive",
     "ord_st",

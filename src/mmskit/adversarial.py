@@ -27,7 +27,7 @@ from .core import (
 from .errors import GuaranteeViolation, InputError
 from .ordinal import run_ordinal
 from .rbf import Transcript, TruthfulResponder, run_rbf
-from .verify import check_targets, check_witness
+from .verify import check_t_mms, check_targets, check_witness
 
 # Cap on the values (agents x goods) of an ordinalTight or hard2 family,
 # checked from its parameters before anything is built. It admits both
@@ -305,15 +305,24 @@ class FailureReport:
     family: str
     n: int
     thresholds: ThresholdList
-    witness_agent: int  # 0-indexed agent whose value fell short
-    witness_value: Fraction
-    witness_target: Fraction
-    unsatisfied: tuple[tuple[int, Fraction, Fraction], ...]
+    unsatisfied: tuple[tuple[int, Fraction, Fraction], ...]  # (agent, value, target)
     reduction_count: int
-    ran_out_of_goods: bool
-    terminated_early: bool
+    ran_out_of_goods: bool  # the family's bag filling ran out of goods
     allocation: Allocation
     transcript: Transcript | None = None
+
+    @property
+    def witness_agent(self) -> int:
+        """The first 0-indexed agent whose value fell short."""
+        return self.unsatisfied[0][0]
+
+    @property
+    def witness_value(self) -> Fraction:
+        return self.unsatisfied[0][1]
+
+    @property
+    def witness_target(self) -> Fraction:
+        return self.unsatisfied[0][2]
 
 
 def _hard1_thresholds(n: int, i: int, tau_i: Fraction) -> ThresholdList:
@@ -347,18 +356,13 @@ def _demonstrate_ordinal_tight(spec: HardInstanceSpec) -> FailureReport:
         raise GuaranteeViolation(
             "tight family produced a full-share allocation; construction broken"
         )
-    first = unsatisfied[0]
     return FailureReport(
         family="ordinalTight",
         n=spec.n,
         thresholds=thresholds,
-        witness_agent=first[0],
-        witness_value=first[1],
-        witness_target=first[2],
         unsatisfied=tuple(unsatisfied),
         reduction_count=0,
-        ran_out_of_goods=False,
-        terminated_early=run.terminated_early,
+        ran_out_of_goods=run.terminated_early,
         allocation=alloc,
     )
 
@@ -378,11 +382,10 @@ def _demonstrate_hard1(
     epsilon = _unit_fraction_below(thresholds.taus[-1] / 3)
     fam = gen_hard1(n, i, epsilon)
     responder = TruthfulResponder(fam.instance)
-    alloc, transcript = run_rbf(
-        responder, n, fam.instance.num_goods, thresholds, PriorityRanking.identity(n)
-    )
-    # Under the identity ranking agent r holds rank r, and every share is 1.
-    report = check_targets(fam.instance, alloc, thresholds.taus)
+    ranking = PriorityRanking.identity(n)
+    alloc, transcript = run_rbf(responder, n, fam.instance.num_goods, thresholds, ranking)
+    # Every agent's share is 1.
+    report = check_t_mms(fam.instance, alloc, ranking, thresholds, shares=(1,) * n)
     unsatisfied = [
         (c.agent, c.value, c.target)
         for c in report.checks
@@ -392,18 +395,13 @@ def _demonstrate_hard1(
         raise GuaranteeViolation(
             "hard1 run satisfied every rich agent; construction broken"
         )
-    first = unsatisfied[0]
     return FailureReport(
         family="hard1",
         n=n,
         thresholds=thresholds,
-        witness_agent=first[0],
-        witness_value=first[1],
-        witness_target=first[2],
         unsatisfied=tuple(unsatisfied),
         reduction_count=len(transcript.reductions),
         ran_out_of_goods=transcript.ran_out_of_goods,
-        terminated_early=False,
         allocation=alloc,
         transcript=transcript,
     )
@@ -441,13 +439,9 @@ def _demonstrate_hard2(
         family="hard2",
         n=n,
         thresholds=thresholds,
-        witness_agent=fam.target_agent,
-        witness_value=value,
-        witness_target=thresholds.taus[i - 1],
         unsatisfied=((fam.target_agent, value, thresholds.taus[i - 1]),),
         reduction_count=len(transcript.reductions),
         ran_out_of_goods=transcript.ran_out_of_goods,
-        terminated_early=False,
         allocation=alloc,
         transcript=transcript,
     )

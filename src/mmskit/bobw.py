@@ -26,14 +26,15 @@ from .errors import GuaranteeViolation, InputError
 from .rbf import Transcript, priority_thresholds, run_rbf_truthful
 
 ENCLOSURE_DIGITS = 55
+DECIMAL_DIGITS = 50  # digits after the point in a rendered closed form
 
 
 # ---------------------------------------------------------------------------
 # Rational log enclosures and decimal rendering
 
 
-def ln_enclosure(p: int, q: int, digits: int = ENCLOSURE_DIGITS) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds on ln(p/q) with width below 10**-digits.
+def ln_enclosure(p: int, q: int) -> tuple[Fraction, Fraction]:
+    """Rational lower/upper bounds on ln(p/q), width below 10**-ENCLOSURE_DIGITS.
 
     Uses ln(z) = 2 * atanh((z-1)/(z+1)) with a geometric tail bound, so both
     endpoints are certified. Requires p >= q >= 1.
@@ -44,7 +45,7 @@ def ln_enclosure(p: int, q: int, digits: int = ENCLOSURE_DIGITS) -> tuple[Fracti
         return Fraction(0), Fraction(0)
     x = Fraction(p - q, p + q)
     x2 = x * x
-    tolerance = Fraction(1, 10 ** digits)
+    tolerance = Fraction(1, 10**ENCLOSURE_DIGITS)
     term = x
     partial = Fraction(0)
     k = 0
@@ -57,13 +58,13 @@ def ln_enclosure(p: int, q: int, digits: int = ENCLOSURE_DIGITS) -> tuple[Fracti
             return 2 * partial, 2 * partial + tail
 
 
-def fraction_to_decimal(value: Fraction, digits: int = 50) -> str:
-    """Plain decimal rendering with ``digits`` digits after the point."""
+def fraction_to_decimal(value: Fraction) -> str:
+    """Plain decimal rendering with DECIMAL_DIGITS digits after the point."""
     sign = "-" if value < 0 else ""
     value = abs(value)
-    scaled = value.numerator * 10**digits // value.denominator
-    whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    scaled = value.numerator * 10**DECIMAL_DIGITS // value.denominator
+    whole, frac = divmod(scaled, 10**DECIMAL_DIGITS)
+    return f"{sign}{whole}.{str(frac).zfill(DECIMAL_DIGITS)}"
 
 
 def _reciprocal_range_sum(a: int, b: int) -> tuple[int, int]:

@@ -105,37 +105,6 @@ def transcript_to_json(tr: Transcript) -> dict[str, Any]:
     }
 
 
-def transcript_from_json(obj: Any) -> Transcript:
-    from .rbf import BagEvent, ReductionEvent
-
-    try:
-        return Transcript(
-            num_agents=obj["agents"],
-            num_goods=obj["goods"],
-            reductions=tuple(
-                ReductionEvent(
-                    e["type"],
-                    frozenset(e["bundle"]),
-                    e["agent"],
-                    e["agentsBefore"],
-                    e["goodsBefore"],
-                )
-                for e in obj["reductions"]
-            ),
-            bag_events=tuple(
-                BagEvent(e["kind"], e["bag"], agent=e.get("agent"), good=e.get("good"))
-                for e in obj["bagEvents"]
-            ),
-            initial_bags=tuple(frozenset(b) for b in obj["initialBags"]),
-            phase2_agents=frozenset(obj["phase2Agents"]),
-            phase2_goods=frozenset(obj["phase2Goods"]),
-            ran_out_of_goods=obj["ranOutOfGoods"],
-            satisfied=tuple(obj["satisfied"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed transcript JSON: {exc}") from exc
-
-
 def report_to_json(report: verify.GuaranteeReport) -> dict[str, Any]:
     return {
         "perAgent": [
@@ -253,9 +222,8 @@ def _cmd_rbf(args: argparse.Namespace) -> int:
     ranking = _parse_ranking(args.ranking, n)
     alloc, transcript = run_rbf_truthful(inst, thresholds, ranking)
     structure = verify.check_transcript(transcript)
-    # Unit-share instances: every agent's share is 1, so her target is her tau.
-    targets = [thresholds.taus[ranking.rank_of[i]] for i in range(n)]
-    report = verify.check_targets(inst, alloc, targets)
+    # Unit-share instances: every agent's share is 1.
+    report = verify.check_t_mms(inst, alloc, ranking, thresholds, shares=(1,) * n)
     payload = {
         "allocation": allocation_to_json(alloc),
         "transcript": transcript_to_json(transcript),

@@ -93,10 +93,6 @@ class Instance:
         self.check_good(good)
         return self.valuations[agent][good]
 
-    def total_value(self, agent: int) -> Fraction:
-        self.check_agent(agent)
-        return self.totals[agent]
-
     @cached_property
     def scaled(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The exact value kernel: each agent's row in integer form, computed
@@ -184,12 +180,6 @@ class Allocation:
     @property
     def num_agents(self) -> int:
         return len(self.bundles)
-
-    def assigned_goods(self) -> frozenset[int]:
-        out: set[int] = set()
-        for b in self.bundles:
-            out |= b
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -288,29 +278,3 @@ def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
         inst.check_good(g)
         total += ints[g]
     return Fraction(total, scale)
-
-
-def is_T_mms(
-    inst: Instance,
-    alloc: Allocation,
-    ranking: PriorityRanking,
-    thresholds: ThresholdList,
-    mms_values: Sequence[Fraction],
-) -> bool:
-    """Exact check that every agent's bundle meets her rank's scaled share.
-
-    Agent i passes when value(bundle_i) >= taus[rank_i] * mms_values[i];
-    the comparison is inclusive and carried out in exact rationals.
-    """
-    n = inst.num_agents
-    if alloc.num_agents != n or ranking.num_agents != n or len(thresholds) != n or len(mms_values) != n:
-        raise InputError(
-            f"dimension mismatch: instance has {n} agents, allocation {alloc.num_agents}, "
-            f"ranking {ranking.num_agents}, thresholds {len(thresholds)}, "
-            f"mms values {len(mms_values)}"
-        )
-    for i in range(n):
-        target = thresholds.taus[ranking.rank_of[i]] * as_fraction(mms_values[i])
-        if bundle_value(inst, i, alloc.bundles[i]) < target:
-            return False
-    return True

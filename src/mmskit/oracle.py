@@ -19,6 +19,17 @@ from .errors import InputError, SearchBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 10**7
 NAIVE_GOODS_CAP = 12
+# Cap on d. A witness holds d parts, so memory grows linearly in d, and a
+# short flag such as ``--d 100000000`` would ask for tens of GB.
+MAX_PARTS = 10_000
+
+
+def check_parts(d: int) -> None:
+    """Raise InputError unless 1 <= d <= MAX_PARTS."""
+    if d < 1:
+        raise InputError(f"d must be >= 1, got {d}")
+    if d > MAX_PARTS:
+        raise InputError(f"d must be <= {MAX_PARTS}, got {d}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +153,7 @@ def mms(
     Deterministic for fixed inputs. Raises SearchBudgetExceeded (never a
     wrong answer) if the branch-and-bound exceeds its node budget.
     """
-    if d < 1:
-        raise InputError(f"d must be >= 1, got {d}")
+    check_parts(d)
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     good_list = _resolve_goods(inst, agent, goods)
     ints, scale = inst.scaled[agent]
@@ -177,8 +187,7 @@ def mms_naive(
 
     Used only as a test oracle; capped at 12 goods.
     """
-    if d < 1:
-        raise InputError(f"d must be >= 1, got {d}")
+    check_parts(d)
     good_list = _resolve_goods(inst, agent, goods)
     if len(good_list) > NAIVE_GOODS_CAP:
         raise InputError(

@@ -18,7 +18,9 @@ from .core import (
     Instance,
     Partition,
     PriorityRanking,
+    RationalLike,
     ThresholdList,
+    as_fraction,
     bundle_value,
 )
 from .errors import InputError
@@ -85,15 +87,25 @@ def check_t_mms(
     ranking: PriorityRanking,
     thresholds: ThresholdList,
     node_budget: int | None = None,
+    shares: Sequence[RationalLike] | None = None,
 ) -> GuaranteeReport:
-    """Per-agent exact comparison against tau_rank times the n-bundle share."""
+    """Per-agent exact comparison against tau_rank times the n-bundle share.
+
+    Agent i passes when her bundle is worth at least
+    ``thresholds.taus[ranking.rank_of[i]] * share_i``; the comparison is
+    inclusive. Pass ``shares`` (one per agent) when the shares are known, for
+    example all 1 on a unit-share instance, and the oracle is not called.
+    """
     n = inst.num_agents
     if alloc.num_agents != n or ranking.num_agents != n or len(thresholds) != n:
         raise InputError("allocation, ranking and thresholds must match the instance")
+    if shares is None:
+        shares = [oracle.mms(inst, i, n, node_budget=node_budget).value for i in range(n)]
+    elif len(shares) != n:
+        raise InputError(f"instance has {n} agents, {len(shares)} shares")
     targets = [
-        thresholds.taus[ranking.rank_of[i]]
-        * oracle.mms(inst, i, n, node_budget=node_budget).value
-        for i in range(n)
+        thresholds.taus[ranking.rank_of[i]] * as_fraction(share)
+        for i, share in enumerate(shares)
     ]
     return check_targets(inst, alloc, targets)
 
@@ -164,6 +176,7 @@ def equivalence_expand(inst: Instance, d: int) -> tuple[Instance, ThresholdList]
     n = inst.num_agents
     if d < n:
         raise InputError(f"d must be >= n = {n}, got {d}")
+    oracle.check_parts(d)
     zero_row = (Fraction(0),) * inst.num_goods
     rows = inst.valuations + (zero_row,) * (d - n)
     taus = (Fraction(1),) * n + (Fraction(0),) * (d - n)

@@ -15,13 +15,13 @@ from mmskit import (
     PriorityRanking,
     bundle_value,
     check_1_out_of_d,
+    check_t_mms,
     check_transcript,
     cyclic_rotation_distribution,
     demonstrate_failure,
     equivalence_expand,
     gen_hard2_responders,
     gen_ordinal_tight,
-    is_T_mms,
     mms,
     mms_naive,
     priority_thresholds,
@@ -295,7 +295,7 @@ def test_criterion_8_structural_suite():
             tuple(bundles[:n]),
             unallocated=frozenset(g for b in bundles[n:] for g in b),
         )
-        assert is_T_mms(expanded, alloc, ranking, thresholds, shares) == (
+        assert check_t_mms(expanded, alloc, ranking, thresholds, shares=shares).all_ok == (
             check_1_out_of_d(inst, restricted, d).all_ok
         )
         expansion_runs += 1

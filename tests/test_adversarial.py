@@ -90,9 +90,9 @@ def test_hard1_witness_and_shapes():
         assert bundle_value(inst, 0, {n - 1, n}) == (3 * n - 1) * delta
         assert bundle_value(inst, 0, {2 * n - 2, 2 * n - 1, 2 * n}) == fam.alpha
         # Flat agents are unit-normalized as well.
-        assert inst.total_value(n - 1 if i < n else i - 1) == n
+        assert inst.totals[n - 1 if i < n else i - 1] == n
         for row in range(inst.num_agents):
-            assert inst.total_value(row) == n
+            assert inst.totals[row] == n
 
 
 def test_hard1_parameter_validation():
@@ -192,7 +192,7 @@ def test_family_cap_counts_the_values_a_family_holds():
 def test_ordinal_tight_failure_reports_short_bag():
     report = demonstrate_failure(HardInstanceSpec("ordinalTight", 5))
     assert report.witness_value == Fraction(14, 15)
-    assert report.terminated_early
+    assert report.ran_out_of_goods
 
 
 def test_ordinal_tight_all_short_bags_equal_formula():

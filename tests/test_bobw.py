@@ -65,8 +65,8 @@ def test_ln_enclosure_exact_at_one():
 
 
 def test_fraction_to_decimal():
-    assert fraction_to_decimal(Fraction(1, 8), 5) == "0.12500"
-    assert fraction_to_decimal(Fraction(-1, 3), 4) == "-0.3333"
+    assert fraction_to_decimal(Fraction(1, 8)) == "0.125" + "0" * 47
+    assert fraction_to_decimal(Fraction(-1, 3)) == "-0." + "3" * 50
 
 
 # ---------------------------------------------------------------------------

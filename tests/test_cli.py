@@ -54,16 +54,6 @@ def test_thresholds_serialize_as_strings():
     assert thresholds_to_json(t) == ["1", "3/4"]
 
 
-def test_transcript_round_trip():
-    from mmskit import priority_thresholds, run_rbf_truthful
-    from mmskit.cli import transcript_from_json, transcript_to_json
-
-    inst, _ = random_normalized_ordered(random.Random(8), 4, 10)
-    _, transcript = run_rbf_truthful(inst, priority_thresholds(4))
-    rebuilt = transcript_from_json(json.loads(json.dumps(transcript_to_json(transcript))))
-    assert rebuilt == transcript
-
-
 def test_instance_json_validation():
     with pytest.raises(Exception):
         instance_from_json({"agents": 1, "goods": 2, "valuations": [[1]]})
@@ -180,6 +170,11 @@ def test_cmd_demo_hard1(capsys):
     assert payload["unsatisfied"]
 
 
+def test_cmd_demo_tight_reports_that_bag_filling_ran_out_of_goods(capsys):
+    assert main(["demo", "ordinalTight", "--n", "5"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ranOutOfGoods"] is True
+
+
 def test_tight_demo_allocation_fails_at_its_own_d(tmp_path, capsys):
     # The raw bag-filling output on the tight family is short of the share
     # at the family's d, while the full pipeline succeeds at 4*ceil(n/3).
@@ -273,10 +268,17 @@ _ONE_ROW = {"agents": 1, "goods": 3, "valuations": [[1, 2, 3]]}
         ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "2"], {"MMSKIT_NODE_BUDGET": "-5"}),
         ({}, ["mms"], {}),
         ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "x"], {}),
+        # Just over the cap on d, so that a broken cap fails fast.
+        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "10001"], {}),
+        (
+            {"inst": _ONE_ROW, "alloc": {"bundles": [[0, 1, 2]]}},
+            ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "10001"],
+            {},
+        ),
     ],
     ids=[
         "string-row", "bool-agents", "int-bundle", "text-ranking", "negative-flag", "negative-env",
-        "missing-args", "non-int-flag",
+        "missing-args", "non-int-flag", "mms-d-over-cap", "verify-d-over-cap",
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, monkeypatch, files, argv, env):

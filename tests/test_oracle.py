@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from mmskit import Instance, InputError, SearchBudgetExceeded, bundle_value, mms, mms_naive
+from mmskit import (
+    Instance,
+    InputError,
+    SearchBudgetExceeded,
+    bundle_value,
+    equivalence_expand,
+    mms,
+    mms_naive,
+)
+from mmskit.oracle import MAX_PARTS
 
 from _instances import random_instance
 
@@ -77,6 +86,17 @@ def test_d_and_index_validation():
         mms(inst, 0, 0)
     with pytest.raises(InputError):
         mms(inst, 0, 1, goods={3})
+
+
+def test_d_is_capped_before_any_part_is_built():
+    # Just over the cap, so that a broken cap fails fast.
+    inst = Instance.from_rows([[1, 2, 3]])
+    assert mms(inst, 0, MAX_PARTS).witness.d == MAX_PARTS
+    assert mms_naive(inst, 0, MAX_PARTS).witness.d == MAX_PARTS
+    assert len(equivalence_expand(inst, MAX_PARTS)[1]) == MAX_PARTS
+    for build in (mms, mms_naive, lambda inst, _, d: equivalence_expand(inst, d)):
+        with pytest.raises(InputError, match=f"d must be <= {MAX_PARTS}"):
+            build(inst, 0, MAX_PARTS + 1)
 
 
 # ---------------------------------------------------------------------------

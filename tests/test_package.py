@@ -14,6 +14,13 @@ def _modules():
     }
 
 
+def test_exports_are_sorted_unique_and_resolve():
+    # A deleted name must not stay behind in the exports.
+    names = mmskit.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if not hasattr(mmskit, name)] == []
+
+
 def test_no_assert_statements_in_the_package():
     # `python -O` strips assert statements, so an invariant must raise instead.
     found = [

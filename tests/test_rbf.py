@@ -246,7 +246,7 @@ def test_scripted_runs_reach_the_leftover_path():
     )
     assert tr.ran_out_of_goods
     assert not any(tr.satisfied)
-    assert alloc.assigned_goods() | alloc.unallocated == frozenset(range(m))
+    assert frozenset().union(*alloc.bundles, alloc.unallocated) == frozenset(range(m))
 
 
 def test_fill_bag_chooser_override():

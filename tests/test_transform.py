@@ -81,7 +81,7 @@ def test_normalize_unit_parts_and_totals():
         for row_idx in range(normalized.num_agents):
             for part in witnesses[row_idx].parts:
                 assert bundle_value(normalized, row_idx, part) == 1
-            assert normalized.total_value(row_idx) == d
+            assert normalized.totals[row_idx] == d
 
 
 def test_normalize_divides_by_part_value_not_share():
@@ -131,7 +131,7 @@ def test_order_preserves_row_sums():
     inst = random_instance(rng, 4, 7)
     ordered, _ = order(inst)
     for i in range(4):
-        assert ordered.total_value(i) == inst.total_value(i)
+        assert ordered.totals[i] == inst.totals[i]
 
 
 # ---------------------------------------------------------------------------

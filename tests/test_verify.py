@@ -7,6 +7,7 @@ import pytest
 
 from mmskit import (
     Allocation,
+    InputError,
     Instance,
     Partition,
     PriorityRanking,
@@ -15,8 +16,8 @@ from mmskit import (
     check_transcript,
     check_unit_share_structure,
     equivalence_expand,
-    is_T_mms,
     mms,
+    oracle,
     priority_thresholds,
     run_rbf_truthful,
 )
@@ -56,8 +57,20 @@ def test_t_mms_report_matches_predicate():
         alloc, _ = run_rbf_truthful(inst, thresholds, ranking)
         report = check_t_mms(inst, alloc, ranking, thresholds)
         shares = [mms(inst, i, n).value for i in range(n)]
-        assert report.all_ok == is_T_mms(inst, alloc, ranking, thresholds, shares)
+        assert report.all_ok == check_t_mms(inst, alloc, ranking, thresholds, shares=shares).all_ok
         assert report.all_ok
+
+
+def test_t_mms_known_shares_skip_the_oracle_and_stay_exact(monkeypatch):
+    inst = Instance.from_rows([[1, 1], [1, 1]])
+    alloc = Allocation((frozenset({0}), frozenset({1})))
+    ranking, thresholds = PriorityRanking.identity(2), priority_thresholds(2)
+    monkeypatch.setattr(oracle, "mms", None)  # any oracle call fails
+    assert check_t_mms(inst, alloc, ranking, thresholds, shares=[1, "1"]).all_ok
+    assert not check_t_mms(inst, alloc, ranking, thresholds, shares=[1, "3/2"]).all_ok
+    for shares in ([1.0, 1], [1], [1, 1, 1]):
+        with pytest.raises(InputError):
+            check_t_mms(inst, alloc, ranking, thresholds, shares=shares)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +208,7 @@ def test_expand_bidirectional_equivalence():
             tuple(bundles[:n]),
             unallocated=frozenset(g for b in bundles[n:] for g in b),
         )
-        lhs = is_T_mms(expanded, alloc_d, ranking, thresholds, shares)
+        lhs = check_t_mms(expanded, alloc_d, ranking, thresholds, shares=shares).all_ok
         rhs = check_1_out_of_d(inst, restricted, d).all_ok
         assert lhs == rhs
 
