@@ -135,7 +135,7 @@ def gen_hard1(n: int, i: int, epsilon: Fraction) -> Hard1Family:
     ``epsilon`` must be a unit fraction (the flat agents own n/epsilon goods),
     and n/epsilon at most ``HARD1_MAX_GOODS``.
     """
-    spec = HardInstanceSpec("hard1", n, i=i)
+    HardInstanceSpec("hard1", n, i=i)
     epsilon = Fraction(epsilon)
     if epsilon <= 0 or epsilon.numerator != 1:
         raise InputError(f"epsilon must be a positive unit fraction, got {epsilon}")
@@ -325,7 +325,7 @@ class FailureReport:
         return self.unsatisfied[0][2]
 
 
-def _hard1_thresholds(n: int, i: int, tau_i: Fraction) -> ThresholdList:
+def _step_thresholds(n: int, i: int, tau_i: Fraction) -> ThresholdList:
     return ThresholdList((Fraction(1),) * (i - 1) + (tau_i,) * (n - i + 1))
 
 
@@ -373,7 +373,7 @@ def _demonstrate_hard1(
     n, i = spec.n, spec.i
     alpha = Fraction(3 * n, 3 * n + i - 2)
     if thresholds is None:
-        thresholds = _hard1_thresholds(n, i, alpha + Fraction(1, 1000))
+        thresholds = _step_thresholds(n, i, alpha + Fraction(1, 1000))
     tau_target = thresholds.taus[i - 1]
     if tau_target <= alpha:
         raise InputError(
@@ -414,8 +414,7 @@ def _demonstrate_hard2(
     fam = gen_hard2_responders(n, i, spec.k1, spec.k2, spec.t)
     cap = fam.alpha + 2 * fam.epsilon
     if thresholds is None:
-        tau_i = min(Fraction(1), fam.alpha + 3 * fam.epsilon)
-        thresholds = ThresholdList((Fraction(1),) * (i - 1) + (tau_i,) * (n - i + 1))
+        thresholds = _step_thresholds(n, i, min(Fraction(1), fam.alpha + 3 * fam.epsilon))
     if thresholds.taus[i - 1] <= cap:
         raise InputError(
             f"rank {i} threshold must exceed the family cap {cap}, "

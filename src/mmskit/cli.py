@@ -180,18 +180,19 @@ def _parse_ranking(spec: str, n: int) -> PriorityRanking:
 
 def _cmd_mms(args: argparse.Namespace) -> int:
     inst = instance_from_json(_load_json(args.instance))
-    agents = [args.agent] if args.agent is not None else list(range(inst.num_agents))
-    results = []
-    for agent in agents:
-        res = oracle.mms(inst, agent, args.d, node_budget=args.node_budget)
-        results.append(
-            {
-                "agent": agent,
-                "d": args.d,
-                "value": str(res.value),
-                "witness": [sorted(p) for p in res.witness.parts],
-            }
-        )
+    if args.agent is None:
+        solved = enumerate(oracle.mms_all(inst, args.d, node_budget=args.node_budget))
+    else:
+        solved = [(args.agent, oracle.mms(inst, args.agent, args.d, node_budget=args.node_budget))]
+    results = [
+        {
+            "agent": agent,
+            "d": args.d,
+            "value": str(res.value),
+            "witness": [sorted(p) for p in res.witness.parts],
+        }
+        for agent, res in solved
+    ]
     _emit({"results": results}, args.output)
     return EXIT_OK
 
@@ -267,9 +268,12 @@ def _cmd_bobw(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _family_spec(args: argparse.Namespace) -> HardInstanceSpec:
+    return HardInstanceSpec(args.family, args.n, i=args.i, k1=args.k1, k2=args.k2, t=args.t)
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    # Validate every parameter before the default epsilon divides by n.
-    HardInstanceSpec(args.family, args.n, i=args.i, k1=args.k1, k2=args.k2, t=args.t)
+    _family_spec(args)  # validates before the default epsilon divides by n
     if args.family == "ordinalTight":
         fam = gen_ordinal_tight(args.n)
         payload = instance_to_json(fam.instance)
@@ -305,8 +309,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    spec = HardInstanceSpec(args.family, args.n, i=args.i, k1=args.k1, k2=args.k2, t=args.t)
-    report = demonstrate_failure(spec)
+    report = demonstrate_failure(_family_spec(args))
     payload = {
         "family": report.family,
         "n": report.n,
@@ -370,6 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--node-budget", type=int, default=None, help="search node budget")
         p.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
+    def add_family(p: argparse.ArgumentParser) -> None:
+        p.add_argument("family", choices=["ordinalTight", "hard1", "hard2"])
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--i", type=int, default=None, help="target rank (1-based)")
+        p.add_argument("--k1", type=int, default=None)
+        p.add_argument("--k2", type=int, default=None)
+        p.add_argument("--t", type=int, default=3)
+
     p = sub.add_parser("mms", help="exact share values and witness partitions")
     p.add_argument("instance")
     p.add_argument("--d", type=int, required=True)
@@ -397,23 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bobw)
 
     p = sub.add_parser("gen", help="generate a named hard instance family")
-    p.add_argument("family", choices=["ordinalTight", "hard1", "hard2"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, default=None, help="target rank (1-based)")
-    p.add_argument("--k1", type=int, default=None)
-    p.add_argument("--k2", type=int, default=None)
-    p.add_argument("--t", type=int, default=3)
+    add_family(p)
     p.add_argument("--epsilon", default=None, help="unit fraction, e.g. 1/12")
     add_common(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("demo", help="run a hard family and report who falls short")
-    p.add_argument("family", choices=["ordinalTight", "hard1", "hard2"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--k1", type=int, default=None)
-    p.add_argument("--k2", type=int, default=None)
-    p.add_argument("--t", type=int, default=3)
+    add_family(p)
     add_common(p)
     p.set_defaults(func=_cmd_demo)
 

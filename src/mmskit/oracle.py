@@ -5,13 +5,13 @@ deliberately unoptimized enumerator over all set partitions, kept as an
 independent cross-check. Both return the exact optimum or raise; neither
 ever returns an approximate answer. ``mms`` searches the agent's integer row
 from ``Instance.scaled``; ``mms_naive`` adds the Fractions themselves.
+The module keeps no state between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 from .core import Instance, Partition
@@ -54,7 +54,6 @@ def _waterfill_upper_bound(sums: list[int], remaining: int) -> int:
     return -(-(prefix + s[d - 1] + remaining) // d)
 
 
-@lru_cache(maxsize=65536)
 def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int, ...]]:
     """Maximize the minimum part sum over partitions of ``vals`` into d parts.
 
@@ -175,6 +174,17 @@ def mms(
         parts[assign[t]].add(g)
     parts[0].update(zero)  # zero-valued goods do not affect any part value
     return MmsResult(Fraction(value, scale), Partition(tuple(frozenset(p) for p in parts)))
+
+
+def mms_all(inst: Instance, d: int, node_budget: int | None = None) -> tuple[MmsResult, ...]:
+    """Every agent's ``mms`` over all goods, in agent order: the one loop over
+    agents' shares. Each distinct ``Instance.scaled`` row is searched once."""
+    check_parts(d)
+    solved: dict[tuple[tuple[int, ...], int], MmsResult] = {}
+    for i, row in enumerate(inst.scaled):
+        if row not in solved:
+            solved[row] = mms(inst, i, d, node_budget=node_budget)
+    return tuple(solved[row] for row in inst.scaled)
 
 
 def mms_naive(

@@ -39,14 +39,6 @@ class OrdinalRun:
     satisfied: tuple[bool, ...]  # per agent: got a bag it values >= 1
 
 
-def _validate_witnesses(inst: Instance, witnesses: tuple[Partition, ...]) -> None:
-    if len(witnesses) != inst.num_agents:
-        raise InputError("one witness partition per agent required")
-    for i, w in enumerate(witnesses):
-        if violations := check_witness(inst, i, w):
-            raise InputError(f"agent {i}: {violations[0]}")
-
-
 def run_ordinal(
     inst: Instance,
     expected_d: int | None = None,
@@ -73,7 +65,11 @@ def run_ordinal(
         expected_d = witnesses[0].d
     inst.require_ordered(expected_d)
     if witnesses is not None:
-        _validate_witnesses(inst, witnesses)
+        if len(witnesses) != n:
+            raise InputError("one witness partition per agent required")
+        for i, w in enumerate(witnesses):
+            if violations := check_witness(inst, i, w):
+                raise InputError(f"agent {i}: {violations[0]}")
 
     initial = tuple(frozenset({k, 2 * n - 1 - k}) for k in range(n))
     final = [set(b) for b in initial]
@@ -165,6 +161,7 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
 
     record = None
     run = None
+    shares = None  # the guarantee check searches unless normalize found them at d_target
     if n == 1:
         allocation = Allocation((frozenset(range(inst.num_goods)),))
     elif not survivors:
@@ -184,12 +181,16 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
         d_run = 4 * n_run // 3
         # The oracle puts the zero-valued dummy goods in each witness's part 0.
         padded, dummies = pad_goods(padded, 2 * n_run)
-        normalized, witnesses, dropped_again = normalize(padded, d_run, node_budget)
+        normalized, results, dropped_again = normalize(padded, d_run, node_budget)
         if dropped_again:
             raise GuaranteeViolation(
                 "an agent with a positive share target lost it during "
                 f"normalization: {sorted(dropped_again)}"
             )
+        witnesses = tuple(r.witness for r in results)
+        if d_run == d_target:  # dummy goods are worth 0; so is a dropped agent's share
+            share_of = {i: r.value for i, r in zip(survivors, results)}
+            shares = [share_of.get(i, 0) for i in range(n)]
         ordered, perms = order(normalized)
         ordered_witnesses = tuple(permute_partition(w, perms[i]) for i, w in enumerate(witnesses))
         record = PipelineRecord(
@@ -213,7 +214,7 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
             )
         allocation = reinstate(unpick(ordered_alloc, record), record)
 
-    report = check_1_out_of_d(inst, allocation, d_target, node_budget=node_budget)
+    report = check_1_out_of_d(inst, allocation, d_target, node_budget=node_budget, shares=shares)
     for c in report.checks:
         if not c.ok:
             raise GuaranteeViolation(

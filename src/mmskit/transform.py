@@ -72,20 +72,17 @@ def pad_goods(inst: Instance, min_goods: int) -> tuple[Instance, frozenset[int]]
 
 def normalize(
     inst: Instance, d: int, node_budget: int | None = None
-) -> tuple[Instance, tuple[Partition, ...], frozenset[int]]:
+) -> tuple[Instance, tuple[oracle.MmsResult, ...], frozenset[int]]:
     """Divide each agent's values by her witness-part values so every part of
     her d-share partition is worth exactly 1.
 
-    Agents whose d-share is 0 cannot be rescaled; they are dropped from the
-    returned instance and reported in the third component.
+    Agents whose d-share is 0 cannot be rescaled and are dropped. Returns the
+    survivors' instance, their oracle results and the dropped agents.
     """
-    if d < 1:
-        raise InputError(f"d must be >= 1, got {d}")
     surviving_rows: list[tuple[Fraction, ...]] = []
-    witnesses: list[Partition] = []
+    results: list[oracle.MmsResult] = []
     dropped: set[int] = set()
-    for i in range(inst.num_agents):
-        result = oracle.mms(inst, i, d, node_budget=node_budget)
+    for i, result in enumerate(oracle.mms_all(inst, d, node_budget=node_budget)):
         if result.value == 0:
             dropped.add(i)
             continue
@@ -98,8 +95,8 @@ def normalize(
                 part_of_good[g] = pv
         row = tuple(Fraction(ints[g], part_of_good[g]) for g in range(inst.num_goods))
         surviving_rows.append(row)
-        witnesses.append(result.witness)
-    return Instance(tuple(surviving_rows), inst.num_goods), tuple(witnesses), frozenset(dropped)
+        results.append(result)
+    return Instance(tuple(surviving_rows), inst.num_goods), tuple(results), frozenset(dropped)
 
 
 def order(inst: Instance) -> tuple[Instance, tuple[tuple[int, ...], ...]]:

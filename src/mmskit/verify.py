@@ -65,20 +65,31 @@ def check_targets(
     return GuaranteeReport(tuple(checks))
 
 
+def _shares(
+    inst: Instance, d: int, node_budget: int | None, shares: Sequence[RationalLike] | None
+) -> list[Fraction]:
+    """The given shares, one exact Fraction per agent, else the oracle's d-shares."""
+    if shares is None:
+        return [r.value for r in oracle.mms_all(inst, d, node_budget=node_budget)]
+    if len(shares) != inst.num_agents:
+        raise InputError(f"instance has {inst.num_agents} agents, {len(shares)} shares")
+    return [as_fraction(share) for share in shares]
+
+
 def check_1_out_of_d(
-    inst: Instance, alloc: Allocation, d: int, node_budget: int | None = None
+    inst: Instance,
+    alloc: Allocation,
+    d: int,
+    node_budget: int | None = None,
+    shares: Sequence[RationalLike] | None = None,
 ) -> GuaranteeReport:
-    """Per-agent exact comparison of bundle value against the d-bundle share."""
+    """Per-agent exact comparison against the d-bundle share; known ``shares`` skip the oracle."""
     # Reject a mismatched allocation before the oracle spends any budget.
     if alloc.num_agents != inst.num_agents:
         raise InputError(
             f"allocation has {alloc.num_agents} bundles, instance {inst.num_agents} agents"
         )
-    shares = [
-        oracle.mms(inst, i, d, node_budget=node_budget).value
-        for i in range(inst.num_agents)
-    ]
-    return check_targets(inst, alloc, shares)
+    return check_targets(inst, alloc, _shares(inst, d, node_budget, shares))
 
 
 def check_t_mms(
@@ -99,13 +110,9 @@ def check_t_mms(
     n = inst.num_agents
     if alloc.num_agents != n or ranking.num_agents != n or len(thresholds) != n:
         raise InputError("allocation, ranking and thresholds must match the instance")
-    if shares is None:
-        shares = [oracle.mms(inst, i, n, node_budget=node_budget).value for i in range(n)]
-    elif len(shares) != n:
-        raise InputError(f"instance has {n} agents, {len(shares)} shares")
     targets = [
-        thresholds.taus[ranking.rank_of[i]] * as_fraction(share)
-        for i, share in enumerate(shares)
+        thresholds.taus[ranking.rank_of[i]] * share
+        for i, share in enumerate(_shares(inst, n, node_budget, shares))
     ]
     return check_targets(inst, alloc, targets)
 

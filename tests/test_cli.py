@@ -243,6 +243,7 @@ def test_deterministic_output(instance_file, capsys):
 
 _UNIT_PAIR = {"agents": 2, "goods": 4, "valuations": [["1/2"] * 4] * 2}
 _ONE_ROW = {"agents": 1, "goods": 3, "valuations": [[1, 2, 3]]}
+_NO_AGENTS = {"agents": 0, "goods": 2, "valuations": []}
 
 
 @pytest.mark.parametrize(
@@ -275,10 +276,22 @@ _ONE_ROW = {"agents": 1, "goods": 3, "valuations": [[1, 2, 3]]}
             ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "10001"],
             {},
         ),
+        # With no agents, d is still checked.
+        ({"inst": _NO_AGENTS}, ["mms", "{inst}", "--d", "0"], {}),
+        *[
+            (
+                {"inst": _NO_AGENTS, "alloc": {"bundles": []}},
+                ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", d],
+                {},
+            )
+            for d in ("0", "-3", "20000")
+        ],
     ],
     ids=[
         "string-row", "bool-agents", "int-bundle", "text-ranking", "negative-flag", "negative-env",
         "missing-args", "non-int-flag", "mms-d-over-cap", "verify-d-over-cap",
+        "no-agents-mms-d-0", "no-agents-verify-d-0", "no-agents-verify-d-negative",
+        "no-agents-verify-d-over-cap",
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, monkeypatch, files, argv, env):

@@ -1,6 +1,8 @@
 """Share oracle: exact values, witnesses, budget handling, cross-checks."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,8 +15,9 @@ from mmskit import (
     equivalence_expand,
     mms,
     mms_naive,
+    oracle,
 )
-from mmskit.oracle import MAX_PARTS
+from mmskit.oracle import MAX_PARTS, mms_all
 
 from _instances import random_instance
 
@@ -245,6 +248,59 @@ def test_determinism():
     second = mms(inst, 0, 3)
     assert first.value == second.value
     assert first.witness.parts == second.witness.parts
+
+
+def test_mms_all_matches_mms_and_searches_each_distinct_row_once(monkeypatch):
+    rng = random.Random(17)
+    real_mms = oracle.mms
+    searched = []
+
+    def recorder(inst, agent, d, goods=None, node_budget=None):
+        searched.append(inst.scaled[agent])
+        return real_mms(inst, agent, d, goods=goods, node_budget=node_budget)
+
+    for _ in range(40):
+        n, m, d = rng.randint(1, 6), rng.randint(1, 9), rng.randint(1, 4)
+        distinct = [[rng.randint(0, 6) for _ in range(m)] for _ in range(rng.randint(1, n))]
+        # Duplicates, some of them spelled as other literals of the same values.
+        rows = [list(rng.choice(distinct)) for _ in range(n)]
+        rows[-1] = [f"{2 * v}/2" for v in rows[-1]]
+        inst = Instance.from_rows(rows, num_goods=m)
+        expected = [real_mms(inst, i, d) for i in range(n)]
+        searched.clear()
+        monkeypatch.setattr(oracle, "mms", recorder)
+        results = mms_all(inst, d)
+        monkeypatch.setattr(oracle, "mms", real_mms)
+        assert [(r.value, r.witness) for r in results] == [(e.value, e.witness) for e in expected]
+        assert sorted(searched) == sorted(set(inst.scaled))
+
+
+def test_mms_all_checks_d_even_without_agents():
+    empty = Instance.from_rows([], num_goods=3)
+    assert mms_all(empty, 1) == ()
+    for d in (0, -3, MAX_PARTS + 1):
+        with pytest.raises(InputError, match="d must be"):
+            mms_all(empty, d)
+
+
+def test_no_search_result_outlives_its_call():
+    # Each row is two copies of one half, so at d = 2 the greedy seed splits
+    # it evenly and every search ends at its seed: the test stays fast.
+    rng = random.Random(19)
+    halves = [[rng.randint(1000, 10**6) for _ in range(100)] for _ in range(200)]
+    inst = Instance.from_rows([half + half for half in halves])
+    inst.scaled  # build the value kernel before measuring
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(inst.num_agents):
+            assert mms(inst, i, 2).value == sum(halves[i])
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024
 
 
 def test_zero_valuation_agent_gets_all_empty_but_one_witness():

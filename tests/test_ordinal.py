@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mmskit import Instance, InputError, bundle_value, mms, run_1_out_of_d, run_ordinal
+from mmskit import Instance, InputError, bundle_value, mms, oracle, run_1_out_of_d, run_ordinal
 from mmskit.adversarial import gen_ordinal_tight
 
 from _instances import random_instance, random_normalized_ordered
@@ -132,6 +132,34 @@ def test_two_agents_two_goods_share_target_is_zero():
     assert result.d == 4
     for value, share in result.guarantees:
         assert share == 0 and value >= 0
+
+
+@pytest.mark.parametrize(
+    "n, zero_share_agents",
+    [(4, ()), (5, ()), (5, (2,)), (4, (1, 3))],
+    ids=["n4-clones", "n5-clones", "n5-one-zero-share", "n4-smaller-d-run"],
+)
+def test_pipeline_asks_each_row_and_d_of_the_oracle_at_most_once(monkeypatch, n, zero_share_agents):
+    rng = random.Random(30 + n + len(zero_share_agents))
+    d = 4 * ((n + 2) // 3)
+    m = d + 2
+    rows = [[rng.randint(1, 20) for _ in range(m)] for _ in range(n)]
+    for i in zero_share_agents:  # fewer than d positive goods: a zero share
+        rows[i][3:] = [0] * (m - 3)
+    inst = Instance.from_rows(rows)
+    real_mms = oracle.mms
+    asked = []
+
+    def recorder(inst, agent, d, goods=None, node_budget=None):
+        ints, _ = inst.scaled[agent]
+        asked.append((tuple(sorted(v for v in ints if v)), d))
+        return real_mms(inst, agent, d, goods=goods, node_budget=node_budget)
+
+    monkeypatch.setattr(oracle, "mms", recorder)
+    result = run_1_out_of_d(inst)
+    monkeypatch.setattr(oracle, "mms", real_mms)
+    assert asked and len(asked) == len(set(asked))
+    assert [share for _, share in result.guarantees] == [mms(inst, i, d).value for i in range(n)]
 
 
 def test_pipeline_guarantee_on_random_instances():

@@ -79,7 +79,7 @@ def test_normalize_unit_parts_and_totals():
         normalized, witnesses, dropped = normalize(inst, d)
         assert normalized.num_agents == n - len(dropped)
         for row_idx in range(normalized.num_agents):
-            for part in witnesses[row_idx].parts:
+            for part in witnesses[row_idx].witness.parts:
                 assert bundle_value(normalized, row_idx, part) == 1
             assert normalized.totals[row_idx] == d
 

@@ -73,6 +73,23 @@ def test_t_mms_known_shares_skip_the_oracle_and_stay_exact(monkeypatch):
             check_t_mms(inst, alloc, ranking, thresholds, shares=shares)
 
 
+def test_1_out_of_d_known_shares_skip_the_oracle_and_stay_exact(monkeypatch):
+    inst = Instance.from_rows([[1, 1], [1, 1]])
+    alloc = Allocation((frozenset({0}), frozenset({1})))
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle was called")
+
+    monkeypatch.setattr(oracle, "mms", no_oracle)
+    monkeypatch.setattr(oracle, "mms_all", no_oracle)
+    assert check_1_out_of_d(inst, alloc, 2, shares=[1, "1"]).all_ok
+    report = check_1_out_of_d(inst, alloc, 2, shares=[0, "3/2"])
+    assert [(c.target, c.ok) for c in report.checks] == [(0, True), (Fraction(3, 2), False)]
+    for shares in ([1.0, 1], [1], [1, 1, 1]):
+        with pytest.raises(InputError):
+            check_1_out_of_d(inst, alloc, 2, shares=shares)
+
+
 # ---------------------------------------------------------------------------
 # Transcript structure
 
