@@ -22,6 +22,7 @@ from .core import (
     Partition,
     PriorityRanking,
     ThresholdList,
+    as_fraction,
     bundle_value,
 )
 from .errors import GuaranteeViolation, InputError
@@ -136,7 +137,7 @@ def gen_hard1(n: int, i: int, epsilon: Fraction) -> Hard1Family:
     and n/epsilon at most ``HARD1_MAX_GOODS``.
     """
     HardInstanceSpec("hard1", n, i=i)
-    epsilon = Fraction(epsilon)
+    epsilon = as_fraction(epsilon)
     if epsilon <= 0 or epsilon.numerator != 1:
         raise InputError(f"epsilon must be a positive unit fraction, got {epsilon}")
     if n / epsilon < 2 * n + i - 1:
@@ -348,7 +349,7 @@ def demonstrate_failure(
 
 def _demonstrate_ordinal_tight(spec: HardInstanceSpec) -> FailureReport:
     fam = gen_ordinal_tight(spec.n)
-    alloc, run = run_ordinal(fam.instance, expected_d=fam.d, witnesses=(fam.witness,) * spec.n)
+    alloc, run = run_ordinal(fam.instance, witnesses=(fam.witness,) * spec.n)
     thresholds = ThresholdList.constant(spec.n, 1)
     report = check_targets(fam.instance, alloc, thresholds.taus)
     unsatisfied = [(c.agent, c.value, c.target) for c in report.checks if not c.ok]

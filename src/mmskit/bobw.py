@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, bundle_value
+from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction, bundle_value
 from .errors import GuaranteeViolation, InputError
-from .rbf import Transcript, priority_thresholds, run_rbf_truthful
+from .rbf import priority_thresholds, run_rbf_truthful
 
 ENCLOSURE_DIGITS = 55
 DECIMAL_DIGITS = 50  # digits after the point in a rendered closed form
@@ -88,7 +88,6 @@ class AllocationDistribution:
     """Uniform distribution over the n cyclic-rotation runs."""
 
     support: tuple[tuple[PriorityRanking, Allocation], ...]
-    transcripts: tuple[Transcript, ...]
     ex_ante: tuple[Fraction, ...]
     ex_post_min: tuple[Fraction, ...]
 
@@ -105,18 +104,16 @@ def cyclic_rotation_distribution(
     if n < 1:
         raise InputError("need at least one agent")
     support = []
-    transcripts = []
     values: list[list[Fraction]] = [[] for _ in range(n)]
     for shift in range(n):
         ranking = PriorityRanking.rotation(n, shift)
-        alloc, transcript = run_rbf_truthful(inst, thresholds, ranking)
+        alloc, _ = run_rbf_truthful(inst, thresholds, ranking)
         support.append((ranking, alloc))
-        transcripts.append(transcript)
         for i in range(n):
             values[i].append(bundle_value(inst, i, alloc.bundles[i]))
     ex_ante = tuple(sum(vs, Fraction(0)) / n for vs in values)
     ex_post_min = tuple(min(vs) for vs in values)
-    return AllocationDistribution(tuple(support), tuple(transcripts), ex_ante, ex_post_min)
+    return AllocationDistribution(tuple(support), ex_ante, ex_post_min)
 
 
 def sample_allocation(
@@ -283,7 +280,7 @@ def integral_bound_check(values: Sequence[Fraction], integral: IntegralValue) ->
     """
     if not values:
         raise InputError("need at least one tabulated value")
-    vals = [Fraction(v) for v in values]
+    vals = [as_fraction(v) for v in values]
     for x, y in zip(vals, vals[1:]):
         if y > x:
             raise InputError("sequence is not non-increasing")

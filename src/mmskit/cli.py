@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Any, NoReturn, Sequence
@@ -26,8 +25,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_GUARANTEE = 3
-
-NODE_BUDGET_ENV = "MMSKIT_NODE_BUDGET"
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +134,6 @@ def _emit(payload: Any, output: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _node_budget(args: argparse.Namespace) -> int | None:
-    """The flag, else the environment variable, else None (the oracle's default)."""
-    raw = args.node_budget if args.node_budget is not None else os.environ.get(NODE_BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        budget = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{NODE_BUDGET_ENV} must be an integer, got {raw!r}") from exc
-    if budget < 0:
-        raise InputError(f"the node budget must be non-negative, got {budget}")
-    return budget
 
 
 def _parse_thresholds(spec: str, n: int) -> ThresholdList:
@@ -435,7 +418,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.node_budget = _node_budget(args)
+        if args.node_budget is not None and args.node_budget < 0:
+            raise InputError(f"the node budget must be non-negative, got {args.node_budget}")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

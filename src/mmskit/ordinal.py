@@ -15,7 +15,6 @@ from fractions import Fraction
 from .core import Allocation, Instance, Partition
 from .errors import GuaranteeViolation, InputError
 from .transform import (
-    PipelineRecord,
     normalize,
     order,
     pad_agents_to_multiple_of_3,
@@ -40,9 +39,7 @@ class OrdinalRun:
 
 
 def run_ordinal(
-    inst: Instance,
-    expected_d: int | None = None,
-    witnesses: tuple[Partition, ...] | None = None,
+    inst: Instance, witnesses: tuple[Partition, ...] | None = None
 ) -> tuple[Allocation, OrdinalRun]:
     """Initialize bag k with goods {k, 2n-1-k} and fill bags left to right.
 
@@ -53,17 +50,16 @@ def run_ordinal(
     remaining agents in index order. After a complete run, the never-consumed
     suffix of goods is appended to the bag of the last round.
 
-    The instance must be ordered with m >= 2n. Pass ``expected_d`` and/or
-    ``witnesses`` to also verify normalization (the full pipeline does).
+    The instance must be ordered with m >= 2n. Pass ``witnesses``, one
+    unit-share partition per agent, to also verify normalization at their d
+    (the full pipeline does).
     """
     n, m = inst.num_agents, inst.num_goods
     if n < 1:
         raise InputError("need at least one agent")
     if m < 2 * n:
         raise InputError(f"need at least 2n = {2 * n} goods, got {m}")
-    if expected_d is None and witnesses:
-        expected_d = witnesses[0].d
-    inst.require_ordered(expected_d)
+    inst.require_ordered(witnesses[0].d if witnesses else None)
     if witnesses is not None:
         if len(witnesses) != n:
             raise InputError("one witness partition per agent required")
@@ -130,11 +126,10 @@ def run_ordinal(
 
 @dataclass(frozen=True)
 class OneOutOfDResult:
-    """Allocation of the original instance plus pipeline diagnostics."""
+    """Allocation of the original instance plus the bag-filling trace."""
 
     allocation: Allocation
     d: int
-    record: PipelineRecord | None
     run: OrdinalRun | None
     guarantees: tuple[tuple[Fraction, Fraction], ...]  # (value, share) per agent
 
@@ -157,9 +152,7 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
     survivors = tuple(
         i for i, (ints, _) in enumerate(inst.scaled) if sum(1 for v in ints if v) >= d_target
     )
-    dropped = frozenset(range(n)) - set(survivors)
 
-    record = None
     run = None
     shares = None  # the guarantee check searches unless normalize found them at d_target
     if n == 1:
@@ -176,43 +169,29 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
     else:
         rows = tuple(inst.valuations[i] for i in survivors)
         base = Instance(rows, inst.num_goods)
-        padded, duplicated = pad_agents_to_multiple_of_3(base)
+        padded = pad_agents_to_multiple_of_3(base)
         n_run = padded.num_agents
         d_run = 4 * n_run // 3
         # The oracle puts the zero-valued dummy goods in each witness's part 0.
-        padded, dummies = pad_goods(padded, 2 * n_run)
+        padded = pad_goods(padded, 2 * n_run)
         normalized, results, dropped_again = normalize(padded, d_run, node_budget)
         if dropped_again:
             raise GuaranteeViolation(
                 "an agent with a positive share target lost it during "
                 f"normalization: {sorted(dropped_again)}"
             )
-        witnesses = tuple(r.witness for r in results)
         if d_run == d_target:  # dummy goods are worth 0; so is a dropped agent's share
             share_of = {i: r.value for i, r in zip(survivors, results)}
             shares = [share_of.get(i, 0) for i in range(n)]
         ordered, perms = order(normalized)
-        ordered_witnesses = tuple(permute_partition(w, perms[i]) for i, w in enumerate(witnesses))
-        record = PipelineRecord(
-            original=inst,
-            d_target=d_target,
-            d_run=d_run,
-            survivors=survivors,
-            dropped=dropped,
-            duplicated_agents=duplicated,
-            dummy_goods=dummies,
-            normalized=normalized,
-            witnesses=witnesses,
-            ordered=ordered,
-            sort_permutations=perms,
-        )
-        ordered_alloc, run = run_ordinal(ordered, expected_d=d_run, witnesses=ordered_witnesses)
+        ordered_witnesses = tuple(permute_partition(r.witness, p) for r, p in zip(results, perms))
+        ordered_alloc, run = run_ordinal(ordered, witnesses=ordered_witnesses)
         if run.terminated_early:
             raise GuaranteeViolation(
                 "bag filling ran out of goods on a normalized ordered input; "
                 "this contradicts the existence guarantee"
             )
-        allocation = reinstate(unpick(ordered_alloc, record), record)
+        allocation = reinstate(unpick(ordered_alloc, normalized, ordered), inst, survivors)
 
     report = check_1_out_of_d(inst, allocation, d_target, node_budget=node_budget, shares=shares)
     for c in report.checks:
@@ -223,5 +202,5 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
             )
     guarantees = tuple((c.value, c.target) for c in report.checks)
 
-    return OneOutOfDResult(allocation, d_target, record, run, guarantees)
+    return OneOutOfDResult(allocation, d_target, run, guarantees)
 

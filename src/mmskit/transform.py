@@ -9,7 +9,6 @@ increase each agent's value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,56 +17,33 @@ from .errors import GuaranteeViolation, InputError
 from . import oracle
 
 
-@dataclass(frozen=True)
-class PipelineRecord:
-    """Everything needed to map an allocation of the transformed instance back.
-
-    Agent rows travel through three spaces: original agents, surviving agents
-    (zero-share agents removed, clones appended), and the same agents with
-    per-agent sorted good positions. ``survivors[r]`` is the original index of
-    surviving row r; rows past ``len(survivors)`` are clones of row 0.
-    """
-
-    original: Instance
-    d_target: int
-    d_run: int
-    survivors: tuple[int, ...]
-    dropped: frozenset[int]
-    duplicated_agents: tuple[tuple[int, tuple[int, ...]], ...]
-    dummy_goods: frozenset[int]
-    normalized: Instance
-    witnesses: tuple[Partition, ...]
-    ordered: Instance
-    sort_permutations: tuple[tuple[int, ...], ...]
-
-
-def pad_agents_to_multiple_of_3(inst: Instance) -> tuple[Instance, tuple[tuple[int, tuple[int, ...]], ...]]:
+def pad_agents_to_multiple_of_3(inst: Instance) -> Instance:
     """Clone agent 0 until the agent count is a multiple of 3.
 
-    Returns the padded instance and a map (source agent -> clone indices).
+    The clones are the rows past the original agents.
     """
     n = inst.num_agents
     if n < 1:
         raise InputError("cannot pad an instance with no agents")
     n_target = 3 * ((n + 2) // 3)
     if n_target == n:
-        return inst, ()
-    clones = tuple(range(n, n_target))
-    rows = inst.valuations + tuple(inst.valuations[0] for _ in clones)
-    return Instance(rows, inst.num_goods), ((0, clones),)
+        return inst
+    rows = inst.valuations + (inst.valuations[0],) * (n_target - n)
+    return Instance(rows, inst.num_goods)
 
 
-def pad_goods(inst: Instance, min_goods: int) -> tuple[Instance, frozenset[int]]:
+def pad_goods(inst: Instance, min_goods: int) -> Instance:
     """Append zero-valued goods until there are at least ``min_goods``.
 
-    Zero columns keep both the ordered and the normalized property intact.
+    The dummies are the goods past the original m. Zero columns keep both the
+    ordered and the normalized property intact.
     """
     m = inst.num_goods
     if min_goods <= m:
-        return inst, frozenset()
+        return inst
     extra = min_goods - m
     rows = tuple(row + (Fraction(0),) * extra for row in inst.valuations)
-    return Instance(rows, min_goods), frozenset(range(m, min_goods))
+    return Instance(rows, min_goods)
 
 
 def normalize(
@@ -121,17 +97,17 @@ def permute_partition(partition: Partition, perm: Sequence[int]) -> Partition:
     return Partition(tuple(frozenset(pos_of[g] for g in part) for part in partition.parts))
 
 
-def unpick(ordered_alloc: Allocation, record: PipelineRecord) -> Allocation:
+def unpick(ordered_alloc: Allocation, normalized: Instance, ordered: Instance) -> Allocation:
     """Convert an allocation of sorted positions back to concrete goods.
 
-    Positions are processed from most valuable down; at each position its
-    owner picks her favourite remaining good under her normalized valuation
-    (ties broken by lowest good index). Each agent ends up at least as well
-    off as she was in the sorted instance; this is re-checked exactly.
+    ``ordered`` is ``normalized`` after ``order``. Positions are processed
+    from most valuable down; at each position its owner picks her favourite
+    remaining good under her normalized valuation (ties broken by lowest good
+    index). Each agent ends up at least as well off as she was in the sorted
+    instance; this is re-checked exactly.
     """
-    norm = record.normalized
-    n = norm.num_agents
-    m = norm.num_goods
+    n = normalized.num_agents
+    m = normalized.num_goods
     if ordered_alloc.num_agents != n:
         raise InputError(
             f"allocation has {ordered_alloc.num_agents} bundles, expected {n}"
@@ -148,14 +124,14 @@ def unpick(ordered_alloc: Allocation, record: PipelineRecord) -> Allocation:
         a = owner.get(pos)
         if a is None:
             continue
-        ints, _ = norm.scaled[a]
+        ints, _ = normalized.scaled[a]
         g = max(remaining, key=lambda g: (ints[g], -g))
         picked[a].add(g)
         remaining.remove(g)
     result = Allocation(tuple(frozenset(p) for p in picked), frozenset(remaining))
     for a in range(n):
-        got = bundle_value(norm, a, result.bundles[a])
-        had = bundle_value(record.ordered, a, ordered_alloc.bundles[a])
+        got = bundle_value(normalized, a, result.bundles[a])
+        had = bundle_value(ordered, a, ordered_alloc.bundles[a])
         if got < had:
             raise GuaranteeViolation(
                 f"picking lowered agent {a}'s value from {had} to {got}; "
@@ -164,22 +140,24 @@ def unpick(ordered_alloc: Allocation, record: PipelineRecord) -> Allocation:
     return result
 
 
-def reinstate(alloc: Allocation, record: PipelineRecord) -> Allocation:
+def reinstate(alloc: Allocation, original: Instance, survivors: Sequence[int]) -> Allocation:
     """Map an allocation of the padded instance back to the original one.
 
+    ``survivors[r]`` is the original index of row r; rows past
+    ``len(survivors)`` are clones and goods past the original m are dummies.
     Dummy goods vanish. Each surviving original agent keeps her own bundle;
     clone bundles are released to ``unallocated`` (the original agent already
     meets her target with her own bundle). Dropped zero-share agents get the
     empty bundle, which meets their zero target.
     """
-    n_orig = record.original.num_agents
-    m_orig = record.original.num_goods
+    n_orig = original.num_agents
+    m_orig = original.num_goods
     bundles: list[frozenset[int]] = [frozenset() for _ in range(n_orig)]
     leftovers = {g for g in alloc.unallocated if g < m_orig}
     for row, bundle in enumerate(alloc.bundles):
         real = frozenset(g for g in bundle if g < m_orig)
-        if row < len(record.survivors):
-            bundles[record.survivors[row]] = real
+        if row < len(survivors):
+            bundles[survivors[row]] = real
         else:
             leftovers |= real
     return Allocation(tuple(bundles), frozenset(leftovers))

@@ -208,12 +208,16 @@ def check_unit_share_structure(
 ) -> tuple[str, ...]:
     """Violations of the ordered d-normalized structure facts, empty if none.
 
-    Needs m >= 2d. Checks per agent: total value d (and, when given, the
+    Needs 1 <= d <= ``oracle.MAX_PARTS``, m >= 2d and, when witnesses are
+    given, one per agent. Checks per agent: total value d (and, when given, the
     witness by ``check_witness``); the top good worth <= 1; the middle pair {d, d+1}
     worth <= 1; good d+1 worth <= 1/2; and every tail of the nested pairs
     C_k = {k, 2d-k+1} summing to at most its length.
     """
     n, m = inst.num_agents, inst.num_goods
+    oracle.check_parts(d)
+    if witnesses is not None and len(witnesses) != n:
+        raise InputError(f"need one witness partition per agent: {len(witnesses)} for {n} agents")
     if m < 2 * d:
         raise InputError(f"need at least 2d = {2 * d} goods, got {m}")
     violations: list[str] = []

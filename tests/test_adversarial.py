@@ -102,6 +102,8 @@ def test_hard1_parameter_validation():
         gen_hard1(2, 3, Fraction(1, 30))
     with pytest.raises(InputError):
         gen_hard1(5, 4, Fraction(2, 3))  # not a unit fraction
+    with pytest.raises(InputError, match="floats are not accepted"):
+        gen_hard1(4, 3, 0.015625)  # 1/64 exactly, but a float
 
 
 def test_hard1_good_count_is_capped_before_anything_is_built():

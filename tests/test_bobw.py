@@ -231,6 +231,11 @@ def test_integral_check_rejects_non_monotone():
         integral_bound_check([Fraction(1), Fraction(2)], IntegralValue())
 
 
+def test_integral_check_rejects_floats():
+    with pytest.raises(InputError, match="floats are not accepted"):
+        integral_bound_check([0.5, 0.25], IntegralValue(exact=Fraction(1, 3)))
+
+
 def test_integral_check_harmonic_curve():
     # f(x) = 2n/(2n+x) on [0, n-1] for n = 10.
     n = 10

@@ -109,14 +109,6 @@ def test_cmd_mms_budget_exhaustion(instance_file, capsys):
     assert main(["mms", path, "--d", "5", "--node-budget", "10"]) == EXIT_BUDGET
 
 
-def test_node_budget_env_override(instance_file, capsys, monkeypatch):
-    rng = random.Random(2)
-    inst = Instance.from_rows([[rng.randint(50, 99) for _ in range(14)]])
-    path = instance_file(inst)
-    monkeypatch.setenv("MMSKIT_NODE_BUDGET", "10")
-    assert main(["mms", path, "--d", "5"]) == EXIT_BUDGET
-
-
 def test_cmd_ordinal_single_agent(instance_file, capsys):
     path = instance_file(Instance.from_rows([[2, 1, 1]]))
     assert main(["ordinal", path]) == EXIT_OK
@@ -247,61 +239,53 @@ _NO_AGENTS = {"agents": 0, "goods": 2, "valuations": []}
 
 
 @pytest.mark.parametrize(
-    "files, argv, env",
+    "files, argv",
     [
         (
             {"inst": {"agents": 1, "goods": 3, "valuations": ["123"]}},
             ["mms", "{inst}", "--d", "1"],
-            {},
         ),
         (
             {"inst": {"agents": True, "goods": 1, "valuations": [[1]]}},
             ["mms", "{inst}", "--d", "1"],
-            {},
         ),
         (
             {"inst": _UNIT_PAIR, "alloc": {"bundles": [5, []]}},
             ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "2"],
-            {},
         ),
-        ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "a,b"], {}),
-        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "2", "--node-budget", "-5"], {}),
-        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "2"], {"MMSKIT_NODE_BUDGET": "-5"}),
-        ({}, ["mms"], {}),
-        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "x"], {}),
+        ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "a,b"]),
+        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "2", "--node-budget", "-5"]),
+        ({}, ["mms"]),
+        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "x"]),
         # Just over the cap on d, so that a broken cap fails fast.
-        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "10001"], {}),
+        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "10001"]),
         (
             {"inst": _ONE_ROW, "alloc": {"bundles": [[0, 1, 2]]}},
             ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "10001"],
-            {},
         ),
         # With no agents, d is still checked.
-        ({"inst": _NO_AGENTS}, ["mms", "{inst}", "--d", "0"], {}),
+        ({"inst": _NO_AGENTS}, ["mms", "{inst}", "--d", "0"]),
         *[
             (
                 {"inst": _NO_AGENTS, "alloc": {"bundles": []}},
                 ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", d],
-                {},
             )
             for d in ("0", "-3", "20000")
         ],
     ],
     ids=[
-        "string-row", "bool-agents", "int-bundle", "text-ranking", "negative-flag", "negative-env",
+        "string-row", "bool-agents", "int-bundle", "text-ranking", "negative-flag",
         "missing-args", "non-int-flag", "mms-d-over-cap", "verify-d-over-cap",
         "no-agents-mms-d-0", "no-agents-verify-d-0", "no-agents-verify-d-negative",
         "no-agents-verify-d-over-cap",
     ],
 )
-def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, monkeypatch, files, argv, env):
+def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, files, argv):
     paths = {}
     for name, obj in files.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(obj))
         paths[name] = str(path)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1

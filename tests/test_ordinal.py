@@ -63,7 +63,7 @@ def test_assigned_bags_meet_the_unit_target():
         d = 4 * ((n + 2) // 3)
         m = rng.randint(max(2 * n, d), 2 * n + 6)
         inst, wits = random_normalized_ordered(rng, n, m, d=d)
-        alloc, run = run_ordinal(inst, expected_d=d, witnesses=wits)
+        alloc, run = run_ordinal(inst, witnesses=wits)
         assert not run.terminated_early
         for bag_idx, agent in enumerate(run.assignment):
             assert bundle_value(inst, agent, run.final_bags[bag_idx]) >= 1
@@ -174,3 +174,64 @@ def test_pipeline_guarantee_on_random_instances():
         for i in range(n):
             share = mms(inst, i, result.d).value
             assert bundle_value(inst, i, result.allocation.bundles[i]) >= share
+
+
+# Fixed instances through every branch of the reduction, pinned to the
+# allocations and (value, share) pairs the pipeline produced when recorded.
+_PINNED = {
+    "cloned-agents": (
+        [[5, 3, 3, 2, 2, 1, 1], [1, 4, 2, 6, 3, 3, 1]],
+        4,
+        ([[0, 4], [3, 5]], [1, 2, 6]),
+        [("7", "4"), ("9", "4")],
+    ),
+    "dummy-goods": (
+        [[3, 3, 2, 2, 1], [1, 2, 3, 4, 5], [4, 1, 4, 1, 4]],
+        4,
+        ([[0], [2, 3], [1, 4]], []),
+        [("3", "2"), ("7", "3"), ("5", "2")],
+    ),
+    "zero-share-agent": (
+        [
+            [9, 7, 5, 4, 4, 3, 2, 2, 1, 1],
+            [1, 2, 3, 4, 5, 6, 7, 8, 9, 1],
+            [0, 0, 0, 5, 5, 5, 0, 0, 0, 0],
+            [2, 2, 2, 2, 3, 3, 3, 3, 1, 1],
+            [6, 0, 6, 1, 2, 3, 1, 2, 3, 4],
+        ],
+        8,
+        ([[0], [3], [], [2, 9], [4, 8]], [1, 5, 6, 7]),
+        [("9", "3"), ("4", "3"), ("0", "0"), ("3", "2"), ("5", "2")],
+    ),
+    "d-run-below-d-target": (
+        [
+            [4, 4, 3, 3, 2, 2, 1, 1, 1],
+            [1, 1, 1, 2, 2, 3, 3, 4, 4],
+            [0, 5, 0, 5, 0, 5, 0, 5, 0],
+            [3, 1, 3, 1, 3, 1, 3, 1, 3],
+        ],
+        8,
+        ([[0, 1], [7, 8], [], [2, 3, 4, 5, 6]], []),
+        [("8", "1"), ("8", "1"), ("0", "0"), ("11", "1")],
+    ),
+    "fractions-and-twins": (
+        [
+            ["1/2", "1/3", "1/4", "1/5", "1/6", "1/7", "1/8"],
+            ["1/2", "1/3", "1/4", "1/5", "1/6", "1/7", "1/8"],
+            ["2/3", 0, "3/2", 1, "5/4", "1/9", 2],
+        ],
+        4,
+        ([[0, 4], [1, 3], [2, 5, 6]], []),
+        [("2/3", "11/30"), ("8/15", "11/30"), ("65/18", "49/36")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_pipeline_output_is_pinned(name):
+    rows, d, (bundles, unallocated), guarantees = _PINNED[name]
+    result = run_1_out_of_d(Instance.from_rows(rows))
+    assert result.d == d
+    assert result.allocation.bundles == tuple(frozenset(b) for b in bundles)
+    assert result.allocation.unallocated == frozenset(unallocated)
+    assert result.guarantees == tuple((Fraction(v), Fraction(t)) for v, t in guarantees)

@@ -1,9 +1,12 @@
 """Rules that hold across the whole package source."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import mmskit
+from mmskit import oracle
 
 
 def _modules():
@@ -63,3 +66,23 @@ def test_naive_oracle_never_reads_the_integer_kernel():
                 todo.append(node.id)
             assert not (isinstance(node, ast.Attribute) and node.attr == "scaled"), (name, node.lineno)
     assert "_resolve_goods" in reached
+
+
+def test_perfbench_trace_targets_resolve():
+    # perfbench/spans.py wraps these names from outside the package; a rename
+    # or a changed oracle signature would otherwise break only `--trace 1`.
+    spans = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    (wrapped,) = [
+        node.value
+        for node in ast.parse(spans.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]
+    ]
+    pairs = ast.literal_eval(wrapped)
+    assert pairs
+    missing = [
+        (module, attr)
+        for module, attr in pairs
+        if not hasattr(importlib.import_module(f"mmskit.{module}"), attr)
+    ]
+    assert missing == []
+    inspect.signature(oracle.mms).bind(None, 0, 1, goods=None, node_budget=None)

@@ -25,19 +25,16 @@ from _instances import random_instance, random_normalized_ordered
 
 def test_pad_agents_noop_on_multiple_of_3():
     inst = random_instance(random.Random(0), 3, 4)
-    padded, dup = pad_agents_to_multiple_of_3(inst)
-    assert padded is inst and dup == ()
+    assert pad_agents_to_multiple_of_3(inst) is inst
 
 
 @pytest.mark.parametrize("n,expected", [(1, 3), (2, 3), (4, 6), (5, 6), (7, 9)])
 def test_pad_agents_clones_agent_zero(n, expected):
     inst = random_instance(random.Random(n), n, 5)
-    padded, dup = pad_agents_to_multiple_of_3(inst)
+    padded = pad_agents_to_multiple_of_3(inst)
     assert padded.num_agents == expected
-    ((source, clones),) = dup
-    assert source == 0 and len(clones) == expected - n
-    for c in clones:
-        assert padded.valuations[c] == inst.valuations[0]
+    assert padded.valuations[:n] == inst.valuations
+    assert padded.valuations[n:] == (inst.valuations[0],) * (expected - n)
 
 
 # ---------------------------------------------------------------------------
@@ -46,21 +43,20 @@ def test_pad_agents_clones_agent_zero(n, expected):
 
 def test_pad_goods_identity_when_enough():
     inst = random_instance(random.Random(1), 2, 6)
-    padded, dummies = pad_goods(inst, 4)
-    assert padded is inst and dummies == frozenset()
+    assert pad_goods(inst, 4) is inst
 
 
 def test_pad_goods_appends_zeros():
     inst = Instance.from_rows([[1, 2, 3]])
-    padded, dummies = pad_goods(inst, 8)
+    padded = pad_goods(inst, 8)
     assert padded.num_goods == 8
-    assert dummies == frozenset(range(3, 8))
-    assert all(padded.value(0, g) == 0 for g in dummies)
+    assert padded.valuations[0][:3] == inst.valuations[0]
+    assert all(padded.value(0, g) == 0 for g in range(3, 8))
 
 
 def test_pad_goods_preserves_normalized_structure():
     inst, witnesses = random_normalized_ordered(random.Random(2), 3, 7, d=3)
-    padded, _ = pad_goods(inst, 10)
+    padded = pad_goods(inst, 10)
     # Absorb the zero tail into any witness part: parts keep value 1.
     for i, w in enumerate(witnesses):
         grown = w.parts[0] | frozenset(range(7, 10))
@@ -159,13 +155,13 @@ def test_unit_share_structure_after_real_normalization():
         normalized, witnesses, dropped = normalize(raw, d)
         if normalized.num_agents == 0:
             continue
-        padded, _ = pad_goods(normalized, 2 * d)
+        padded = pad_goods(normalized, 2 * d)
         ordered, perms = order(padded)
         assert check_unit_share_structure(ordered, d) == ()
 
 
 # ---------------------------------------------------------------------------
-# Picking and reinstatement (through the pipeline record)
+# Picking and reinstatement
 
 
 def test_pipeline_roundtrip_values_never_drop():
@@ -192,8 +188,7 @@ def test_reinstate_drops_dummies_and_clone_bundles():
     rng = random.Random(8)
     inst = random_instance(rng, 4, 9, max_value=9)
     result = run_1_out_of_d(inst)
-    record = result.record
-    if record is None:
+    if result.run is None:
         pytest.skip("degenerate draw: pipeline short-circuited")
     alloc = result.allocation
     assert alloc.num_agents == 4
@@ -209,27 +204,12 @@ def test_unpick_is_value_preserving_on_already_ordered_instances():
         n = rng.randint(1, 3)
         m = rng.randint(max(n, 2), 8)
         inst, _ = random_normalized_ordered(rng, n, m)  # rows already sorted
-        ordered, perms = order(inst)
+        ordered, _ = order(inst)
         assert ordered.valuations == inst.valuations
-        from mmskit.transform import PipelineRecord
-
-        record = PipelineRecord(
-            original=inst,
-            d_target=n,
-            d_run=n,
-            survivors=tuple(range(n)),
-            dropped=frozenset(),
-            duplicated_agents=(),
-            dummy_goods=frozenset(),
-            normalized=inst,
-            witnesses=(),
-            ordered=ordered,
-            sort_permutations=perms,
-        )
         positions = list(range(m))
         rng.shuffle(positions)
         bundles = tuple(frozenset(positions[i::n]) for i in range(n))
-        picked = unpick(Allocation(bundles), record)
+        picked = unpick(Allocation(bundles), inst, ordered)
         for a in range(n):
             assert bundle_value(inst, a, picked.bundles[a]) == bundle_value(
                 ordered, a, bundles[a]
@@ -242,28 +222,13 @@ def test_unpick_beats_the_sorted_allocation_per_agent():
         n = rng.randint(2, 3)
         m = rng.randint(6, 9)
         inst, _ = random_normalized_ordered(rng, n, m)
-        # Hand-build a pipeline record over an already-normalized instance and
-        # run the picking map on a random bundle arrangement of positions.
-        from mmskit.transform import PipelineRecord
-
-        ordered, perms = order(inst)
-        record = PipelineRecord(
-            original=inst,
-            d_target=n,
-            d_run=n,
-            survivors=tuple(range(n)),
-            dropped=frozenset(),
-            duplicated_agents=(),
-            dummy_goods=frozenset(),
-            normalized=inst,
-            witnesses=(),
-            ordered=ordered,
-            sort_permutations=perms,
-        )
+        # Run the picking map over an already-normalized instance on a random
+        # bundle arrangement of positions.
+        ordered, _ = order(inst)
         positions = list(range(m))
         rng.shuffle(positions)
         bundles = tuple(frozenset(positions[i::n]) for i in range(n))
-        picked = unpick(Allocation(bundles), record)
+        picked = unpick(Allocation(bundles), inst, ordered)
         for a in range(n):
             assert bundle_value(inst, a, picked.bundles[a]) >= bundle_value(
                 ordered, a, bundles[a]

@@ -257,3 +257,19 @@ def test_unit_share_structure_checks_witness_coverage():
     assert check_unit_share_structure(inst, 2, (short,)) == (
         "agent 0: witness does not cover exactly the 4 goods",
     )
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_unit_share_structure_rejects_d_below_one(d):
+    inst = Instance.from_rows([[Fraction(1, 2)] * 4])
+    with pytest.raises(InputError, match="d must be >= 1"):
+        check_unit_share_structure(inst, d)
+
+
+def test_unit_share_structure_needs_one_witness_per_agent():
+    inst = Instance.from_rows([[Fraction(1, 2)] * 4] * 2)
+    witness = Partition(({0, 1}, {2, 3}))
+    assert check_unit_share_structure(inst, 2, (witness,) * 2) == ()
+    for witnesses in ((witness,), (witness,) * 3):
+        with pytest.raises(InputError, match="one witness partition per agent"):
+            check_unit_share_structure(inst, 2, witnesses)
