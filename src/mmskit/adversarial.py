@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .core import (
     Allocation,
@@ -27,8 +26,8 @@ from .core import (
 )
 from .errors import GuaranteeViolation, InputError
 from .ordinal import run_ordinal
-from .rbf import Transcript, TruthfulResponder, run_rbf
-from .verify import check_t_mms, check_targets, check_witness
+from .rbf import Transcript, TruthfulResponder, reduction_shapes, run_rbf
+from .verify import AgentCheck, check_t_mms, check_targets, check_witness
 
 # Cap on the values (agents x goods) of an ordinalTight or hard2 family,
 # checked from its parameters before anything is built. It admits both
@@ -188,26 +187,22 @@ def _unit_fraction_below(x: Fraction) -> Fraction:
 
 
 class ScriptedHard2Responder:
-    """Answers for everyone: truthful for the target agent, scripted otherwise.
+    """The hard2 script for one run: answers every query and picks each filler's bag.
 
-    Non-target agents decline every reduction shape. Agents holding the
-    k1 + k2 best ranks claim any bag containing a top good; everyone else
-    declines bags until one holds more than (n - k1 - k2) * t + 2 filler
-    goods (with the round-robin filler below, that never happens, so the run
-    exhausts the fillers and ends on the leftover path).
+    The target agent answers truthfully. Non-target agents decline every
+    first-round reduction shape. Agents holding the k1 + k2 best ranks claim
+    any bag containing a top good; everyone else declines bags until one
+    holds more than (n - k1 - k2) * t + 2 filler goods. ``choose_bag`` fills
+    the open bags round-robin, so that never happens, and the run exhausts
+    the fillers and ends on the leftover path.
     """
 
     def __init__(self, family: "Hard2Family"):
         self.family = family
-        n = family.n
         self.decline_shapes = frozenset(
-            (
-                frozenset({0}),
-                frozenset({n - 1, n}),
-                frozenset({2 * n - 2, 2 * n - 1, 2 * n}),
-                frozenset({0, 2 * n}),
-            )
+            reduction_shapes(range(family.instance.num_goods), family.n)
         )
+        self.last_filled = -1
 
     def value(self, agent: int, goods: frozenset[int]) -> Fraction:
         fam = self.family
@@ -222,6 +217,12 @@ class ScriptedHard2Responder:
         cap = (fam.n - fam.k1 - fam.k2) * fam.t + 2
         return Fraction(1) if filler_count > cap else Fraction(0)
 
+    def choose_bag(self, open_bags: list[int]) -> int:
+        """The first open bag after the last one filled, wrapping around."""
+        later = [b for b in open_bags if b > self.last_filled]
+        self.last_filled = later[0] if later else open_bags[0]
+        return self.last_filled
+
 
 @dataclass(frozen=True)
 class Hard2Family:
@@ -235,21 +236,6 @@ class Hard2Family:
     target_agent: int  # 0-indexed; holds rank i under the identity ranking
     instance: Instance  # single row: the target agent's valuation, ordered
     witness: Partition  # her n-share partition, four groups of unit parts
-
-    def make_responder(self) -> ScriptedHard2Responder:
-        return ScriptedHard2Responder(self)
-
-    def make_fill_chooser(self) -> Callable[[list[int]], int]:
-        """Round-robin over open bags, so filler goods spread evenly."""
-        state = {"last": -1}
-
-        def choose(open_bags: list[int]) -> int:
-            later = [b for b in open_bags if b > state["last"]]
-            pick = later[0] if later else open_bags[0]
-            state["last"] = pick
-            return pick
-
-        return choose
 
 
 def gen_hard2_responders(n: int, i: int, k1: int, k2: int, t: int) -> Hard2Family:
@@ -326,122 +312,77 @@ class FailureReport:
         return self.unsatisfied[0][2]
 
 
-def _step_thresholds(n: int, i: int, tau_i: Fraction) -> ThresholdList:
-    return ThresholdList((Fraction(1),) * (i - 1) + (tau_i,) * (n - i + 1))
+def _thresholds(
+    n: int, i: int, default: Fraction, cap: Fraction, thresholds: ThresholdList | None
+) -> ThresholdList:
+    """``thresholds``, or 1 before rank i and ``default`` from rank i on;
+    rank i's threshold must exceed the family's ``cap``."""
+    if thresholds is None:
+        thresholds = ThresholdList((Fraction(1),) * (i - 1) + (default,) * (n - i + 1))
+    if len(thresholds) != n:
+        raise InputError(f"expected {n} thresholds, got {len(thresholds)}")
+    tau = thresholds.taus[i - 1]
+    if tau <= cap:
+        raise InputError(f"rank {i} threshold must exceed the family cap {cap}, got {tau}")
+    return thresholds
 
 
 def demonstrate_failure(
     spec: HardInstanceSpec, thresholds: ThresholdList | None = None
 ) -> FailureReport:
-    """Run the family's algorithm and report the agent who falls short.
+    """Run the family's algorithm and report the agents who fall short.
 
-    For hard1/hard2 the default thresholds put the target rank just above
-    the family's cap (cap + 1/1000, and cap + 3*epsilon respectively); a
-    custom list must keep the target rank strictly above the cap. Raises if
-    no shortfall materializes, since that would contradict the construction.
+    ordinalTight's targets are full shares; it takes no thresholds. For
+    hard1/hard2 the default thresholds put the target rank just above the
+    family's cap (cap + 1/1000, and cap + 3*epsilon respectively); a custom
+    list must keep the target rank strictly above the cap. Raises if no
+    shortfall materializes, since that would contradict the construction.
     """
-    if spec.family == "ordinalTight":
-        return _demonstrate_ordinal_tight(spec)
-    if spec.family == "hard1":
-        return _demonstrate_hard1(spec, thresholds)
-    return _demonstrate_hard2(spec, thresholds)
-
-
-def _demonstrate_ordinal_tight(spec: HardInstanceSpec) -> FailureReport:
-    fam = gen_ordinal_tight(spec.n)
-    alloc, run = run_ordinal(fam.instance, witnesses=(fam.witness,) * spec.n)
-    thresholds = ThresholdList.constant(spec.n, 1)
-    report = check_targets(fam.instance, alloc, thresholds.taus)
-    unsatisfied = [(c.agent, c.value, c.target) for c in report.checks if not c.ok]
-    if not unsatisfied:
-        raise GuaranteeViolation(
-            "tight family produced a full-share allocation; construction broken"
-        )
-    return FailureReport(
-        family="ordinalTight",
-        n=spec.n,
-        thresholds=thresholds,
-        unsatisfied=tuple(unsatisfied),
-        reduction_count=0,
-        ran_out_of_goods=run.terminated_early,
-        allocation=alloc,
-    )
-
-
-def _demonstrate_hard1(
-    spec: HardInstanceSpec, thresholds: ThresholdList | None
-) -> FailureReport:
     n, i = spec.n, spec.i
-    alpha = Fraction(3 * n, 3 * n + i - 2)
-    if thresholds is None:
-        thresholds = _step_thresholds(n, i, alpha + Fraction(1, 1000))
-    tau_target = thresholds.taus[i - 1]
-    if tau_target <= alpha:
-        raise InputError(
-            f"rank {i} threshold must exceed the family cap {alpha}, got {tau_target}"
-        )
-    epsilon = _unit_fraction_below(thresholds.taus[-1] / 3)
-    fam = gen_hard1(n, i, epsilon)
-    responder = TruthfulResponder(fam.instance)
     ranking = PriorityRanking.identity(n)
-    alloc, transcript = run_rbf(responder, n, fam.instance.num_goods, thresholds, ranking)
-    # Every agent's share is 1.
-    report = check_t_mms(fam.instance, alloc, ranking, thresholds, shares=(1,) * n)
-    unsatisfied = [
-        (c.agent, c.value, c.target)
-        for c in report.checks
-        if c.agent in fam.rich_agents and not c.ok
-    ]
+    transcript = None
+    if spec.family == "ordinalTight":
+        if thresholds is not None:
+            raise InputError("ordinalTight takes no thresholds; its targets are full shares")
+        fam = gen_ordinal_tight(n)
+        alloc, run = run_ordinal(fam.instance, witnesses=(fam.witness,) * n)
+        thresholds = ThresholdList.constant(n, 1)
+        checks = check_targets(fam.instance, alloc, thresholds.taus).checks
+        ran_out = run.terminated_early
+    elif spec.family == "hard1":
+        alpha = Fraction(3 * n, 3 * n + i - 2)
+        thresholds = _thresholds(n, i, alpha + Fraction(1, 1000), alpha, thresholds)
+        fam = gen_hard1(n, i, _unit_fraction_below(thresholds.taus[-1] / 3))
+        alloc, transcript = run_rbf(
+            TruthfulResponder(fam.instance), n, fam.instance.num_goods, thresholds, ranking
+        )
+        # Every agent's share is 1; only the rich agents are meant to fall short.
+        report = check_t_mms(fam.instance, alloc, ranking, thresholds, shares=(1,) * n)
+        checks = [c for c in report.checks if c.agent in fam.rich_agents]
+        ran_out = transcript.ran_out_of_goods
+    else:  # hard2
+        fam = gen_hard2_responders(n, i, spec.k1, spec.k2, spec.t)
+        cap = fam.alpha + 2 * fam.epsilon
+        default = min(Fraction(1), fam.alpha + 3 * fam.epsilon)
+        thresholds = _thresholds(n, i, default, cap, thresholds)
+        script = ScriptedHard2Responder(fam)
+        alloc, transcript = run_rbf(
+            script, n, fam.instance.num_goods, thresholds, ranking,
+            fill_bag_chooser=script.choose_bag,
+        )
+        value = bundle_value(fam.instance, 0, alloc.bundles[fam.target_agent])
+        checks = [AgentCheck(fam.target_agent, value, thresholds.taus[i - 1], value >= cap)]
+        ran_out = transcript.ran_out_of_goods
+    unsatisfied = tuple((c.agent, c.value, c.target) for c in checks if not c.ok)
     if not unsatisfied:
-        raise GuaranteeViolation(
-            "hard1 run satisfied every rich agent; construction broken"
-        )
+        raise GuaranteeViolation(f"{spec.family} run left no agent short; construction broken")
     return FailureReport(
-        family="hard1",
+        family=spec.family,
         n=n,
         thresholds=thresholds,
-        unsatisfied=tuple(unsatisfied),
-        reduction_count=len(transcript.reductions),
-        ran_out_of_goods=transcript.ran_out_of_goods,
-        allocation=alloc,
-        transcript=transcript,
-    )
-
-
-def _demonstrate_hard2(
-    spec: HardInstanceSpec, thresholds: ThresholdList | None
-) -> FailureReport:
-    n, i = spec.n, spec.i
-    fam = gen_hard2_responders(n, i, spec.k1, spec.k2, spec.t)
-    cap = fam.alpha + 2 * fam.epsilon
-    if thresholds is None:
-        thresholds = _step_thresholds(n, i, min(Fraction(1), fam.alpha + 3 * fam.epsilon))
-    if thresholds.taus[i - 1] <= cap:
-        raise InputError(
-            f"rank {i} threshold must exceed the family cap {cap}, "
-            f"got {thresholds.taus[i - 1]}"
-        )
-    alloc, transcript = run_rbf(
-        fam.make_responder(),
-        n,
-        fam.instance.num_goods,
-        thresholds,
-        PriorityRanking.identity(n),
-        fill_bag_chooser=fam.make_fill_chooser(),
-    )
-    value = bundle_value(fam.instance, 0, alloc.bundles[fam.target_agent])
-    if value >= cap:
-        raise GuaranteeViolation(
-            f"scripted run gave the target agent {value} >= {cap}; "
-            f"construction broken"
-        )
-    return FailureReport(
-        family="hard2",
-        n=n,
-        thresholds=thresholds,
-        unsatisfied=((fam.target_agent, value, thresholds.taus[i - 1]),),
-        reduction_count=len(transcript.reductions),
-        ran_out_of_goods=transcript.ran_out_of_goods,
+        unsatisfied=unsatisfied,
+        reduction_count=len(transcript.reductions) if transcript else 0,
+        ran_out_of_goods=ran_out,
         allocation=alloc,
         transcript=transcript,
     )

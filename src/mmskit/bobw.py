@@ -251,6 +251,12 @@ class IntegralValue:
     exact: Fraction = Fraction(0)
     log_terms: tuple[tuple[Fraction, Fraction], ...] = ()
 
+    def __post_init__(self):
+        # A float here would turn the enclosure into an uncertified point.
+        object.__setattr__(self, "exact", as_fraction(self.exact))
+        terms = tuple((as_fraction(c), as_fraction(a)) for c, a in self.log_terms)
+        object.__setattr__(self, "log_terms", terms)
+
     def enclosure(self) -> tuple[Fraction, Fraction]:
         lo = hi = self.exact
         for coeff, arg in self.log_terms:

@@ -352,8 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_budget(p: argparse.ArgumentParser) -> None:  # only subcommands that search
         p.add_argument("--node-budget", type=int, default=None, help="search node budget")
+
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
     def add_family(p: argparse.ArgumentParser) -> None:
@@ -368,11 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--agent", type=int, default=None)
+    add_budget(p)
     add_common(p)
     p.set_defaults(func=_cmd_mms)
 
     p = sub.add_parser("ordinal", help="allocate via bag filling at d = 4*ceil(n/3)")
     p.add_argument("instance")
+    add_budget(p)
     add_common(p)
     p.set_defaults(func=_cmd_ordinal)
 
@@ -408,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--thresholds", default="default")
     p.add_argument("--ranking", default="identity")
+    add_budget(p)
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -418,7 +423,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.node_budget is not None and args.node_budget < 0:
+        if getattr(args, "node_budget", None) is not None and args.node_budget < 0:
             raise InputError(f"the node budget must be non-negative, got {args.node_budget}")
         return args.func(args)
     except InputError as exc:

@@ -43,15 +43,12 @@ def priority_thresholds(n: int) -> ThresholdList:
     """The built-in per-rank targets max(2n/(2n+i-1), 3/4 + 1/(12n)).
 
     Rank 1 gets a full share; later ranks decay harmonically down to the
-    uniform floor. Verified non-increasing before returning.
+    uniform floor; ``ThresholdList`` checks that the list is non-increasing.
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     floor = Fraction(3, 4) + Fraction(1, 12 * n)
     taus = tuple(max(Fraction(2 * n, 2 * n + i - 1), floor) for i in range(1, n + 1))
-    for a, b in zip(taus, taus[1:]):
-        if b > a:
-            raise GuaranteeViolation(f"threshold list is not non-increasing for n={n}")
     return ThresholdList(taus)
 
 
@@ -92,7 +89,8 @@ class Transcript:
         return tuple(e.type for e in self.reductions)
 
 
-def _reduction_shapes(goods: set[int], agents_left: int) -> list[frozenset[int]]:
+def reduction_shapes(goods: Iterable[int], agents_left: int) -> list[frozenset[int]]:
+    """Phase 1's four order-statistic bundles, types 1..4, over ``goods``."""
     k = agents_left
     return [
         ord_st(goods, {1}),
@@ -155,7 +153,7 @@ def run_rbf(
 
     # Phase 1: reductions.
     while agents_left and goods_left:
-        shapes = _reduction_shapes(goods_left, len(agents_left))
+        shapes = reduction_shapes(goods_left, len(agents_left))
         hit = None
         for shape_idx, shape in enumerate(shapes, start=1):
             if not shape:

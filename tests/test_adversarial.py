@@ -219,6 +219,24 @@ def test_hard1_rejects_threshold_at_or_below_cap():
         demonstrate_failure(HardInstanceSpec("hard1", 6, i=4), T)
 
 
+def test_ordinal_tight_takes_no_thresholds():
+    # Its targets are full shares; a given list must not be ignored.
+    with pytest.raises(InputError, match="no thresholds"):
+        demonstrate_failure(HardInstanceSpec("ordinalTight", 4), ThresholdList.constant(4, 1))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [HardInstanceSpec("hard1", 6, i=4), HardInstanceSpec("hard2", 6, i=4, k1=3, k2=0, t=3)],
+    ids=["hard1", "hard2"],
+)
+@pytest.mark.parametrize("length", [2, 7])
+def test_demo_thresholds_need_one_per_agent(spec, length):
+    # Shorter than the target rank used to raise a raw IndexError.
+    with pytest.raises(InputError, match=f"expected 6 thresholds, got {length}"):
+        demonstrate_failure(spec, ThresholdList.constant(length, Fraction(99, 100)))
+
+
 def test_hard2_failure_stays_below_cap():
     spec = HardInstanceSpec("hard2", 6, i=4, k1=3, k2=0, t=3)
     report = demonstrate_failure(spec)

@@ -236,6 +236,16 @@ def test_integral_check_rejects_floats():
         integral_bound_check([0.5, 0.25], IntegralValue(exact=Fraction(1, 3)))
 
 
+def test_integral_value_rejects_floats():
+    # A float coefficient made the enclosure a float point, and a float exact
+    # part flipped a certified comparison.
+    with pytest.raises(InputError, match="floats are not accepted"):
+        IntegralValue(log_terms=((0.5, Fraction(2)),))
+    with pytest.raises(InputError, match="floats are not accepted"):
+        integral_bound_check([Fraction(1, 3)] * 4, IntegralValue(exact=1.0))
+    assert integral_bound_check([Fraction(1, 3)] * 4, IntegralValue(exact=Fraction(1)))
+
+
 def test_integral_check_harmonic_curve():
     # f(x) = 2n/(2n+x) on [0, n-1] for n = 10.
     n = 10

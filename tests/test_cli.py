@@ -13,6 +13,7 @@ from mmskit.cli import (
     EXIT_OK,
     allocation_from_json,
     allocation_to_json,
+    build_parser,
     instance_from_json,
     instance_to_json,
     main,
@@ -131,6 +132,29 @@ def test_cmd_rbf_with_default_thresholds(instance_file, capsys):
     assert main(["rbf", path]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["allOk"] and payload["structureOk"]
+
+
+def test_cmd_rbf_explicit_default_thresholds_match_default(instance_file, capsys):
+    inst, _ = random_normalized_ordered(random.Random(4), 3, 8)
+    path = instance_file(inst)
+    assert main(["rbf", path]) == EXIT_OK
+    default = json.loads(capsys.readouterr().out)
+    explicit = ",".join(default["thresholds"])
+    assert main(["rbf", path, "--thresholds", explicit]) == EXIT_OK
+    given = json.loads(capsys.readouterr().out)
+    assert given["thresholds"] == default["thresholds"]
+    assert given["allocation"] == default["allocation"]
+    assert given["transcript"] == default["transcript"]
+
+
+def test_node_budget_is_declared_only_where_a_search_runs():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    takes_budget = {
+        name
+        for name, parser in sub.choices.items()
+        if any("--node-budget" in a.option_strings for a in parser._actions)
+    }
+    assert takes_budget == {"mms", "ordinal", "verify"}
 
 
 def test_cmd_bobw_symmetric_expectations(instance_file, capsys):
@@ -254,6 +278,10 @@ _NO_AGENTS = {"agents": 0, "goods": 2, "valuations": []}
             ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "2"],
         ),
         ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "a,b"]),
+        ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--thresholds", "1,1,1"]),
+        ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "0,1,2"]),
+        # Only mms, ordinal and verify search, so only they take a budget.
+        ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--node-budget", "7"]),
         ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "2", "--node-budget", "-5"]),
         ({}, ["mms"]),
         ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "x"]),
@@ -274,7 +302,8 @@ _NO_AGENTS = {"agents": 0, "goods": 2, "valuations": []}
         ],
     ],
     ids=[
-        "string-row", "bool-agents", "int-bundle", "text-ranking", "negative-flag",
+        "string-row", "bool-agents", "int-bundle", "text-ranking", "threshold-count",
+        "rank-count", "rbf-node-budget", "negative-flag",
         "missing-args", "non-int-flag", "mms-d-over-cap", "verify-d-over-cap",
         "no-agents-mms-d-0", "no-agents-verify-d-0", "no-agents-verify-d-negative",
         "no-agents-verify-d-over-cap",

@@ -6,7 +6,7 @@ import inspect
 from pathlib import Path
 
 import mmskit
-from mmskit import oracle
+from mmskit import adversarial, oracle
 
 
 def _modules():
@@ -72,9 +72,10 @@ def test_perfbench_trace_targets_resolve():
     # perfbench/spans.py wraps these names from outside the package; a rename
     # or a changed oracle signature would otherwise break only `--trace 1`.
     spans = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
     (wrapped,) = [
         node.value
-        for node in ast.parse(spans.read_text(encoding="utf-8")).body
+        for node in tree.body
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]
     ]
     pairs = ast.literal_eval(wrapped)
@@ -86,3 +87,29 @@ def test_perfbench_trace_targets_resolve():
     ]
     assert missing == []
     inspect.signature(oracle.mms).bind(None, 0, 1, goods=None, node_budget=None)
+    # `install` also replaces module attributes, among them the responder
+    # classes it subclasses to count queries.
+    (install,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "install"]
+    replaced = {
+        (node.value.id, node.attr)
+        for stmt in ast.walk(install)
+        for node in (
+            stmt.bases if isinstance(stmt, ast.ClassDef)
+            else stmt.targets if isinstance(stmt, ast.Assign) else ()
+        )
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+    responders = {
+        ("rbf", "TruthfulResponder"),
+        ("adversarial", "TruthfulResponder"),
+        ("adversarial", "ScriptedHard2Responder"),
+    }
+    assert replaced >= responders
+    resolved = {
+        (module, attr): getattr(importlib.import_module(f"mmskit.{module}"), attr, None)
+        for module, attr in replaced
+    }
+    assert [pair for pair, obj in resolved.items() if obj is None] == []
+    assert all(inspect.isclass(resolved[pair]) for pair in responders)
+    # demonstrate_failure builds the (replaced) hard2 script from its family alone.
+    inspect.signature(adversarial.ScriptedHard2Responder).bind(None)

@@ -22,7 +22,7 @@ from mmskit import (
     run_rbf_truthful,
 )
 from mmskit.rbf import ReductionEvent, Transcript
-from mmskit.verify import check_witness
+from mmskit.verify import check_bag_pair_bounds, check_witness
 
 from _instances import random_instance, random_normalized_ordered
 
@@ -273,3 +273,34 @@ def test_unit_share_structure_needs_one_witness_per_agent():
     for witnesses in ((witness,), (witness,) * 3):
         with pytest.raises(InputError, match="one witness partition per agent"):
             check_unit_share_structure(inst, 2, witnesses)
+
+
+@pytest.mark.parametrize(
+    "row, d, expected",
+    [
+        (["1/2", "1/2", "1/2", "1/4"], 2, ["total value 7/4 != 2"]),
+        (["3/2", "1/4", "1/4", "0"], 2, ["top good worth 3/2 > 1"]),
+        # The middle pair is also the innermost tail.
+        (
+            ["1/2", "3/4", "1/2", "1/4"],
+            2,
+            ["middle pair worth 5/4 > 1", "pairs 2..2 sum to 5/4 > 1"],
+        ),
+        (["1/2", "2/5", "3/5", "1/2"], 2, ["good at position 2 worth 3/5 > 1/2"]),
+        (["0", "1", "1/2", "1/2", "1", "0"], 3, ["pairs 2..3 sum to 3 > 2"]),
+    ],
+    ids=["total", "top-good", "middle-pair", "good-d", "pair-tail"],
+)
+def test_unit_share_structure_reports_each_violation(row, d, expected):
+    inst = Instance.from_rows([row])
+    assert check_unit_share_structure(inst, d) == tuple(f"agent 0: {v}" for v in expected)
+
+
+def test_bag_pair_bounds_reports_each_violation():
+    assert check_bag_pair_bounds(Instance.from_rows([["1", "1/2"]])) == (
+        "agent 0, pair 1: bottom worth 1/2 > 1/3 despite pair value 3/2 > 1",
+    )
+    assert check_bag_pair_bounds(Instance.from_rows([["3/5", "3/5"]])) == (
+        "agent 0, pair 1: bottom worth 3/5 > 1/3 despite pair value 6/5 > 1",
+        "agent 0, pair 1: top worth 3/5 <= 2/3 despite pair value 6/5 > 1",
+    )
