@@ -199,6 +199,8 @@ class ScriptedHard2Responder:
 
     def __init__(self, family: "Hard2Family"):
         self.family = family
+        self.num_agents = family.n
+        self.num_goods = family.instance.num_goods
         self.decline_shapes = frozenset(
             reduction_shapes(range(family.instance.num_goods), family.n)
         )
@@ -353,9 +355,7 @@ def demonstrate_failure(
         alpha = Fraction(3 * n, 3 * n + i - 2)
         thresholds = _thresholds(n, i, alpha + Fraction(1, 1000), alpha, thresholds)
         fam = gen_hard1(n, i, _unit_fraction_below(thresholds.taus[-1] / 3))
-        alloc, transcript = run_rbf(
-            TruthfulResponder(fam.instance), n, fam.instance.num_goods, thresholds, ranking
-        )
+        alloc, transcript = run_rbf(TruthfulResponder(fam.instance), thresholds, ranking)
         # Every agent's share is 1; only the rich agents are meant to fall short.
         report = check_t_mms(fam.instance, alloc, ranking, thresholds, shares=(1,) * n)
         checks = [c for c in report.checks if c.agent in fam.rich_agents]
@@ -365,11 +365,7 @@ def demonstrate_failure(
         cap = fam.alpha + 2 * fam.epsilon
         default = min(Fraction(1), fam.alpha + 3 * fam.epsilon)
         thresholds = _thresholds(n, i, default, cap, thresholds)
-        script = ScriptedHard2Responder(fam)
-        alloc, transcript = run_rbf(
-            script, n, fam.instance.num_goods, thresholds, ranking,
-            fill_bag_chooser=script.choose_bag,
-        )
+        alloc, transcript = run_rbf(ScriptedHard2Responder(fam), thresholds, ranking)
         value = bundle_value(fam.instance, 0, alloc.bundles[fam.target_agent])
         checks = [AgentCheck(fam.target_agent, value, thresholds.taus[i - 1], value >= cap)]
         ran_out = transcript.ran_out_of_goods

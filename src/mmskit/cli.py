@@ -136,13 +136,11 @@ def _emit(payload: Any, output: str | None) -> None:
         print(text)
 
 
+# The parsers only parse; the library checks each list's length against the instance.
 def _parse_thresholds(spec: str, n: int) -> ThresholdList:
     if spec == "default":
         return priority_thresholds(n)
-    taus = tuple(as_fraction(part.strip()) for part in spec.split(","))
-    if len(taus) != n:
-        raise InputError(f"expected {n} thresholds, got {len(taus)}")
-    return ThresholdList(taus)
+    return ThresholdList(tuple(as_fraction(part.strip()) for part in spec.split(",")))
 
 
 def _parse_ranking(spec: str, n: int) -> PriorityRanking:
@@ -152,8 +150,6 @@ def _parse_ranking(spec: str, n: int) -> PriorityRanking:
         ranks = tuple(int(part.strip()) for part in spec.split(","))
     except ValueError as exc:
         raise InputError(f"ranking must be 'identity' or a list of ints, got {spec!r}") from exc
-    if len(ranks) != n:
-        raise InputError(f"expected {n} ranks, got {len(ranks)}")
     return PriorityRanking(ranks)
 
 

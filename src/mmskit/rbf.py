@@ -10,26 +10,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Protocol
+from typing import Iterable, Protocol
 
 from .core import Allocation, Instance, PriorityRanking, ThresholdList, bundle_value
 from .errors import GuaranteeViolation, InputError
 
 
 class ValueResponder(Protocol):
-    """Answers value queries for (agent, set of goods)."""
+    """Everything the allocator learns about a run: its size, the value of
+    each (agent, set of goods), and the open bag each loose good goes into."""
+
+    num_agents: int
+    num_goods: int
 
     def value(self, agent: int, goods: frozenset[int]) -> Fraction: ...
 
+    def choose_bag(self, open_bags: list[int]) -> int: ...
+
 
 class TruthfulResponder:
-    """Answers queries additively from a concrete instance."""
+    """Answers queries additively from an ordered unit-share instance, which
+    it validates on construction, and fills the lowest-index open bag."""
 
     def __init__(self, instance: Instance):
+        instance.require_ordered(instance.num_agents)
         self.instance = instance
+        self.num_agents = instance.num_agents
+        self.num_goods = instance.num_goods
 
     def value(self, agent: int, goods: frozenset[int]) -> Fraction:
         return bundle_value(self.instance, agent, goods)
+
+    def choose_bag(self, open_bags: list[int]) -> int:
+        return open_bags[0]
 
 
 def ord_st(goods: Iterable[int], positions: Iterable[int]) -> frozenset[int]:
@@ -102,11 +115,8 @@ def reduction_shapes(goods: Iterable[int], agents_left: int) -> list[frozenset[i
 
 def run_rbf(
     responder: ValueResponder,
-    n: int,
-    m: int,
     thresholds: ThresholdList,
     ranking: PriorityRanking | None = None,
-    fill_bag_chooser: Callable[[list[int]], int] | None = None,
 ) -> tuple[Allocation, Transcript]:
     """Two phases: order-statistic reductions, then bag filling.
 
@@ -114,18 +124,14 @@ def run_rbf(
     pair such that the ranked agent likes the shape's bundle, hands it over,
     and removes both. Phase 2 pairs the 2|N| most valuable remaining goods
     into |N| bags and serves the smallest-rank agent liking any bag; when
-    nobody likes anything, the most valuable loose good goes into the bag
-    picked by ``fill_bag_chooser`` (lowest index by default). If the loose
-    goods run out, the leftover bags go to the remaining agents in rank
-    order and the run is flagged, not failed.
-
-    When the responder is truthful, the instance must be ordered with every
-    agent valuing all goods at exactly n (unit shares); this is validated.
+    nobody likes anything, the most valuable loose good goes into the open
+    bag the responder chooses. If the loose goods run out, the leftover bags
+    go to the remaining agents in rank order and the run is flagged, not
+    failed. The responder gives the number of agents n and of goods m.
     """
+    n, m = responder.num_agents, responder.num_goods
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    if m < 0:
-        raise InputError(f"m must be >= 0, got {m}")
     if len(thresholds) != n:
         raise InputError(f"expected {n} thresholds, got {len(thresholds)}")
     if thresholds.taus and thresholds.taus[-1] <= 0:
@@ -133,14 +139,6 @@ def run_rbf(
     ranking = ranking if ranking is not None else PriorityRanking.identity(n)
     if ranking.num_agents != n:
         raise InputError(f"ranking covers {ranking.num_agents} agents, expected {n}")
-    if isinstance(responder, TruthfulResponder):
-        inst = responder.instance
-        if inst.num_agents != n or inst.num_goods != m:
-            raise InputError(
-                f"responder instance is {inst.num_agents}x{inst.num_goods}, "
-                f"engine was told {n}x{m}"
-            )
-        inst.require_ordered(n)
 
     by_rank = ranking.agents_by_rank()
     tau_of = {agent: thresholds.taus[rank] for rank, agent in enumerate(by_rank)}
@@ -221,9 +219,9 @@ def run_rbf(
                 bag_events.append(BagEvent("assign", b, agent=agent))
             elif loose:
                 g = loose.pop(0)
-                b = open_bags[0] if fill_bag_chooser is None else fill_bag_chooser(list(open_bags))
+                b = responder.choose_bag(list(open_bags))
                 if b not in open_bags:
-                    raise InputError(f"fill_bag_chooser picked a closed bag {b}")
+                    raise InputError(f"responder picked a closed bag {b}")
                 bags[b].add(g)
                 bag_events.append(BagEvent("fill", b, good=g))
             else:
@@ -257,7 +255,5 @@ def run_rbf_truthful(
     ranking: PriorityRanking | None = None,
 ) -> tuple[Allocation, Transcript]:
     """Run the allocator on a concrete ordered unit-share instance."""
-    return run_rbf(
-        TruthfulResponder(inst), inst.num_agents, inst.num_goods, thresholds, ranking
-    )
+    return run_rbf(TruthfulResponder(inst), thresholds, ranking)
 

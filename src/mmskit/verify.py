@@ -66,9 +66,15 @@ def check_targets(
 
 
 def _shares(
-    inst: Instance, d: int, node_budget: int | None, shares: Sequence[RationalLike] | None
+    inst: Instance, alloc: Allocation, d: int, node_budget: int | None,
+    shares: Sequence[RationalLike] | None,
 ) -> list[Fraction]:
-    """The given shares, one exact Fraction per agent, else the oracle's d-shares."""
+    """The given shares, one exact Fraction per agent, else the oracle's d-shares;
+    a mismatched allocation is rejected before the oracle spends any budget."""
+    if alloc.num_agents != inst.num_agents:
+        raise InputError(
+            f"allocation has {alloc.num_agents} bundles, instance {inst.num_agents} agents"
+        )
     if shares is None:
         return [r.value for r in oracle.mms_all(inst, d, node_budget=node_budget)]
     if len(shares) != inst.num_agents:
@@ -84,12 +90,7 @@ def check_1_out_of_d(
     shares: Sequence[RationalLike] | None = None,
 ) -> GuaranteeReport:
     """Per-agent exact comparison against the d-bundle share; known ``shares`` skip the oracle."""
-    # Reject a mismatched allocation before the oracle spends any budget.
-    if alloc.num_agents != inst.num_agents:
-        raise InputError(
-            f"allocation has {alloc.num_agents} bundles, instance {inst.num_agents} agents"
-        )
-    return check_targets(inst, alloc, _shares(inst, d, node_budget, shares))
+    return check_targets(inst, alloc, _shares(inst, alloc, d, node_budget, shares))
 
 
 def check_t_mms(
@@ -108,11 +109,13 @@ def check_t_mms(
     example all 1 on a unit-share instance, and the oracle is not called.
     """
     n = inst.num_agents
-    if alloc.num_agents != n or ranking.num_agents != n or len(thresholds) != n:
-        raise InputError("allocation, ranking and thresholds must match the instance")
+    if len(thresholds) != n:
+        raise InputError(f"expected {n} thresholds, got {len(thresholds)}")
+    if ranking.num_agents != n:
+        raise InputError(f"ranking covers {ranking.num_agents} agents, expected {n}")
     targets = [
         thresholds.taus[ranking.rank_of[i]] * share
-        for i, share in enumerate(_shares(inst, n, node_budget, shares))
+        for i, share in enumerate(_shares(inst, alloc, n, node_budget, shares))
     ]
     return check_targets(inst, alloc, targets)
 

@@ -1,10 +1,13 @@
 """CLI: JSON round-trips, subcommand behaviour, exit codes."""
 
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmskit import Allocation, Instance, ThresholdList
 from mmskit.cli import (
@@ -258,6 +261,7 @@ def test_deterministic_output(instance_file, capsys):
 
 
 _UNIT_PAIR = {"agents": 2, "goods": 4, "valuations": [["1/2"] * 4] * 2}
+_UNIT_PAIR_ALLOCATION = {"bundles": [[0, 1], [2, 3]]}
 _ONE_ROW = {"agents": 1, "goods": 3, "valuations": [[1, 2, 3]]}
 _NO_AGENTS = {"agents": 0, "goods": 2, "valuations": []}
 
@@ -280,6 +284,14 @@ _NO_AGENTS = {"agents": 0, "goods": 2, "valuations": []}
         ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "a,b"]),
         ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--thresholds", "1,1,1"]),
         ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "0,1,2"]),
+        (
+            {"inst": _UNIT_PAIR, "alloc": _UNIT_PAIR_ALLOCATION},
+            ["verify", "{inst}", "{alloc}", "--mode", "tmms", "--thresholds", "1,1,1"],
+        ),
+        (
+            {"inst": _UNIT_PAIR, "alloc": _UNIT_PAIR_ALLOCATION},
+            ["verify", "{inst}", "{alloc}", "--mode", "tmms", "--ranking", "0,1,2"],
+        ),
         # Only mms, ordinal and verify search, so only they take a budget.
         ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--node-budget", "7"]),
         ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "2", "--node-budget", "-5"]),
@@ -303,7 +315,8 @@ _NO_AGENTS = {"agents": 0, "goods": 2, "valuations": []}
     ],
     ids=[
         "string-row", "bool-agents", "int-bundle", "text-ranking", "threshold-count",
-        "rank-count", "rbf-node-budget", "negative-flag",
+        "rank-count", "verify-threshold-count", "verify-rank-count", "rbf-node-budget",
+        "negative-flag",
         "missing-args", "non-int-flag", "mms-d-over-cap", "verify-d-over-cap",
         "no-agents-mms-d-0", "no-agents-verify-d-0", "no-agents-verify-d-negative",
         "no-agents-verify-d-over-cap",
@@ -318,6 +331,33 @@ def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, files, argv
     assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rbf", "{inst}", "--thresholds", "1,1,1"], "expected 2 thresholds, got 3"),
+        (["rbf", "{inst}", "--ranking", "0,1,2"], "ranking covers 3 agents, expected 2"),
+        (["bobw", "{inst}", "--thresholds", "1,1,1"], "expected 2 thresholds, got 3"),
+        (
+            ["verify", "{inst}", "{alloc}", "--mode", "tmms", "--thresholds", "1,1,1"],
+            "expected 2 thresholds, got 3",
+        ),
+        (
+            ["verify", "{inst}", "{alloc}", "--mode", "tmms", "--ranking", "0,1,2"],
+            "ranking covers 3 agents, expected 2",
+        ),
+    ],
+    ids=["rbf-thresholds", "rbf-ranking", "bobw-thresholds", "verify-thresholds", "verify-ranking"],
+)
+def test_list_lengths_are_reported_in_one_wording(tmp_path, capsys, argv, message):
+    paths = {}
+    for name, obj in (("inst", _UNIT_PAIR), ("alloc", _UNIT_PAIR_ALLOCATION)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -342,3 +382,59 @@ def test_help_still_exits_zero(capsys):
         main(["mms", "--help"])
     assert exc.value.code == 0
     assert "--d" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed list flags
+
+
+@pytest.fixture(scope="module")
+def unit_share_files(tmp_path_factory):
+    """Instance and allocation files of 2 and 3 agents, each agent's share 1."""
+    root = tmp_path_factory.mktemp("unit")
+    files = {}
+    for n in (2, 3):
+        inst = {"agents": n, "goods": 2 * n, "valuations": [["1/2"] * (2 * n)] * n}
+        alloc = {"bundles": [[2 * i, 2 * i + 1] for i in range(n)]}
+        for name, obj in (("inst", inst), ("alloc", alloc)):
+            path = root / f"{name}{n}.json"
+            path.write_text(json.dumps(obj))
+            files[name, n] = str(path)
+    return files
+
+
+# Raw text, or valid lists of 1 to 4 entries, so that the library's length checks run too.
+_LIST_TEXT = st.text(alphabet="0123456789/,-. e", max_size=30)
+_THRESHOLD_LISTS = st.lists(st.sampled_from(["1", "9/10", "3/4", "1/2"]), min_size=1, max_size=4).map(
+    lambda taus: ",".join(sorted(taus, key=Fraction, reverse=True))
+)
+_RANK_LISTS = st.integers(1, 4).flatmap(lambda k: st.permutations([str(r) for r in range(k)])).map(",".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["rbf", "bobw", "verify"]),
+    n=st.sampled_from([2, 3]),
+    thresholds=st.none() | _LIST_TEXT | _THRESHOLD_LISTS,
+    ranking=st.none() | _LIST_TEXT | _RANK_LISTS,
+)
+def test_list_flags_end_in_a_result_or_one_input_error(
+    unit_share_files, command, n, thresholds, ranking
+):
+    argv = [command, unit_share_files["inst", n]]
+    if command == "verify":
+        argv += [unit_share_files["alloc", n], "--mode", "tmms"]
+    if thresholds is not None:
+        argv += ["--thresholds", thresholds]
+    if ranking is not None and command != "bobw":  # bobw runs every rotation
+        argv += ["--ranking", ranking]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    stderr = err.getvalue()
+    assert "Traceback" not in stderr
+    if code == EXIT_OK:
+        assert stderr == ""
+    else:
+        assert code == EXIT_INPUT
+        assert stderr.startswith("input error: ") and stderr.count("\n") == 1

@@ -6,7 +6,7 @@ import inspect
 from pathlib import Path
 
 import mmskit
-from mmskit import adversarial, oracle
+from mmskit import Instance, adversarial, oracle, rbf
 
 
 def _modules():
@@ -113,3 +113,11 @@ def test_perfbench_trace_targets_resolve():
     assert all(inspect.isclass(resolved[pair]) for pair in responders)
     # demonstrate_failure builds the (replaced) hard2 script from its family alone.
     inspect.signature(adversarial.ScriptedHard2Responder).bind(None)
+    # The counting subclasses override only `value`; the engine reads the rest
+    # of the responder protocol from the classes they extend.
+    members = ("num_agents", "num_goods", "value", "choose_bag")
+    instances = [
+        rbf.TruthfulResponder(Instance.from_rows([[1]])),
+        adversarial.ScriptedHard2Responder(adversarial.gen_hard2_responders(2, 2, 1, 0, 3)),
+    ]
+    assert [(type(r).__name__, m) for r in instances for m in members if not hasattr(r, m)] == []

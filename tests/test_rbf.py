@@ -10,13 +10,17 @@ from mmskit import (
     InputError,
     PriorityRanking,
     ThresholdList,
+    TruthfulResponder,
     bundle_value,
     check_transcript,
+    gen_hard2_responders,
     ord_st,
     priority_thresholds,
     run_rbf,
     run_rbf_truthful,
 )
+from mmskit.adversarial import ScriptedHard2Responder
+from mmskit.cli import allocation_to_json, transcript_to_json
 from mmskit.verify import check_bag_pair_bounds
 
 from _instances import random_normalized_ordered
@@ -93,17 +97,21 @@ def test_threshold_validation():
     inst, _ = random_normalized_ordered(random.Random(0), 2, 5)
     with pytest.raises(InputError):
         run_rbf_truthful(inst, ThresholdList((Fraction(1), Fraction(0))))
-    with pytest.raises(InputError):
+    # The lengths are checked against the responder's number of agents.
+    with pytest.raises(InputError, match="^expected 2 thresholds, got 1$"):
         run_rbf_truthful(inst, ThresholdList((Fraction(1),)))
+    with pytest.raises(InputError, match="^ranking covers 3 agents, expected 2$"):
+        run_rbf_truthful(inst, ThresholdList.constant(2, 1), PriorityRanking.identity(3))
 
 
 def test_truthful_input_validation():
     unordered = Instance.from_rows([[1, 2], [2, 1]])
-    with pytest.raises(InputError):
-        run_rbf_truthful(unordered, ThresholdList.constant(2, Fraction(1, 2)))
     not_unit = Instance.from_rows([[2, 1], [2, 1]])
-    with pytest.raises(InputError):
-        run_rbf_truthful(not_unit, ThresholdList.constant(2, Fraction(1, 2)))
+    for inst in (unordered, not_unit):
+        with pytest.raises(InputError):
+            TruthfulResponder(inst)  # before any run
+        with pytest.raises(InputError):
+            run_rbf_truthful(inst, ThresholdList.constant(2, Fraction(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +243,17 @@ def test_bag_pair_bounds_on_unit_share_instances():
 class _FlatResponder:
     """Likes nothing: forces pure bag filling into the leftover path."""
 
+    def __init__(self, n, m, pick=lambda open_bags: open_bags[0]):
+        self.num_agents, self.num_goods = n, m
+        self.choose_bag = pick
+
     def value(self, agent, goods):
         return Fraction(0)
 
 
 def test_scripted_runs_reach_the_leftover_path():
     n, m = 3, 8
-    alloc, tr = run_rbf(
-        _FlatResponder(), n, m, ThresholdList.constant(n, Fraction(1, 2))
-    )
+    alloc, tr = run_rbf(_FlatResponder(n, m), ThresholdList.constant(n, Fraction(1, 2)))
     assert tr.ran_out_of_goods
     assert not any(tr.satisfied)
     assert frozenset().union(*alloc.bundles, alloc.unallocated) == frozenset(range(m))
@@ -251,14 +261,173 @@ def test_scripted_runs_reach_the_leftover_path():
 
 def test_fill_bag_chooser_override():
     n, m = 2, 8
-    seen = []
+    responder = _FlatResponder(n, m, pick=lambda open_bags: open_bags[-1])
+    _, tr = run_rbf(responder, ThresholdList.constant(n, Fraction(1, 2)))
+    assert [e.bag for e in tr.bag_events if e.kind == "fill"] == [1] * (m - 2 * n)
 
-    def chooser(open_bags):
-        seen.append(tuple(open_bags))
+
+def test_a_closed_bag_is_an_input_error():
+    responder = _FlatResponder(2, 8, pick=lambda open_bags: 7)
+    with pytest.raises(InputError, match="^responder picked a closed bag 7$"):
+        run_rbf(responder, ThresholdList.constant(2, Fraction(1, 2)))
+
+
+# Fixed runs through each path of the engine, pinned to the transcript and
+# allocation JSON it produced when recorded. The 4x9 instance takes
+# reductions of types 1, 4, 3, 2 and, under a rotated ranking, 1, 1, 2, 3;
+# the 2x8 instance goes straight to bag filling.
+_FOUR_BY_NINE = Instance.from_rows(
+    [
+        ["1", "7/12", "3/7", "5/12", "7/18", "7/18", "5/14", "2/9", "3/14"],
+        ["6/7", "4/5", "8/11", "9/23", "8/23", "3/11", "6/23", "1/5", "1/7"],
+        ["1", "3/4", "7/11", "5/12", "4/11", "1/3", "1/4", "1/6", "1/12"],
+        ["1", "3/4", "2/3", "2/5", "1/3", "1/4", "1/5", "1/5", "1/5"],
+    ]
+)
+_TWO_BY_EIGHT = Instance.from_rows(
+    [
+        ["1/2", "1/2", "9/31", "8/31", "6/31", "4/31", "3/31", "1/31"],
+        ["3/8", "3/8", "2/7", "1/4", "5/21", "5/21", "1/7", "2/21"],
+    ]
+)
+
+
+class _LastBagResponder(TruthfulResponder):
+    """Truthful answers; each loose good goes into the highest-index open bag."""
+
+    def choose_bag(self, open_bags):
         return open_bags[-1]
 
-    run_rbf(
-        _FlatResponder(), n, m, ThresholdList.constant(n, Fraction(1, 2)),
-        fill_bag_chooser=chooser,
-    )
-    assert seen  # the override was consulted
+
+_PINNED_INPUTS = {
+    "four-types": lambda: run_rbf(TruthfulResponder(_FOUR_BY_NINE), priority_thresholds(4)),
+    "rotated": lambda: run_rbf(
+        TruthfulResponder(_FOUR_BY_NINE), priority_thresholds(4), PriorityRanking.rotation(4, 1)
+    ),
+    "leftover": lambda: run_rbf(TruthfulResponder(_TWO_BY_EIGHT), ThresholdList.constant(2, 1)),
+    "custom-choose-bag": lambda: run_rbf(_LastBagResponder(_TWO_BY_EIGHT), priority_thresholds(2)),
+    # The demo's default thresholds for hard2 at n = 3, i = 2, k1 = 1, k2 = 0, t = 3.
+    "hard2": lambda: run_rbf(
+        ScriptedHard2Responder(gen_hard2_responders(3, 2, 1, 0, 3)), ThresholdList.constant(3, 1)
+    ),
+}
+
+_PINNED_RUNS = {
+    "four-types": {
+        "allocation": {"bundles": [[0], [1, 7], [4, 5, 6], [2, 3]], "unallocated": [8]},
+        "transcript": {
+            "agents": 4,
+            "goods": 9,
+            "reductions": [
+                {"agent": 0, "agentsBefore": 4, "bundle": [0], "goodsBefore": 9, "type": 1},
+                {"agent": 1, "agentsBefore": 3, "bundle": [1, 7], "goodsBefore": 8, "type": 4},
+                {"agent": 2, "agentsBefore": 2, "bundle": [4, 5, 6], "goodsBefore": 6, "type": 3},
+                {"agent": 3, "agentsBefore": 1, "bundle": [2, 3], "goodsBefore": 3, "type": 2},
+            ],
+            "bagEvents": [],
+            "initialBags": [],
+            "phase2Agents": [],
+            "phase2Goods": [8],
+            "ranOutOfGoods": False,
+            "satisfied": [True, True, True, True],
+        },
+    },
+    "rotated": {
+        "allocation": {"bundles": [[2, 5, 6], [1], [3, 4], [0]], "unallocated": [7, 8]},
+        "transcript": {
+            "agents": 4,
+            "goods": 9,
+            "reductions": [
+                {"agent": 3, "agentsBefore": 4, "bundle": [0], "goodsBefore": 9, "type": 1},
+                {"agent": 1, "agentsBefore": 3, "bundle": [1], "goodsBefore": 8, "type": 1},
+                {"agent": 2, "agentsBefore": 2, "bundle": [3, 4], "goodsBefore": 7, "type": 2},
+                {"agent": 0, "agentsBefore": 1, "bundle": [2, 5, 6], "goodsBefore": 5, "type": 3},
+            ],
+            "bagEvents": [],
+            "initialBags": [],
+            "phase2Agents": [],
+            "phase2Goods": [7, 8],
+            "ranOutOfGoods": False,
+            "satisfied": [True, True, True, True],
+        },
+    },
+    "leftover": {
+        "allocation": {"bundles": [[0, 3, 4, 5], [1, 2, 6, 7]], "unallocated": []},
+        "transcript": {
+            "agents": 2,
+            "goods": 8,
+            "reductions": [],
+            "bagEvents": [
+                {"bag": 0, "good": 4, "kind": "fill"},
+                {"bag": 0, "good": 5, "kind": "fill"},
+                {"agent": 0, "bag": 0, "kind": "assign"},
+                {"bag": 1, "good": 6, "kind": "fill"},
+                {"bag": 1, "good": 7, "kind": "fill"},
+                {"agent": 1, "bag": 1, "kind": "leftover"},
+            ],
+            "initialBags": [[0, 3], [1, 2]],
+            "phase2Agents": [0, 1],
+            "phase2Goods": [0, 1, 2, 3, 4, 5, 6, 7],
+            "ranOutOfGoods": True,
+            "satisfied": [True, False],
+        },
+    },
+    "custom-choose-bag": {
+        "allocation": {"bundles": [[0, 3, 5, 6, 7], [1, 2, 4]], "unallocated": []},
+        "transcript": {
+            "agents": 2,
+            "goods": 8,
+            "reductions": [],
+            "bagEvents": [
+                {"bag": 1, "good": 4, "kind": "fill"},
+                {"agent": 1, "bag": 1, "kind": "assign"},
+                {"bag": 0, "good": 5, "kind": "fill"},
+                {"bag": 0, "good": 6, "kind": "fill"},
+                {"bag": 0, "good": 7, "kind": "fill"},
+                {"agent": 0, "bag": 0, "kind": "assign"},
+            ],
+            "initialBags": [[0, 3], [1, 2]],
+            "phase2Agents": [0, 1],
+            "phase2Goods": [0, 1, 2, 3, 4, 5, 6, 7],
+            "ranOutOfGoods": False,
+            "satisfied": [True, True],
+        },
+    },
+    "hard2": {
+        "allocation": {"bundles": [[0, 5], [1, 4, 6, 8, 10, 12, 14, 16], [2, 3, 7, 9, 11, 13, 15, 17]], "unallocated": []},
+        "transcript": {
+            "agents": 3,
+            "goods": 18,
+            "reductions": [],
+            "bagEvents": [
+                {"agent": 0, "bag": 0, "kind": "assign"},
+                {"bag": 1, "good": 6, "kind": "fill"},
+                {"bag": 2, "good": 7, "kind": "fill"},
+                {"bag": 1, "good": 8, "kind": "fill"},
+                {"bag": 2, "good": 9, "kind": "fill"},
+                {"bag": 1, "good": 10, "kind": "fill"},
+                {"bag": 2, "good": 11, "kind": "fill"},
+                {"bag": 1, "good": 12, "kind": "fill"},
+                {"bag": 2, "good": 13, "kind": "fill"},
+                {"bag": 1, "good": 14, "kind": "fill"},
+                {"bag": 2, "good": 15, "kind": "fill"},
+                {"bag": 1, "good": 16, "kind": "fill"},
+                {"bag": 2, "good": 17, "kind": "fill"},
+                {"agent": 1, "bag": 1, "kind": "leftover"},
+                {"agent": 2, "bag": 2, "kind": "leftover"},
+            ],
+            "initialBags": [[0, 5], [1, 4], [2, 3]],
+            "phase2Agents": [0, 1, 2],
+            "phase2Goods": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17],
+            "ranOutOfGoods": True,
+            "satisfied": [True, False, False],
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_transcripts_are_pinned(name):
+    alloc, tr = _PINNED_INPUTS[name]()
+    assert transcript_to_json(tr) == _PINNED_RUNS[name]["transcript"]
+    assert allocation_to_json(alloc) == _PINNED_RUNS[name]["allocation"]

@@ -73,6 +73,24 @@ def test_t_mms_known_shares_skip_the_oracle_and_stay_exact(monkeypatch):
             check_t_mms(inst, alloc, ranking, thresholds, shares=shares)
 
 
+def test_t_mms_rejects_mismatched_lists_before_the_oracle(monkeypatch):
+    inst = Instance.from_rows([[1, 1], [1, 1]])
+    alloc = Allocation((frozenset({0}), frozenset({1})))
+    ranking, thresholds = PriorityRanking.identity(2), priority_thresholds(2)
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle was called")
+
+    monkeypatch.setattr(oracle, "mms_all", no_oracle)
+    one_bundle = Allocation((frozenset({0, 1}),))
+    with pytest.raises(InputError, match="^allocation has 1 bundles, instance 2 agents$"):
+        check_t_mms(inst, one_bundle, ranking, thresholds)
+    with pytest.raises(InputError, match="^expected 2 thresholds, got 3$"):
+        check_t_mms(inst, alloc, ranking, priority_thresholds(3))
+    with pytest.raises(InputError, match="^ranking covers 3 agents, expected 2$"):
+        check_t_mms(inst, alloc, PriorityRanking.identity(3), thresholds)
+
+
 def test_1_out_of_d_known_shares_skip_the_oracle_and_stay_exact(monkeypatch):
     inst = Instance.from_rows([[1, 1], [1, 1]])
     alloc = Allocation((frozenset({0}), frozenset({1})))
