@@ -7,10 +7,13 @@ logarithms are enclosed in rational intervals (series with an explicit tail
 bound) at 50+ decimal digits, so every certified comparison is a plain
 rational comparison.
 
-Each averaged bound is one ``_AverageBound``. One engine, ``_certify``, serves
-closed forms and range sweeps: it sums the harmonic window by exact binary
-splitting (Haible and Papanikolaou, 1998) and cross-multiplies the unreduced
-sum against the bound's certified constant.
+Each averaged bound is one ``_AverageBound``. Range sweeps decide each n from
+a fixed-point enclosure of the bound's harmonic window: a running integer sum
+of ``2**WINDOW_BITS // j`` that slides from one n to the next in O(1) memory.
+Its conservative end is cross-multiplied against the bound's certified
+constant. The exact engine, ``_certify``, sums the window by binary splitting
+(Haible and Papanikolaou, 1998); it serves the closed forms and every n the
+enclosure cannot prove, so each ``GuaranteeViolation`` comes from it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .rbf import priority_thresholds, run_rbf_truthful
 
 ENCLOSURE_DIGITS = 55
 DECIMAL_DIGITS = 50  # digits after the point in a rendered closed form
+WINDOW_BITS = 128  # fixed point of a sweep's window sum
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +184,23 @@ _HARD2 = _AverageBound(
 )
 
 
+def _check_n(n: object, least: int | None = None) -> None:
+    """The one check of a bound function's n: an int, not a bool, and >= least."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(f"n must be an integer, got {n!r}")
+    if least is not None and n < least:
+        raise InputError(f"n must be >= {least}, got {n}")
+
+
 def _certify(bound: _AverageBound, n: int) -> tuple[int, int]:
-    """The average at n as an unreduced (numerator, denominator) pair, certified
-    against ``bound.constant(n)`` by cross-multiplication."""
-    if n < bound.least_n:
-        raise InputError(f"n must be >= {bound.least_n}, got {n}")
+    """The exact average at n as an unreduced (numerator, denominator) pair,
+    certified against ``bound.constant(n)`` by cross-multiplication.
+
+    It sums the harmonic window by binary splitting, so its cost grows with
+    n. The closed forms call it, and so do sweeps for each n their window
+    enclosure cannot prove; it is the only source of ``GuaranteeViolation``.
+    """
+    _check_n(n, bound.least_n)
     flat, c, a, b = bound.split(n)
     p, q = _reciprocal_range_sum(a, b)
     num = flat.numerator * q + c * p * flat.denominator
@@ -226,18 +242,55 @@ def hard2_upper_bound(n: int) -> tuple[Fraction, str]:
     return _closed_form(_HARD2, n)
 
 
+def _fixed_sum(a: int, b: int) -> int:
+    """sum_{j=a}^{b} 2**WINDOW_BITS // j; 0 when a > b."""
+    return sum((1 << WINDOW_BITS) // j for j in range(a, b + 1))
+
+
+def _sweep(lo: int, hi: int, *bounds: _AverageBound) -> None:
+    """Certify each bound, in the given order, at every n in [lo, hi] from its least_n.
+
+    Each bound keeps its window (a, b) and W = _fixed_sum(a, b), moved to the
+    next n's window by adding the terms that enter and subtracting those that
+    leave. Then sum_{j=a}^{b} 1/j lies in [W, W + b - a + 1] / 2**WINDOW_BITS,
+    and the end on the bound's conservative side gives an integer fraction
+    for the average. An n where that fraction does not strictly beat
+    ``bound.constant(n)`` (undecided, a tie or a failure) goes to ``_certify``.
+    """
+    _check_n(hi)
+    _check_n(lo)
+    if lo > hi:
+        return
+    _check_n(lo, min(bound.least_n for bound in bounds))
+    windows: list[tuple[int, int, int] | None] = [None] * len(bounds)
+    for n in range(lo, hi + 1):
+        for k, bound in enumerate(bounds):
+            if n < bound.least_n:
+                continue
+            flat, c, a, b = bound.split(n)
+            a0, b0, W = windows[k] or (a, a - 1, 0)
+            # W stays _fixed_sum(1, b) - _fixed_sum(1, a - 1) through every move.
+            W += _fixed_sum(b0 + 1, b) - _fixed_sum(b + 1, b0)
+            W += _fixed_sum(a, a0 - 1) - _fixed_sum(a0, a - 1)
+            windows[k] = a, b, W
+            s = 0 if a > b else W if bound.floor else W + b - a + 1
+            num = (flat.numerator << WINDOW_BITS) + c * s * flat.denominator
+            den = (n * flat.denominator) << WINDOW_BITS
+            constant = bound.constant(n)
+            lhs, rhs = num * constant.denominator, constant.numerator * den
+            if not (lhs > rhs if bound.floor else lhs < rhs):
+                _certify(bound, n)
+
+
 def verify_gamma_bound_range(lo: int, hi: int) -> None:
     """Assert the gamma floor for every n in [lo, hi]."""
-    for n in range(lo, hi + 1):
-        _certify(_GAMMA, n)
+    _sweep(lo, hi, _GAMMA)
 
 
 def verify_hard_bound_range(lo: int, hi: int) -> None:
-    """Assert both hard-family ceilings for every n in [lo, hi], hard1 from n = 2."""
-    for n in range(lo, hi + 1):
-        _certify(_HARD2, n)
-        if n >= _HARD1.least_n:
-            _certify(_HARD1, n)
+    """Assert both hard-family ceilings for every n in [lo, hi], hard1 from n = 2;
+    at each n, hard2 is decided first."""
+    _sweep(lo, hi, _HARD2, _HARD1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +350,7 @@ def integral_bound_check(values: Sequence[Fraction], integral: IntegralValue) ->
 
 def integral_check_gamma(n: int) -> bool:
     """Sandwich check for the average-threshold curve on [0, n-1]."""
+    _check_n(n, 1)
     values = priority_thresholds(n).taus
     beta = Fraction(2 * n * (3 * n - 1), 9 * n + 1)  # branch switch point
     end = Fraction(n - 1)
@@ -313,8 +367,7 @@ def integral_check_gamma(n: int) -> bool:
 
 def integral_check_hard1(n: int) -> bool:
     """Sandwich check for 3n/(3n+x) on [0, n-2]."""
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
+    _check_n(n, 2)
     values = [Fraction(3 * n, 3 * n + x) for x in range(n - 1)]
     integral = IntegralValue(
         log_terms=((Fraction(3 * n), Fraction(4 * n - 2, 3 * n)),)
@@ -324,8 +377,7 @@ def integral_check_hard1(n: int) -> bool:
 
 def integral_check_hard2(n: int) -> bool:
     """Sandwich check for the oblivious-family curve on [0, n-1]."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    _check_n(n, 1)
     values = [
         min(Fraction(3 * n, 3 * n + x - 1), max(Fraction(5, 6), 1 - Fraction(x, 3 * n)))
         for x in range(n)

@@ -289,6 +289,25 @@ def test_every_bound_function_rejects_n_below_one(function, extra_args, n):
         function(n, *extra_args)
 
 
+@pytest.mark.parametrize("n", [2.5, "2", None, True], ids=repr)
+@pytest.mark.parametrize(
+    "function, extra_args", _BOUND_CALLS, ids=[f.__name__ for f, _ in _BOUND_CALLS]
+)
+def test_every_bound_function_rejects_an_n_that_is_not_an_int(function, extra_args, n):
+    # A float or string was a raw TypeError, and True was taken as n = 1.
+    with pytest.raises(InputError, match="n must be an integer"):
+        function(n, *extra_args)
+    if extra_args:  # a sweep checks its hi too, even when the range is empty
+        for lo in (1, 5):
+            with pytest.raises(InputError, match="n must be an integer"):
+                function(lo, n)
+
+
+def test_an_empty_sweep_is_a_no_op():
+    verify_gamma_bound_range(0, -1)
+    verify_hard_bound_range(5, 4)
+
+
 @pytest.mark.parametrize(
     "record, closed_form, sweep",
     [
@@ -298,22 +317,71 @@ def test_every_bound_function_rejects_n_below_one(function, extra_args, n):
     ],
 )
 def test_a_bound_moved_past_the_exact_average_fails(monkeypatch, record, closed_form, sweep):
-    # At n = 5 the bound's constant is replaced by the exact average, then by
-    # the exact average moved 1/10^6 to the failing side; other n keep theirs.
-    n = 5
+    # At n the bound's constant is replaced by the exact average, then by the
+    # exact average moved 1/10^6 to the failing side; other n keep theirs. At
+    # n = 9000 the sweep's window holds thousands of terms, so the tie and the
+    # failure both reach the exact fallback from a fixed-point enclosure.
     bound = getattr(bobw, record)
-    exact, _ = closed_form(n)
     step = Fraction(1, 10**6) if bound.floor else -Fraction(1, 10**6)
-    for shift, fails in ((0, False), (step, True)):
-        moved = dataclasses.replace(
-            bound, constant=lambda m: exact + shift if m == n else bound.constant(m)
-        )
-        monkeypatch.setattr(bobw, record, moved)
-        if fails:
-            with pytest.raises(GuaranteeViolation, match="n=5"):
-                closed_form(n)
-            with pytest.raises(GuaranteeViolation, match="n=5"):
+    for n in (5, 9000):
+        exact, _ = closed_form(n)
+        for shift, fails in ((0, False), (step, True)):
+            moved = dataclasses.replace(
+                bound, constant=lambda m: exact + shift if m == n else bound.constant(m)
+            )
+            monkeypatch.setattr(bobw, record, moved)
+            if fails:
+                with pytest.raises(GuaranteeViolation, match=f"n={n}$"):
+                    closed_form(n)
+                with pytest.raises(GuaranteeViolation, match=f"n={n}$"):
+                    sweep(n - 1, n + 1)
+            else:  # both comparisons are inclusive
+                assert closed_form(n)[0] == exact
                 sweep(n - 1, n + 1)
-        else:  # both comparisons are inclusive
-            assert closed_form(n)[0] == exact
-            sweep(n - 1, n + 1)
+        monkeypatch.setattr(bobw, record, bound)
+
+
+def test_the_full_sweeps_need_no_exact_fallback(monkeypatch):
+    # The machine-independent cost of criteria 5 and 6: every n up to 10^4
+    # is proved by its window enclosure alone.
+    fallbacks = []
+    monkeypatch.setattr(bobw, "_certify", lambda bound, n: fallbacks.append((bound.name, n)))
+    verify_gamma_bound_range(1, 10_000)
+    verify_hard_bound_range(1, 10_000)
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("record", ["_GAMMA", "_HARD1", "_HARD2"])
+def test_the_sweep_verdict_equals_the_exact_verdict(monkeypatch, record):
+    # Each n gets a constant at a seeded offset from its exact average: far on
+    # either side, inside the window enclosure's width, or a tie. One sweep over
+    # n = 1..1500 must fail exactly the n whose offset is on the failing side;
+    # a failure is recorded, not raised, so the sweep goes on sliding its window.
+    bound = getattr(bobw, record)
+    sweep = verify_gamma_bound_range if record == "_GAMMA" else verify_hard_bound_range
+    rng = random.Random(11)
+    offsets = [0, Fraction(1, 10**6), Fraction(1, 10**30), Fraction(1, 10**45)]
+    constants, expected = {}, set()
+    for n in range(bound.least_n, 1501):
+        num, den = bobw._certify(bound, n)
+        offset = rng.choice((-1, 1)) * rng.choice(offsets)
+        constants[n] = Fraction(num, den) + offset
+        if (offset > 0) if bound.floor else (offset < 0):
+            expected.add(n)
+    moved = dataclasses.replace(bound, constant=constants.__getitem__)
+    assert 0 < len(expected) < len(constants)
+
+    certify = bobw._certify
+    failed = set()
+
+    def recording_certify(b, n):
+        try:
+            return certify(b, n)
+        except GuaranteeViolation:
+            assert b is moved
+            failed.add(n)
+
+    monkeypatch.setattr(bobw, record, moved)
+    monkeypatch.setattr(bobw, "_certify", recording_certify)
+    sweep(1, 1500)
+    assert failed == expected
