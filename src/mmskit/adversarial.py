@@ -23,6 +23,7 @@ from .core import (
     ThresholdList,
     as_fraction,
     bundle_value,
+    check_int,
 )
 from .errors import GuaranteeViolation, InputError
 from .ordinal import run_ordinal
@@ -49,19 +50,15 @@ class HardInstanceSpec:
     def __post_init__(self):
         if self.family not in ("ordinalTight", "hard1", "hard2"):
             raise InputError(f"unknown family {self.family!r}")
-        if self.n < 2:
-            raise InputError(f"n must be >= 2, got {self.n}")
+        check_int("n", self.n, 3 if self.family == "hard1" else 2)
         if self.family == "hard1":
-            if self.n < 3 or self.i is None or not 3 <= self.i <= self.n:
-                raise InputError("hard1 needs n >= 3 and a target rank 3 <= i <= n")
+            check_int("i", self.i, 3, self.n)
             return  # hard1's size is set by epsilon, which gen_hard1 caps
         if self.family == "hard2":
-            if self.i is None or self.k1 is None or self.k2 is None or self.t is None:
-                raise InputError("hard2 needs i, k1, k2, t")
-            if not 2 <= self.i <= self.n:
-                raise InputError("hard2 needs a target rank 2 <= i <= n")
-            if self.k1 < 1 or self.k2 < 0 or self.t < 3:
-                raise InputError("hard2 needs k1 >= 1, k2 >= 0, t >= 3")
+            check_int("i", self.i, 2, self.n)
+            check_int("k1", self.k1, 1)
+            check_int("k2", self.k2, 0)
+            check_int("t", self.t, 3)
             if self.k1 + self.k2 >= self.i or 2 * self.k1 + self.k2 > self.n:
                 raise InputError("hard2 needs k1 + k2 < i and 2*k1 + k2 <= n")
             values = 2 * self.n + (self.n - self.k1 - self.k2) ** 2 * self.t

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction, bundle_value
+from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction, bundle_value, check_int
 from .errors import GuaranteeViolation, InputError
 from .rbf import priority_thresholds, run_rbf_truthful
 
@@ -43,7 +43,9 @@ def ln_enclosure(p: int, q: int) -> tuple[Fraction, Fraction]:
     Uses ln(z) = 2 * atanh((z-1)/(z+1)) with a geometric tail bound, so both
     endpoints are certified. Requires p >= q >= 1.
     """
-    if q < 1 or p < q:
+    check_int("p", p)
+    check_int("q", q, 1)
+    if p < q:
         raise InputError(f"ln_enclosure needs p >= q >= 1, got {p}/{q}")
     if p == q:
         return Fraction(0), Fraction(0)
@@ -104,9 +106,7 @@ def cyclic_rotation_distribution(
     Every agent holds each rank exactly once across the n runs, so her exact
     expected value is the plain average of her n bundle values.
     """
-    n = inst.num_agents
-    if n < 1:
-        raise InputError("need at least one agent")
+    n = check_int("n", inst.num_agents, 1)
     support = []
     values: list[list[Fraction]] = [[] for _ in range(n)]
     for shift in range(n):
@@ -124,8 +124,7 @@ def sample_allocation(
     dist: AllocationDistribution, seed: int
 ) -> tuple[PriorityRanking, Allocation]:
     """Draw one rotation uniformly, reproducibly from a 64-bit seed."""
-    if not 0 <= seed < 2**64:
-        raise InputError(f"seed must fit in 64 bits, got {seed}")
+    check_int("seed", seed, 0, 2**64 - 1)
     index = random.Random(seed).randrange(len(dist.support))
     return dist.support[index]
 
@@ -184,14 +183,6 @@ _HARD2 = _AverageBound(
 )
 
 
-def _check_n(n: object, least: int | None = None) -> None:
-    """The one check of a bound function's n: an int, not a bool, and >= least."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"n must be an integer, got {n!r}")
-    if least is not None and n < least:
-        raise InputError(f"n must be >= {least}, got {n}")
-
-
 def _certify(bound: _AverageBound, n: int) -> tuple[int, int]:
     """The exact average at n as an unreduced (numerator, denominator) pair,
     certified against ``bound.constant(n)`` by cross-multiplication.
@@ -200,7 +191,7 @@ def _certify(bound: _AverageBound, n: int) -> tuple[int, int]:
     n. The closed forms call it, and so do sweeps for each n their window
     enclosure cannot prove; it is the only source of ``GuaranteeViolation``.
     """
-    _check_n(n, bound.least_n)
+    check_int("n", n, bound.least_n)
     flat, c, a, b = bound.split(n)
     p, q = _reciprocal_range_sum(a, b)
     num = flat.numerator * q + c * p * flat.denominator
@@ -257,11 +248,11 @@ def _sweep(lo: int, hi: int, *bounds: _AverageBound) -> None:
     for the average. An n where that fraction does not strictly beat
     ``bound.constant(n)`` (undecided, a tie or a failure) goes to ``_certify``.
     """
-    _check_n(hi)
-    _check_n(lo)
+    check_int("n", hi)
+    check_int("n", lo)
     if lo > hi:
         return
-    _check_n(lo, min(bound.least_n for bound in bounds))
+    check_int("n", lo, min(bound.least_n for bound in bounds))
     windows: list[tuple[int, int, int] | None] = [None] * len(bounds)
     for n in range(lo, hi + 1):
         for k, bound in enumerate(bounds):
@@ -350,7 +341,7 @@ def integral_bound_check(values: Sequence[Fraction], integral: IntegralValue) ->
 
 def integral_check_gamma(n: int) -> bool:
     """Sandwich check for the average-threshold curve on [0, n-1]."""
-    _check_n(n, 1)
+    check_int("n", n, 1)
     values = priority_thresholds(n).taus
     beta = Fraction(2 * n * (3 * n - 1), 9 * n + 1)  # branch switch point
     end = Fraction(n - 1)
@@ -367,7 +358,7 @@ def integral_check_gamma(n: int) -> bool:
 
 def integral_check_hard1(n: int) -> bool:
     """Sandwich check for 3n/(3n+x) on [0, n-2]."""
-    _check_n(n, 2)
+    check_int("n", n, 2)
     values = [Fraction(3 * n, 3 * n + x) for x in range(n - 1)]
     integral = IntegralValue(
         log_terms=((Fraction(3 * n), Fraction(4 * n - 2, 3 * n)),)
@@ -377,7 +368,7 @@ def integral_check_hard1(n: int) -> bool:
 
 def integral_check_hard2(n: int) -> bool:
     """Sandwich check for the oblivious-family curve on [0, n-1]."""
-    _check_n(n, 1)
+    check_int("n", n, 1)
     values = [
         min(Fraction(3 * n, 3 * n + x - 1), max(Fraction(5, 6), 1 - Fraction(x, 3 * n)))
         for x in range(n)

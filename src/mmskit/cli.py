@@ -16,7 +16,7 @@ from typing import Any, NoReturn, Sequence
 
 from . import bobw, oracle, verify
 from .adversarial import HardInstanceSpec, demonstrate_failure, gen_hard1, gen_hard2_responders, gen_ordinal_tight
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction
+from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction, check_int
 from .errors import GuaranteeViolation, InputError, MmsKitError, SearchBudgetExceeded
 from .ordinal import run_1_out_of_d
 from .rbf import Transcript, priority_thresholds, run_rbf_truthful
@@ -39,10 +39,6 @@ def instance_to_json(inst: Instance) -> dict[str, Any]:
     }
 
 
-def _is_count(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
 def instance_from_json(obj: Any) -> Instance:
     if not isinstance(obj, dict):
         raise InputError("instance file must hold a JSON object")
@@ -52,8 +48,8 @@ def instance_from_json(obj: Any) -> Instance:
         rows = obj["valuations"]
     except KeyError as exc:
         raise InputError(f"instance file is missing key {exc}") from exc
-    if not (_is_count(n) and _is_count(m)):
-        raise InputError("'agents' and 'goods' must be non-negative integers")
+    check_int("agents", n, 0)
+    check_int("goods", m, 0)
     if not (isinstance(rows, list) and len(rows) == n and all(isinstance(r, list) for r in rows)):
         raise InputError(f"'valuations' must be a list of {n} lists")
     return Instance.from_rows(rows, num_goods=m)
@@ -67,6 +63,8 @@ def allocation_to_json(alloc: Allocation) -> dict[str, Any]:
 
 
 def allocation_from_json(obj: Any) -> Allocation:
+    if isinstance(obj, dict) and "bundles" not in obj:  # the output of ordinal, rbf or demo
+        obj = obj.get("allocation")
     if not isinstance(obj, dict) or not isinstance(obj.get("bundles"), list):
         raise InputError("allocation file must hold an object with a 'bundles' list")
     return Allocation(tuple(obj["bundles"]), obj.get("unallocated", []))
@@ -419,8 +417,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "node_budget", None) is not None and args.node_budget < 0:
-            raise InputError(f"the node budget must be non-negative, got {args.node_budget}")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -51,6 +51,18 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise InputError(f"not a rational: {x!r} (floats are not accepted)")
 
 
+def check_int(name: str, value: object, least: int | None = None, most: int | None = None) -> int:
+    """The one check of an integer argument: an int, not a bool, within
+    [least, most] where given. Returns ``value``; raises InputError naming ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise InputError(f"{name} must be <= {most}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Instance:
     """A fair division instance: n agents, m goods, additive valuations.
@@ -63,6 +75,7 @@ class Instance:
     num_goods: int
 
     def __post_init__(self):
+        check_int("num_goods", self.num_goods, 0)
         for i, row in enumerate(self.valuations):
             if len(row) != self.num_goods:
                 raise InputError(
@@ -136,8 +149,7 @@ class Instance:
                     )
 
     def check_agent(self, agent: int) -> None:
-        if not 0 <= agent < self.num_agents:
-            raise InputError(f"agent index {agent} out of range [0, {self.num_agents})")
+        check_int("agent", agent, 0, self.num_agents - 1)
 
     def check_good(self, good: int) -> None:
         if not 0 <= good < self.num_goods:
@@ -233,7 +245,7 @@ class ThresholdList:
 
     @staticmethod
     def constant(n: int, tau: RationalLike) -> "ThresholdList":
-        return ThresholdList((as_fraction(tau),) * n)
+        return ThresholdList((as_fraction(tau),) * check_int("n", n, 0))
 
 
 @dataclass(frozen=True)
@@ -244,16 +256,20 @@ class PriorityRanking:
 
     def __post_init__(self):
         n = len(self.rank_of)
+        for rank in self.rank_of:
+            check_int("rank", rank, 0, n - 1)
         if sorted(self.rank_of) != list(range(n)):
             raise InputError(f"rank_of is not a permutation of 0..{n - 1}: {self.rank_of}")
 
     @staticmethod
     def identity(n: int) -> "PriorityRanking":
-        return PriorityRanking(tuple(range(n)))
+        return PriorityRanking(tuple(range(check_int("n", n, 0))))
 
     @staticmethod
     def rotation(n: int, shift: int) -> "PriorityRanking":
         """Cyclic ranking: agent i gets rank (i + shift) mod n."""
+        check_int("n", n, 0)
+        check_int("shift", shift)
         return PriorityRanking(tuple((i + shift) % n for i in range(n)))
 
     @property

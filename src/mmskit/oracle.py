@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Instance, Partition
+from .core import Instance, Partition, check_int
 from .errors import InputError, SearchBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -22,14 +22,6 @@ NAIVE_GOODS_CAP = 12
 # Cap on d. A witness holds d parts, so memory grows linearly in d, and a
 # short flag such as ``--d 100000000`` would ask for tens of GB.
 MAX_PARTS = 10_000
-
-
-def check_parts(d: int) -> None:
-    """Raise InputError unless 1 <= d <= MAX_PARTS."""
-    if d < 1:
-        raise InputError(f"d must be >= 1, got {d}")
-    if d > MAX_PARTS:
-        raise InputError(f"d must be <= {MAX_PARTS}, got {d}")
 
 
 @dataclass(frozen=True)
@@ -152,8 +144,8 @@ def mms(
     Deterministic for fixed inputs. Raises SearchBudgetExceeded (never a
     wrong answer) if the branch-and-bound exceeds its node budget.
     """
-    check_parts(d)
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    check_int("d", d, 1, MAX_PARTS)
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else check_int("node_budget", node_budget, 0)
     good_list = _resolve_goods(inst, agent, goods)
     ints, scale = inst.scaled[agent]
     if d == 1:
@@ -178,8 +170,11 @@ def mms(
 
 def mms_all(inst: Instance, d: int, node_budget: int | None = None) -> tuple[MmsResult, ...]:
     """Every agent's ``mms`` over all goods, in agent order: the one loop over
-    agents' shares. Each distinct ``Instance.scaled`` row is searched once."""
-    check_parts(d)
+    agents' shares. Each distinct ``Instance.scaled`` row is searched once.
+    d and ``node_budget`` are checked even when there are no agents."""
+    check_int("d", d, 1, MAX_PARTS)
+    if node_budget is not None:
+        check_int("node_budget", node_budget, 0)
     solved: dict[tuple[tuple[int, ...], int], MmsResult] = {}
     for i, row in enumerate(inst.scaled):
         if row not in solved:
@@ -197,7 +192,7 @@ def mms_naive(
 
     Used only as a test oracle; capped at 12 goods.
     """
-    check_parts(d)
+    check_int("d", d, 1, MAX_PARTS)
     good_list = _resolve_goods(inst, agent, goods)
     if len(good_list) > NAIVE_GOODS_CAP:
         raise InputError(

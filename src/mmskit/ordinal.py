@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Instance, Partition
+from .core import Allocation, Instance, Partition, check_int
 from .errors import GuaranteeViolation, InputError
 from .transform import (
     normalize,
@@ -55,8 +55,7 @@ def run_ordinal(
     (the full pipeline does).
     """
     n, m = inst.num_agents, inst.num_goods
-    if n < 1:
-        raise InputError("need at least one agent")
+    check_int("n", n, 1)
     if m < 2 * n:
         raise InputError(f"need at least 2n = {2 * n} goods, got {m}")
     inst.require_ordered(witnesses[0].d if witnesses else None)
@@ -143,9 +142,7 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
     is compared against the exact oracle share of every original agent, and
     a shortfall raises GuaranteeViolation (it contradicts the theorem).
     """
-    n = inst.num_agents
-    if n < 1:
-        raise InputError("need at least one agent")
+    n = check_int("n", inst.num_agents, 1)
     d_target = 4 * ((n + 2) // 3)
 
     # An agent's d-bundle share is positive iff she values >= d goods positively.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Protocol
 
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, bundle_value
+from .core import Allocation, Instance, PriorityRanking, ThresholdList, bundle_value, check_int
 from .errors import GuaranteeViolation, InputError
 
 
@@ -49,6 +49,8 @@ def ord_st(goods: Iterable[int], positions: Iterable[int]) -> frozenset[int]:
     """The j-th smallest elements of ``goods`` for each 1-based j in
     ``positions``; positions beyond the set size are silently skipped."""
     ranked = sorted(goods)
+    for j in positions:
+        check_int("position", j)
     return frozenset(ranked[j - 1] for j in positions if 1 <= j <= len(ranked))
 
 
@@ -58,8 +60,7 @@ def priority_thresholds(n: int) -> ThresholdList:
     Rank 1 gets a full share; later ranks decay harmonically down to the
     uniform floor; ``ThresholdList`` checks that the list is non-increasing.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_int("n", n, 1)
     floor = Fraction(3, 4) + Fraction(1, 12 * n)
     taus = tuple(max(Fraction(2 * n, 2 * n + i - 1), floor) for i in range(1, n + 1))
     return ThresholdList(taus)
@@ -129,9 +130,8 @@ def run_rbf(
     go to the remaining agents in rank order and the run is flagged, not
     failed. The responder gives the number of agents n and of goods m.
     """
-    n, m = responder.num_agents, responder.num_goods
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    n = check_int("n", responder.num_agents, 1)
+    m = check_int("m", responder.num_goods, 0)
     if len(thresholds) != n:
         raise InputError(f"expected {n} thresholds, got {len(thresholds)}")
     if thresholds.taus and thresholds.taus[-1] <= 0:

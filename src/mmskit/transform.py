@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Allocation, Instance, Partition, bundle_value
+from .core import Allocation, Instance, Partition, bundle_value, check_int
 from .errors import GuaranteeViolation, InputError
 from . import oracle
 
@@ -22,9 +22,7 @@ def pad_agents_to_multiple_of_3(inst: Instance) -> Instance:
 
     The clones are the rows past the original agents.
     """
-    n = inst.num_agents
-    if n < 1:
-        raise InputError("cannot pad an instance with no agents")
+    n = check_int("n", inst.num_agents, 1)
     n_target = 3 * ((n + 2) // 3)
     if n_target == n:
         return inst
@@ -38,6 +36,7 @@ def pad_goods(inst: Instance, min_goods: int) -> Instance:
     The dummies are the goods past the original m. Zero columns keep both the
     ordered and the normalized property intact.
     """
+    check_int("min_goods", min_goods, 0)
     m = inst.num_goods
     if min_goods <= m:
         return inst

@@ -22,6 +22,7 @@ from .core import (
     ThresholdList,
     as_fraction,
     bundle_value,
+    check_int,
 )
 from .errors import InputError
 from . import oracle
@@ -184,9 +185,9 @@ def equivalence_expand(inst: Instance, d: int) -> tuple[Instance, ThresholdList]
     her d-bundle share.
     """
     n = inst.num_agents
+    check_int("d", d, 1, oracle.MAX_PARTS)
     if d < n:
         raise InputError(f"d must be >= n = {n}, got {d}")
-    oracle.check_parts(d)
     zero_row = (Fraction(0),) * inst.num_goods
     rows = inst.valuations + (zero_row,) * (d - n)
     taus = (Fraction(1),) * n + (Fraction(0),) * (d - n)
@@ -218,7 +219,7 @@ def check_unit_share_structure(
     C_k = {k, 2d-k+1} summing to at most its length.
     """
     n, m = inst.num_agents, inst.num_goods
-    oracle.check_parts(d)
+    check_int("d", d, 1, oracle.MAX_PARTS)
     if witnesses is not None and len(witnesses) != n:
         raise InputError(f"need one witness partition per agent: {len(witnesses)} for {n} agents")
     if m < 2 * d:

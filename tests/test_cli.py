@@ -238,6 +238,23 @@ def test_cmd_verify_tmms_mode(instance_file, tmp_path, capsys):
     assert verify_payload["allOk"]
 
 
+@pytest.mark.parametrize(
+    "producer, inst, mode",
+    [
+        ("ordinal", random_instance(random.Random(8), 2, 6), ["--mode", "1ood", "--d", "4"]),
+        ("rbf", Instance.from_rows([["1/2"] * 4] * 2), ["--mode", "tmms"]),
+    ],
+    ids=["ordinal", "rbf"],
+)
+def test_verify_reads_the_file_that_ordinal_and_rbf_write(instance_file, tmp_path, capsys, producer, inst, mode):
+    # Both nest the allocation under "allocation"; verify takes it from there.
+    path = instance_file(inst)
+    out = tmp_path / "out.json"
+    assert main([producer, path, "--output", str(out)]) == EXIT_OK
+    assert main(["verify", path, str(out), *mode]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["allOk"] is True
+
+
 def test_output_flag_writes_file(instance_file, tmp_path, capsys):
     path = instance_file(Instance.from_rows([[1, 2, 3]]))
     out = tmp_path / "result.json"
@@ -361,6 +378,40 @@ def test_list_lengths_are_reported_in_one_wording(tmp_path, capsys, argv, messag
 
 
 @pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        ({"inst": _NO_AGENTS}, ["ordinal", "{inst}"], "n must be >= 1, got 0"),
+        ({"inst": _NO_AGENTS}, ["bobw", "{inst}", "--thresholds", "1"], "n must be >= 1, got 0"),
+        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "2", "--node-budget", "-5"], "node_budget must be >= 0, got -5"),
+        ({"inst": _UNIT_PAIR}, ["bobw", "{inst}", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (
+            {"inst": _UNIT_PAIR}, ["bobw", "{inst}", "--seed", str(2**64)],
+            f"seed must be <= {2**64 - 1}, got {2**64}",
+        ),
+        ({"inst": {**_ONE_ROW, "agents": True}}, ["mms", "{inst}", "--d", "1"], "agents must be an integer, got True"),
+        ({"inst": {**_ONE_ROW, "goods": -1}}, ["mms", "{inst}", "--d", "1"], "goods must be >= 0, got -1"),
+        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "1", "--agent", "1"], "agent must be <= 0, got 1"),
+        ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "0,2"], "rank must be <= 1, got 2"),
+        ({}, ["gen", "hard2", "--n", "4", "--k1", "1", "--k2", "0"], "i must be an integer, got None"),
+        ({}, ["demo", "hard1", "--n", "5", "--i", "6"], "i must be <= 5, got 6"),
+    ],
+    ids=[
+        "ordinal-no-agents", "bobw-no-agents", "negative-node-budget", "negative-seed", "seed-over-64-bits",
+        "bool-agents", "negative-goods", "agent-out-of-range", "rank-out-of-range", "hard2-without-i",
+        "hard1-i-over-n",
+    ],
+)
+def test_integer_arguments_are_reported_in_one_wording(tmp_path, capsys, files, argv, message):
+    paths = {}
+    for name, obj in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["gen", "hard1", "--n", "0", "--i", "3"],
@@ -438,3 +489,87 @@ def test_list_flags_end_in_a_result_or_one_input_error(
     else:
         assert code == EXIT_INPUT
         assert stderr.startswith("input error: ") and stderr.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed files and flags, every subcommand
+
+# Any JSON scalar or a short nested list, so that each field meets every type.
+_JSON_VALUES = st.recursive(
+    st.integers(-3, 1000) | st.booleans() | st.floats(allow_nan=False) | st.none()
+    | st.sampled_from(["1/2", "1/3", "2", "-1", "x", "1e5", ""]),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=4,
+)
+_FLAG_VALUES = st.sampled_from(["-1", "0", "x", "2.5"])
+
+
+def _or_junk(draw, value, odds=10):
+    """``value``, or one time in ``odds`` any JSON value."""
+    return draw(_JSON_VALUES) if draw(st.integers(1, odds)) == 1 else value
+
+
+def _flag(draw):
+    """A count from 1 to 6, or one time in four a value out of range or not an int."""
+    return draw(_FLAG_VALUES) if draw(st.integers(1, 4)) == 1 else str(draw(st.integers(1, 6)))
+
+
+@st.composite
+def _invocations(draw):
+    """Instance and allocation files and an argv for one subcommand.
+
+    Most files are well formed, so that runs also reach the allocators: rows
+    of random values, or of n/m each (ordered, every total n, as rbf and bobw
+    need), and bundles dealt round-robin. Any field may be replaced by junk.
+    """
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 8))
+    value = st.integers(0, 1000) | st.sampled_from(["1/2", "2/3", "0"])
+    if draw(st.booleans()):
+        value = st.just(f"{n}/{m}")
+    rows = [[_or_junk(draw, draw(value), odds=100) for _ in range(m)] for _ in range(n)]
+    bundles = [[g for g in range(m) if g % n == a] for a in range(n)]
+    files = {
+        "inst": {
+            "agents": _or_junk(draw, n), "goods": _or_junk(draw, m), "valuations": _or_junk(draw, rows),
+        },
+        "alloc": {"bundles": _or_junk(draw, bundles)},
+    }
+    command = draw(st.sampled_from(["mms", "ordinal", "rbf", "bobw", "gen", "demo", "verify"]))
+    if command in ("gen", "demo"):
+        family = draw(st.sampled_from(["ordinalTight", "hard1", "hard2"]))
+        argv = [command, family]
+        for flag in ("--n", "--i", "--k1", "--k2", "--t")[: {"ordinalTight": 1, "hard1": 2}.get(family, 5)]:
+            if draw(st.integers(0, 9)):
+                argv += [flag, _flag(draw)]
+        return files, argv
+    argv = [command, "{inst}"]
+    if command == "verify":
+        argv += ["{alloc}", "--mode", draw(st.sampled_from(["1ood", "tmms"]))]
+    if command in ("mms", "verify") and draw(st.integers(0, 9)):
+        argv += ["--d", _flag(draw)]
+    if command == "mms" and draw(st.booleans()):
+        argv += ["--agent", _flag(draw)]
+    if command == "bobw" and draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-1, 2**64)))]
+    if command in ("mms", "ordinal", "verify"):  # the default budget could search for minutes
+        argv += ["--node-budget", str(draw(st.integers(-2, 10**4)))]
+    return files, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(invocation=_invocations())
+def test_every_subcommand_ends_in_an_exit_code_and_at_most_one_line(tmp_path_factory, invocation):
+    files, argv = invocation
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = str(root / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.format(**paths) for arg in argv])
+    stderr = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr and stderr.count("\n") <= 1
+    assert (stderr == "") == (code == EXIT_OK)

@@ -3,10 +3,47 @@
 import ast
 import importlib
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import mmskit
-from mmskit import Instance, adversarial, oracle, rbf
+from mmskit import (
+    Allocation,
+    HardInstanceSpec,
+    Instance,
+    InputError,
+    Partition,
+    PriorityRanking,
+    ThresholdList,
+    adversarial,
+    bundle_value,
+    check_1_out_of_d,
+    check_t_mms,
+    check_unit_share_structure,
+    cyclic_rotation_distribution,
+    equivalence_expand,
+    gen_hard1,
+    gen_hard2_responders,
+    gen_ordinal_tight,
+    mms,
+    mms_naive,
+    oracle,
+    ord_st,
+    priority_thresholds,
+    rbf,
+    run_1_out_of_d,
+    run_ordinal,
+    run_rbf,
+    run_rbf_truthful,
+    sample_allocation,
+)
+from mmskit.bobw import ln_enclosure
+from mmskit.cli import instance_from_json
+from mmskit.oracle import MAX_PARTS, mms_all
+from mmskit.transform import normalize, pad_agents_to_multiple_of_3, pad_goods
+from mmskit.verify import check_witness
 
 
 def _modules():
@@ -45,6 +82,173 @@ def test_only_core_scales_rows_to_integers():
         or (isinstance(node, ast.Attribute) and node.attr == "lcm")
     ]
     assert found and all(f.startswith("core.py:") for f in found), found
+
+
+def test_only_core_tests_whether_a_value_is_an_int():
+    # One integer validator: core.check_int. Only core's own parsers (a
+    # rational literal, a set of good indices) test for an int besides it.
+    def names_int(node):
+        elts = node.elts if isinstance(node, ast.Tuple) else [node]
+        return any(isinstance(e, ast.Name) and e.id == "int" for e in elts)
+
+    modules = _modules()
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and len(node.args) == 2 and names_int(node.args[1])
+    ]
+    assert found and all(f.startswith("core.py:") for f in found), found
+    defined = {
+        node.name
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    assert defined & {"_check_n", "check_parts", "_is_count"} == set()
+
+
+# ---------------------------------------------------------------------------
+# Every integer parameter goes through core.check_int
+
+_PAIR = Instance.from_rows([[2, 1, 1], [1, 1, 1]])  # 2 agents, 3 goods
+_PAIR_ALLOCATION = Allocation((frozenset({0}), frozenset({1, 2})))
+_UNIT_PAIR = Instance.from_rows([["1/2"] * 4] * 2)
+
+
+def _agents(k):
+    """An instance of k agents over two goods, for a callee that reads n from it."""
+    return Instance.from_rows([[1, 1]] * k, num_goods=2)
+
+
+class _SizedResponder:
+    """A responder that reports the given sizes and likes everything."""
+
+    def __init__(self, num_agents, num_goods):
+        self.num_agents = num_agents
+        self.num_goods = num_goods
+
+    def value(self, agent, goods):
+        return Fraction(1)
+
+    def choose_bag(self, open_bags):
+        return open_bags[0]
+
+
+def _hard2(**fields):
+    args = {"n": 4, "i": 3, "k1": 1, "k2": 0, "t": 3, **fields}
+    return HardInstanceSpec("hard2", **args)
+
+
+def _sample(seed):
+    return sample_allocation(cyclic_rotation_distribution(_UNIT_PAIR, priority_thresholds(2)), seed)
+
+
+# (label, parameter name, call with the value, least, most). least and most are
+# None where the parameter has no such bound. A label ending in "*" names a
+# count the callee reads from an instance, which is an int by construction, so
+# only the value below its least applies, as an instance of that many agents.
+# The eight bound functions of mmskit.bobw have their own table in test_bobw.py.
+_INTEGER_PARAMETERS = [
+    ("Instance", "num_goods", lambda v: Instance((), v), 0, None),
+    ("Instance.value", "agent", lambda v: _PAIR.value(v, 0), 0, 1),
+    ("bundle_value", "agent", lambda v: bundle_value(_PAIR, v, ()), 0, 1),
+    ("check_witness", "agent", lambda v: check_witness(_UNIT_PAIR, v, Partition(({0, 1}, {2, 3}))), 0, 1),
+    ("mms", "agent", lambda v: mms(_PAIR, v, 2), 0, 1),
+    ("mms", "d", lambda v: mms(_PAIR, 0, v), 1, MAX_PARTS),
+    ("mms", "node_budget", lambda v: mms(_PAIR, 0, 2, node_budget=v), 0, None),
+    ("mms_all", "d", lambda v: mms_all(_agents(0), v), 1, MAX_PARTS),
+    ("mms_all", "node_budget", lambda v: mms_all(_agents(0), 2, node_budget=v), 0, None),
+    ("mms_naive", "agent", lambda v: mms_naive(_PAIR, v, 2), 0, 1),
+    ("mms_naive", "d", lambda v: mms_naive(_PAIR, 0, v), 1, MAX_PARTS),
+    ("normalize", "d", lambda v: normalize(_PAIR, v), 1, MAX_PARTS),
+    ("normalize", "node_budget", lambda v: normalize(_PAIR, 2, v), 0, None),
+    ("check_1_out_of_d", "d", lambda v: check_1_out_of_d(_PAIR, _PAIR_ALLOCATION, v), 1, MAX_PARTS),
+    (
+        "check_1_out_of_d", "node_budget",
+        lambda v: check_1_out_of_d(_PAIR, _PAIR_ALLOCATION, 2, node_budget=v), 0, None,
+    ),
+    (
+        "check_t_mms", "node_budget",
+        lambda v: check_t_mms(
+            _PAIR, _PAIR_ALLOCATION, PriorityRanking.identity(2), ThresholdList.constant(2, 1), node_budget=v
+        ),
+        0, None,
+    ),
+    ("equivalence_expand", "d", lambda v: equivalence_expand(_PAIR, v), 1, MAX_PARTS),
+    ("check_unit_share_structure", "d", lambda v: check_unit_share_structure(_UNIT_PAIR, v), 1, MAX_PARTS),
+    ("ord_st", "position", lambda v: ord_st({5, 9, 2}, {v}), None, None),
+    ("priority_thresholds", "n", priority_thresholds, 1, None),
+    ("ThresholdList.constant", "n", lambda v: ThresholdList.constant(v, 1), 0, None),
+    ("PriorityRanking", "rank", lambda v: PriorityRanking((v, 0)), 0, 1),
+    ("PriorityRanking.identity", "n", PriorityRanking.identity, 0, None),
+    ("PriorityRanking.rotation", "n", lambda v: PriorityRanking.rotation(v, 1), 0, None),
+    ("PriorityRanking.rotation", "shift", lambda v: PriorityRanking.rotation(2, v), None, None),
+    (
+        "run_rbf", "n",
+        lambda v: run_rbf(_SizedResponder(v, 4), ThresholdList.constant(2, 1)), 1, None,
+    ),
+    (
+        "run_rbf", "m",
+        lambda v: run_rbf(_SizedResponder(1, v), ThresholdList.constant(1, 1)), 0, None,
+    ),
+    ("run_rbf_truthful*", "n", lambda k: run_rbf_truthful(_agents(k), ThresholdList(())), 1, None),
+    ("run_ordinal*", "n", lambda k: run_ordinal(_agents(k)), 1, None),
+    ("run_1_out_of_d*", "n", lambda k: run_1_out_of_d(_agents(k)), 1, None),
+    ("run_1_out_of_d", "node_budget", lambda v: run_1_out_of_d(_PAIR, node_budget=v), 0, None),
+    ("cyclic_rotation_distribution*", "n", lambda k: cyclic_rotation_distribution(_agents(k), ThresholdList(())), 1, None),
+    ("sample_allocation", "seed", _sample, 0, 2**64 - 1),
+    ("pad_agents_to_multiple_of_3*", "n", lambda k: pad_agents_to_multiple_of_3(_agents(k)), 1, None),
+    ("pad_goods", "min_goods", lambda v: pad_goods(_PAIR, v), 0, None),
+    ("ln_enclosure", "p", lambda v: ln_enclosure(v, 1), None, None),
+    ("ln_enclosure", "q", lambda v: ln_enclosure(4, v), 1, None),
+    ("HardInstanceSpec-ordinalTight", "n", lambda v: HardInstanceSpec("ordinalTight", v), 2, None),
+    ("HardInstanceSpec-hard1", "n", lambda v: HardInstanceSpec("hard1", v, i=3), 3, None),
+    ("HardInstanceSpec-hard1", "i", lambda v: HardInstanceSpec("hard1", 5, i=v), 3, 5),
+    ("HardInstanceSpec-hard2", "n", lambda v: _hard2(n=v, i=2), 2, None),
+    ("HardInstanceSpec-hard2", "i", lambda v: _hard2(i=v), 2, 4),
+    ("HardInstanceSpec-hard2", "k1", lambda v: _hard2(k1=v), 1, None),
+    ("HardInstanceSpec-hard2", "k2", lambda v: _hard2(k2=v), 0, None),
+    ("HardInstanceSpec-hard2", "t", lambda v: _hard2(t=v), 3, None),
+    ("gen_ordinal_tight", "n", gen_ordinal_tight, 2, None),
+    ("gen_hard1", "n", lambda v: gen_hard1(v, 3, Fraction(1, 12)), 3, None),
+    ("gen_hard1", "i", lambda v: gen_hard1(5, v, Fraction(1, 12)), 3, 5),
+    ("gen_hard2_responders", "n", lambda v: gen_hard2_responders(v, 2, 1, 0, 3), 2, None),
+    ("gen_hard2_responders", "i", lambda v: gen_hard2_responders(4, v, 1, 0, 3), 2, 4),
+    ("gen_hard2_responders", "k1", lambda v: gen_hard2_responders(4, 3, v, 0, 3), 1, None),
+    ("gen_hard2_responders", "k2", lambda v: gen_hard2_responders(4, 3, 1, v, 3), 0, None),
+    ("gen_hard2_responders", "t", lambda v: gen_hard2_responders(4, 3, 1, 0, v), 3, None),
+    (
+        "instance_from_json", "agents",
+        lambda v: instance_from_json({"agents": v, "goods": 1, "valuations": [[1]]}), 0, None,
+    ),
+    (
+        "instance_from_json", "goods",
+        lambda v: instance_from_json({"agents": 1, "goods": v, "valuations": [[1]]}), 0, None,
+    ),
+]
+
+
+def _integer_cases():
+    for label, name, call, least, most in _INTEGER_PARAMETERS:
+        not_ints = (2.5, "2", True) if name == "node_budget" else (2.5, "2", None, True)  # None: the default
+        cases = [] if label.endswith("*") else [
+            (value, f"{name} must be an integer, got {value!r}") for value in not_ints
+        ]
+        if least is not None:
+            cases.append((least - 1, f"{name} must be >= {least}, got {least - 1}"))
+        if most is not None:
+            cases.append((most + 1, f"{name} must be <= {most}, got {most + 1}"))
+        for value, message in cases:
+            yield pytest.param(call, value, message, id=f"{label.rstrip('*')}-{name}-{value!r}")
+
+
+@pytest.mark.parametrize("call, value, message", _integer_cases())
+def test_every_integer_parameter_is_checked_in_one_wording(call, value, message):
+    with pytest.raises(InputError) as exc:
+        call(value)
+    assert str(exc.value) == message
 
 
 def test_naive_oracle_never_reads_the_integer_kernel():
