@@ -28,7 +28,7 @@ from .core import (
 from .errors import GuaranteeViolation, InputError
 from .ordinal import run_ordinal
 from .rbf import Transcript, TruthfulResponder, reduction_shapes, run_rbf
-from .verify import AgentCheck, check_t_mms, check_targets, check_witness
+from .verify import AgentCheck, check_t_mms, check_witness
 
 # Cap on the values (agents x goods) of an ordinalTight or hard2 family,
 # checked from its parameters before anything is built. It admits both
@@ -346,7 +346,7 @@ def demonstrate_failure(
         fam = gen_ordinal_tight(n)
         alloc, run = run_ordinal(fam.instance, witnesses=(fam.witness,) * n)
         thresholds = ThresholdList.constant(n, 1)
-        checks = check_targets(fam.instance, alloc, thresholds.taus).checks
+        checks = check_t_mms(fam.instance, alloc, ranking, thresholds, shares=(1,) * n).checks
         ran_out = run.terminated_early
     elif spec.family == "hard1":
         alpha = Fraction(3 * n, 3 * n + i - 2)

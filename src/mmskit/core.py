@@ -103,7 +103,7 @@ class Instance:
 
     def value(self, agent: int, good: int) -> Fraction:
         self.check_agent(agent)
-        self.check_good(good)
+        check_int("good", good, 0, self.num_goods - 1)
         return self.valuations[agent][good]
 
     @cached_property
@@ -151,19 +151,34 @@ class Instance:
     def check_agent(self, agent: int) -> None:
         check_int("agent", agent, 0, self.num_agents - 1)
 
-    def check_good(self, good: int) -> None:
-        if not 0 <= good < self.num_goods:
-            raise InputError(f"good index {good} out of range [0, {self.num_goods})")
+    def check_goods(self, goods: Iterable[int]) -> frozenset[int]:
+        """``goods`` as a frozenset, each member checked as ``check_int("good", g, 0, m - 1)``."""
+        return _as_index_set(goods, self.num_goods - 1)
+
+    def check_allocation(self, alloc: "Allocation") -> None:
+        """Raise InputError unless ``alloc`` has n bundles and names only goods of this instance."""
+        if alloc.num_agents != self.num_agents:
+            raise InputError(f"allocation has {alloc.num_agents} bundles, instance {self.num_agents} agents")
+        for goods in (*alloc.bundles, alloc.unallocated):
+            self.check_goods(goods)
 
 
-def _as_index_set(goods: Iterable[int]) -> frozenset[int]:
+def _as_index_set(goods: Iterable[int], most: int | None = None) -> frozenset[int]:
+    # Each member must pass check_int("good", g, 0, most), tested inline: every responder
+    # query comes here. A list is checked as given; its set would drop True next to 1.
     try:
         s = frozenset(goods)
     except TypeError as exc:
         raise InputError(f"not a collection of good indices: {goods!r}") from exc
-    for g in s:
-        if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-            raise InputError(f"good index must be a non-negative int, got {g!r}")
+    members = goods if goods.__class__ in (list, tuple) else s
+    if most is None:
+        for g in members:
+            if g.__class__ is not int or g < 0:
+                check_int("good", g, 0)
+    else:
+        for g in members:
+            if g.__class__ is not int or not 0 <= g <= most:
+                check_int("good", g, 0, most)
     return s
 
 
@@ -290,7 +305,6 @@ def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
     inst.check_agent(agent)
     ints, scale = inst.scaled[agent]
     total = 0
-    for g in _as_index_set(bundle):
-        inst.check_good(g)
+    for g in inst.check_goods(bundle):
         total += ints[g]
     return Fraction(total, scale)

@@ -122,14 +122,17 @@ def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int,
     return best_val, best_assign
 
 
+def check_search(d: int, node_budget: int | None) -> int:
+    """The one check of d and ``node_budget``; returns the budget in effect, the default for None."""
+    check_int("d", d, 1, MAX_PARTS)
+    return DEFAULT_NODE_BUDGET if node_budget is None else check_int("node_budget", node_budget, 0)
+
+
 def _resolve_goods(inst: Instance, agent: int, goods: Iterable[int] | None) -> list[int]:
     inst.check_agent(agent)
     if goods is None:
         return list(range(inst.num_goods))
-    out = sorted(set(goods))
-    for g in out:
-        inst.check_good(g)
-    return out
+    return sorted(inst.check_goods(goods))
 
 
 def mms(
@@ -144,8 +147,7 @@ def mms(
     Deterministic for fixed inputs. Raises SearchBudgetExceeded (never a
     wrong answer) if the branch-and-bound exceeds its node budget.
     """
-    check_int("d", d, 1, MAX_PARTS)
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else check_int("node_budget", node_budget, 0)
+    budget = check_search(d, node_budget)
     good_list = _resolve_goods(inst, agent, goods)
     ints, scale = inst.scaled[agent]
     if d == 1:
@@ -172,9 +174,7 @@ def mms_all(inst: Instance, d: int, node_budget: int | None = None) -> tuple[Mms
     """Every agent's ``mms`` over all goods, in agent order: the one loop over
     agents' shares. Each distinct ``Instance.scaled`` row is searched once.
     d and ``node_budget`` are checked even when there are no agents."""
-    check_int("d", d, 1, MAX_PARTS)
-    if node_budget is not None:
-        check_int("node_budget", node_budget, 0)
+    check_search(d, node_budget)
     solved: dict[tuple[tuple[int, ...], int], MmsResult] = {}
     for i, row in enumerate(inst.scaled):
         if row not in solved:

@@ -34,6 +34,10 @@ class TruthfulResponder:
 
     def __init__(self, instance: Instance):
         instance.require_ordered(instance.num_agents)
+        for i, (ints, scale) in enumerate(instance.scaled):  # ordered: good 0 is the top good
+            if ints and ints[0] > scale:
+                top = instance.valuations[i][0]
+                raise InputError(f"agent {i} values good 0 at {top} > 1, above a unit share")
         self.instance = instance
         self.num_agents = instance.num_agents
         self.num_goods = instance.num_goods

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import Allocation, Instance, Partition, bundle_value, check_int
-from .errors import GuaranteeViolation, InputError
+from .errors import GuaranteeViolation
 from . import oracle
 
 
@@ -105,18 +105,10 @@ def unpick(ordered_alloc: Allocation, normalized: Instance, ordered: Instance) -
     index). Each agent ends up at least as well off as she was in the sorted
     instance; this is re-checked exactly.
     """
+    ordered.check_allocation(ordered_alloc)
     n = normalized.num_agents
     m = normalized.num_goods
-    if ordered_alloc.num_agents != n:
-        raise InputError(
-            f"allocation has {ordered_alloc.num_agents} bundles, expected {n}"
-        )
-    owner: dict[int, int] = {}
-    for a, bundle in enumerate(ordered_alloc.bundles):
-        for pos in bundle:
-            if pos >= m:
-                raise InputError(f"position {pos} out of range [0, {m})")
-            owner[pos] = a
+    owner = {pos: a for a, bundle in enumerate(ordered_alloc.bundles) for pos in bundle}
     remaining = set(range(m))
     picked: list[set[int]] = [set() for _ in range(n)]
     for pos in range(m):

@@ -48,17 +48,9 @@ class GuaranteeReport:
         return all(c.ok for c in self.checks)
 
 
-def check_targets(
-    inst: Instance, alloc: Allocation, targets: Sequence[Fraction]
-) -> GuaranteeReport:
-    """Per-agent exact comparison: agent i passes when her bundle is worth
-    at least ``targets[i]``; the comparison is inclusive."""
-    n = inst.num_agents
-    if alloc.num_agents != n or len(targets) != n:
-        raise InputError(
-            f"instance has {n} agents, allocation {alloc.num_agents} bundles, "
-            f"{len(targets)} targets"
-        )
+def _check_targets(inst: Instance, alloc: Allocation, targets: Sequence[Fraction]) -> GuaranteeReport:
+    # Agent i passes when her bundle is worth at least targets[i]. There is one
+    # target per agent, and ``alloc`` has passed ``inst.check_allocation``.
     checks = []
     for i, target in enumerate(targets):
         value = bundle_value(inst, i, alloc.bundles[i])
@@ -70,12 +62,10 @@ def _shares(
     inst: Instance, alloc: Allocation, d: int, node_budget: int | None,
     shares: Sequence[RationalLike] | None,
 ) -> list[Fraction]:
-    """The given shares, one exact Fraction per agent, else the oracle's d-shares;
-    a mismatched allocation is rejected before the oracle spends any budget."""
-    if alloc.num_agents != inst.num_agents:
-        raise InputError(
-            f"allocation has {alloc.num_agents} bundles, instance {inst.num_agents} agents"
-        )
+    """The given shares, one exact Fraction per agent, else the oracle's
+    d-shares. The allocation, d and ``node_budget`` are checked first, either way."""
+    inst.check_allocation(alloc)
+    oracle.check_search(d, node_budget)
     if shares is None:
         return [r.value for r in oracle.mms_all(inst, d, node_budget=node_budget)]
     if len(shares) != inst.num_agents:
@@ -91,7 +81,7 @@ def check_1_out_of_d(
     shares: Sequence[RationalLike] | None = None,
 ) -> GuaranteeReport:
     """Per-agent exact comparison against the d-bundle share; known ``shares`` skip the oracle."""
-    return check_targets(inst, alloc, _shares(inst, alloc, d, node_budget, shares))
+    return _check_targets(inst, alloc, _shares(inst, alloc, d, node_budget, shares))
 
 
 def check_t_mms(
@@ -118,7 +108,7 @@ def check_t_mms(
         thresholds.taus[ranking.rank_of[i]] * share
         for i, share in enumerate(_shares(inst, alloc, n, node_budget, shares))
     ]
-    return check_targets(inst, alloc, targets)
+    return _check_targets(inst, alloc, targets)
 
 
 @dataclass(frozen=True)

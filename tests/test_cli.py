@@ -329,6 +329,11 @@ _NO_AGENTS = {"agents": 0, "goods": 2, "valuations": []}
             )
             for d in ("0", "-3", "20000")
         ],
+        # Ordered, every total n, but a good worth more than a unit share.
+        *[
+            ({"inst": {"agents": 2, "goods": 1, "valuations": [["2"], ["2"]]}}, [command, "{inst}"])
+            for command in ("rbf", "bobw")
+        ],
     ],
     ids=[
         "string-row", "bool-agents", "int-bundle", "text-ranking", "threshold-count",
@@ -336,7 +341,7 @@ _NO_AGENTS = {"agents": 0, "goods": 2, "valuations": []}
         "negative-flag",
         "missing-args", "non-int-flag", "mms-d-over-cap", "verify-d-over-cap",
         "no-agents-mms-d-0", "no-agents-verify-d-0", "no-agents-verify-d-negative",
-        "no-agents-verify-d-over-cap",
+        "no-agents-verify-d-over-cap", "rbf-good-over-1", "bobw-good-over-1",
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, files, argv):
@@ -394,11 +399,22 @@ def test_list_lengths_are_reported_in_one_wording(tmp_path, capsys, argv, messag
         ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "0,2"], "rank must be <= 1, got 2"),
         ({}, ["gen", "hard2", "--n", "4", "--k1", "1", "--k2", "0"], "i must be an integer, got None"),
         ({}, ["demo", "hard1", "--n", "5", "--i", "6"], "i must be <= 5, got 6"),
+        # verify checks the allocation's goods before it searches.
+        (
+            {"inst": _UNIT_PAIR, "alloc": {"bundles": [[0, 99], [1]]}},
+            ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "2", "--node-budget", "0"],
+            "good must be <= 3, got 99",
+        ),
+        (
+            {"inst": _UNIT_PAIR, "alloc": {**_UNIT_PAIR_ALLOCATION, "unallocated": [99]}},
+            ["verify", "{inst}", "{alloc}", "--mode", "tmms"],
+            "good must be <= 3, got 99",
+        ),
     ],
     ids=[
         "ordinal-no-agents", "bobw-no-agents", "negative-node-budget", "negative-seed", "seed-over-64-bits",
         "bool-agents", "negative-goods", "agent-out-of-range", "rank-out-of-range", "hard2-without-i",
-        "hard1-i-over-n",
+        "hard1-i-over-n", "verify-good-out-of-range", "verify-unallocated-out-of-range",
     ],
 )
 def test_integer_arguments_are_reported_in_one_wording(tmp_path, capsys, files, argv, message):
@@ -521,27 +537,35 @@ def _invocations(draw):
     Most files are well formed, so that runs also reach the allocators: rows
     of random values, or of n/m each (ordered, every total n, as rbf and bobw
     need), and bundles dealt round-robin. Any field may be replaced by junk.
+    For verify, one allocation file in two names, in a bundle or as
+    unallocated, a good that is not one: the instance's good count, or
+    negative, a bool or a float. Also returns whether it does.
     """
+    command = draw(st.sampled_from(["mms", "ordinal", "rbf", "bobw", "gen", "demo", "verify"]))
     n, m = draw(st.integers(0, 4)), draw(st.integers(0, 8))
     value = st.integers(0, 1000) | st.sampled_from(["1/2", "2/3", "0"])
     if draw(st.booleans()):
         value = st.just(f"{n}/{m}")
     rows = [[_or_junk(draw, draw(value), odds=100) for _ in range(m)] for _ in range(n)]
-    bundles = [[g for g in range(m) if g % n == a] for a in range(n)]
+    goods = _or_junk(draw, m)
+    bundles = _or_junk(draw, [[g for g in range(m) if g % n == a] for a in range(n)])
+    unallocated = []
+    bad_good = command == "verify" and draw(st.booleans())
+    if bad_good:
+        member = goods if draw(st.booleans()) else draw(st.sampled_from([-1, True, False, 0.5, 2.0]))
+        lists = [b for b in bundles if isinstance(b, list)] if isinstance(bundles, list) else []
+        draw(st.sampled_from([unallocated, *lists])).append(member)
     files = {
-        "inst": {
-            "agents": _or_junk(draw, n), "goods": _or_junk(draw, m), "valuations": _or_junk(draw, rows),
-        },
-        "alloc": {"bundles": _or_junk(draw, bundles)},
+        "inst": {"agents": _or_junk(draw, n), "goods": goods, "valuations": _or_junk(draw, rows)},
+        "alloc": {"bundles": bundles, "unallocated": unallocated},
     }
-    command = draw(st.sampled_from(["mms", "ordinal", "rbf", "bobw", "gen", "demo", "verify"]))
     if command in ("gen", "demo"):
         family = draw(st.sampled_from(["ordinalTight", "hard1", "hard2"]))
         argv = [command, family]
         for flag in ("--n", "--i", "--k1", "--k2", "--t")[: {"ordinalTight": 1, "hard1": 2}.get(family, 5)]:
             if draw(st.integers(0, 9)):
                 argv += [flag, _flag(draw)]
-        return files, argv
+        return files, argv, bad_good
     argv = [command, "{inst}"]
     if command == "verify":
         argv += ["{alloc}", "--mode", draw(st.sampled_from(["1ood", "tmms"]))]
@@ -553,13 +577,13 @@ def _invocations(draw):
         argv += ["--seed", str(draw(st.integers(-1, 2**64)))]
     if command in ("mms", "ordinal", "verify"):  # the default budget could search for minutes
         argv += ["--node-budget", str(draw(st.integers(-2, 10**4)))]
-    return files, argv
+    return files, argv, bad_good
 
 
 @settings(max_examples=150, deadline=None)
 @given(invocation=_invocations())
 def test_every_subcommand_ends_in_an_exit_code_and_at_most_one_line(tmp_path_factory, invocation):
-    files, argv = invocation
+    files, argv, bad_good = invocation
     root = tmp_path_factory.mktemp("fuzz")
     paths = {}
     for name, obj in files.items():
@@ -570,6 +594,11 @@ def test_every_subcommand_ends_in_an_exit_code_and_at_most_one_line(tmp_path_fac
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([arg.format(**paths) for arg in argv])
     stderr = err.getvalue()
+    # Exit 3 stays allowed for a known input: two agents valuing ["3/4", "3/4", "1/2"]
+    # are ordered with totals n, but their n-share is 3/4, and rbf and bobw reach
+    # run_rbf's phase-2 self-check. Telling it apart needs the n-share itself.
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in stderr and stderr.count("\n") <= 1
     assert (stderr == "") == (code == EXIT_OK)
+    if bad_good:
+        assert code == EXIT_INPUT

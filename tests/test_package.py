@@ -42,7 +42,7 @@ from mmskit import (
 from mmskit.bobw import ln_enclosure
 from mmskit.cli import instance_from_json
 from mmskit.oracle import MAX_PARTS, mms_all
-from mmskit.transform import normalize, pad_agents_to_multiple_of_3, pad_goods
+from mmskit.transform import normalize, pad_agents_to_multiple_of_3, pad_goods, unpick
 from mmskit.verify import check_witness
 
 
@@ -176,6 +176,23 @@ _INTEGER_PARAMETERS = [
         ),
         0, None,
     ),
+    # Known shares skip the oracle, not the checks of d and the budget.
+    (
+        "check_1_out_of_d-shares", "d",
+        lambda v: check_1_out_of_d(_PAIR, _PAIR_ALLOCATION, v, shares=[1, 1]), 1, MAX_PARTS,
+    ),
+    (
+        "check_1_out_of_d-shares", "node_budget",
+        lambda v: check_1_out_of_d(_PAIR, _PAIR_ALLOCATION, 2, node_budget=v, shares=[1, 1]), 0, None,
+    ),
+    (
+        "check_t_mms-shares", "node_budget",
+        lambda v: check_t_mms(
+            _PAIR, _PAIR_ALLOCATION, PriorityRanking.identity(2), ThresholdList.constant(2, 1),
+            node_budget=v, shares=[1, 1],
+        ),
+        0, None,
+    ),
     ("equivalence_expand", "d", lambda v: equivalence_expand(_PAIR, v), 1, MAX_PARTS),
     ("check_unit_share_structure", "d", lambda v: check_unit_share_structure(_UNIT_PAIR, v), 1, MAX_PARTS),
     ("ord_st", "position", lambda v: ord_st({5, 9, 2}, {v}), None, None),
@@ -244,7 +261,46 @@ def _integer_cases():
             yield pytest.param(call, value, message, id=f"{label.rstrip('*')}-{name}-{value!r}")
 
 
-@pytest.mark.parametrize("call, value, message", _integer_cases())
+# Every good index goes through Instance.check_goods or check_int: (label, call
+# with one good of _PAIR). Each is called with 1.5, True, -1 and m = 3. An
+# allocation's goods are checked against the instance before the oracle runs.
+_GOOD_INDICES = [
+    ("Instance.value", lambda g: _PAIR.value(0, g)),
+    ("bundle_value", lambda g: bundle_value(_PAIR, 0, {g})),
+    ("mms", lambda g: mms(_PAIR, 0, 2, goods={g})),
+    ("mms_naive", lambda g: mms_naive(_PAIR, 0, 2, goods={g})),
+    # As a list, so that True is not lost in a set that already holds 1.
+    ("Allocation-bundle", lambda g: check_1_out_of_d(_PAIR, Allocation(([1, g], [])), 2)),
+    (
+        "Allocation-unallocated",
+        lambda g: check_t_mms(
+            _PAIR, Allocation(([0], [1]), [2, g]), PriorityRanking.identity(2), ThresholdList.constant(2, 1)
+        ),
+    ),
+    ("unpick", lambda g: unpick(Allocation(([g], [])), _PAIR, _PAIR)),
+]
+
+
+def _good_cases():
+    m = _PAIR.num_goods
+    messages = (
+        (1.5, "good must be an integer, got 1.5"),
+        (True, "good must be an integer, got True"),
+        (-1, "good must be >= 0, got -1"),
+        (m, f"good must be <= {m - 1}, got {m}"),
+    )
+    for label, call in _GOOD_INDICES:
+        for value, message in messages:
+            yield pytest.param(call, value, message, id=f"{label}-good-{value!r}")
+    for label, call in (
+        ("mms", lambda goods: mms(_PAIR, 0, 2, goods=goods)),
+        ("mms_naive", lambda goods: mms_naive(_PAIR, 0, 2, goods=goods)),
+        ("Allocation", lambda goods: Allocation((goods, ()))),
+    ):
+        yield pytest.param(call, 5, "not a collection of good indices: 5", id=f"{label}-goods-5")
+
+
+@pytest.mark.parametrize("call, value, message", [*_integer_cases(), *_good_cases()])
 def test_every_integer_parameter_is_checked_in_one_wording(call, value, message):
     with pytest.raises(InputError) as exc:
         call(value)

@@ -89,6 +89,16 @@ def test_t_mms_rejects_mismatched_lists_before_the_oracle(monkeypatch):
         check_t_mms(inst, alloc, ranking, priority_thresholds(3))
     with pytest.raises(InputError, match="^ranking covers 3 agents, expected 2$"):
         check_t_mms(inst, alloc, PriorityRanking.identity(3), thresholds)
+    # Both checks test every good of the allocation against the instance first.
+    bad_bundle = Allocation((frozenset({0, 9}), frozenset({1})))
+    bad_unallocated = Allocation((frozenset({0}), frozenset({1})), frozenset({9}))
+    for bad in (bad_bundle, bad_unallocated):
+        with pytest.raises(InputError, match="^good must be <= 1, got 9$"):
+            check_t_mms(inst, bad, ranking, thresholds)
+        with pytest.raises(InputError, match="^good must be <= 1, got 9$"):
+            check_1_out_of_d(inst, bad, 2)
+    with pytest.raises(InputError, match="^allocation has 1 bundles, instance 2 agents$"):
+        check_1_out_of_d(inst, one_bundle, 2)
 
 
 def test_1_out_of_d_known_shares_skip_the_oracle_and_stay_exact(monkeypatch):
