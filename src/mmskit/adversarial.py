@@ -291,24 +291,11 @@ class FailureReport:
     family: str
     n: int
     thresholds: ThresholdList
-    unsatisfied: tuple[tuple[int, Fraction, Fraction], ...]  # (agent, value, target)
+    shortfalls: tuple[AgentCheck, ...]  # the checks not ok, in agent order; [0] is the witness
     reduction_count: int
     ran_out_of_goods: bool  # the family's bag filling ran out of goods
     allocation: Allocation
     transcript: Transcript | None = None
-
-    @property
-    def witness_agent(self) -> int:
-        """The first 0-indexed agent whose value fell short."""
-        return self.unsatisfied[0][0]
-
-    @property
-    def witness_value(self) -> Fraction:
-        return self.unsatisfied[0][1]
-
-    @property
-    def witness_target(self) -> Fraction:
-        return self.unsatisfied[0][2]
 
 
 def _thresholds(
@@ -366,14 +353,14 @@ def demonstrate_failure(
         value = bundle_value(fam.instance, 0, alloc.bundles[fam.target_agent])
         checks = [AgentCheck(fam.target_agent, value, thresholds.taus[i - 1], value >= cap)]
         ran_out = transcript.ran_out_of_goods
-    unsatisfied = tuple((c.agent, c.value, c.target) for c in checks if not c.ok)
-    if not unsatisfied:
+    shortfalls = tuple(c for c in checks if not c.ok)
+    if not shortfalls:
         raise GuaranteeViolation(f"{spec.family} run left no agent short; construction broken")
     return FailureReport(
         family=spec.family,
         n=n,
         thresholds=thresholds,
-        unsatisfied=unsatisfied,
+        shortfalls=shortfalls,
         reduction_count=len(transcript.reductions) if transcript else 0,
         ran_out_of_goods=ran_out,
         allocation=alloc,

@@ -19,7 +19,7 @@ from .adversarial import HardInstanceSpec, demonstrate_failure, gen_hard1, gen_h
 from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction, check_int
 from .errors import GuaranteeViolation, InputError, MmsKitError, SearchBudgetExceeded
 from .ordinal import run_1_out_of_d
-from .rbf import Transcript, priority_thresholds, run_rbf_truthful
+from .rbf import Transcript, priority_thresholds, require_unit_shares, run_rbf_truthful
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -177,16 +177,15 @@ def _cmd_mms(args: argparse.Namespace) -> int:
 def _cmd_ordinal(args: argparse.Namespace) -> int:
     inst = instance_from_json(_load_json(args.instance))
     result = run_1_out_of_d(inst, node_budget=args.node_budget)
-    # run_1_out_of_d has checked every pair and raises on any shortfall.
     per_agent = [
-        {"agent": i, "value": str(value), "share": str(share), "ok": True}
-        for i, (value, share) in enumerate(result.guarantees)
+        {"agent": c.agent, "value": str(c.value), "share": str(c.target), "ok": c.ok}
+        for c in result.report.checks
     ]
     payload = {
         "d": result.d,
         "allocation": allocation_to_json(result.allocation),
         "perAgent": per_agent,
-        "allOk": True,
+        "allOk": result.report.all_ok,
         "earlyTermination": bool(result.run and result.run.terminated_early),
     }
     _emit(payload, args.output)
@@ -202,6 +201,11 @@ def _cmd_rbf(args: argparse.Namespace) -> int:
     structure = verify.check_transcript(transcript)
     # Unit-share instances: every agent's share is 1.
     report = verify.check_t_mms(inst, alloc, ranking, thresholds, shares=(1,) * n)
+    if args.thresholds == "default" and not (report.all_ok and structure.ok):
+        require_unit_shares(inst)  # a shortfall is a bug only on unit-share input
+        raise GuaranteeViolation(
+            "a default-threshold run violated its guarantee or structure checks"
+        )
     payload = {
         "allocation": allocation_to_json(alloc),
         "transcript": transcript_to_json(transcript),
@@ -211,10 +215,6 @@ def _cmd_rbf(args: argparse.Namespace) -> int:
         "structureViolations": list(structure.violations),
     }
     _emit(payload, args.output)
-    if args.thresholds == "default" and not (report.all_ok and structure.ok):
-        raise GuaranteeViolation(
-            "a default-threshold run violated its guarantee or structure checks"
-        )
     return EXIT_OK
 
 
@@ -287,16 +287,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     report = demonstrate_failure(_family_spec(args))
+    witness = report.shortfalls[0]
     payload = {
         "family": report.family,
         "n": report.n,
         "thresholds": thresholds_to_json(report.thresholds),
-        "witnessAgent": report.witness_agent,
-        "witnessValue": str(report.witness_value),
-        "witnessTarget": str(report.witness_target),
+        "witnessAgent": witness.agent,
+        "witnessValue": str(witness.value),
+        "witnessTarget": str(witness.target),
         "unsatisfied": [
-            {"agent": a, "value": str(v), "target": str(t)}
-            for a, v, t in report.unsatisfied
+            {"agent": c.agent, "value": str(c.value), "target": str(c.target)}
+            for c in report.shortfalls
         ],
         "reductionCount": report.reduction_count,
         "ranOutOfGoods": report.ran_out_of_goods,

@@ -63,6 +63,10 @@ def check_int(name: str, value: object, least: int | None = None, most: int | No
     return value
 
 
+# Instance.require_ordered's message, also the one violation an unordered instance gets.
+UNORDERED = "instance is not ordered (some agent's values increase)"
+
+
 @dataclass(frozen=True)
 class Instance:
     """A fair division instance: n agents, m goods, additive valuations.
@@ -139,7 +143,7 @@ class Instance:
         """Raise InputError unless the instance is ordered and, when ``total``
         is given, every agent values all goods at exactly ``total``."""
         if not self.ordered:
-            raise InputError("instance is not ordered (some agent's values increase)")
+            raise InputError(UNORDERED)
         if total is not None:
             for i, t in enumerate(self.totals):
                 if t != total:

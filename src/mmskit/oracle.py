@@ -49,7 +49,7 @@ def _waterfill_upper_bound(sums: list[int], remaining: int) -> int:
 def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int, ...]]:
     """Maximize the minimum part sum over partitions of ``vals`` into d parts.
 
-    ``vals`` must be positive ints, non-increasing, with len(vals) >= d >= 2.
+    ``vals`` must be positive ints, non-increasing, with len(vals) >= d >= 1.
     Returns (optimal min, part index per item). Deterministic: the witness is
     the greedy seed when the seed is already optimal, otherwise the last
     strict improvement found in a fixed depth-first order. The depth-first
@@ -150,10 +150,6 @@ def mms(
     budget = check_search(d, node_budget)
     good_list = _resolve_goods(inst, agent, goods)
     ints, scale = inst.scaled[agent]
-    if d == 1:
-        total = sum(ints[g] for g in good_list)
-        return MmsResult(Fraction(total, scale), Partition((frozenset(good_list),)))
-
     positive = sorted((g for g in good_list if ints[g]), key=lambda g: (-ints[g], g))
     zero = [g for g in good_list if not ints[g]]
 

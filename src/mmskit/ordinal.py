@@ -10,7 +10,6 @@ share value for d = 4 * ceil(n / 3) bundles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import Allocation, Instance, Partition, check_int
 from .errors import GuaranteeViolation, InputError
@@ -23,7 +22,7 @@ from .transform import (
     reinstate,
     unpick,
 )
-from .verify import check_1_out_of_d, check_witness
+from .verify import GuaranteeReport, check_1_out_of_d, check_witness
 
 
 @dataclass(frozen=True)
@@ -125,12 +124,12 @@ def run_ordinal(
 
 @dataclass(frozen=True)
 class OneOutOfDResult:
-    """Allocation of the original instance plus the bag-filling trace."""
+    """Allocation of the original instance, its all-ok d-share report and the bag-filling trace."""
 
     allocation: Allocation
     d: int
     run: OrdinalRun | None
-    guarantees: tuple[tuple[Fraction, Fraction], ...]  # (value, share) per agent
+    report: GuaranteeReport  # one check per agent; each target is her d-share
 
 
 def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDResult:
@@ -171,13 +170,8 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
         d_run = 4 * n_run // 3
         # The oracle puts the zero-valued dummy goods in each witness's part 0.
         padded = pad_goods(padded, 2 * n_run)
-        normalized, results, dropped_again = normalize(padded, d_run, node_budget)
-        if dropped_again:
-            raise GuaranteeViolation(
-                "an agent with a positive share target lost it during "
-                f"normalization: {sorted(dropped_again)}"
-            )
-        if d_run == d_target:  # dummy goods are worth 0; so is a dropped agent's share
+        normalized, results = normalize(padded, d_run, node_budget)
+        if d_run == d_target:  # dummy goods are worth 0; so is a non-survivor's share
             share_of = {i: r.value for i, r in zip(survivors, results)}
             shares = [share_of.get(i, 0) for i in range(n)]
         ordered, perms = order(normalized)
@@ -197,7 +191,5 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
                 f"agent {c.agent} received {c.value}, below her {d_target}-bundle "
                 f"share {c.target}"
             )
-    guarantees = tuple((c.value, c.target) for c in report.checks)
-
-    return OneOutOfDResult(allocation, d_target, run, guarantees)
+    return OneOutOfDResult(allocation, d_target, run, report)
 

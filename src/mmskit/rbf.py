@@ -14,6 +14,7 @@ from typing import Iterable, Protocol
 
 from .core import Allocation, Instance, PriorityRanking, ThresholdList, bundle_value, check_int
 from .errors import GuaranteeViolation, InputError
+from . import oracle
 
 
 class ValueResponder(Protocol):
@@ -258,6 +259,20 @@ def run_rbf_truthful(
     thresholds: ThresholdList,
     ranking: PriorityRanking | None = None,
 ) -> tuple[Allocation, Transcript]:
-    """Run the allocator on a concrete ordered unit-share instance."""
-    return run_rbf(TruthfulResponder(inst), thresholds, ranking)
+    """Run the allocator on a concrete ordered unit-share instance; a run that
+    falls short is an InputError if some n-share is below 1."""
+    try:
+        return run_rbf(TruthfulResponder(inst), thresholds, ranking)
+    except GuaranteeViolation:
+        require_unit_shares(inst)
+        raise
+
+
+def require_unit_shares(inst: Instance) -> None:
+    """Raise InputError naming the first agent whose n-share is below 1. It
+    runs the oracle, so it is called only once a truthful run falls short."""
+    n = inst.num_agents
+    for i, result in enumerate(oracle.mms_all(inst, n)):
+        if result.value < 1:
+            raise InputError(f"agent {i}'s {n}-share is {result.value}, below a unit share")
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import Allocation, Instance, Partition, bundle_value, check_int
-from .errors import GuaranteeViolation
+from .errors import GuaranteeViolation, InputError
 from . import oracle
 
 
@@ -47,20 +47,18 @@ def pad_goods(inst: Instance, min_goods: int) -> Instance:
 
 def normalize(
     inst: Instance, d: int, node_budget: int | None = None
-) -> tuple[Instance, tuple[oracle.MmsResult, ...], frozenset[int]]:
+) -> tuple[Instance, tuple[oracle.MmsResult, ...]]:
     """Divide each agent's values by her witness-part values so every part of
     her d-share partition is worth exactly 1.
 
-    Agents whose d-share is 0 cannot be rescaled and are dropped. Returns the
-    survivors' instance, their oracle results and the dropped agents.
+    Returns the normalized instance and every agent's oracle result. An agent
+    whose d-share is 0 cannot be rescaled: InputError.
     """
-    surviving_rows: list[tuple[Fraction, ...]] = []
-    results: list[oracle.MmsResult] = []
-    dropped: set[int] = set()
-    for i, result in enumerate(oracle.mms_all(inst, d, node_budget=node_budget)):
+    results = oracle.mms_all(inst, d, node_budget=node_budget)
+    rows: list[tuple[Fraction, ...]] = []
+    for i, result in enumerate(results):
         if result.value == 0:
-            dropped.add(i)
-            continue
+            raise InputError(f"agent {i} has a {d}-share of 0 and cannot be normalized")
         # Both a good and its part are scaled by the row's L, which cancels.
         ints, _ = inst.scaled[i]
         part_of_good: dict[int, int] = {}
@@ -68,10 +66,8 @@ def normalize(
             pv = sum(ints[g] for g in part)
             for g in part:
                 part_of_good[g] = pv
-        row = tuple(Fraction(ints[g], part_of_good[g]) for g in range(inst.num_goods))
-        surviving_rows.append(row)
-        results.append(result)
-    return Instance(tuple(surviving_rows), inst.num_goods), tuple(results), frozenset(dropped)
+        rows.append(tuple(Fraction(ints[g], part_of_good[g]) for g in range(inst.num_goods)))
+    return Instance(tuple(rows), inst.num_goods), results
 
 
 def order(inst: Instance) -> tuple[Instance, tuple[tuple[int, ...], ...]]:

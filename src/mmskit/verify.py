@@ -20,6 +20,7 @@ from .core import (
     PriorityRanking,
     RationalLike,
     ThresholdList,
+    UNORDERED,
     as_fraction,
     bundle_value,
     check_int,
@@ -203,8 +204,9 @@ def check_unit_share_structure(
     """Violations of the ordered d-normalized structure facts, empty if none.
 
     Needs 1 <= d <= ``oracle.MAX_PARTS``, m >= 2d and, when witnesses are
-    given, one per agent. Checks per agent: total value d (and, when given, the
-    witness by ``check_witness``); the top good worth <= 1; the middle pair {d, d+1}
+    given, one per agent. An unordered instance has one violation, saying so;
+    otherwise checks per agent: total value d (and, when given, the witness
+    by ``check_witness``); the top good worth <= 1; the middle pair {d, d+1}
     worth <= 1; good d+1 worth <= 1/2; and every tail of the nested pairs
     C_k = {k, 2d-k+1} summing to at most its length.
     """
@@ -214,6 +216,8 @@ def check_unit_share_structure(
         raise InputError(f"need one witness partition per agent: {len(witnesses)} for {n} agents")
     if m < 2 * d:
         raise InputError(f"need at least 2d = {2 * d} goods, got {m}")
+    if not inst.ordered:  # positions are read as ranks
+        return (UNORDERED,)
     violations: list[str] = []
     for i in range(n):
         row = inst.valuations[i]
@@ -242,11 +246,14 @@ def check_bag_pair_bounds(inst: Instance) -> tuple[str, ...]:
     """Violations of the bag-pair fact on ordered unit-share instances.
 
     For every k, if the pair {k, 2n+1-k} is worth more than 1 to an agent,
-    then its bottom good is worth at most 1/3 and its top more than 2/3.
+    then its bottom good is worth at most 1/3 and its top more than 2/3. An
+    unordered instance has one violation, saying so.
     """
     n, m = inst.num_agents, inst.num_goods
     if m < 2 * n:
         raise InputError(f"need at least 2n = {2 * n} goods, got {m}")
+    if not inst.ordered:  # positions are read as ranks
+        return (UNORDERED,)
     violations: list[str] = []
     for i in range(n):
         row = inst.valuations[i]

@@ -146,8 +146,8 @@ def test_criterion_4_hard1_family():
             report = demonstrate_failure(HardInstanceSpec("hard1", n, i=i))
             alpha = Fraction(3 * n, 3 * n + i - 2)
             assert report.thresholds.taus[i - 1] == alpha + Fraction(1, 1000)
-            assert report.unsatisfied, f"n={n} i={i}: everyone satisfied"
-            assert report.witness_agent < i, (
+            assert report.shortfalls, f"n={n} i={i}: everyone satisfied"
+            assert report.shortfalls[0].agent < i, (
                 f"n={n} i={i}: shortfall outside the first {i} agents"
             )
             assert report.reduction_count == 0, (
@@ -232,8 +232,8 @@ def test_criterion_7_oblivious_adversary():
                 HardInstanceSpec("hard2", n, i=i, k1=k1, k2=k2, t=3)
             )
             cap = fam.alpha + 2 * fam.epsilon
-            assert report.witness_value < cap, (
-                f"n={n} i={i} k1={k1} k2={k2}: {report.witness_value} >= {cap}"
+            assert report.shortfalls[0].value < cap, (
+                f"n={n} i={i} k1={k1} k2={k2}: {report.shortfalls[0].value} >= {cap}"
             )
             assert report.reduction_count == 0
             cases += 1

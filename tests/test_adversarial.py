@@ -193,14 +193,14 @@ def test_family_cap_counts_the_values_a_family_holds():
 
 def test_ordinal_tight_failure_reports_short_bag():
     report = demonstrate_failure(HardInstanceSpec("ordinalTight", 5))
-    assert report.witness_value == Fraction(14, 15)
+    assert report.shortfalls[0].value == Fraction(14, 15)
     assert report.ran_out_of_goods
 
 
 def test_ordinal_tight_all_short_bags_equal_formula():
     for n in (2, 4, 7, 10):
         report = demonstrate_failure(HardInstanceSpec("ordinalTight", n))
-        assert any(v == 1 - Fraction(1, 3 * n) for _, v, _ in report.unsatisfied)
+        assert any(c.value == 1 - Fraction(1, 3 * n) for c in report.shortfalls)
 
 
 def test_hard1_failure_no_reductions_and_short_agent():
@@ -208,8 +208,9 @@ def test_hard1_failure_no_reductions_and_short_agent():
         spec = HardInstanceSpec("hard1", n, i=i)
         report = demonstrate_failure(spec)
         assert report.reduction_count == 0
-        assert report.witness_agent < i  # 0-indexed member of the rich block
-        assert report.witness_value < report.witness_target
+        witness = report.shortfalls[0]
+        assert witness.agent < i  # 0-indexed member of the rich block
+        assert witness.value < witness.target and not witness.ok
 
 
 def test_hard1_rejects_threshold_at_or_below_cap():
@@ -241,7 +242,7 @@ def test_hard2_failure_stays_below_cap():
     spec = HardInstanceSpec("hard2", 6, i=4, k1=3, k2=0, t=3)
     report = demonstrate_failure(spec)
     fam = gen_hard2_responders(6, 4, 3, 0, 3)
-    assert report.witness_value < fam.alpha + 2 * fam.epsilon
+    assert report.shortfalls[0].value < fam.alpha + 2 * fam.epsilon
     assert report.reduction_count == 0
     assert report.ran_out_of_goods
 

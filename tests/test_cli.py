@@ -9,7 +9,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmskit import Allocation, Instance, ThresholdList
+from mmskit import (
+    Allocation,
+    HardInstanceSpec,
+    Instance,
+    PriorityRanking,
+    ThresholdList,
+    check_t_mms,
+    check_transcript,
+    demonstrate_failure,
+    priority_thresholds,
+    run_1_out_of_d,
+    run_rbf_truthful,
+)
 from mmskit.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -20,7 +32,9 @@ from mmskit.cli import (
     instance_from_json,
     instance_to_json,
     main,
+    report_to_json,
     thresholds_to_json,
+    transcript_to_json,
 )
 
 from _instances import random_instance, random_normalized_ordered
@@ -281,6 +295,13 @@ _UNIT_PAIR = {"agents": 2, "goods": 4, "valuations": [["1/2"] * 4] * 2}
 _UNIT_PAIR_ALLOCATION = {"bundles": [[0, 1], [2, 3]]}
 _ONE_ROW = {"agents": 1, "goods": 3, "valuations": [[1, 2, 3]]}
 _NO_AGENTS = {"agents": 0, "goods": 2, "valuations": []}
+# (n, row shared by all n agents, subcommands that reject it). bobw finishes
+# its runs on the last row and checks no guarantee, so it exits 0 there.
+_SHORT_SHARE_ROWS = [
+    (2, ["3/4", "3/4", "1/2"], ("rbf", "bobw")),
+    (3, ["27/35", "27/35", "24/35", "24/35", "3/35"], ("rbf", "bobw")),
+    (3, ["2/3", "2/3", "3/5", "3/5", "2/5", "1/15"], ("rbf",)),
+]
 
 
 @pytest.mark.parametrize(
@@ -334,6 +355,12 @@ _NO_AGENTS = {"agents": 0, "goods": 2, "valuations": []}
             ({"inst": {"agents": 2, "goods": 1, "valuations": [["2"], ["2"]]}}, [command, "{inst}"])
             for command in ("rbf", "bobw")
         ],
+        # Ordered, every total n, no good above 1, but an n-share below 1.
+        *[
+            ({"inst": {"agents": n, "goods": len(row), "valuations": [row] * n}}, [command, "{inst}"])
+            for n, row, commands in _SHORT_SHARE_ROWS
+            for command in commands
+        ],
     ],
     ids=[
         "string-row", "bool-agents", "int-bundle", "text-ranking", "threshold-count",
@@ -342,6 +369,7 @@ _NO_AGENTS = {"agents": 0, "goods": 2, "valuations": []}
         "missing-args", "non-int-flag", "mms-d-over-cap", "verify-d-over-cap",
         "no-agents-mms-d-0", "no-agents-verify-d-0", "no-agents-verify-d-negative",
         "no-agents-verify-d-over-cap", "rbf-good-over-1", "bobw-good-over-1",
+        "rbf-share-3-4", "bobw-share-3-4", "rbf-share-27-35", "bobw-share-27-35", "rbf-share-11-15",
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, files, argv):
@@ -351,8 +379,8 @@ def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, files, argv
         path.write_text(json.dumps(obj))
         paths[name] = str(path)
     assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("input error: ") and err.count("\n") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -594,11 +622,104 @@ def test_every_subcommand_ends_in_an_exit_code_and_at_most_one_line(tmp_path_fac
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([arg.format(**paths) for arg in argv])
     stderr = err.getvalue()
-    # Exit 3 stays allowed for a known input: two agents valuing ["3/4", "3/4", "1/2"]
-    # are ordered with totals n, but their n-share is 3/4, and rbf and bobw reach
-    # run_rbf's phase-2 self-check. Telling it apart needs the n-share itself.
-    assert code in (0, 1, 2, 3)
+    assert code in (0, 1, 2)
     assert "Traceback" not in stderr and stderr.count("\n") <= 1
     assert (stderr == "") == (code == EXIT_OK)
+    assert code == EXIT_OK or out.getvalue() == ""
     if bad_good:
         assert code == EXIT_INPUT
+
+
+# ---------------------------------------------------------------------------
+# Library and CLI agree
+
+
+def _ordinal_payload(inst: Instance) -> dict:
+    result = run_1_out_of_d(inst)
+    return {
+        "d": result.d,
+        "allocation": allocation_to_json(result.allocation),
+        "perAgent": [
+            {"agent": c.agent, "value": str(c.value), "share": str(c.target), "ok": c.ok}
+            for c in result.report.checks
+        ],
+        "allOk": result.report.all_ok,
+        "earlyTermination": bool(result.run and result.run.terminated_early),
+    }
+
+
+def _rbf_payload(inst: Instance, ranking: PriorityRanking) -> dict:
+    thresholds = priority_thresholds(inst.num_agents)
+    alloc, transcript = run_rbf_truthful(inst, thresholds, ranking)
+    structure = check_transcript(transcript)
+    report = check_t_mms(inst, alloc, ranking, thresholds, shares=(1,) * inst.num_agents)
+    return {
+        "allocation": allocation_to_json(alloc),
+        "transcript": transcript_to_json(transcript),
+        "thresholds": thresholds_to_json(thresholds),
+        **report_to_json(report),
+        "structureOk": structure.ok,
+        "structureViolations": list(structure.violations),
+    }
+
+
+def _demo_payload(spec: HardInstanceSpec) -> dict:
+    report = demonstrate_failure(spec)
+    shortfalls = [
+        {"agent": c.agent, "value": str(c.value), "target": str(c.target)} for c in report.shortfalls
+    ]
+    return {
+        "family": report.family,
+        "n": report.n,
+        "thresholds": thresholds_to_json(report.thresholds),
+        "witnessAgent": shortfalls[0]["agent"],
+        "witnessValue": shortfalls[0]["value"],
+        "witnessTarget": shortfalls[0]["target"],
+        "unsatisfied": shortfalls,
+        "reductionCount": report.reduction_count,
+        "ranOutOfGoods": report.ran_out_of_goods,
+        "allocation": allocation_to_json(report.allocation),
+    }
+
+
+@st.composite
+def _agreement_cases(draw):
+    """(argv with ``{inst}`` for the instance file, instance or None, the library's payload)."""
+    command = draw(st.sampled_from(["ordinal", "rbf", "demo"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if command == "ordinal":
+        n = draw(st.integers(2, 5))
+        inst = random_instance(rng, n, draw(st.integers(n, 10)), max_value=draw(st.sampled_from([3, 1000])))
+        return ["ordinal", "{inst}"], inst, _ordinal_payload(inst)
+    if command == "rbf":
+        n = draw(st.integers(2, 5))
+        inst, _ = random_normalized_ordered(rng, n, draw(st.integers(n, 3 * n + 2)), d=n)
+        ranks = draw(st.permutations(range(n)))
+        argv = ["rbf", "{inst}", "--ranking", ",".join(map(str, ranks))]
+        return argv, inst, _rbf_payload(inst, PriorityRanking(tuple(ranks)))
+    family = draw(st.sampled_from(["ordinalTight", "hard1", "hard2"]))
+    n = draw(st.integers({"ordinalTight": 2, "hard1": 3, "hard2": 4}[family], 6))
+    if family == "ordinalTight":
+        spec = HardInstanceSpec(family, n)
+    elif family == "hard1":
+        spec = HardInstanceSpec(family, n, i=draw(st.integers(3, n)))
+    else:
+        k1 = draw(st.integers(1, (n - 1) // 2))
+        k2 = draw(st.integers(0, n - 2 * k1))
+        spec = HardInstanceSpec(family, n, i=draw(st.integers(k1 + k2 + 1, n)), k1=k1, k2=k2, t=3)
+    flags = [(f"--{k}", getattr(spec, k)) for k in ("n", "i", "k1", "k2", "t") if getattr(spec, k) is not None]
+    return ["demo", family, *(str(x) for flag in flags for x in flag)], None, _demo_payload(spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_agreement_cases())
+def test_cli_json_is_the_library_result(tmp_path_factory, case):
+    argv, inst, payload = case
+    path = str(tmp_path_factory.mktemp("agree") / "instance.json")
+    if inst is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(instance_to_json(inst), fh)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([arg.format(inst=path) for arg in argv]) == EXIT_OK
+    assert json.loads(out.getvalue()) == payload

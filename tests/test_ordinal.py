@@ -7,6 +7,7 @@ import pytest
 
 from mmskit import Instance, InputError, bundle_value, mms, oracle, run_1_out_of_d, run_ordinal
 from mmskit.adversarial import gen_ordinal_tight
+from mmskit.verify import AgentCheck, GuaranteeReport
 
 from _instances import random_instance, random_normalized_ordered
 
@@ -130,8 +131,8 @@ def test_two_agents_two_goods_share_target_is_zero():
     inst = Instance.from_rows([[1, 1], [1, 1]])
     result = run_1_out_of_d(inst)
     assert result.d == 4
-    for value, share in result.guarantees:
-        assert share == 0 and value >= 0
+    for c in result.report.checks:
+        assert c.target == 0 and c.ok
 
 
 @pytest.mark.parametrize(
@@ -159,7 +160,7 @@ def test_pipeline_asks_each_row_and_d_of_the_oracle_at_most_once(monkeypatch, n,
     result = run_1_out_of_d(inst)
     monkeypatch.setattr(oracle, "mms", real_mms)
     assert asked and len(asked) == len(set(asked))
-    assert [share for _, share in result.guarantees] == [mms(inst, i, d).value for i in range(n)]
+    assert [c.target for c in result.report.checks] == [mms(inst, i, d).value for i in range(n)]
 
 
 def test_pipeline_guarantee_on_random_instances():
@@ -234,4 +235,6 @@ def test_pipeline_output_is_pinned(name):
     assert result.d == d
     assert result.allocation.bundles == tuple(frozenset(b) for b in bundles)
     assert result.allocation.unallocated == frozenset(unallocated)
-    assert result.guarantees == tuple((Fraction(v), Fraction(t)) for v, t in guarantees)
+    assert result.report == GuaranteeReport(
+        tuple(AgentCheck(i, Fraction(v), Fraction(t), True) for i, (v, t) in enumerate(guarantees))
+    )

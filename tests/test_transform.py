@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mmskit import Allocation, Instance, bundle_value, mms
+from mmskit import Allocation, InputError, Instance, bundle_value, mms
 from mmskit.transform import (
     normalize,
     order,
@@ -72,9 +72,13 @@ def test_normalize_unit_parts_and_totals():
     for _ in range(15):
         n, m, d = rng.randint(1, 3), rng.randint(4, 8), rng.randint(2, 4)
         inst = random_instance(rng, n, m, max_value=9)
-        normalized, witnesses, dropped = normalize(inst, d)
-        assert normalized.num_agents == n - len(dropped)
-        for row_idx in range(normalized.num_agents):
+        if any(sum(1 for v in row if v) < d for row in inst.valuations):  # a d-share of 0
+            with pytest.raises(InputError, match="cannot be normalized"):
+                normalize(inst, d)
+            continue
+        normalized, witnesses = normalize(inst, d)
+        assert normalized.num_agents == n
+        for row_idx in range(n):
             for part in witnesses[row_idx].witness.parts:
                 assert bundle_value(normalized, row_idx, part) == 1
             assert normalized.totals[row_idx] == d
@@ -84,22 +88,19 @@ def test_normalize_divides_by_part_value_not_share():
     # One agent, goods {2, 2}, two bundles: each part is worth 2, so each
     # good becomes 1/2 * 2 / 2 ... i.e. exactly 1 after division.
     inst = Instance.from_rows([[2, 2]])
-    normalized, witnesses, dropped = normalize(inst, 2)
-    assert dropped == frozenset()
+    normalized, witnesses = normalize(inst, 2)
     assert normalized.valuations[0] == (Fraction(1), Fraction(1))
 
 
-def test_normalize_drops_zero_share_agents():
-    inst = Instance.from_rows([[0, 0], [1, 1]])
-    normalized, witnesses, dropped = normalize(inst, 2)
-    assert dropped == frozenset({0})
-    assert normalized.num_agents == 1
+def test_normalize_rejects_a_zero_share_agent():
+    inst = Instance.from_rows([[1, 1], [0, 1]])
+    with pytest.raises(InputError, match="^agent 1 has a 2-share of 0 and cannot be normalized$"):
+        normalize(inst, 2)
 
 
 def test_normalize_keeps_already_normalized_values():
     inst, _ = random_normalized_ordered(random.Random(4), 2, 6)
-    normalized, _, dropped = normalize(inst, 2)
-    assert dropped == frozenset()
+    normalized, _ = normalize(inst, 2)
     # Any unit-part witness divides by 1, so the rows survive unchanged.
     assert normalized.valuations == inst.valuations
 
@@ -152,9 +153,11 @@ def test_unit_share_structure_after_real_normalization():
         n, d = rng.randint(1, 3), rng.randint(2, 4)
         m = rng.randint(d, 8)
         raw = random_instance(rng, n, m, max_value=9)
-        normalized, witnesses, dropped = normalize(raw, d)
-        if normalized.num_agents == 0:
+        if any(sum(1 for v in row if v) < d for row in raw.valuations):  # a d-share of 0
+            with pytest.raises(InputError, match="cannot be normalized"):
+                normalize(raw, d)
             continue
+        normalized, _ = normalize(raw, d)
         padded = pad_goods(normalized, 2 * d)
         ordered, perms = order(padded)
         assert check_unit_share_structure(ordered, d) == ()
@@ -171,11 +174,8 @@ def test_pipeline_roundtrip_values_never_drop():
         m = rng.randint(n + 2, 9)
         inst = random_instance(rng, n, m, max_value=8)
         result = run_1_out_of_d(inst)
-        assert result.guarantees is not None
-        for value, share in result.guarantees:
-            assert value >= share
-        report = check_1_out_of_d(inst, result.allocation, result.d)
-        assert result.guarantees == tuple((c.value, c.target) for c in report.checks)
+        assert result.report.all_ok
+        assert result.report == check_1_out_of_d(inst, result.allocation, result.d)
 
 
 def test_unpick_single_agent_keeps_everything():

@@ -308,14 +308,19 @@ def test_unit_share_structure_needs_one_witness_per_agent():
     [
         (["1/2", "1/2", "1/2", "1/4"], 2, ["total value 7/4 != 2"]),
         (["3/2", "1/4", "1/4", "0"], 2, ["top good worth 3/2 > 1"]),
-        # The middle pair is also the innermost tail.
+        # The middle pair is also the innermost tail. On an ordered row, good d
+        # worth more than 1/2 makes the middle pair worth more than 1.
         (
-            ["1/2", "3/4", "1/2", "1/4"],
+            ["3/4", "3/4", "1/2", "0"],
             2,
             ["middle pair worth 5/4 > 1", "pairs 2..2 sum to 5/4 > 1"],
         ),
-        (["1/2", "2/5", "3/5", "1/2"], 2, ["good at position 2 worth 3/5 > 1/2"]),
-        (["0", "1", "1/2", "1/2", "1", "0"], 3, ["pairs 2..3 sum to 3 > 2"]),
+        (
+            ["3/5", "3/5", "3/5", "1/5"],
+            2,
+            ["middle pair worth 6/5 > 1", "good at position 2 worth 3/5 > 1/2", "pairs 2..2 sum to 6/5 > 1"],
+        ),
+        (["3/5", "3/5", "1/2", "1/2", "1/2", "3/10"], 3, ["pairs 2..3 sum to 21/10 > 2"]),
     ],
     ids=["total", "top-good", "middle-pair", "good-d", "pair-tail"],
 )
@@ -332,3 +337,14 @@ def test_bag_pair_bounds_reports_each_violation():
         "agent 0, pair 1: bottom worth 3/5 > 1/3 despite pair value 6/5 > 1",
         "agent 0, pair 1: top worth 3/5 <= 2/3 despite pair value 6/5 > 1",
     )
+
+
+def test_structure_checks_report_an_unordered_instance_as_such():
+    # A valid unit-share witness, but position 1 outranks position 0: read as
+    # ranks, the row would show a middle pair and a pair tail worth 3/2.
+    inst = Instance.from_rows([["1/2", "1", "1/2", "0"]])
+    witness = Partition((frozenset({0, 2, 3}), frozenset({1})))
+    assert check_witness(inst, 0, witness) == ()
+    unordered = ("instance is not ordered (some agent's values increase)",)
+    assert check_unit_share_structure(inst, 2, (witness,)) == unordered
+    assert check_bag_pair_bounds(inst) == unordered
