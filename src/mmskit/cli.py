@@ -222,6 +222,12 @@ def _cmd_bobw(args: argparse.Namespace) -> int:
     inst = instance_from_json(_load_json(args.instance))
     thresholds = _parse_thresholds(args.thresholds, inst.num_agents)
     dist = bobw.cyclic_rotation_distribution(inst, thresholds)
+    if args.thresholds == "default":  # each rotation is checked as _cmd_rbf checks its run
+        shares = (1,) * inst.num_agents
+        for ranking, alloc in dist.support:
+            if not verify.check_t_mms(inst, alloc, ranking, thresholds, shares=shares).all_ok:
+                require_unit_shares(inst)  # a shortfall is a bug only on unit-share input
+                raise GuaranteeViolation("a default-threshold rotation violated its guarantee")
     payload = {
         "support": [
             {

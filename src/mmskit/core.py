@@ -40,6 +40,14 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, str):
         if len(x) > LITERAL_MAX_CHARS:
             raise InputError(f"rational literal longer than {LITERAL_MAX_CHARS} characters")
+        # Fast path for "p" and "p/q" in ASCII digits with q non-zero; isdigit()
+        # alone would also accept digits such as "²" that int() rejects.
+        num, slash, den = x.partition("/")
+        if num.isascii() and num.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isascii() and den.isdigit() and den.strip("0"):
+                return Fraction(int(num), int(den))
         if "e" in x or "E" in x:  # skip the regex on the common "p/q" and integer forms
             exponent = _EXPONENT.search(x)
             if exponent and abs(int(exponent.group(1))) > LITERAL_MAX_EXPONENT:
@@ -88,13 +96,27 @@ class Instance:
             for g, v in enumerate(row):
                 if not isinstance(v, Fraction):
                     raise InputError(f"valuations[{i}][{g}] is not a Fraction")
-                if v < 0:
+                if v.numerator < 0:  # a Fraction's denominator is positive
                     raise InputError(f"valuations[{i}][{g}] is negative: {v}")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[RationalLike]], num_goods: int | None = None) -> "Instance":
-        """Build an Instance from rows of ints / "p/q" strings / Fractions."""
-        vals = tuple(tuple(as_fraction(v) for v in row) for row in rows)
+        """Build an Instance from rows of ints / "p/q" strings / Fractions.
+
+        Each distinct string is parsed once per call. Other cells are not
+        memoised, so that ``True`` next to ``1`` is still rejected.
+        """
+        parsed: dict[str, Fraction] = {}
+
+        def cell(v: RationalLike) -> Fraction:
+            if v.__class__ is not str:
+                return as_fraction(v)
+            f = parsed.get(v)
+            if f is None:
+                f = parsed[v] = as_fraction(v)
+            return f
+
+        vals = tuple(tuple(cell(v) for v in row) for row in rows)
         if num_goods is None:
             if not vals:
                 raise InputError("num_goods is required for an instance with no agents")

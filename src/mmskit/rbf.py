@@ -53,7 +53,11 @@ class TruthfulResponder:
 def ord_st(goods: Iterable[int], positions: Iterable[int]) -> frozenset[int]:
     """The j-th smallest elements of ``goods`` for each 1-based j in
     ``positions``; positions beyond the set size are silently skipped."""
-    ranked = sorted(goods)
+    return _order_statistics(sorted(goods), positions)
+
+
+def _order_statistics(ranked: list[int], positions: Iterable[int]) -> frozenset[int]:
+    """``ord_st`` on goods already sorted into ``ranked``."""
     for j in positions:
         check_int("position", j)
     return frozenset(ranked[j - 1] for j in positions if 1 <= j <= len(ranked))
@@ -109,13 +113,13 @@ class Transcript:
 
 
 def reduction_shapes(goods: Iterable[int], agents_left: int) -> list[frozenset[int]]:
-    """Phase 1's four order-statistic bundles, types 1..4, over ``goods``."""
+    """Phase 1's four order-statistic bundles, types 1..4, over ``goods``,
+    which are sorted once for all four."""
     k = agents_left
+    ranked = sorted(goods)
     return [
-        ord_st(goods, {1}),
-        ord_st(goods, {k, k + 1}),
-        ord_st(goods, {2 * k - 1, 2 * k, 2 * k + 1}),
-        ord_st(goods, {1, 2 * k + 1}),
+        _order_statistics(ranked, positions)
+        for positions in ({1}, {k, k + 1}, {2 * k - 1, 2 * k, 2 * k + 1}, {1, 2 * k + 1})
     ]
 
 

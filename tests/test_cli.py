@@ -295,12 +295,12 @@ _UNIT_PAIR = {"agents": 2, "goods": 4, "valuations": [["1/2"] * 4] * 2}
 _UNIT_PAIR_ALLOCATION = {"bundles": [[0, 1], [2, 3]]}
 _ONE_ROW = {"agents": 1, "goods": 3, "valuations": [[1, 2, 3]]}
 _NO_AGENTS = {"agents": 0, "goods": 2, "valuations": []}
-# (n, row shared by all n agents, subcommands that reject it). bobw finishes
-# its runs on the last row and checks no guarantee, so it exits 0 there.
+# (n, row shared by all n agents, subcommands that reject it). On the last row
+# bobw finishes every run and its default-threshold guarantee check rejects it.
 _SHORT_SHARE_ROWS = [
     (2, ["3/4", "3/4", "1/2"], ("rbf", "bobw")),
     (3, ["27/35", "27/35", "24/35", "24/35", "3/35"], ("rbf", "bobw")),
-    (3, ["2/3", "2/3", "3/5", "3/5", "2/5", "1/15"], ("rbf",)),
+    (3, ["2/3", "2/3", "3/5", "3/5", "2/5", "1/15"], ("rbf", "bobw")),
 ]
 
 
@@ -370,6 +370,7 @@ _SHORT_SHARE_ROWS = [
         "no-agents-mms-d-0", "no-agents-verify-d-0", "no-agents-verify-d-negative",
         "no-agents-verify-d-over-cap", "rbf-good-over-1", "bobw-good-over-1",
         "rbf-share-3-4", "bobw-share-3-4", "rbf-share-27-35", "bobw-share-27-35", "rbf-share-11-15",
+        "bobw-share-11-15",
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, files, argv):
@@ -381,6 +382,15 @@ def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, files, argv
     assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["rbf", "bobw"])
+def test_a_short_share_is_reported_with_its_agent_and_value(tmp_path, capsys, command):
+    n, row, _ = _SHORT_SHARE_ROWS[-1]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"agents": n, "goods": len(row), "valuations": [row] * n}))
+    assert main([command, str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "input error: agent 0's 3-share is 11/15, below a unit share\n")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Domain model: exact values, allocation validity, threshold semantics."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from mmskit import (
     bundle_value,
     check_t_mms,
 )
+from mmskit import core
+from mmskit.cli import instance_from_json
 from mmskit.core import LITERAL_MAX_CHARS, LITERAL_MAX_EXPONENT
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
@@ -54,6 +57,42 @@ def test_as_fraction_bounds_literal_length_and_exponent():
             as_fraction(literal)
 
 
+def _reference_outcome(s: str) -> tuple[str, object]:
+    """What as_fraction(s) must give: the value of Fraction(s), or the error
+    message of the bound that applies, or of a string Fraction rejects."""
+    if len(s) > LITERAL_MAX_CHARS:
+        return "error", f"rational literal longer than {LITERAL_MAX_CHARS} characters"
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)", s, re.IGNORECASE)
+    if exponent and abs(int(exponent.group(1))) > LITERAL_MAX_EXPONENT:
+        return "error", f"rational literal exponent beyond +-{LITERAL_MAX_EXPONENT}: {s!r}"
+    try:
+        return "value", Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return "error", f"not a valid rational literal: {s!r}"
+
+
+_LITERALS = st.one_of(
+    # Anything Fraction's grammar touches, with digits int() and Fraction treat apart.
+    st.text(alphabet="0123456789/+-_ .eE\uff11\u0663\u00b2", max_size=12),
+    # Mostly the fast path's own forms: digits, leading zeros, empty sides, zeros.
+    st.from_regex(r"\A0*[0-9]{0,4}(/0*[0-9]{0,4})?\Z"),
+    st.sampled_from(["0/0", "1/0", "00/000", "/", "/7", "7/", "0", "007/010", "\u0663/4", "\u00b2/3"]),
+    # Lengths at and just past the bound.
+    st.sampled_from([LITERAL_MAX_CHARS, LITERAL_MAX_CHARS + 1]).flatmap(
+        lambda size: st.sampled_from(["7" * size, "1/" + "3" * (size - 2), "3" * (size - 2) + "/0"])
+    ),
+)
+
+
+@given(_LITERALS)
+def test_as_fraction_matches_fraction_of_the_string(s):
+    try:
+        outcome = "value", as_fraction(s)
+    except InputError as exc:
+        outcome = "error", str(exc)
+    assert outcome == _reference_outcome(s)
+
+
 def test_fraction_canonical_form():
     x = as_fraction("6/4")
     assert (x.numerator, x.denominator) == (3, 2)
@@ -80,6 +119,63 @@ def test_instance_rejects_ragged_and_negative():
         Instance.from_rows([[1, 2], [1]])
     with pytest.raises(InputError):
         Instance.from_rows([[1, "-1/2"]])
+
+
+_REPEATED_CELLS = st.sampled_from(["1/2", "2/4", "3", "03", "0", "1/3", 1, 0, Fraction(1, 2)])
+
+
+@given(st.lists(st.lists(_REPEATED_CELLS, min_size=3, max_size=3), min_size=1, max_size=4))
+def test_from_rows_parses_repeated_literals_as_each_cell_alone(rows):
+    assert Instance.from_rows(rows).valuations == tuple(tuple(as_fraction(v) for v in row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([["1/2", "x", "1/2"], ["y", "x"]], "not a valid rational literal: 'x'"),
+        ([["1/2", "1/2"], ["1/2", 0.5], ["x", "x"]], "not a rational: 0.5 (floats are not accepted)"),
+        ([["1", True]], "not a rational: True (floats are not accepted)"),
+        ([[1, True]], "not a rational: True (floats are not accepted)"),
+        ([["1/2", [1]]], "not a rational: [1] (floats are not accepted)"),
+    ],
+)
+def test_from_rows_reports_the_first_bad_cell(rows, message):
+    with pytest.raises(InputError) as info:
+        Instance.from_rows(rows)
+    assert str(info.value) == message
+
+
+def _unit_share_file(rng: random.Random, n: int, m: int) -> dict:
+    """Ordered rows in which every n-share is 1: each agent splits the goods
+    into n parts and each part's unit value by random weights 1..9."""
+    rows = []
+    for _ in range(n):
+        sizes = [1] * n
+        for _ in range(m - n):
+            sizes[rng.randrange(n)] += 1
+        row = []
+        for size in sizes:
+            weights = [rng.randint(1, 9) for _ in range(size)]
+            row.extend(Fraction(w, sum(weights)) for w in weights)
+        rows.append([str(v) for v in sorted(row, reverse=True)])
+    return {"agents": n, "goods": m, "valuations": rows}
+
+
+def test_instance_file_parses_each_distinct_literal_once(monkeypatch):
+    n = 80
+    obj = _unit_share_file(random.Random(7), n, 3 * n + 2)
+    parsed = []
+
+    def counting(x):
+        parsed.append(x)
+        return as_fraction(x)
+
+    monkeypatch.setattr(core, "as_fraction", counting)
+    inst = instance_from_json(obj)
+    distinct = {v for row in obj["valuations"] for v in row}
+    assert sorted(parsed) == sorted(distinct)
+    assert len(distinct) < 400 < n * (3 * n + 2)
+    assert inst.valuations == tuple(tuple(Fraction(v) for v in row) for row in obj["valuations"])
 
 
 _values = st.fractions(min_value=0, max_value=3, max_denominator=4)
