@@ -13,6 +13,7 @@ from .errors import GuaranteeViolation, InputError, MmsKitError, SearchBudgetExc
 from .oracle import MmsResult, mms, mms_naive
 from .ordinal import OrdinalRun, run_1_out_of_d, run_ordinal
 from .rbf import (
+    Bag,
     Transcript,
     TruthfulResponder,
     ord_st,
@@ -49,6 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation",
     "AllocationDistribution",
+    "Bag",
     "GuaranteeViolation",
     "HardInstanceSpec",
     "InputError",

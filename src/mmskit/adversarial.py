@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import GuaranteeViolation, InputError
 from .ordinal import run_ordinal
-from .rbf import Transcript, TruthfulResponder, reduction_shapes, run_rbf
+from .rbf import Bag, Transcript, TruthfulResponder, reduction_shapes, run_rbf
 from .verify import AgentCheck, check_t_mms, check_witness
 
 # Cap on the values (agents x goods) of an ordinalTight or hard2 family,
@@ -186,12 +186,13 @@ def _unit_fraction_below(x: Fraction) -> Fraction:
 class ScriptedHard2Responder:
     """The hard2 script for one run: answers every query and picks each filler's bag.
 
-    The target agent answers truthfully. Non-target agents decline every
-    first-round reduction shape. Agents holding the k1 + k2 best ranks claim
-    any bag containing a top good; everyone else declines bags until one
-    holds more than (n - k1 - k2) * t + 2 filler goods. ``choose_bag`` fills
-    the open bags round-robin, so that never happens, and the run exhausts
-    the fillers and ends on the leftover path.
+    The target agent answers truthfully, in the units of her row. Non-target
+    agents answer 0 or 1 in units of 1: they decline every first-round
+    reduction shape. Agents holding the k1 + k2 best ranks claim any bag
+    containing a top good; everyone else declines bags until one holds more
+    than (n - k1 - k2) * t + 2 filler goods. ``choose_bag`` fills the open
+    bags round-robin, so that never happens, and the run exhausts the
+    fillers and ends on the leftover path.
     """
 
     def __init__(self, family: "Hard2Family"):
@@ -202,19 +203,32 @@ class ScriptedHard2Responder:
             reduction_shapes(range(family.instance.num_goods), family.n)
         )
         self.last_filled = -1
+        # Each answer is a sum over the bag's goods, grown with the bag: the
+        # target's values, a 1 per top good, or a 1 per filler good.
+        m, rich = self.num_goods, family.k1 + family.k2
+        self._rich = rich
+        self._cap = (family.n - rich) * family.t + 2
+        self._target_row, self._target_unit = family.instance.scaled[0]
+        self._tops = (1,) * rich + (0,) * (m - rich)
+        self._fillers = (0,) * (2 * family.n) + (1,) * (m - 2 * family.n)
+        self._target_sums: dict[Bag, int] = {}
+        self._top_sums: dict[Bag, int] = {}
+        self._filler_sums: dict[Bag, int] = {}
 
-    def value(self, agent: int, goods: frozenset[int]) -> Fraction:
-        fam = self.family
-        if agent == fam.target_agent:
-            return bundle_value(fam.instance, 0, goods)
-        if goods in self.decline_shapes:
-            return Fraction(0)
-        rich = fam.k1 + fam.k2
-        if agent < rich:
-            return Fraction(1) if any(g < rich for g in goods) else Fraction(0)
-        filler_count = sum(1 for g in goods if g >= 2 * fam.n)
-        cap = (fam.n - fam.k1 - fam.k2) * fam.t + 2
-        return Fraction(1) if filler_count > cap else Fraction(0)
+    def unit(self, agent: int) -> int:
+        check_int("agent", agent, 0, self.num_agents - 1)
+        return self._target_unit if agent == self.family.target_agent else 1
+
+    def value(self, agent: int, goods: Bag) -> int:
+        if agent.__class__ is not int or not 0 <= agent < self.num_agents:
+            check_int("agent", agent, 0, self.num_agents - 1)
+        if agent == self.family.target_agent:
+            return goods.total(self._target_row, self._target_sums)
+        if goods.size <= 3 and goods.goods in self.decline_shapes:  # a shape has at most 3 goods
+            return 0
+        if agent < self._rich:
+            return 1 if goods.total(self._tops, self._top_sums) else 0
+        return 1 if goods.total(self._fillers, self._filler_sums) > self._cap else 0
 
     def choose_bag(self, open_bags: list[int]) -> int:
         """The first open bag after the last one filled, wrapping around."""

@@ -190,8 +190,9 @@ class Instance:
 
 
 def _as_index_set(goods: Iterable[int], most: int | None = None) -> frozenset[int]:
-    # Each member must pass check_int("good", g, 0, most), tested inline: every responder
-    # query comes here. A list is checked as given; its set would drop True next to 1.
+    # Each member must pass check_int("good", g, 0, most), tested inline: every bag the
+    # threshold allocator builds comes here. A list is checked as given; its set would
+    # drop True next to 1.
     try:
         s = frozenset(goods)
     except TypeError as exc:

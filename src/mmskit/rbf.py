@@ -2,36 +2,118 @@
 
 The allocator never reads valuations directly: every number it sees comes
 through a ``ValueResponder``, so truthful and scripted (adversarial)
-responders run the exact same code path. An agent *likes* a set when the
-responder's answer meets her rank's threshold.
+responders run the exact same code path. An agent *likes* a bag when the
+responder's answer, in her units, meets her rank's threshold: one int
+comparison per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, bundle_value, check_int
+from .core import Allocation, Instance, PriorityRanking, ThresholdList, _as_index_set, check_int
 from .errors import GuaranteeViolation, InputError
 from . import oracle
 
 
+class Bag:
+    """A set of goods that the allocator grows one good at a time.
+
+    ``Bag(goods)`` holds ``goods``. ``bag.add(g)`` returns a new bag holding
+    ``bag``'s goods and ``g``, a good above all of them (the allocator adds
+    loose goods in index order, after the pairs), with ``bag`` as its
+    ``parent`` and ``g`` as its ``good``, so that a responder can answer for
+    it from its answer for the parent. Each good is checked once, when its
+    bag is made; ``goods`` builds the frozenset when it is first read.
+    """
+
+    __slots__ = ("parent", "good", "size", "top", "_goods")
+
+    def __init__(self, goods: Iterable[int]):
+        self.parent: Bag | None = None
+        self.good: int | None = None
+        self._goods: frozenset[int] | None = _as_index_set(goods)
+        self.size = len(self._goods)
+        self.top = max(self._goods, default=-1)
+
+    def add(self, good: int) -> "Bag":
+        if good.__class__ is not int or good <= self.top:
+            check_int("good", good, 0)
+            raise InputError(f"good must be above the bag's largest good {self.top}, got {good}")
+        child = object.__new__(Bag)
+        child.parent, child.good, child.size, child.top, child._goods = self, good, self.size + 1, good, None
+        return child
+
+    @property
+    def goods(self) -> frozenset[int]:
+        if self._goods is None:
+            added, bag = [], self
+            while bag._goods is None:
+                added.append(bag.good)
+                bag = bag.parent
+            self._goods = bag._goods.union(added)
+        return self._goods
+
+    def total(self, ints: Sequence[int], stored: dict["Bag", int]) -> int:
+        """The sum of ``ints`` over this bag's goods. A grown bag's sum is
+        kept in ``stored`` in place of its nearest stored ancestor's, from
+        which it is computed. A good beyond ``ints`` raises InputError."""
+        try:
+            if self.parent is None:
+                total = 0
+                for g in self._goods:
+                    total += ints[g]
+                return total
+            total = stored.get(self)
+            if total is None:
+                added, bag = [self.good], self.parent
+                while bag.parent is not None and bag not in stored:
+                    added.append(bag.good)
+                    bag = bag.parent
+                if bag.parent is None:  # no stored ancestor: sum from the root's goods
+                    total = 0
+                    added.extend(bag._goods)
+                else:
+                    total = stored.pop(bag)
+                for g in added:
+                    total += ints[g]
+                stored[self] = total
+            return total
+        except IndexError:  # the goods' signs were checked when the bags were made
+            _as_index_set(self.goods, len(ints) - 1)
+            raise
+
+
 class ValueResponder(Protocol):
-    """Everything the allocator learns about a run: its size, the value of
-    each (agent, set of goods), and the open bag each loose good goes into."""
+    """Everything the allocator learns about a run: its size, each agent's
+    unit, the value of each (agent, bag), and the open bag each loose good
+    goes into.
+
+    ``value`` is an int count of ``1/unit(agent)``, and ``unit`` a positive
+    int, so that each query is decided by one int comparison.
+    """
 
     num_agents: int
     num_goods: int
 
-    def value(self, agent: int, goods: frozenset[int]) -> Fraction: ...
+    def unit(self, agent: int) -> int: ...
+
+    def value(self, agent: int, goods: Bag) -> int: ...
 
     def choose_bag(self, open_bags: list[int]) -> int: ...
 
 
 class TruthfulResponder:
     """Answers queries additively from an ordered unit-share instance, which
-    it validates on construction, and fills the lowest-index open bag."""
+    it validates on construction, and fills the lowest-index open bag.
+
+    An agent's unit is her row's L in ``Instance.scaled``, and a bag's value
+    the sum of its ints. A grown bag's value is its parent's plus one good:
+    the responder keeps the value of the last bag each agent was asked about
+    in each chain of bags, and drops the parent's once its child is answered.
+    """
 
     def __init__(self, instance: Instance):
         instance.require_ordered(instance.num_agents)
@@ -42,9 +124,17 @@ class TruthfulResponder:
         self.instance = instance
         self.num_agents = instance.num_agents
         self.num_goods = instance.num_goods
+        self._ints = [ints for ints, _ in instance.scaled]
+        self._sums: list[dict[Bag, int]] = [{} for _ in range(self.num_agents)]
 
-    def value(self, agent: int, goods: frozenset[int]) -> Fraction:
-        return bundle_value(self.instance, agent, goods)
+    def unit(self, agent: int) -> int:
+        self.instance.check_agent(agent)
+        return self.instance.scaled[agent][1]
+
+    def value(self, agent: int, goods: Bag) -> int:
+        if agent.__class__ is not int or not 0 <= agent < self.num_agents:
+            self.instance.check_agent(agent)
+        return goods.total(self._ints[agent], self._sums[agent])
 
     def choose_bag(self, open_bags: list[int]) -> int:
         return open_bags[0]
@@ -53,13 +143,8 @@ class TruthfulResponder:
 def ord_st(goods: Iterable[int], positions: Iterable[int]) -> frozenset[int]:
     """The j-th smallest elements of ``goods`` for each 1-based j in
     ``positions``; positions beyond the set size are silently skipped."""
-    return _order_statistics(sorted(goods), positions)
-
-
-def _order_statistics(ranked: list[int], positions: Iterable[int]) -> frozenset[int]:
-    """``ord_st`` on goods already sorted into ``ranked``."""
-    for j in positions:
-        check_int("position", j)
+    positions = [check_int("position", j) for j in positions]
+    ranked = sorted(goods)
     return frozenset(ranked[j - 1] for j in positions if 1 <= j <= len(ranked))
 
 
@@ -115,11 +200,12 @@ class Transcript:
 def reduction_shapes(goods: Iterable[int], agents_left: int) -> list[frozenset[int]]:
     """Phase 1's four order-statistic bundles, types 1..4, over ``goods``,
     which are sorted once for all four."""
-    k = agents_left
+    k = check_int("agents_left", agents_left, 1)
     ranked = sorted(goods)
+    size = len(ranked)
     return [
-        _order_statistics(ranked, positions)
-        for positions in ({1}, {k, k + 1}, {2 * k - 1, 2 * k, 2 * k + 1}, {1, 2 * k + 1})
+        frozenset(ranked[j - 1] for j in positions if j <= size)
+        for positions in ((1,), (k, k + 1), (2 * k - 1, 2 * k, 2 * k + 1), (1, 2 * k + 1))
     ]
 
 
@@ -137,7 +223,8 @@ def run_rbf(
     nobody likes anything, the most valuable loose good goes into the open
     bag the responder chooses. If the loose goods run out, the leftover bags
     go to the remaining agents in rank order and the run is flagged, not
-    failed. The responder gives the number of agents n and of goods m.
+    failed. The responder gives the number of agents n and of goods m, and
+    each agent's unit, asked once per run.
     """
     n = check_int("n", responder.num_agents, 1)
     m = check_int("m", responder.num_goods, 0)
@@ -150,25 +237,31 @@ def run_rbf(
         raise InputError(f"ranking covers {ranking.num_agents} agents, expected {n}")
 
     by_rank = ranking.agents_by_rank()
-    tau_of = {agent: thresholds.taus[rank] for rank, agent in enumerate(by_rank)}
+    # She likes a bag of value v exactly when v / unit >= tau, that is when
+    # v * tau.denominator >= tau.numerator * unit: need[agent] holds both ints.
+    need = {}
+    for rank, agent in enumerate(by_rank):
+        tau = thresholds.taus[rank]
+        need[agent] = (tau.denominator, tau.numerator * check_int("unit", responder.unit(agent), 1))
+    value = responder.value
 
     bundles: list[frozenset[int]] = [frozenset() for _ in range(n)]
     satisfied = [False] * n
-    agents_left = set(range(n))
+    waiting = list(by_rank)  # agents without a bundle, in rank order
     goods_left = set(range(m))
     reductions: list[ReductionEvent] = []
 
     # Phase 1: reductions.
-    while agents_left and goods_left:
-        shapes = reduction_shapes(goods_left, len(agents_left))
+    while waiting and goods_left:
+        shapes = reduction_shapes(goods_left, len(waiting))
         hit = None
         for shape_idx, shape in enumerate(shapes, start=1):
             if not shape:
                 continue
-            for agent in by_rank:
-                if agent not in agents_left:
-                    continue
-                if responder.value(agent, shape) >= tau_of[agent]:
+            bag = Bag(shape)
+            for agent in waiting:
+                den, num = need[agent]
+                if value(agent, bag) * den >= num:
                     hit = (shape_idx, agent, shape)
                     break
             if hit:
@@ -176,36 +269,32 @@ def run_rbf(
         if hit is None:
             break
         shape_idx, agent, shape = hit
-        reductions.append(
-            ReductionEvent(shape_idx, shape, agent, len(agents_left), len(goods_left))
-        )
+        reductions.append(ReductionEvent(shape_idx, shape, agent, len(waiting), len(goods_left)))
         bundles[agent] = shape
         satisfied[agent] = True
-        agents_left.remove(agent)
+        waiting.remove(agent)
         goods_left -= shape
 
-    phase2_agents = frozenset(agents_left)
+    phase2_agents = frozenset(waiting)
     phase2_goods = frozenset(goods_left)
 
     # Phase 2: bag filling over the surviving goods.
     bag_events: list[BagEvent] = []
     initial_bags: tuple[frozenset[int], ...] = ()
     ran_out = False
-    if agents_left:
-        k = len(agents_left)
+    ranked_goods = sorted(goods_left)
+    loose = 0  # ranked_goods[loose:] are the loose goods, most valuable first
+    if waiting:
+        k = len(waiting)
         if len(goods_left) < 2 * k:
             raise GuaranteeViolation(
                 f"{len(goods_left)} goods left for {k} agents; a normalized "
                 f"input guarantees at least {2 * k}"
             )
-        ranked_goods = sorted(goods_left)
-        bags = [
-            {ranked_goods[i], ranked_goods[2 * k - 1 - i]} for i in range(k)
-        ]
-        initial_bags = tuple(frozenset(b) for b in bags)
-        loose = ranked_goods[2 * k:]  # most valuable first
+        bags = [Bag((ranked_goods[i], ranked_goods[2 * k - 1 - i])) for i in range(k)]
+        initial_bags = tuple(bag.goods for bag in bags)
+        loose = 2 * k
         open_bags = list(range(k))
-        waiting = [a for a in by_rank if a in agents_left]
         while waiting:
             if len(waiting) != len(open_bags):
                 raise GuaranteeViolation(
@@ -213,35 +302,35 @@ def run_rbf(
                 )
             hit = None
             for agent in waiting:
+                den, num = need[agent]
                 for b in open_bags:
-                    if responder.value(agent, frozenset(bags[b])) >= tau_of[agent]:
+                    if value(agent, bags[b]) * den >= num:
                         hit = (agent, b)
                         break
                 if hit:
                     break
             if hit is not None:
                 agent, b = hit
-                bundles[agent] = frozenset(bags[b])
+                bundles[agent] = bags[b].goods
                 satisfied[agent] = True
                 waiting.remove(agent)
                 open_bags.remove(b)
                 bag_events.append(BagEvent("assign", b, agent=agent))
-            elif loose:
-                g = loose.pop(0)
+            elif loose < len(ranked_goods):
+                g = ranked_goods[loose]
+                loose += 1
                 b = responder.choose_bag(list(open_bags))
                 if b not in open_bags:
                     raise InputError(f"responder picked a closed bag {b}")
-                bags[b].add(g)
+                bags[b] = bags[b].add(g)
                 bag_events.append(BagEvent("fill", b, good=g))
             else:
                 ran_out = True
                 for agent, b in zip(waiting, open_bags):
-                    bundles[agent] = frozenset(bags[b])
+                    bundles[agent] = bags[b].goods
                     bag_events.append(BagEvent("leftover", b, agent=agent))
                 break
-        unallocated = frozenset(loose)
-    else:
-        unallocated = frozenset(goods_left)
+    unallocated = frozenset(ranked_goods[loose:])
 
     alloc = Allocation(tuple(bundles), unallocated)
     transcript = Transcript(

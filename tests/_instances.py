@@ -51,3 +51,25 @@ def random_normalized_ordered(
         permute_partition(w, perms[i]) for i, w in enumerate(witnesses)
     )
     return ordered, ordered_witnesses
+
+
+def unit_share_rows(rng: random.Random, n: int, m: int) -> list[list[Fraction]]:
+    """Ordered rows in which every agent's n-share is exactly 1, drawn as
+    perfbench's ``threshold`` workload draws them.
+
+    Each agent splits the goods into n nonempty parts and splits each part's
+    unit value by random weights 1..9; sorting a row keeps its share.
+    """
+    rows = []
+    for _ in range(n):
+        sizes = [1] * n
+        for _ in range(m - n):
+            sizes[rng.randrange(n)] += 1
+        row = []
+        for size in sizes:
+            weights = [rng.randint(1, 9) for _ in range(size)]
+            total = sum(weights)
+            row.extend(Fraction(w, total) for w in weights)
+        row.sort(reverse=True)
+        rows.append(row)
+    return rows

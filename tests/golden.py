@@ -1,0 +1,109 @@
+"""The golden CLI corpus: seeded inputs, the invocations run on them, and one
+digest per invocation of what it printed, wrote and returned.
+
+``tests/golden_cli.json`` maps each invocation id to the sha256 of its exit
+code, stdout, stderr and ``--output`` file. ``test_golden.py`` re-runs every
+invocation in-process and compares. After a change that is meant to alter an
+output, rewrite the file with
+
+    PYTHONPATH=src python tests/golden.py
+
+and name every id whose digest changed, with the reason.
+
+Inputs: perfbench's ``unit_share_rows`` recipe at n = 2..8 and 30 with
+m = 2n and 3n + 2; the demo grid of the three hard families at n = 3..8; and
+the rbf and bobw rows of the CLI's malformed-input table.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import tempfile
+from typing import Iterator
+
+from mmskit.cli import main
+
+from _instances import unit_share_rows
+from test_cli import MALFORMED_IDS, MALFORMED_INPUTS
+
+CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+SEED = 2026
+
+
+def _instance_json(rows) -> dict:
+    return {
+        "agents": len(rows),
+        "goods": len(rows[0]),
+        "valuations": [[v.numerator if v.denominator == 1 else str(v) for v in row] for row in rows],
+    }
+
+
+def invocations() -> Iterator[tuple[str, dict, list[str]]]:
+    """(id, files, argv) for every invocation. ``argv`` names each file as
+    ``{name}`` and the output file as ``{out}``."""
+    rng = random.Random(SEED)
+    for n in (*range(2, 9), 30):
+        for m in (2 * n, 3 * n + 2):
+            files = {"inst": _instance_json(unit_share_rows(rng, n, m))}
+            ranks = list(range(n))
+            rng.shuffle(ranks)
+            key = f"n{n}-m{m}"
+            yield f"rbf/{key}/identity", files, ["rbf", "{inst}"]
+            yield f"rbf/{key}/shuffled", files, [
+                "rbf", "{inst}", "--ranking", ",".join(map(str, ranks)), "--output", "{out}",
+            ]
+            yield f"bobw/{key}", files, ["bobw", "{inst}"]
+            yield f"bobw/{key}/seed", files, ["bobw", "{inst}", "--seed", str(rng.randrange(2**32))]
+    for n in range(3, 9):
+        yield f"demo/ordinalTight/n{n}", {}, ["demo", "ordinalTight", "--n", str(n)]
+        i = rng.randint(3, n)
+        yield f"demo/hard1/n{n}-i{i}", {}, ["demo", "hard1", "--n", str(n), "--i", str(i)]
+        rich = n // 3
+        k1 = rng.randint(1, rich)
+        k2 = rich - k1
+        i = rng.randint(rich + 1, n)
+        yield f"demo/hard2/n{n}-i{i}-k1{k1}-k2{k2}", {}, [
+            "demo", "hard2", "--n", str(n), "--i", str(i), "--k1", str(k1), "--k2", str(k2),
+        ]
+    for name, (files, argv) in zip(MALFORMED_IDS, MALFORMED_INPUTS):
+        if argv[0] in ("rbf", "bobw"):
+            yield f"malformed/{name}", files, argv
+
+
+def digest(files: dict, argv: list[str], workdir: str) -> str:
+    """Run one invocation in ``workdir`` and hash its exit code, stdout,
+    stderr and output file, with ``workdir`` masked out of the text."""
+    paths = {"out": os.path.join(workdir, "out.json")}
+    for name, obj in files.items():
+        paths[name] = os.path.join(workdir, f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.format(**paths) for arg in argv])
+    written = None
+    if os.path.exists(paths["out"]):
+        with open(paths["out"], encoding="utf-8") as fh:
+            written = fh.read()
+        os.remove(paths["out"])
+    record = [code, out.getvalue(), err.getvalue(), written]
+    text = json.dumps(record).replace(workdir, "{workdir}")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def compute() -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as workdir:
+        return {key: digest(files, argv, workdir) for key, files, argv in invocations()}
+
+
+if __name__ == "__main__":
+    digests = compute()
+    with open(CORPUS, "w", encoding="utf-8") as fh:
+        json.dump(digests, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(digests)} digests to {CORPUS}")

@@ -304,75 +304,76 @@ _SHORT_SHARE_ROWS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "files, argv",
-    [
+# (files, argv) of each malformed invocation; the golden corpus replays the rbf and bobw rows.
+MALFORMED_INPUTS = [
+    (
+        {"inst": {"agents": 1, "goods": 3, "valuations": ["123"]}},
+        ["mms", "{inst}", "--d", "1"],
+    ),
+    (
+        {"inst": {"agents": True, "goods": 1, "valuations": [[1]]}},
+        ["mms", "{inst}", "--d", "1"],
+    ),
+    (
+        {"inst": _UNIT_PAIR, "alloc": {"bundles": [5, []]}},
+        ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "2"],
+    ),
+    ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "a,b"]),
+    ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--thresholds", "1,1,1"]),
+    ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "0,1,2"]),
+    (
+        {"inst": _UNIT_PAIR, "alloc": _UNIT_PAIR_ALLOCATION},
+        ["verify", "{inst}", "{alloc}", "--mode", "tmms", "--thresholds", "1,1,1"],
+    ),
+    (
+        {"inst": _UNIT_PAIR, "alloc": _UNIT_PAIR_ALLOCATION},
+        ["verify", "{inst}", "{alloc}", "--mode", "tmms", "--ranking", "0,1,2"],
+    ),
+    # Only mms, ordinal and verify search, so only they take a budget.
+    ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--node-budget", "7"]),
+    ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "2", "--node-budget", "-5"]),
+    ({}, ["mms"]),
+    ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "x"]),
+    # Just over the cap on d, so that a broken cap fails fast.
+    ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "10001"]),
+    (
+        {"inst": _ONE_ROW, "alloc": {"bundles": [[0, 1, 2]]}},
+        ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "10001"],
+    ),
+    # With no agents, d is still checked.
+    ({"inst": _NO_AGENTS}, ["mms", "{inst}", "--d", "0"]),
+    *[
         (
-            {"inst": {"agents": 1, "goods": 3, "valuations": ["123"]}},
-            ["mms", "{inst}", "--d", "1"],
-        ),
-        (
-            {"inst": {"agents": True, "goods": 1, "valuations": [[1]]}},
-            ["mms", "{inst}", "--d", "1"],
-        ),
-        (
-            {"inst": _UNIT_PAIR, "alloc": {"bundles": [5, []]}},
-            ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "2"],
-        ),
-        ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "a,b"]),
-        ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--thresholds", "1,1,1"]),
-        ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--ranking", "0,1,2"]),
-        (
-            {"inst": _UNIT_PAIR, "alloc": _UNIT_PAIR_ALLOCATION},
-            ["verify", "{inst}", "{alloc}", "--mode", "tmms", "--thresholds", "1,1,1"],
-        ),
-        (
-            {"inst": _UNIT_PAIR, "alloc": _UNIT_PAIR_ALLOCATION},
-            ["verify", "{inst}", "{alloc}", "--mode", "tmms", "--ranking", "0,1,2"],
-        ),
-        # Only mms, ordinal and verify search, so only they take a budget.
-        ({"inst": _UNIT_PAIR}, ["rbf", "{inst}", "--node-budget", "7"]),
-        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "2", "--node-budget", "-5"]),
-        ({}, ["mms"]),
-        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "x"]),
-        # Just over the cap on d, so that a broken cap fails fast.
-        ({"inst": _ONE_ROW}, ["mms", "{inst}", "--d", "10001"]),
-        (
-            {"inst": _ONE_ROW, "alloc": {"bundles": [[0, 1, 2]]}},
-            ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "10001"],
-        ),
-        # With no agents, d is still checked.
-        ({"inst": _NO_AGENTS}, ["mms", "{inst}", "--d", "0"]),
-        *[
-            (
-                {"inst": _NO_AGENTS, "alloc": {"bundles": []}},
-                ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", d],
-            )
-            for d in ("0", "-3", "20000")
-        ],
-        # Ordered, every total n, but a good worth more than a unit share.
-        *[
-            ({"inst": {"agents": 2, "goods": 1, "valuations": [["2"], ["2"]]}}, [command, "{inst}"])
-            for command in ("rbf", "bobw")
-        ],
-        # Ordered, every total n, no good above 1, but an n-share below 1.
-        *[
-            ({"inst": {"agents": n, "goods": len(row), "valuations": [row] * n}}, [command, "{inst}"])
-            for n, row, commands in _SHORT_SHARE_ROWS
-            for command in commands
-        ],
+            {"inst": _NO_AGENTS, "alloc": {"bundles": []}},
+            ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", d],
+        )
+        for d in ("0", "-3", "20000")
     ],
-    ids=[
-        "string-row", "bool-agents", "int-bundle", "text-ranking", "threshold-count",
-        "rank-count", "verify-threshold-count", "verify-rank-count", "rbf-node-budget",
-        "negative-flag",
-        "missing-args", "non-int-flag", "mms-d-over-cap", "verify-d-over-cap",
-        "no-agents-mms-d-0", "no-agents-verify-d-0", "no-agents-verify-d-negative",
-        "no-agents-verify-d-over-cap", "rbf-good-over-1", "bobw-good-over-1",
-        "rbf-share-3-4", "bobw-share-3-4", "rbf-share-27-35", "bobw-share-27-35", "rbf-share-11-15",
-        "bobw-share-11-15",
+    # Ordered, every total n, but a good worth more than a unit share.
+    *[
+        ({"inst": {"agents": 2, "goods": 1, "valuations": [["2"], ["2"]]}}, [command, "{inst}"])
+        for command in ("rbf", "bobw")
     ],
-)
+    # Ordered, every total n, no good above 1, but an n-share below 1.
+    *[
+        ({"inst": {"agents": n, "goods": len(row), "valuations": [row] * n}}, [command, "{inst}"])
+        for n, row, commands in _SHORT_SHARE_ROWS
+        for command in commands
+    ],
+]
+MALFORMED_IDS = [
+    "string-row", "bool-agents", "int-bundle", "text-ranking", "threshold-count",
+    "rank-count", "verify-threshold-count", "verify-rank-count", "rbf-node-budget",
+    "negative-flag",
+    "missing-args", "non-int-flag", "mms-d-over-cap", "verify-d-over-cap",
+    "no-agents-mms-d-0", "no-agents-verify-d-0", "no-agents-verify-d-negative",
+    "no-agents-verify-d-over-cap", "rbf-good-over-1", "bobw-good-over-1",
+    "rbf-share-3-4", "bobw-share-3-4", "rbf-share-27-35", "bobw-share-27-35", "rbf-share-11-15",
+    "bobw-share-11-15",
+]
+
+
+@pytest.mark.parametrize("files, argv", MALFORMED_INPUTS, ids=MALFORMED_IDS)
 def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, files, argv):
     paths = {}
     for name, obj in files.items():

@@ -11,12 +11,14 @@ import pytest
 import mmskit
 from mmskit import (
     Allocation,
+    Bag,
     HardInstanceSpec,
     Instance,
     InputError,
     Partition,
     PriorityRanking,
     ThresholdList,
+    TruthfulResponder,
     adversarial,
     bundle_value,
     check_1_out_of_d,
@@ -42,6 +44,7 @@ from mmskit import (
 from mmskit.bobw import ln_enclosure
 from mmskit.cli import instance_from_json
 from mmskit.oracle import MAX_PARTS, mms_all
+from mmskit.rbf import reduction_shapes
 from mmskit.transform import normalize, pad_agents_to_multiple_of_3, pad_goods, unpick
 from mmskit.verify import check_witness
 
@@ -115,6 +118,7 @@ def test_only_core_tests_whether_a_value_is_an_int():
 _PAIR = Instance.from_rows([[2, 1, 1], [1, 1, 1]])  # 2 agents, 3 goods
 _PAIR_ALLOCATION = Allocation((frozenset({0}), frozenset({1, 2})))
 _UNIT_PAIR = Instance.from_rows([["1/2"] * 4] * 2)
+_UNIT_TRIPLE = Instance.from_rows([[1, "1/2", "1/2"]] * 2)  # 2 agents, 3 goods, as _PAIR
 
 
 def _agents(k):
@@ -129,8 +133,11 @@ class _SizedResponder:
         self.num_agents = num_agents
         self.num_goods = num_goods
 
+    def unit(self, agent):
+        return 1
+
     def value(self, agent, goods):
-        return Fraction(1)
+        return 1
 
     def choose_bag(self, open_bags):
         return open_bags[0]
@@ -139,6 +146,10 @@ class _SizedResponder:
 def _hard2(**fields):
     args = {"n": 4, "i": 3, "k1": 1, "k2": 0, "t": 3, **fields}
     return HardInstanceSpec("hard2", **args)
+
+
+def _hard2_script():
+    return adversarial.ScriptedHard2Responder(gen_hard2_responders(2, 2, 1, 0, 3))
 
 
 def _sample(seed):
@@ -196,6 +207,11 @@ _INTEGER_PARAMETERS = [
     ("equivalence_expand", "d", lambda v: equivalence_expand(_PAIR, v), 1, MAX_PARTS),
     ("check_unit_share_structure", "d", lambda v: check_unit_share_structure(_UNIT_PAIR, v), 1, MAX_PARTS),
     ("ord_st", "position", lambda v: ord_st({5, 9, 2}, {v}), None, None),
+    ("reduction_shapes", "agents_left", lambda v: reduction_shapes(range(5), v), 1, None),
+    ("TruthfulResponder.unit", "agent", lambda v: TruthfulResponder(_UNIT_PAIR).unit(v), 0, 1),
+    ("TruthfulResponder.value", "agent", lambda v: TruthfulResponder(_UNIT_PAIR).value(v, Bag({0})), 0, 1),
+    ("ScriptedHard2Responder.unit", "agent", lambda v: _hard2_script().unit(v), 0, 1),
+    ("ScriptedHard2Responder.value", "agent", lambda v: _hard2_script().value(v, Bag({0})), 0, 1),
     ("priority_thresholds", "n", priority_thresholds, 1, None),
     ("ThresholdList.constant", "n", lambda v: ThresholdList.constant(v, 1), 0, None),
     ("PriorityRanking", "rank", lambda v: PriorityRanking((v, 0)), 0, 1),
@@ -278,6 +294,9 @@ _GOOD_INDICES = [
         ),
     ),
     ("unpick", lambda g: unpick(Allocation(([g], [])), _PAIR, _PAIR)),
+    # A responder checks a bag's goods once per bag, not once per query.
+    ("TruthfulResponder.value", lambda g: TruthfulResponder(_UNIT_TRIPLE).value(0, Bag([1, g]))),
+    ("TruthfulResponder.value-grown", lambda g: TruthfulResponder(_UNIT_TRIPLE).value(0, Bag([1]).add(g))),
 ]
 
 
@@ -375,7 +394,7 @@ def test_perfbench_trace_targets_resolve():
     inspect.signature(adversarial.ScriptedHard2Responder).bind(None)
     # The counting subclasses override only `value`; the engine reads the rest
     # of the responder protocol from the classes they extend.
-    members = ("num_agents", "num_goods", "value", "choose_bag")
+    members = ("num_agents", "num_goods", "unit", "value", "choose_bag")
     instances = [
         rbf.TruthfulResponder(Instance.from_rows([[1]])),
         adversarial.ScriptedHard2Responder(adversarial.gen_hard2_responders(2, 2, 1, 0, 3)),

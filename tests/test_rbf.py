@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mmskit import (
+    Bag,
     Instance,
     InputError,
     PriorityRanking,
@@ -237,6 +238,29 @@ def test_bag_pair_bounds_on_unit_share_instances():
 
 
 # ---------------------------------------------------------------------------
+# Bags
+
+
+def test_a_grown_bag_keeps_one_sum_per_chain():
+    ints = [5, 4, 3, 3, 2, 2, 1, 1, 1, 0]
+    stored = {}
+    bag = Bag([0, 1])
+    assert bag.total(ints, stored) == 9 and stored == {}  # a root bag is summed, not kept
+    for g in range(2, 10):
+        bag = bag.add(g)
+        assert bag.total(ints, stored) == sum(ints[: g + 1])
+        assert stored == {bag: sum(ints[: g + 1])}  # the parent's sum was dropped
+    assert bag.goods == frozenset(range(10)) and bag.size == 10
+    # A bag whose ancestors hold no stored sum is summed from its root.
+    other = Bag([0, 3]).add(4).add(6)
+    assert other.total(ints, {}) == 11 and other.goods == {0, 3, 4, 6}
+    # A good is added above the bag's goods, so none is counted twice.
+    for good in (0, 5, 6):
+        with pytest.raises(InputError, match=f"^good must be above the bag's largest good 6, got {good}$"):
+            other.add(good)
+
+
+# ---------------------------------------------------------------------------
 # Custom responders
 
 
@@ -247,8 +271,11 @@ class _FlatResponder:
         self.num_agents, self.num_goods = n, m
         self.choose_bag = pick
 
+    def unit(self, agent):
+        return 1
+
     def value(self, agent, goods):
-        return Fraction(0)
+        return 0
 
 
 def test_scripted_runs_reach_the_leftover_path():
