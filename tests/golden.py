@@ -10,9 +10,19 @@ output, rewrite the file with
 
 and name every id whose digest changed, with the reason.
 
-Inputs: perfbench's ``unit_share_rows`` recipe at n = 2..8 and 30 with
-m = 2n and 3n + 2; the demo grid of the three hard families at n = 3..8; and
-the rbf and bobw rows of the CLI's malformed-input table.
+Running the script also prints every id it added, removed or changed
+against the committed file.
+
+Inputs and commands:
+
+- perfbench's ``unit_share_rows`` recipe at n = 2..8 and 30 with m = 2n and
+  3n + 2, through ``rbf`` and ``bobw``; at n <= 5 also through ``mms`` (all
+  agents and ``--agent``), ``ordinal`` and ``verify`` in both modes, since
+  ``mms`` at n = 6 takes seconds;
+- 20 seeded random instances at n = 2..5, half with integer and half with
+  ``p/q`` values, through the same n <= 5 commands;
+- ``gen`` and ``demo`` of the three hard families at n = 3..8;
+- every row of the CLI's malformed-input table.
 """
 
 from __future__ import annotations
@@ -43,6 +53,25 @@ def _instance_json(rows) -> dict:
     }
 
 
+def _searches(key: str, files: dict, n: int, m: int) -> Iterator[tuple[str, dict, list[str]]]:
+    """The commands that search, on one instance of n agents and m goods.
+    ``verify`` checks the allocation that deals goods round-robin."""
+    files = {**files, "alloc": {"bundles": [list(range(a, m, n)) for a in range(n)]}}
+    d = str(n)
+    yield f"mms/{key}", files, ["mms", "{inst}", "--d", d]
+    yield f"mms/{key}/agent", files, ["mms", "{inst}", "--d", d, "--agent", str(n - 1)]
+    yield f"ordinal/{key}", files, ["ordinal", "{inst}", "--output", "{out}"]
+    yield f"verify/{key}/1ood", files, ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", d]
+    yield f"verify/{key}/tmms", files, ["verify", "{inst}", "{alloc}", "--mode", "tmms"]
+
+
+def _random_rows(rng: random.Random, n: int, m: int, ratios: bool) -> list[list]:
+    """n rows of m values: ints 0..10, or "p/q" literals with p <= 12 and q <= 6."""
+    if ratios:
+        return [[f"{rng.randint(0, 12)}/{rng.randint(1, 6)}" for _ in range(m)] for _ in range(n)]
+    return [[rng.randint(0, 10) for _ in range(m)] for _ in range(n)]
+
+
 def invocations() -> Iterator[tuple[str, dict, list[str]]]:
     """(id, files, argv) for every invocation. ``argv`` names each file as
     ``{name}`` and the output file as ``{out}``."""
@@ -53,6 +82,8 @@ def invocations() -> Iterator[tuple[str, dict, list[str]]]:
             ranks = list(range(n))
             rng.shuffle(ranks)
             key = f"n{n}-m{m}"
+            if n <= 5:
+                yield from _searches(key, files, n, m)
             yield f"rbf/{key}/identity", files, ["rbf", "{inst}"]
             yield f"rbf/{key}/shuffled", files, [
                 "rbf", "{inst}", "--ranking", ",".join(map(str, ranks)), "--output", "{out}",
@@ -60,19 +91,32 @@ def invocations() -> Iterator[tuple[str, dict, list[str]]]:
             yield f"bobw/{key}", files, ["bobw", "{inst}"]
             yield f"bobw/{key}/seed", files, ["bobw", "{inst}", "--seed", str(rng.randrange(2**32))]
     for n in range(3, 9):
-        yield f"demo/ordinalTight/n{n}", {}, ["demo", "ordinalTight", "--n", str(n)]
+        for command in ("demo", "gen"):
+            yield f"{command}/ordinalTight/n{n}", {}, [command, "ordinalTight", "--n", str(n)]
         i = rng.randint(3, n)
-        yield f"demo/hard1/n{n}-i{i}", {}, ["demo", "hard1", "--n", str(n), "--i", str(i)]
+        for command in ("demo", "gen"):
+            yield f"{command}/hard1/n{n}-i{i}", {}, [command, "hard1", "--n", str(n), "--i", str(i)]
+        yield f"gen/hard1/n{n}-i{i}/epsilon", {}, [
+            "gen", "hard1", "--n", str(n), "--i", str(i), "--epsilon", f"1/{3 * n}",
+        ]
         rich = n // 3
         k1 = rng.randint(1, rich)
         k2 = rich - k1
         i = rng.randint(rich + 1, n)
-        yield f"demo/hard2/n{n}-i{i}-k1{k1}-k2{k2}", {}, [
-            "demo", "hard2", "--n", str(n), "--i", str(i), "--k1", str(k1), "--k2", str(k2),
-        ]
+        for command in ("demo", "gen"):
+            yield f"{command}/hard2/n{n}-i{i}-k1{k1}-k2{k2}", {}, [
+                command, "hard2", "--n", str(n), "--i", str(i), "--k1", str(k1), "--k2", str(k2),
+            ]
     for name, (files, argv) in zip(MALFORMED_IDS, MALFORMED_INPUTS):
-        if argv[0] in ("rbf", "bobw"):
-            yield f"malformed/{name}", files, argv
+        yield f"malformed/{name}", files, argv
+    rng = random.Random(SEED + 1)
+    for k in range(20):
+        n = 2 + k % 4
+        m = rng.randint(n, 3 * n)
+        ratios = k >= 10
+        rows = _random_rows(rng, n, m, ratios)
+        files = {"inst": {"agents": n, "goods": m, "valuations": rows}}
+        yield from _searches(f"random{k}-{'ratio' if ratios else 'int'}-n{n}-m{m}", files, n, m)
 
 
 def digest(files: dict, argv: list[str], workdir: str) -> str:
@@ -103,6 +147,17 @@ def compute() -> dict[str, str]:
 
 if __name__ == "__main__":
     digests = compute()
+    old: dict[str, str] = {}
+    if os.path.exists(CORPUS):
+        with open(CORPUS, encoding="utf-8") as fh:
+            old = json.load(fh)
+    for verb, keys in (
+        ("added", sorted(digests.keys() - old.keys())),
+        ("removed", sorted(old.keys() - digests.keys())),
+        ("changed", sorted(k for k in digests.keys() & old.keys() if digests[k] != old[k])),
+    ):
+        for key in keys:
+            print(f"{verb} {key}")
     with open(CORPUS, "w", encoding="utf-8") as fh:
         json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")
