@@ -24,6 +24,7 @@ from .core import (
     as_fraction,
     bundle_value,
     check_int,
+    scale_row,
 )
 from .errors import GuaranteeViolation, InputError
 from .ordinal import run_ordinal
@@ -87,10 +88,8 @@ def gen_ordinal_tight(n: int) -> OrdinalTightFamily:
     HardInstanceSpec("ordinalTight", n)
     d = (4 * n - 2) // 3
     m = 2 * n + 1 + 3 * (d - n)
-    row = tuple(
-        Fraction(2, 3) - Fraction((j + 2) // 2, 3 * n) if j < 2 * n else Fraction(1, 3)
-        for j in range(m)
-    )
+    # 2/3 - ((j + 2) // 2) / (3n) for the first 2n goods, 1/3 for the rest.
+    row = scale_row([(2 * n - (j + 2) // 2, 3 * n) if j < 2 * n else (1, 3) for j in range(m)])
     inst = Instance((row,) * n, m)
     # One partition with every part worth exactly 1 (1-indexed construction).
     parts: list[frozenset[int]] = []
@@ -140,18 +139,14 @@ def gen_hard1(n: int, i: int, epsilon: Fraction) -> Hard1Family:
         raise InputError("epsilon too large: flat agents need >= 2n+i-1 goods")
     if n / epsilon > HARD1_MAX_GOODS:
         raise InputError(f"epsilon too small: n/epsilon exceeds {HARD1_MAX_GOODS} goods")
-    delta = Fraction(1, 3 * n + i - 2)
-    alpha = 3 * n * delta
+    den = 3 * n + i - 2  # of delta, the rich agents' unit
+    alpha = Fraction(3 * n, den)
     m = int(n / epsilon)
-    rich_row = tuple(
-        (2 * n - (j + 2) // 2) * delta
-        if j < 2 * n
-        else (n * delta if j < 2 * n + i - 1 else Fraction(0))
-        for j in range(m)
+    rich_row = scale_row(
+        [(2 * n - (j + 2) // 2 if j < 2 * n else n if j < 2 * n + i - 1 else 0, den) for j in range(m)]
     )
-    flat_row = (epsilon,) * m
-    rows = tuple(rich_row for _ in range(i)) + tuple(flat_row for _ in range(n - i))
-    inst = Instance(rows, m)
+    flat_row = ((1,) * m, epsilon.denominator)
+    inst = Instance((rich_row,) * i + (flat_row,) * (n - i), m)
 
     # Rich agents' n-share partition with every part worth exactly 1
     # (1-indexed): pairs {j, 2k+1-j} for j <= k, then triples
@@ -260,19 +255,16 @@ def gen_hard2_responders(n: int, i: int, k1: int, k2: int, t: int) -> Hard2Famil
     that this valuation is unit-normalized.
     """
     HardInstanceSpec("hard2", n, i=i, k1=k1, k2=k2, t=t)
+    den = 3 * t * (n - k2)
     alpha = 1 - Fraction(k1, 3 * (n - k2))
-    epsilon = Fraction(1, 3 * t * (n - k2))
+    epsilon = Fraction(1, den)
     filler_total = (n - k1 - k2) ** 2 * t
     thirds = 2 * n - k1 - 2 * k2
-    values = (
-        [alpha] * (k1 + k2)
-        + [Fraction(1, 3)] * thirds
-        + [1 - alpha] * k2
-        + [epsilon] * filler_total
-    )
-    m = len(values)
-    row = tuple(values)
-    inst = Instance((row,), m)
+    # Over epsilon's denominator, the fillers' 1s keep the row in lowest terms.
+    top = den - k1 * t  # alpha
+    ints = [top] * (k1 + k2) + [den // 3] * thirds + [den - top] * k2 + [1] * filler_total
+    m = len(ints)
+    inst = Instance(((tuple(ints), den),), m)
 
     # Four groups of unit parts. Good layout: alphas at [0, k1+k2), thirds at
     # [k1+k2, 2n-k2), complements at [2n-k2, 2n), fillers from 2n on.

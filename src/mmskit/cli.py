@@ -135,14 +135,14 @@ def _emit(payload: Any, output: str | None) -> None:
 
 
 # The parsers only parse; the library checks each list's length against the instance.
-def _parse_thresholds(spec: str, n: int) -> ThresholdList:
-    if spec == "default":
+def _parse_thresholds(spec: str | None, n: int) -> ThresholdList:
+    if spec in (None, "default"):
         return priority_thresholds(n)
     return ThresholdList(tuple(as_fraction(part.strip()) for part in spec.split(",")))
 
 
-def _parse_ranking(spec: str, n: int) -> PriorityRanking:
-    if spec == "identity":
+def _parse_ranking(spec: str | None, n: int) -> PriorityRanking:
+    if spec in (None, "identity"):
         return PriorityRanking.identity(n)
     try:
         ranks = tuple(int(part.strip()) for part in spec.split(","))
@@ -410,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("allocation")
     p.add_argument("--mode", choices=["1ood", "tmms"], required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--thresholds", default="default")
-    p.add_argument("--ranking", default="identity")
+    p.add_argument("--d", type=int, default=None, help="mode 1ood only")
+    p.add_argument("--thresholds", default=None, help="mode tmms only; default 'default'")
+    p.add_argument("--ranking", default=None, help="mode tmms only; default 'identity'")
     add_budget(p)
     add_common(p)
     p.set_defaults(func=_cmd_verify)
@@ -420,10 +420,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The modes or families that read each of these flags; any other rejects it.
+_READ_BY = {"d": ("1ood",), "thresholds": ("tmms",), "ranking": ("tmms",), "i": ("hard1", "hard2"),
+            "epsilon": ("hard1",), "k1": ("hard2",), "k2": ("hard2",)}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        choice = getattr(args, "mode", None) or getattr(args, "family", None)
+        for dest, readers in _READ_BY.items():
+            if choice and choice not in readers and getattr(args, dest, None) is not None:
+                raise InputError(f"mmskit {args.command}: argument --{dest}: not read with {choice}")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

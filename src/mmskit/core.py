@@ -1,7 +1,8 @@
 """Exact-arithmetic domain model for fair division of indivisible goods.
 
-Agents and goods are 0-indexed throughout the package. Every valuation
-quantity is a ``fractions.Fraction``; floating point never enters any
+Agents and goods are 0-indexed throughout the package. An instance holds
+each agent's values as ints over one denominator, and every value it
+reports is a ``fractions.Fraction``; floating point never enters any
 allocation decision, so boundary comparisons (``value >= threshold``)
 are exact.
 """
@@ -12,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -71,6 +72,18 @@ def check_int(name: str, value: object, least: int | None = None, most: int | No
     return value
 
 
+def scale_row(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """A row of values p/q, given as ``(p, q)`` pairs with q > 0, in the
+    integer form ``(ints, L)`` that ``Instance.scaled`` holds: L is the lcm
+    of the values' reduced denominators and ``ints[g] == p * L / q``."""
+    scale = lcm(*(q for _, q in pairs))
+    ints = [p * (scale // q) for p, q in pairs]
+    common = gcd(scale, *ints)  # 1 unless some p/q is not in lowest terms
+    if common > 1:
+        return tuple([v // common for v in ints]), scale // common
+    return tuple(ints), scale
+
+
 # Instance.require_ordered's message, also the one violation an unordered instance gets.
 UNORDERED = "instance is not ordered (some agent's values increase)"
 
@@ -79,25 +92,31 @@ UNORDERED = "instance is not ordered (some agent's values increase)"
 class Instance:
     """A fair division instance: n agents, m goods, additive valuations.
 
-    ``valuations[i][g]`` is agent i's value for good g. All entries are
-    non-negative Fractions and every row has exactly ``num_goods`` entries.
+    The exact value kernel: ``scaled[i]`` is agent i's row as ``(ints, L)``,
+    ``num_goods`` non-negative ints and the lcm L of the reduced denominators
+    of her values, so equal rows have equal forms. Her value for good g is
+    ``Fraction(ints[g], L)``. Sums and comparisons within one row run on these
+    ints: a bundle is worth ``sum(ints[g]) / L``, and at least 1 exactly when
+    that sum is at least L. MMS scales linearly, so the share oracle searches
+    the int row and divides its optimum by L.
     """
 
-    valuations: tuple[tuple[Fraction, ...], ...]
+    scaled: tuple[tuple[tuple[int, ...], int], ...]
     num_goods: int
 
     def __post_init__(self):
         check_int("num_goods", self.num_goods, 0)
-        for i, row in enumerate(self.valuations):
-            if len(row) != self.num_goods:
-                raise InputError(
-                    f"agent {i} has {len(row)} values, expected {self.num_goods}"
-                )
-            for g, v in enumerate(row):
-                if not isinstance(v, Fraction):
-                    raise InputError(f"valuations[{i}][{g}] is not a Fraction")
-                if v.numerator < 0:  # a Fraction's denominator is positive
-                    raise InputError(f"valuations[{i}][{g}] is negative: {v}")
+        for i, (ints, scale) in enumerate(self.scaled):
+            if len(ints) != self.num_goods:
+                raise InputError(f"agent {i} has {len(ints)} values, expected {self.num_goods}")
+            check_int(f"scaled[{i}]'s L", scale, 1)
+            if not {*map(type, ints)} <= {int} or min(ints, default=0) < 0:
+                g, v = next((g, v) for g, v in enumerate(ints) if v.__class__ is not int or v < 0)
+                if v.__class__ is not int:
+                    raise InputError(f"scaled[{i}] value {g} is not an int: {v!r}")
+                raise InputError(f"valuations[{i}][{g}] is negative: {Fraction(v, scale)}")
+            if gcd(scale, *ints) != 1:
+                raise InputError(f"scaled[{i}] is not in lowest terms: L = {scale}")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[RationalLike]], num_goods: int | None = None) -> "Instance":
@@ -106,50 +125,37 @@ class Instance:
         Each distinct string is parsed once per call. Other cells are not
         memoised, so that ``True`` next to ``1`` is still rejected.
         """
-        parsed: dict[str, Fraction] = {}
+        parsed: dict[str, tuple[int, int]] = {}
 
-        def cell(v: RationalLike) -> Fraction:
+        def cell(v: RationalLike) -> tuple[int, int]:
             if v.__class__ is not str:
-                return as_fraction(v)
-            f = parsed.get(v)
-            if f is None:
-                f = parsed[v] = as_fraction(v)
-            return f
+                return as_fraction(v).as_integer_ratio()
+            return parsed.get(v) or parsed.setdefault(v, as_fraction(v).as_integer_ratio())
 
-        vals = tuple(tuple(cell(v) for v in row) for row in rows)
+        scaled = []
+        for i, row in enumerate(rows):
+            if isinstance(row, str):
+                raise InputError(f"row {i} is a string, not a sequence of values: {row!r}")
+            scaled.append(scale_row([cell(v) for v in row]))
         if num_goods is None:
-            if not vals:
+            if not scaled:
                 raise InputError("num_goods is required for an instance with no agents")
-            num_goods = len(vals[0])
-        return Instance(vals, num_goods)
+            num_goods = len(scaled[0][0])
+        return Instance(tuple(scaled), num_goods)
 
     @property
     def num_agents(self) -> int:
-        return len(self.valuations)
+        return len(self.scaled)
+
+    @cached_property
+    def valuations(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Each value as a Fraction, ``Fraction(ints[g], L)``: a view of ``scaled`` for output."""
+        return tuple(tuple(Fraction(v, scale) for v in ints) for ints, scale in self.scaled)
 
     def value(self, agent: int, good: int) -> Fraction:
         self.check_agent(agent)
         check_int("good", good, 0, self.num_goods - 1)
         return self.valuations[agent][good]
-
-    @cached_property
-    def scaled(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The exact value kernel: each agent's row in integer form, computed
-        once per instance.
-
-        ``scaled[i]`` is ``(ints, L)``, where L is the least common multiple of
-        the denominators of agent i's row and ``valuations[i][g] ==
-        Fraction(ints[g], L)``. Sums and comparisons within one row run on
-        these ints: a bundle is worth ``sum(ints[g]) / L``, and it is worth at
-        least 1 exactly when that sum is at least L. MMS scales linearly, so
-        the share oracle searches the int row and divides its optimum by L:
-        the same exact value and witness as a search on the Fractions.
-        """
-        out = []
-        for row in self.valuations:
-            scale = lcm(*(v.denominator for v in row))
-            out.append((tuple(v.numerator * (scale // v.denominator) for v in row), scale))
-        return tuple(out)
 
     @cached_property
     def totals(self) -> tuple[Fraction, ...]:
@@ -273,6 +279,8 @@ class ThresholdList:
     taus: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if isinstance(self.taus, str):
+            raise InputError(f"taus must be a sequence of rationals, not a string: {self.taus!r}")
         object.__setattr__(self, "taus", tuple(as_fraction(t) for t in self.taus))
         prev = Fraction(1)
         for r, t in enumerate(self.taus):

@@ -4,7 +4,8 @@
 deliberately unoptimized enumerator over all set partitions, kept as an
 independent cross-check. Both return the exact optimum or raise; neither
 ever returns an approximate answer. ``mms`` searches the agent's integer row
-from ``Instance.scaled``; ``mms_naive`` adds the Fractions themselves.
+from ``Instance.scaled``; ``mms_naive`` adds the Fractions of the
+``Instance.valuations`` view.
 The module keeps no state between calls.
 """
 
@@ -168,7 +169,8 @@ def mms(
 
 def mms_all(inst: Instance, d: int, node_budget: int | None = None) -> tuple[MmsResult, ...]:
     """Every agent's ``mms`` over all goods, in agent order: the one loop over
-    agents' shares. Each distinct ``Instance.scaled`` row is searched once.
+    agents' shares. Each distinct ``Instance.scaled`` row is searched once;
+    equal rows have equal integer forms, since each L is in lowest terms.
     d and ``node_budget`` are checked even when there are no agents."""
     check_search(d, node_budget)
     solved: dict[tuple[tuple[int, ...], int], MmsResult] = {}

@@ -163,9 +163,7 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
         bundles[the_one] = frozenset(range(inst.num_goods))
         allocation = Allocation(tuple(bundles))
     else:
-        rows = tuple(inst.valuations[i] for i in survivors)
-        base = Instance(rows, inst.num_goods)
-        padded = pad_agents_to_multiple_of_3(base)
+        padded = pad_agents_to_multiple_of_3(Instance(tuple(inst.scaled[i] for i in survivors), inst.num_goods))
         n_run = padded.num_agents
         d_run = 4 * n_run // 3
         # The oracle puts the zero-valued dummy goods in each witness's part 0.

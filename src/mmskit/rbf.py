@@ -109,8 +109,8 @@ class TruthfulResponder:
     """Answers queries additively from an ordered unit-share instance, which
     it validates on construction, and fills the lowest-index open bag.
 
-    An agent's unit is her row's L in ``Instance.scaled``, and a bag's value
-    the sum of its ints. A grown bag's value is its parent's plus one good:
+    An agent's unit is the L that ``Instance.scaled`` stores with her row,
+    in lowest terms, and a bag's value the sum of its ints. A grown bag's value is its parent's plus one good:
     the responder keeps the value of the last bag each agent was asked about
     in each chain of bags, and drops the parent's once its child is answered.
     """
@@ -119,8 +119,7 @@ class TruthfulResponder:
         instance.require_ordered(instance.num_agents)
         for i, (ints, scale) in enumerate(instance.scaled):  # ordered: good 0 is the top good
             if ints and ints[0] > scale:
-                top = instance.valuations[i][0]
-                raise InputError(f"agent {i} values good 0 at {top} > 1, above a unit share")
+                raise InputError(f"agent {i} values good 0 at {Fraction(ints[0], scale)} > 1, above a unit share")
         self.instance = instance
         self.num_agents = instance.num_agents
         self.num_goods = instance.num_goods

@@ -9,10 +9,9 @@ increase each agent's value.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .core import Allocation, Instance, Partition, bundle_value, check_int
+from .core import Allocation, Instance, Partition, bundle_value, check_int, scale_row
 from .errors import GuaranteeViolation, InputError
 from . import oracle
 
@@ -22,12 +21,10 @@ def pad_agents_to_multiple_of_3(inst: Instance) -> Instance:
 
     The clones are the rows past the original agents.
     """
-    n = check_int("n", inst.num_agents, 1)
-    n_target = 3 * ((n + 2) // 3)
-    if n_target == n:
+    clones = -check_int("n", inst.num_agents, 1) % 3
+    if not clones:
         return inst
-    rows = inst.valuations + (inst.valuations[0],) * (n_target - n)
-    return Instance(rows, inst.num_goods)
+    return Instance(inst.scaled + (inst.scaled[0],) * clones, inst.num_goods)
 
 
 def pad_goods(inst: Instance, min_goods: int) -> Instance:
@@ -37,12 +34,10 @@ def pad_goods(inst: Instance, min_goods: int) -> Instance:
     ordered and the normalized property intact.
     """
     check_int("min_goods", min_goods, 0)
-    m = inst.num_goods
-    if min_goods <= m:
+    if min_goods <= inst.num_goods:
         return inst
-    extra = min_goods - m
-    rows = tuple(row + (Fraction(0),) * extra for row in inst.valuations)
-    return Instance(rows, min_goods)
+    zeros = (0,) * (min_goods - inst.num_goods)
+    return Instance(tuple((ints + zeros, scale) for ints, scale in inst.scaled), min_goods)
 
 
 def normalize(
@@ -55,7 +50,7 @@ def normalize(
     whose d-share is 0 cannot be rescaled: InputError.
     """
     results = oracle.mms_all(inst, d, node_budget=node_budget)
-    rows: list[tuple[Fraction, ...]] = []
+    rows = []
     for i, result in enumerate(results):
         if result.value == 0:
             raise InputError(f"agent {i} has a {d}-share of 0 and cannot be normalized")
@@ -66,7 +61,7 @@ def normalize(
             pv = sum(ints[g] for g in part)
             for g in part:
                 part_of_good[g] = pv
-        rows.append(tuple(Fraction(ints[g], part_of_good[g]) for g in range(inst.num_goods)))
+        rows.append(scale_row([(ints[g], part_of_good[g]) for g in range(inst.num_goods)]))
     return Instance(tuple(rows), inst.num_goods), results
 
 
@@ -77,13 +72,10 @@ def order(inst: Instance) -> tuple[Instance, tuple[tuple[int, ...], ...]]:
     identity order of positions works for all agents simultaneously. The
     permutation maps sorted position -> original good index.
     """
-    perms: list[tuple[int, ...]] = []
-    rows: list[tuple[Fraction, ...]] = []
-    for row, (ints, _) in zip(inst.valuations, inst.scaled):
-        perm = tuple(sorted(range(inst.num_goods), key=lambda g: (-ints[g], g)))
-        perms.append(perm)
-        rows.append(tuple(row[g] for g in perm))
-    return Instance(tuple(rows), inst.num_goods), tuple(perms)
+    goods = range(inst.num_goods)
+    perms = tuple(tuple(sorted(goods, key=lambda g: (-ints[g], g))) for ints, _ in inst.scaled)
+    rows = tuple((tuple([ints[g] for g in perm]), scale) for (ints, scale), perm in zip(inst.scaled, perms))
+    return Instance(rows, inst.num_goods), perms
 
 
 def permute_partition(partition: Partition, perm: Sequence[int]) -> Partition:

@@ -179,10 +179,9 @@ def equivalence_expand(inst: Instance, d: int) -> tuple[Instance, ThresholdList]
     check_int("d", d, 1, oracle.MAX_PARTS)
     if d < n:
         raise InputError(f"d must be >= n = {n}, got {d}")
-    zero_row = (Fraction(0),) * inst.num_goods
-    rows = inst.valuations + (zero_row,) * (d - n)
+    zero_row = ((0,) * inst.num_goods, 1)
     taus = (Fraction(1),) * n + (Fraction(0),) * (d - n)
-    return Instance(rows, inst.num_goods), ThresholdList(taus)
+    return Instance(inst.scaled + (zero_row,) * (d - n), inst.num_goods), ThresholdList(taus)
 
 
 # ---------------------------------------------------------------------------

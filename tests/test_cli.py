@@ -360,6 +360,24 @@ MALFORMED_INPUTS = [
         for n, row, commands in _SHORT_SHARE_ROWS
         for command in commands
     ],
+    # Flags that the chosen mode or family never reads.
+    (
+        {"inst": _UNIT_PAIR, "alloc": _UNIT_PAIR_ALLOCATION},
+        ["verify", "{inst}", "{alloc}", "--mode", "tmms", "--d", "3"],
+    ),
+    *[
+        (
+            {"inst": _UNIT_PAIR, "alloc": _UNIT_PAIR_ALLOCATION},
+            ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "2", flag, value],
+        )
+        for flag, value in (("--thresholds", "1,1"), ("--ranking", "1,0"))
+    ],
+    ({}, ["gen", "ordinalTight", "--n", "3", "--i", "9"]),
+    ({}, ["gen", "ordinalTight", "--n", "3", "--epsilon", "1/5"]),
+    ({}, ["gen", "hard2", "--n", "6", "--i", "4", "--k1", "3", "--k2", "0", "--epsilon", "1/5"]),
+    ({}, ["demo", "hard1", "--n", "4", "--i", "3", "--k1", "7"]),
+    ({}, ["demo", "hard1", "--n", "4", "--i", "3", "--k2", "0"]),
+    ({}, ["demo", "ordinalTight", "--n", "3", "--k1", "1"]),
 ]
 MALFORMED_IDS = [
     "string-row", "bool-agents", "int-bundle", "text-ranking", "threshold-count",
@@ -369,7 +387,9 @@ MALFORMED_IDS = [
     "no-agents-mms-d-0", "no-agents-verify-d-0", "no-agents-verify-d-negative",
     "no-agents-verify-d-over-cap", "rbf-good-over-1", "bobw-good-over-1",
     "rbf-share-3-4", "bobw-share-3-4", "rbf-share-27-35", "bobw-share-27-35", "rbf-share-11-15",
-    "bobw-share-11-15",
+    "bobw-share-11-15", "verify-tmms-d", "verify-1ood-thresholds", "verify-1ood-ranking",
+    "gen-ordinal-tight-i", "gen-ordinal-tight-epsilon", "gen-hard2-epsilon", "demo-hard1-k1",
+    "demo-hard1-k2", "demo-ordinal-tight-k1",
 ]
 
 

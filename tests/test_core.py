@@ -226,6 +226,21 @@ def test_integer_kernel_matches_fraction_recomputation(rows, sort_rows, data):
     assert inst.ordered == all(a >= b for row in rows for a, b in zip(row, row[1:]))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Instance.from_rows(["12", "21"]), "row 0 is a string, not a sequence of values: '12'"),
+        (lambda: Instance.from_rows([[1, 2], "12"]), "row 1 is a string, not a sequence of values: '12'"),
+        (lambda: ThresholdList("11"), "taus must be a sequence of rationals, not a string: '11'"),
+    ],
+    ids=["row", "later-row", "taus"],
+)
+def test_a_string_is_not_read_as_a_sequence_of_characters(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_bundle_value_empty_is_zero():
     inst = Instance.from_rows([[1, 2, 3]])
     assert bundle_value(inst, 0, frozenset()) == 0

@@ -2,10 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmskit import Allocation, InputError, Instance, bundle_value, mms
+from mmskit import ordinal
+from mmskit.adversarial import gen_hard1, gen_hard2_responders, gen_ordinal_tight
 from mmskit.transform import (
     normalize,
     order,
@@ -14,7 +18,7 @@ from mmskit.transform import (
     unpick,
 )
 from mmskit.ordinal import run_1_out_of_d
-from mmskit.verify import check_1_out_of_d, check_unit_share_structure
+from mmskit.verify import check_1_out_of_d, check_unit_share_structure, equivalence_expand
 
 from _instances import random_instance, random_normalized_ordered
 
@@ -245,3 +249,77 @@ def test_end_to_end_guarantee_against_oracle():
         d = result.d
         for i in range(n):
             assert bundle_value(inst, i, result.allocation.bundles[i]) >= mms(inst, i, d).value
+
+
+# ---------------------------------------------------------------------------
+# One canonical value kernel on every construction path
+
+
+_positive = st.fractions(Fraction(1, 6), 3, max_denominator=6)
+
+
+def _assert_canonical(inst: Instance) -> None:
+    # mms_all's row deduplication and each responder's unit rely on equal rows
+    # having equal (ints, L): L is the lcm of the row's reduced denominators.
+    assert inst.scaled == Instance.from_rows(inst.valuations, inst.num_goods).scaled
+    for (_, scale), row in zip(inst.scaled, inst.valuations):
+        assert scale == lcm(*(v.denominator for v in row))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda n: st.integers(4, 8).flatmap(
+            lambda m: st.lists(
+                st.lists(
+                    st.one_of(st.just(Fraction(0)), *[_positive] * 3),  # one value in four is 0
+                    min_size=m,
+                    max_size=m,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    ),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_every_construction_path_builds_the_canonical_kernel(rows, extra, data):
+    inst = Instance.from_rows(rows)
+    n = data.draw(st.integers(3, 8), label="family n")
+    i = data.draw(st.integers(3, n), label="rank i")
+    k1 = data.draw(st.integers(1, n // 3), label="k1")
+    built = [
+        inst,
+        pad_agents_to_multiple_of_3(inst),
+        pad_goods(inst, inst.num_goods + extra),
+        order(inst)[0],
+        equivalence_expand(inst, inst.num_agents + extra)[0],
+        gen_ordinal_tight(n).instance,
+        gen_hard1(n, i, Fraction(1, 3 * n)).instance,
+        gen_hard2_responders(n, n, k1, n // 3 - k1, 3).instance,
+    ]
+    if all(sum(1 for v in ints if v) >= 2 for ints, _ in inst.scaled):  # every 2-share positive
+        built.append(normalize(inst, 2)[0])
+    # run_1_out_of_d builds its survivors instance, then pads, normalizes and
+    # orders it through ordinal's own names; record what each step gets and makes.
+    names = ("pad_agents_to_multiple_of_3", "pad_goods", "normalize", "order")
+    steps = {name: getattr(ordinal, name) for name in names}
+
+    def recording(step):
+        def run(*args, **kwargs):
+            out = step(*args, **kwargs)
+            built.extend((args[0], out[0] if isinstance(out, tuple) else out))
+            return out
+
+        return run
+
+    try:
+        for name, step in steps.items():
+            setattr(ordinal, name, recording(step))
+        ordinal.run_1_out_of_d(inst)
+    finally:
+        for name, step in steps.items():
+            setattr(ordinal, name, step)
+    for x in built:
+        _assert_canonical(x)
