@@ -139,7 +139,7 @@ def gen_hard1(n: int, i: int, epsilon: Fraction) -> Hard1Family:
         raise InputError("epsilon too large: flat agents need >= 2n+i-1 goods")
     if n / epsilon > HARD1_MAX_GOODS:
         raise InputError(f"epsilon too small: n/epsilon exceeds {HARD1_MAX_GOODS} goods")
-    den = 3 * n + i - 2  # of delta, the rich agents' unit
+    den = 3 * n + i - 2  # the rich row's values are multiples of delta = 1/den
     alpha = Fraction(3 * n, den)
     m = int(n / epsilon)
     rich_row = scale_row(
@@ -261,7 +261,7 @@ def gen_hard2_responders(n: int, i: int, k1: int, k2: int, t: int) -> Hard2Famil
     filler_total = (n - k1 - k2) ** 2 * t
     thirds = 2 * n - k1 - 2 * k2
     # Over epsilon's denominator, the fillers' 1s keep the row in lowest terms.
-    top = den - k1 * t  # alpha
+    top = den - k1 * t  # alpha, in units of epsilon
     ints = [top] * (k1 + k2) + [den // 3] * thirds + [den - top] * k2 + [1] * filler_total
     m = len(ints)
     inst = Instance(((tuple(ints), den),), m)
