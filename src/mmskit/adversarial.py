@@ -37,6 +37,10 @@ from .verify import AgentCheck, check_t_mms, check_witness
 FAMILY_MAX_VALUES = 10_000
 
 
+# The families that read each optional parameter of HardInstanceSpec.
+_READ_BY = {"i": ("hard1", "hard2"), "k1": ("hard2",), "k2": ("hard2",), "t": ("hard2",)}
+
+
 @dataclass(frozen=True)
 class HardInstanceSpec:
     """Which family to build, at which size, aimed at which rank."""
@@ -52,6 +56,9 @@ class HardInstanceSpec:
         if self.family not in ("ordinalTight", "hard1", "hard2"):
             raise InputError(f"unknown family {self.family!r}")
         check_int("n", self.n, 3 if self.family == "hard1" else 2)
+        for name in ("i", "k1", "k2", "t"):
+            if getattr(self, name) is not None and self.family not in _READ_BY[name]:
+                raise InputError(f"{name} is not read with {self.family}")
         if self.family == "hard1":
             check_int("i", self.i, 3, self.n)
             return  # hard1's size is set by epsilon, which gen_hard1 caps

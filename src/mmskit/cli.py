@@ -252,7 +252,9 @@ def _cmd_bobw(args: argparse.Namespace) -> int:
 
 
 def _family_spec(args: argparse.Namespace) -> HardInstanceSpec:
-    return HardInstanceSpec(args.family, args.n, i=args.i, k1=args.k1, k2=args.k2, t=args.t)
+    # --t defaults to 3 for every family, and only hard2 reads it.
+    t = args.t if args.family == "hard2" else None
+    return HardInstanceSpec(args.family, args.n, i=args.i, k1=args.k1, k2=args.k2, t=t)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -106,7 +106,12 @@ class Instance:
 
     def __post_init__(self):
         check_int("num_goods", self.num_goods, 0)
-        for i, (ints, scale) in enumerate(self.scaled):
+        if not isinstance(self.scaled, tuple):
+            raise InputError(f"scaled must be a tuple of (ints, L) pairs, got {self.scaled!r}")
+        for i, row in enumerate(self.scaled):
+            if not (isinstance(row, tuple) and len(row) == 2 and isinstance(row[0], tuple)):
+                raise InputError(f"scaled[{i}] must be a pair (ints, L) with ints a tuple, got {row!r}")
+            ints, scale = row
             if len(ints) != self.num_goods:
                 raise InputError(f"agent {i} has {len(ints)} values, expected {self.num_goods}")
             check_int(f"scaled[{i}]'s L", scale, 1)
@@ -132,10 +137,14 @@ class Instance:
                 return as_fraction(v).as_integer_ratio()
             return parsed.get(v) or parsed.setdefault(v, as_fraction(v).as_integer_ratio())
 
+        if not hasattr(rows, "__iter__"):
+            raise InputError(f"rows must be a sequence of rows, got {rows!r}")
         scaled = []
         for i, row in enumerate(rows):
             if isinstance(row, str):
                 raise InputError(f"row {i} is a string, not a sequence of values: {row!r}")
+            if not hasattr(row, "__iter__"):
+                raise InputError(f"row {i} is not a sequence of values: {row!r}")
             scaled.append(scale_row([cell(v) for v in row]))
         if num_goods is None:
             if not scaled:
@@ -281,6 +290,8 @@ class ThresholdList:
     def __post_init__(self):
         if isinstance(self.taus, str):
             raise InputError(f"taus must be a sequence of rationals, not a string: {self.taus!r}")
+        if not hasattr(self.taus, "__iter__"):
+            raise InputError(f"taus must be a sequence of rationals, got {self.taus!r}")
         object.__setattr__(self, "taus", tuple(as_fraction(t) for t in self.taus))
         prev = Fraction(1)
         for r, t in enumerate(self.taus):

@@ -33,20 +33,6 @@ class MmsResult:
     witness: Partition
 
 
-def _waterfill_upper_bound(sums: list[int], remaining: int) -> int:
-    # Fractional relaxation: pour the remaining value onto the lowest parts.
-    # Returns the relaxation's ceiling: for an integer incumbent b,
-    # ceil(x) <= b exactly when x <= b, so the ceiling prunes as x would.
-    s = sorted(sums)
-    d = len(s)
-    prefix = 0
-    for k in range(1, d):
-        prefix += s[k - 1]
-        if k * s[k] - prefix > remaining:
-            return -(-(prefix + remaining) // k)
-    return -(-(prefix + s[d - 1] + remaining) // d)
-
-
 def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int, ...]]:
     """Maximize the minimum part sum over partitions of ``vals`` into d parts.
 
@@ -55,9 +41,22 @@ def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int,
     the greedy seed when the seed is already optimal, otherwise the last
     strict improvement found in a fixed depth-first order. The depth-first
     search keeps its own stack, so no recursion limit applies to it.
+
+    Pruning, on ints. No part can exceed ``total // d``, so an incumbent
+    worth that much is optimal and the search stops. A node is cut when its
+    unplaced items cannot lift every part to ``best + 1``: the parts' total
+    shortfall below ``best + 1`` exceeds the unplaced sum, or more parts
+    fall short than items remain. A cut subtree holds no leaf that beats the
+    incumbent of that moment, and the incumbent only grows, so no cut skips
+    a strict improvement: the search finds the same improvements in the
+    same order as one that cuts nothing, and returns the same value and
+    witness. The water-filling relaxation, whose optimum W pours the
+    unplaced sum onto the lowest parts, would cut only when ``W <= best``;
+    this cut holds whenever ``W < best + 1``, since part sums are ints. So
+    the search never visits more nodes than one cut by that relaxation.
     """
     K = len(vals)
-    total = sum(vals)
+    cap = sum(vals) // d
 
     # Greedy seed: assign each item to the currently lightest part.
     sums = [0] * d
@@ -68,7 +67,7 @@ def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int,
         seed[t] = j
     best_val = min(sums)
     best_assign = tuple(seed)
-    if best_val * d == total:
+    if best_val == cap:
         return best_val, best_assign
 
     suffix = [0] * (K + 1)
@@ -92,9 +91,19 @@ def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int,
                 if m > best_val:
                     best_val = m
                     best_assign = tuple(assign)
-                    if best_val * d == total:
+                    if best_val == cap:
                         break
-            if t == K or _waterfill_upper_bound(sums, suffix[t]) <= best_val:
+                t -= 1
+                entering = False
+                continue
+            # Can the unplaced items lift every part to best_val + 1?
+            target = best_val + 1
+            need = short = 0
+            for s in sums:
+                if s < target:
+                    need += target - s
+                    short += 1
+            if need > suffix[t] or short > K - t:
                 t -= 1
                 entering = False
                 continue

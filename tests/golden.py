@@ -1,5 +1,6 @@
-"""The golden CLI corpus: seeded inputs, the invocations run on them, and one
-digest per invocation of what it printed, wrote and returned.
+"""The golden corpora: seeded inputs, the invocations run on them, and one
+digest per invocation of what it printed, wrote and returned; and one digest
+of the share oracle's values and witnesses on seeded rows.
 
 ``tests/golden_cli.json`` maps each invocation id to the sha256 of its exit
 code, stdout, stderr and ``--output`` file. ``test_golden.py`` re-runs every
@@ -11,7 +12,9 @@ output, rewrite the file with
 and name every id whose digest changed, with the reason.
 
 Running the script also prints every id it added, removed or changed
-against the committed file.
+against the committed file. It rewrites ``tests/golden_oracle.json`` too:
+the sha256 of ``(value, witness.parts)`` of ``oracle.mms`` over the rows of
+``oracle_cases``, which a change to the oracle's search must keep.
 
 Inputs and commands:
 
@@ -23,6 +26,10 @@ Inputs and commands:
   ``p/q`` values, through the same n <= 5 commands;
 - ``gen`` and ``demo`` of the three hard families at n = 3..8;
 - every row of the CLI's malformed-input table.
+
+Oracle rows (``oracle_cases``): m = 1..14 goods and d = 1..5, with ints
+1..100, ``p/q`` values, rows with zeros and repeated values, and ``goods=``
+subsets.
 """
 
 from __future__ import annotations
@@ -36,13 +43,16 @@ import random
 import tempfile
 from typing import Iterator
 
+from mmskit import Instance, mms
 from mmskit.cli import main
 
 from _instances import unit_share_rows
 from test_cli import MALFORMED_IDS, MALFORMED_INPUTS
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+ORACLE_CORPUS = os.path.join(os.path.dirname(CORPUS), "golden_oracle.json")
 SEED = 2026
+ORACLE_CASES = 600
 
 
 def _instance_json(rows) -> dict:
@@ -119,6 +129,37 @@ def invocations() -> Iterator[tuple[str, dict, list[str]]]:
         yield from _searches(f"random{k}-{'ratio' if ratios else 'int'}-n{n}-m{m}", files, n, m)
 
 
+def oracle_cases() -> Iterator[tuple[list, int, list[int] | None]]:
+    """(row, d, goods) of each oracle row: m cycles through 1..14 and d
+    through 1..5; each row draws its values from one of four kinds, and
+    about one in four searches a random subset of the goods."""
+    rng = random.Random(SEED + 2)
+    for k in range(ORACLE_CASES):
+        m = 1 + k % 14
+        d = 1 + k // 14 % 5
+        kind = rng.randrange(4)
+        if kind == 0:
+            row = [rng.randint(1, 100) for _ in range(m)]
+        elif kind == 1:
+            row = [f"{rng.randint(0, 12)}/{rng.randint(1, 9)}" for _ in range(m)]
+        elif kind == 2:  # zeros and repeats
+            row = [rng.choice((0, 0, 1, 2, 3, 5, 5, 8)) for _ in range(m)]
+        else:  # a few distinct values, each repeated
+            pool = [rng.randint(1, 30) for _ in range(rng.randint(1, 3))]
+            row = [rng.choice(pool) for _ in range(m)]
+        goods = sorted(rng.sample(range(m), rng.randint(0, m))) if rng.random() < 0.25 else None
+        yield row, d, goods
+
+
+def oracle_digest() -> str:
+    """The sha256 of ``(value, witness.parts)`` of ``mms`` over ``oracle_cases``."""
+    results = []
+    for row, d, goods in oracle_cases():
+        res = mms(Instance.from_rows([row]), 0, d, goods=goods)
+        results.append([str(res.value), [sorted(part) for part in res.witness.parts]])
+    return hashlib.sha256(json.dumps(results).encode("utf-8")).hexdigest()
+
+
 def digest(files: dict, argv: list[str], workdir: str) -> str:
     """Run one invocation in ``workdir`` and hash its exit code, stdout,
     stderr and output file, with ``workdir`` masked out of the text."""
@@ -162,3 +203,12 @@ if __name__ == "__main__":
         json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(digests)} digests to {CORPUS}")
+    oracle = {"cases": ORACLE_CASES, "sha256": oracle_digest()}
+    if os.path.exists(ORACLE_CORPUS):
+        with open(ORACLE_CORPUS, encoding="utf-8") as fh:
+            if json.load(fh) != oracle:
+                print("changed oracle witnesses")
+    with open(ORACLE_CORPUS, "w", encoding="utf-8") as fh:
+        json.dump(oracle, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote the oracle digest of {ORACLE_CASES} rows to {ORACLE_CORPUS}")

@@ -227,6 +227,25 @@ def test_ordinal_tight_takes_no_thresholds():
 
 
 @pytest.mark.parametrize(
+    "family, n, fields, unread",
+    [
+        ("ordinalTight", 3, {"i": 9, "k1": 5}, "i"),
+        ("ordinalTight", 3, {"k2": 0}, "k2"),
+        ("ordinalTight", 3, {"t": 3}, "t"),
+        ("hard1", 4, {"i": 3, "k1": 7, "k2": 2}, "k1"),
+        ("hard1", 4, {"i": 3, "k2": 0}, "k2"),
+        ("hard1", 4, {"i": 3, "t": 5}, "t"),
+    ],
+    ids=["ordinalTight-i", "ordinalTight-k2", "ordinalTight-t", "hard1-k1", "hard1-k2", "hard1-t"],
+)
+def test_a_spec_rejects_what_its_family_never_reads(family, n, fields, unread):
+    # Worded as the CLI's unread-flag error; both specs used to build and run a demo.
+    with pytest.raises(InputError) as info:
+        demonstrate_failure(HardInstanceSpec(family, n, **fields))
+    assert str(info.value) == f"{unread} is not read with {family}"
+
+
+@pytest.mark.parametrize(
     "spec",
     [HardInstanceSpec("hard1", 6, i=4), HardInstanceSpec("hard2", 6, i=4, k1=3, k2=0, t=3)],
     ids=["hard1", "hard2"],

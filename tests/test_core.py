@@ -232,10 +232,20 @@ def test_integer_kernel_matches_fraction_recomputation(rows, sort_rows, data):
         (lambda: Instance.from_rows(["12", "21"]), "row 0 is a string, not a sequence of values: '12'"),
         (lambda: Instance.from_rows([[1, 2], "12"]), "row 1 is a string, not a sequence of values: '12'"),
         (lambda: ThresholdList("11"), "taus must be a sequence of rationals, not a string: '11'"),
+        (lambda: Instance.from_rows(5), "rows must be a sequence of rows, got 5"),
+        (lambda: Instance.from_rows([5]), "row 0 is not a sequence of values: 5"),
+        (lambda: ThresholdList(5), "taus must be a sequence of rationals, got 5"),
+        (lambda: Instance(((1,),), 1), "scaled[0] must be a pair (ints, L) with ints a tuple, got (1,)"),
+        (lambda: Instance(([1], 1), 1), "scaled[0] must be a pair (ints, L) with ints a tuple, got [1]"),
+        (lambda: Instance((([1], 1),), 1), "scaled[0] must be a pair (ints, L) with ints a tuple, got ([1], 1)"),
+        (lambda: Instance([((1,), 1)], 1), "scaled must be a tuple of (ints, L) pairs, got [((1,), 1)]"),
     ],
-    ids=["row", "later-row", "taus"],
+    ids=[
+        "row", "later-row", "taus", "rows-int", "row-int", "taus-int", "scaled-row-not-a-pair",
+        "scaled-row-a-list", "scaled-ints-a-list", "scaled-a-list",
+    ],
 )
-def test_a_string_is_not_read_as_a_sequence_of_characters(build, message):
+def test_malformed_library_input_is_a_one_line_input_error(build, message):
     with pytest.raises(InputError) as info:
         build()
     assert str(info.value) == message

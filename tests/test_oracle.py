@@ -83,6 +83,34 @@ def test_budget_exhaustion_is_an_error_not_an_answer():
     assert err.value.budget == 10
 
 
+def test_a_seed_worth_the_floor_of_total_over_d_needs_no_search():
+    """No part can exceed floor(total / d), so a seed worth that is optimal.
+
+    The greedy seed of [3, 3, 2, 2, 1] at d = 2 is {3, 2, 1} and {3, 2},
+    worth 5 = floor(11 / 2), and 2 does not divide 11. Mutation check:
+    stopping only on a perfect split (``best_val * d == total``) makes the
+    search run, and its first node exhausts the budget of 0.
+    """
+    res = mms(Instance.from_rows([[3, 3, 2, 2, 1]]), 0, 2, node_budget=0)
+    assert res.value == 5
+    assert res.witness.parts == (frozenset({0, 2, 4}), frozenset({1, 3}))
+
+
+def test_the_integer_cut_solves_a_row_in_a_fiftieth_of_the_nodes():
+    """14 goods at d = 3, total 634: the share is 211 = floor(634 / 3).
+
+    The search takes 52 nodes; cutting only where the water-filling
+    relaxation cannot reach ``best`` took 5104. Mutation check: without the
+    short-parts test it takes 55 nodes, and without the floor stop 59.
+    """
+    row = [22, 74, 37, 12, 83, 87, 24, 10, 47, 22, 92, 29, 54, 41]
+    res = mms(Instance.from_rows([row]), 0, 3, node_budget=52)
+    assert res.value == 211
+    assert res.witness.parts == (
+        frozenset({0, 5, 7, 10}), frozenset({1, 4, 12}), frozenset({2, 3, 6, 8, 9, 11, 13}),
+    )
+
+
 def test_d_and_index_validation():
     inst = Instance.from_rows([[1]])
     with pytest.raises(InputError):
