@@ -9,6 +9,7 @@ interchange layer stays float-free. Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -252,13 +253,12 @@ def _cmd_bobw(args: argparse.Namespace) -> int:
 
 
 def _family_spec(args: argparse.Namespace) -> HardInstanceSpec:
-    # --t defaults to 3 for every family, and only hard2 reads it.
-    t = args.t if args.family == "hard2" else None
+    t = 3 if args.family == "hard2" and args.t is None else args.t  # only hard2 reads --t
     return HardInstanceSpec(args.family, args.n, i=args.i, k1=args.k1, k2=args.k2, t=t)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    _family_spec(args)  # validates before the default epsilon divides by n
+    spec = _family_spec(args)  # validates before the default epsilon divides by n
     if args.family == "ordinalTight":
         fam = gen_ordinal_tight(args.n)
         payload = instance_to_json(fam.instance)
@@ -276,7 +276,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             }
         )
     else:  # hard2
-        fam = gen_hard2_responders(args.n, args.i, args.k1, args.k2, args.t)
+        fam = gen_hard2_responders(args.n, args.i, args.k1, args.k2, spec.t)
         payload = {
             "family": "hard2",
             "n": fam.n,
@@ -348,7 +348,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache  # built on the first call, not at import; parse_args keeps no state on it
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: callers share it and must not mutate it."""
     parser = _Parser(
         prog="mmskit",
         description="Exact maximin-share fair division: shares, allocations, verification.",
@@ -367,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--i", type=int, default=None, help="target rank (1-based)")
         p.add_argument("--k1", type=int, default=None)
         p.add_argument("--k2", type=int, default=None)
-        p.add_argument("--t", type=int, default=3)
+        p.add_argument("--t", type=int, default=None, help="hard2 only; default 3")
 
     p = sub.add_parser("mms", help="exact share values and witness partitions")
     p.add_argument("instance")
@@ -424,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The modes or families that read each of these flags; any other rejects it.
 _READ_BY = {"d": ("1ood",), "thresholds": ("tmms",), "ranking": ("tmms",), "i": ("hard1", "hard2"),
-            "epsilon": ("hard1",), "k1": ("hard2",), "k2": ("hard2",)}
+            "epsilon": ("hard1",), "k1": ("hard2",), "k2": ("hard2",), "t": ("hard2",)}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -13,7 +13,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import filterfalse
 from math import gcd, lcm
+from operator import ge, itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -76,7 +78,7 @@ def scale_row(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
     """A row of values p/q, given as ``(p, q)`` pairs with q > 0, in the
     integer form ``(ints, L)`` that ``Instance.scaled`` holds: L is the lcm
     of the values' reduced denominators and ``ints[g] == p * L / q``."""
-    scale = lcm(*(q for _, q in pairs))
+    scale = lcm(*set(map(itemgetter(1), pairs)))
     ints = [p * (scale // q) for p, q in pairs]
     common = gcd(scale, *ints)  # 1 unless some p/q is not in lowest terms
     if common > 1:
@@ -127,15 +129,14 @@ class Instance:
     def from_rows(rows: Sequence[Sequence[RationalLike]], num_goods: int | None = None) -> "Instance":
         """Build an Instance from rows of ints / "p/q" strings / Fractions.
 
-        Each distinct string is parsed once per call. Other cells are not
-        memoised, so that ``True`` next to ``1`` is still rejected.
+        A row of only ``str`` and ``int`` cells is read in one pass through a
+        memo that holds each distinct literal once per call. Its new literals
+        are parsed first, in row order, so the first bad cell raises, as it
+        would read cell by cell. Any other row is read cell by cell without
+        the memo, so that ``True`` never meets the memo's ``1``.
         """
-        parsed: dict[str, tuple[int, int]] = {}
-
-        def cell(v: RationalLike) -> tuple[int, int]:
-            if v.__class__ is not str:
-                return as_fraction(v).as_integer_ratio()
-            return parsed.get(v) or parsed.setdefault(v, as_fraction(v).as_integer_ratio())
+        parsed: dict[str | int, tuple[int, int]] = {}
+        memoised = {str, int}
 
         if not hasattr(rows, "__iter__"):
             raise InputError(f"rows must be a sequence of rows, got {rows!r}")
@@ -145,7 +146,14 @@ class Instance:
                 raise InputError(f"row {i} is a string, not a sequence of values: {row!r}")
             if not hasattr(row, "__iter__"):
                 raise InputError(f"row {i} is not a sequence of values: {row!r}")
-            scaled.append(scale_row([cell(v) for v in row]))
+            row = row if row.__class__ in (list, tuple) else [*row]  # read more than once below
+            if {*map(type, row)} <= memoised:
+                for v in filterfalse(parsed.__contains__, dict.fromkeys(row)):
+                    parsed[v] = as_fraction(v).as_integer_ratio()
+                pairs = [*map(parsed.__getitem__, row)]
+            else:
+                pairs = [as_fraction(v).as_integer_ratio() for v in row]
+            scaled.append(scale_row(pairs))
         if num_goods is None:
             if not scaled:
                 raise InputError("num_goods is required for an instance with no agents")
@@ -174,7 +182,7 @@ class Instance:
     @cached_property
     def ordered(self) -> bool:
         """True when every agent's values are non-increasing in the good index."""
-        return all(a >= b for ints, _ in self.scaled for a, b in zip(ints, ints[1:]))
+        return all(all(map(ge, ints, ints[1:])) for ints, _ in self.scaled)
 
     def require_ordered(self, total: int | None = None) -> None:
         """Raise InputError unless the instance is ordered and, when ``total``

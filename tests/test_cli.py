@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,7 @@ from mmskit import (
     run_1_out_of_d,
     run_rbf_truthful,
 )
+from mmskit import cli
 from mmskit.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -194,6 +198,17 @@ def test_cmd_gen_hard2(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["alpha"] == "5/6"
     assert payload["targetAgent"] == 3
+
+
+def test_t_is_read_only_by_hard2_and_defaults_to_3(capsys):
+    argv = ["gen", "hard2", "--n", "6", "--i", "4", "--k1", "3", "--k2", "0"]
+    assert main(argv) == EXIT_OK
+    default = capsys.readouterr().out
+    assert json.loads(default)["t"] == 3
+    assert main([*argv, "--t", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == default
+    assert main(["demo", "hard1", "--n", "4", "--i", "3", "--t", "7"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: mmskit demo: argument --t: not read with hard1\n"
 
 
 def test_cmd_demo_hard1(capsys):
@@ -378,6 +393,9 @@ MALFORMED_INPUTS = [
     ({}, ["demo", "hard1", "--n", "4", "--i", "3", "--k1", "7"]),
     ({}, ["demo", "hard1", "--n", "4", "--i", "3", "--k2", "0"]),
     ({}, ["demo", "ordinalTight", "--n", "3", "--k1", "1"]),
+    ({}, ["demo", "hard1", "--n", "4", "--i", "3", "--t", "7"]),
+    ({}, ["demo", "ordinalTight", "--n", "3", "--t", "9"]),
+    ({}, ["gen", "hard1", "--n", "4", "--i", "3", "--t", "7"]),
 ]
 MALFORMED_IDS = [
     "string-row", "bool-agents", "int-bundle", "text-ranking", "threshold-count",
@@ -389,7 +407,7 @@ MALFORMED_IDS = [
     "rbf-share-3-4", "bobw-share-3-4", "rbf-share-27-35", "bobw-share-27-35", "rbf-share-11-15",
     "bobw-share-11-15", "verify-tmms-d", "verify-1ood-thresholds", "verify-1ood-ranking",
     "gen-ordinal-tight-i", "gen-ordinal-tight-epsilon", "gen-hard2-epsilon", "demo-hard1-k1",
-    "demo-hard1-k2", "demo-ordinal-tight-k1",
+    "demo-hard1-k2", "demo-ordinal-tight-k1", "demo-hard1-t", "demo-ordinal-tight-t", "gen-hard1-t",
 ]
 
 
@@ -508,6 +526,77 @@ def test_help_still_exits_zero(capsys):
         main(["mms", "--help"])
     assert exc.value.code == 0
     assert "--d" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+
+@pytest.fixture
+def fresh_parser():
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+def test_the_parser_is_built_on_the_first_call_only(monkeypatch, fresh_parser, instance_file, capsys):
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    path = instance_file(Instance.from_rows([["1/2"] * 4] * 2))
+    counts = []
+    for argv in (
+        ["mms", path, "--d", "2"],
+        ["mms", path, "--d", "x"],
+        ["bobw", path],
+        ["gen", "ordinalTight", "--n", "3"],
+        ["verify", path, path, "--mode", "tmms"],
+    ):
+        before = len(built)
+        main(argv)
+        counts.append(len(built) - before)
+    assert counts == [8, 0, 0, 0, 0]  # mmskit and its seven subcommands, once
+
+
+def test_no_flag_leaks_into_a_later_call(instance_file, capsys):
+    path = instance_file(Instance.from_rows([["1/2"] * 4] * 2))
+    outputs = []
+    for argv in (
+        ["mms", path, "--d", "2", "--agent", "1"],
+        ["mms", path, "--d", "2"],
+        ["bobw", path, "--seed", "7"],
+        ["bobw", path],
+    ):
+        assert main(argv) == EXIT_OK
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert [r["agent"] for r in outputs[0]["results"]] == [1]
+    assert [r["agent"] for r in outputs[1]["results"]] == [0, 1]
+    assert outputs[2]["sample"]["seed"] == 7
+    assert "sample" not in outputs[3]
+
+
+def test_a_usage_error_leaves_the_next_call_as_a_fresh_process_runs_it(instance_file, capsys):
+    path = instance_file(Instance.from_rows([["1/2"] * 4] * 2))
+    argv = ["mms", path, "--d", "2"]
+    assert main(["mms", path, "--d", "x"]) == EXIT_INPUT
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "mmskit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == EXIT_OK and err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmskit import (
     Allocation,
@@ -20,7 +20,7 @@ from mmskit import (
 )
 from mmskit import core
 from mmskit.cli import instance_from_json
-from mmskit.core import LITERAL_MAX_CHARS, LITERAL_MAX_EXPONENT
+from mmskit.core import LITERAL_MAX_CHARS, LITERAL_MAX_EXPONENT, scale_row
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
 
@@ -137,12 +137,63 @@ def test_from_rows_parses_repeated_literals_as_each_cell_alone(rows):
         ([["1", True]], "not a rational: True (floats are not accepted)"),
         ([[1, True]], "not a rational: True (floats are not accepted)"),
         ([["1/2", [1]]], "not a rational: [1] (floats are not accepted)"),
+        # A literal in the memo never serves a cell of another type.
+        ([[1, 1], [True, 1]], "not a rational: True (floats are not accepted)"),
+        ([["1/2"], [0.5]], "not a rational: 0.5 (floats are not accepted)"),
+        ([[[1]]], "not a rational: [1] (floats are not accepted)"),
+        # Two new bad literals in a row, in both orders: the first in the row raises.
+        ([["1/2", "y", "x"]], "not a valid rational literal: 'y'"),
+        ([["1/2", "x", "y"]], "not a valid rational literal: 'x'"),
     ],
 )
 def test_from_rows_reports_the_first_bad_cell(rows, message):
     with pytest.raises(InputError) as info:
         Instance.from_rows(rows)
     assert str(info.value) == message
+
+
+class _Text(str):
+    """A str subclass, which the literal memo never serves."""
+
+
+# Half the cells come from a small pool, so that equal values of different
+# types, and several bad literals, meet in one row; and half the rows hold
+# only ints and strs, which are read through the memo.
+_PLAIN = st.sampled_from([1, "1", 0, "0", "1/2", "2/4", 7, "x", "y", "1/0", "", -1])
+_CELLS = st.one_of(
+    st.sampled_from([1, True, "1", _Text("1"), Fraction(1), 0, False, "0", 0.5, "1/2", "x", "y", "1/0", "", -1]),
+    st.one_of(
+        st.integers(-1, 12),
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 30), st.integers(1, 9)),
+        st.builds(lambda a, b: f"{a}.{b}", st.integers(0, 9), st.integers(0, 99)),
+        st.sampled_from(["2/4", "03", "7/3", "1e2", "2.5e-1"]).map(_Text),
+        st.fractions(0, 5, max_denominator=7),
+    ),
+)
+
+
+def _reference_instance(rows) -> Instance:
+    """``Instance.from_rows`` read cell by cell, with no memo."""
+    scaled = tuple(scale_row([as_fraction(v).as_integer_ratio() for v in row]) for row in rows)
+    return Instance(scaled, len(scaled[0][0]))
+
+
+@settings(max_examples=300)
+@given(
+    st.tuples(st.integers(0, 5), st.sampled_from([_CELLS, _PLAIN])).flatmap(
+        lambda mc: st.lists(st.lists(mc[1], min_size=mc[0], max_size=mc[0] + (mc[0] == 5)), min_size=1, max_size=4)
+    )
+)
+def test_from_rows_matches_a_cell_by_cell_read(rows):
+    # Rows of 5 cells may be ragged; mostly the cells repeat across rows.
+    try:
+        expected = _reference_instance(rows)
+    except InputError as exc:
+        with pytest.raises(InputError) as info:
+            Instance.from_rows(rows)
+        assert str(info.value) == str(exc)
+    else:
+        assert Instance.from_rows(rows) == expected
 
 
 def _unit_share_file(rng: random.Random, n: int, m: int) -> dict:
@@ -181,6 +232,9 @@ def test_instance_file_parses_each_distinct_literal_once(monkeypatch):
 _values = st.fractions(min_value=0, max_value=3, max_denominator=4)
 
 
+@example([[]], False)  # m = 0 and m = 1 are ordered
+@example([[Fraction(5)], [Fraction(0)]], False)
+@example([[Fraction(2), Fraction(2), Fraction(1)], [Fraction(1), Fraction(2), Fraction(2)]], False)
 @given(
     st.integers(0, 5).flatmap(
         lambda m: st.lists(st.lists(_values, min_size=m, max_size=m), min_size=1, max_size=4)
