@@ -16,7 +16,6 @@ from .rbf import (
     Bag,
     Transcript,
     TruthfulResponder,
-    ord_st,
     priority_thresholds,
     run_rbf,
     run_rbf_truthful,
@@ -82,7 +81,6 @@ __all__ = [
     "hard2_upper_bound",
     "mms",
     "mms_naive",
-    "ord_st",
     "priority_thresholds",
     "run_1_out_of_d",
     "run_ordinal",

@@ -24,6 +24,7 @@ from .core import (
     as_fraction,
     bundle_value,
     check_int,
+    check_ranked,
     scale_row,
 )
 from .errors import GuaranteeViolation, InputError
@@ -318,8 +319,7 @@ def _thresholds(
     rank i's threshold must exceed the family's ``cap``."""
     if thresholds is None:
         thresholds = ThresholdList((Fraction(1),) * (i - 1) + (default,) * (n - i + 1))
-    if len(thresholds) != n:
-        raise InputError(f"expected {n} thresholds, got {len(thresholds)}")
+    check_ranked(n, thresholds)
     tau = thresholds.taus[i - 1]
     if tau <= cap:
         raise InputError(f"rank {i} threshold must exceed the family cap {cap}, got {tau}")

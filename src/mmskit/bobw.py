@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction, bundle_value, check_int
+from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction, check_int
 from .errors import GuaranteeViolation, InputError
 from .rbf import priority_thresholds, run_rbf_truthful
 
@@ -107,14 +107,13 @@ def cyclic_rotation_distribution(
     expected value is the plain average of her n bundle values.
     """
     n = check_int("n", inst.num_agents, 1)
-    support = []
-    values: list[list[Fraction]] = [[] for _ in range(n)]
+    support, rows = [], []
     for shift in range(n):
         ranking = PriorityRanking.rotation(n, shift)
-        alloc, _ = run_rbf_truthful(inst, thresholds, ranking)
-        support.append((ranking, alloc))
-        for i in range(n):
-            values[i].append(bundle_value(inst, i, alloc.bundles[i]))
+        run = run_rbf_truthful(inst, thresholds, ranking)
+        support.append((ranking, run.allocation))
+        rows.append([check.value for check in run.report.checks])
+    values = list(zip(*rows))  # values[i]: agent i's bundle value in each run
     ex_ante = tuple(sum(vs, Fraction(0)) / n for vs in values)
     ex_post_min = tuple(min(vs) for vs in values)
     return AllocationDistribution(tuple(support), ex_ante, ex_post_min)

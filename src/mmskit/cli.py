@@ -20,7 +20,7 @@ from .adversarial import HardInstanceSpec, demonstrate_failure, gen_hard1, gen_h
 from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction, check_int
 from .errors import GuaranteeViolation, InputError, MmsKitError, SearchBudgetExceeded
 from .ordinal import run_1_out_of_d
-from .rbf import Transcript, priority_thresholds, require_unit_shares, run_rbf_truthful
+from .rbf import Transcript, priority_thresholds, run_rbf_truthful
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -195,25 +195,15 @@ def _cmd_ordinal(args: argparse.Namespace) -> int:
 
 def _cmd_rbf(args: argparse.Namespace) -> int:
     inst = instance_from_json(_load_json(args.instance))
-    n = inst.num_agents
-    thresholds = _parse_thresholds(args.thresholds, n)
-    ranking = _parse_ranking(args.ranking, n)
-    alloc, transcript = run_rbf_truthful(inst, thresholds, ranking)
-    structure = verify.check_transcript(transcript)
-    # Unit-share instances: every agent's share is 1.
-    report = verify.check_t_mms(inst, alloc, ranking, thresholds, shares=(1,) * n)
-    if args.thresholds == "default" and not (report.all_ok and structure.ok):
-        require_unit_shares(inst)  # a shortfall is a bug only on unit-share input
-        raise GuaranteeViolation(
-            "a default-threshold run violated its guarantee or structure checks"
-        )
+    thresholds = _parse_thresholds(args.thresholds, inst.num_agents)
+    run = run_rbf_truthful(inst, thresholds, _parse_ranking(args.ranking, inst.num_agents))
     payload = {
-        "allocation": allocation_to_json(alloc),
-        "transcript": transcript_to_json(transcript),
+        "allocation": allocation_to_json(run.allocation),
+        "transcript": transcript_to_json(run.transcript),
         "thresholds": thresholds_to_json(thresholds),
-        **report_to_json(report),
-        "structureOk": structure.ok,
-        "structureViolations": list(structure.violations),
+        **report_to_json(run.report),
+        "structureOk": run.structure.ok,
+        "structureViolations": list(run.structure.violations),
     }
     _emit(payload, args.output)
     return EXIT_OK
@@ -223,12 +213,6 @@ def _cmd_bobw(args: argparse.Namespace) -> int:
     inst = instance_from_json(_load_json(args.instance))
     thresholds = _parse_thresholds(args.thresholds, inst.num_agents)
     dist = bobw.cyclic_rotation_distribution(inst, thresholds)
-    if args.thresholds == "default":  # each rotation is checked as _cmd_rbf checks its run
-        shares = (1,) * inst.num_agents
-        for ranking, alloc in dist.support:
-            if not verify.check_t_mms(inst, alloc, ranking, thresholds, shares=shares).all_ok:
-                require_unit_shares(inst)  # a shortfall is a bug only on unit-share input
-                raise GuaranteeViolation("a default-threshold rotation violated its guarantee")
     payload = {
         "support": [
             {

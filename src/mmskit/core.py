@@ -353,6 +353,16 @@ class PriorityRanking:
         return tuple(inv)
 
 
+def check_ranked(n: int, thresholds: ThresholdList, ranking: PriorityRanking | None = None) -> PriorityRanking:
+    """Check that ``thresholds`` and ``ranking`` each cover n agents; returns the ranking, identity for None."""
+    if len(thresholds) != n:
+        raise InputError(f"expected {n} thresholds, got {len(thresholds)}")
+    ranking = PriorityRanking.identity(n) if ranking is None else ranking
+    if ranking.num_agents != n:
+        raise InputError(f"ranking covers {ranking.num_agents} agents, expected {n}")
+    return ranking
+
+
 def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
     """Exact additive value of a bundle: the sum of the agent's good values,
     added as the ints of ``Instance.scaled``."""

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Protocol, Sequence
 
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, _as_index_set, check_int
+from .core import Allocation, Instance, PriorityRanking, ThresholdList, _as_index_set, check_int, check_ranked
 from .errors import GuaranteeViolation, InputError
-from . import oracle
+from . import oracle, verify
 
 
 class Bag:
@@ -139,14 +139,6 @@ class TruthfulResponder:
         return open_bags[0]
 
 
-def ord_st(goods: Iterable[int], positions: Iterable[int]) -> frozenset[int]:
-    """The j-th smallest elements of ``goods`` for each 1-based j in
-    ``positions``; positions beyond the set size are silently skipped."""
-    positions = [check_int("position", j) for j in positions]
-    ranked = sorted(goods)
-    return frozenset(ranked[j - 1] for j in positions if 1 <= j <= len(ranked))
-
-
 def priority_thresholds(n: int) -> ThresholdList:
     """The built-in per-rank targets max(2n/(2n+i-1), 3/4 + 1/(12n)).
 
@@ -227,13 +219,9 @@ def run_rbf(
     """
     n = check_int("n", responder.num_agents, 1)
     m = check_int("m", responder.num_goods, 0)
-    if len(thresholds) != n:
-        raise InputError(f"expected {n} thresholds, got {len(thresholds)}")
+    ranking = check_ranked(n, thresholds, ranking)
     if thresholds.taus and thresholds.taus[-1] <= 0:
         raise InputError("all thresholds must be positive for this allocator")
-    ranking = ranking if ranking is not None else PriorityRanking.identity(n)
-    if ranking.num_agents != n:
-        raise InputError(f"ranking covers {ranking.num_agents} agents, expected {n}")
 
     by_rank = ranking.agents_by_rank()
     # She likes a bag of value v exactly when v / unit >= tau, that is when
@@ -346,18 +334,38 @@ def run_rbf(
     return alloc, transcript
 
 
+@dataclass(frozen=True)
+class TruthfulRun:
+    """A truthful run with its unit-share ``report`` and transcript ``structure`` checks."""
+
+    allocation: Allocation
+    transcript: Transcript
+    report: verify.GuaranteeReport
+    structure: verify.TranscriptReport
+
+
 def run_rbf_truthful(
     inst: Instance,
     thresholds: ThresholdList,
     ranking: PriorityRanking | None = None,
-) -> tuple[Allocation, Transcript]:
-    """Run the allocator on a concrete ordered unit-share instance; a run that
-    falls short is an InputError if some n-share is below 1."""
+) -> TruthfulRun:
+    """Run the allocator on an ordered unit-share instance and check the run.
+
+    The built-in thresholds serve every rank on such input, so a run there
+    that misses a target or fails its structure check, like any run that
+    raises GuaranteeViolation, is an InputError if some n-share is below 1,
+    else a GuaranteeViolation. Other thresholds may miss."""
+    n = inst.num_agents
     try:
-        return run_rbf(TruthfulResponder(inst), thresholds, ranking)
+        alloc, transcript = run_rbf(TruthfulResponder(inst), thresholds, ranking)
+        report = verify.check_t_mms(inst, alloc, check_ranked(n, thresholds, ranking), thresholds, shares=(1,) * n)
+        run = TruthfulRun(alloc, transcript, report, verify.check_transcript(transcript))
+        if not (report.all_ok and run.structure.ok) and thresholds == priority_thresholds(n):
+            raise GuaranteeViolation("a default-threshold run violated its guarantee or structure checks")
     except GuaranteeViolation:
         require_unit_shares(inst)
         raise
+    return run
 
 
 def require_unit_shares(inst: Instance) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     Allocation,
@@ -24,10 +24,13 @@ from .core import (
     as_fraction,
     bundle_value,
     check_int,
+    check_ranked,
 )
 from .errors import InputError
 from . import oracle
-from .rbf import Transcript, ord_st
+
+if TYPE_CHECKING:  # rbf imports this module
+    from .rbf import Transcript
 
 _REDUCTION_PATTERN = re.compile(r"^(1*2*4*)(32*4*)*$")
 
@@ -101,10 +104,7 @@ def check_t_mms(
     example all 1 on a unit-share instance, and the oracle is not called.
     """
     n = inst.num_agents
-    if len(thresholds) != n:
-        raise InputError(f"expected {n} thresholds, got {len(thresholds)}")
-    if ranking.num_agents != n:
-        raise InputError(f"ranking covers {ranking.num_agents} agents, expected {n}")
+    check_ranked(n, thresholds, ranking)
     targets = [
         thresholds.taus[ranking.rank_of[i]] * share
         for i, share in enumerate(_shares(inst, alloc, n, node_budget, shares))
@@ -154,10 +154,10 @@ def check_transcript(tr: Transcript) -> TranscriptReport:
 
     if tr.phase2_agents:
         n_f = len(tr.phase2_agents)
-        cuts = {2: ord_st(tr.phase2_goods, {n_f}), 3: ord_st(tr.phase2_goods, {2 * n_f})}
+        ranked = sorted(tr.phase2_goods)
+        cuts = {t: ranked[j - 1] for t, j in ((2, n_f), (3, 2 * n_f)) if j <= len(ranked)}
         for k, event in enumerate(tr.reductions):
-            if cuts.get(event.type):
-                (cut,) = cuts[event.type]
+            if (cut := cuts.get(event.type)) is not None:
                 bad = [g for g in event.bundle if g <= cut]
                 if bad:
                     violations.append(

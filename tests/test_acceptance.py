@@ -120,7 +120,8 @@ def test_criterion_3_rbf_guarantee():
         inst, _ = random_normalized_ordered(rng, n, m)
         thresholds = priority_thresholds(n)
         ranking = PriorityRanking.rotation(n, rng.randrange(n))
-        alloc, transcript = run_rbf_truthful(inst, thresholds, ranking)
+        run = run_rbf_truthful(inst, thresholds, ranking)
+        alloc, transcript = run.allocation, run.transcript
         for rank, agent in enumerate(ranking.agents_by_rank()):
             value = bundle_value(inst, agent, alloc.bundles[agent])
             assert value >= thresholds.taus[rank], (

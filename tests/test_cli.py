@@ -1,6 +1,8 @@
 """CLI: JSON round-trips, subcommand behaviour, exit codes."""
 
+import collections
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -25,9 +27,10 @@ from mmskit import (
     run_1_out_of_d,
     run_rbf_truthful,
 )
-from mmskit import cli
+from mmskit import cli, verify
 from mmskit.cli import (
     EXIT_BUDGET,
+    EXIT_GUARANTEE,
     EXIT_INPUT,
     EXIT_OK,
     allocation_from_json,
@@ -432,6 +435,79 @@ def test_a_short_share_is_reported_with_its_agent_and_value(tmp_path, capsys, co
     assert capsys.readouterr() == ("", "input error: agent 0's 3-share is 11/15, below a unit share\n")
 
 
+@pytest.mark.parametrize("command", ["rbf", "bobw"])
+def test_thresholds_equal_to_the_built_in_list_are_judged_like_default(tmp_path, capsys, command):
+    n, row, _ = _SHORT_SHARE_ROWS[-1]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"agents": n, "goods": len(row), "valuations": [row] * n}))
+    assert main([command, str(path), "--thresholds", "1,6/7,7/9"]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "input error: agent 0's 3-share is 11/15, below a unit share\n")
+
+
+def _forced_structure_miss(monkeypatch):
+    monkeypatch.setattr(verify, "check_transcript", lambda tr: verify.TranscriptReport(("forced",)))
+
+
+def _forced_target_miss(monkeypatch):
+    check = verify.check_t_mms
+    monkeypatch.setattr(
+        verify, "check_t_mms",
+        lambda *args, **kwargs: verify.GuaranteeReport(
+            tuple(dataclasses.replace(c, ok=False) for c in check(*args, **kwargs).checks)
+        ),
+    )
+
+
+@pytest.fixture(params=[_forced_structure_miss, _forced_target_miss], ids=["structure", "target"])
+def forced_miss(request, monkeypatch):
+    """Every truthful run fails one of its checks, as a broken allocator would."""
+    request.param(monkeypatch)
+
+
+@pytest.mark.parametrize("command", ["rbf", "bobw"])
+def test_a_default_threshold_run_that_fails_its_checks_is_a_bug(tmp_path, capsys, forced_miss, command):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_UNIT_PAIR))
+    assert main([command, str(path)]) == EXIT_GUARANTEE
+    assert capsys.readouterr() == (
+        "",
+        "guarantee violation (this is a bug): "
+        "a default-threshold run violated its guarantee or structure checks\n",
+    )
+
+
+def test_a_custom_threshold_run_reports_its_failed_checks(tmp_path, capsys, forced_miss):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_UNIT_PAIR))
+    assert main(["bobw", str(path), "--thresholds", "1,1"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["rbf", str(path), "--thresholds", "1,1"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert not (payload["allOk"] and payload["structureOk"])
+    run = run_rbf_truthful(instance_from_json(_UNIT_PAIR), ThresholdList.constant(2, 1))
+    assert not (run.report.all_ok and run.structure.ok)
+
+
+def test_one_bobw_op_values_and_checks_each_rotation_once(monkeypatch, instance_file, capsys):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("check_t_mms", "check_transcript"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    for module in [m for name, m in sys.modules.items() if name.startswith("mmskit.")]:
+        if hasattr(module, "bundle_value"):
+            monkeypatch.setattr(module, "bundle_value", counted("bundle_value", module.bundle_value))
+    inst, _ = random_normalized_ordered(random.Random(6), 6, 14)
+    assert main(["bobw", instance_file(inst)]) == EXIT_OK
+    assert calls == {"check_t_mms": 6, "check_transcript": 6, "bundle_value": 36}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -770,7 +846,8 @@ def _ordinal_payload(inst: Instance) -> dict:
 
 def _rbf_payload(inst: Instance, ranking: PriorityRanking) -> dict:
     thresholds = priority_thresholds(inst.num_agents)
-    alloc, transcript = run_rbf_truthful(inst, thresholds, ranking)
+    run = run_rbf_truthful(inst, thresholds, ranking)
+    alloc, transcript = run.allocation, run.transcript
     structure = check_transcript(transcript)
     report = check_t_mms(inst, alloc, ranking, thresholds, shares=(1,) * inst.num_agents)
     return {

@@ -32,7 +32,6 @@ from mmskit import (
     mms,
     mms_naive,
     oracle,
-    ord_st,
     priority_thresholds,
     rbf,
     run_1_out_of_d,
@@ -85,6 +84,27 @@ def test_only_core_scales_rows_to_integers():
         or (isinstance(node, ast.Attribute) and node.attr == "lcm")
     ]
     assert found and all(f.startswith("core.py:") for f in found), found
+
+
+def test_verify_does_not_import_rbf_at_run_time():
+    # rbf imports verify to judge each truthful run, so verify may name rbf's
+    # types only under TYPE_CHECKING.
+    tree = _modules()["verify.py"]
+    hidden = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and getattr(block.test, "id", None) == "TYPE_CHECKING"
+        for node in ast.walk(block)
+    }
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in hidden and (
+            (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "rbf")
+            or (isinstance(node, (ast.Import, ast.ImportFrom)) and any(a.name.split(".")[-1] == "rbf" for a in node.names))
+        )
+    ]
+    assert found == []
 
 
 def test_only_core_tests_whether_a_value_is_an_int():
@@ -206,7 +226,6 @@ _INTEGER_PARAMETERS = [
     ),
     ("equivalence_expand", "d", lambda v: equivalence_expand(_PAIR, v), 1, MAX_PARTS),
     ("check_unit_share_structure", "d", lambda v: check_unit_share_structure(_UNIT_PAIR, v), 1, MAX_PARTS),
-    ("ord_st", "position", lambda v: ord_st({5, 9, 2}, {v}), None, None),
     ("reduction_shapes", "agents_left", lambda v: reduction_shapes(range(5), v), 1, None),
     ("TruthfulResponder.unit", "agent", lambda v: TruthfulResponder(_UNIT_PAIR).unit(v), 0, 1),
     ("TruthfulResponder.value", "agent", lambda v: TruthfulResponder(_UNIT_PAIR).value(v, Bag({0})), 0, 1),

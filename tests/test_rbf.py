@@ -1,4 +1,4 @@
-"""Threshold allocator: order statistics, reductions, bag filling, transcripts."""
+"""Threshold allocator: reductions, bag filling, transcripts."""
 
 import random
 from fractions import Fraction
@@ -13,9 +13,9 @@ from mmskit import (
     ThresholdList,
     TruthfulResponder,
     bundle_value,
+    check_t_mms,
     check_transcript,
     gen_hard2_responders,
-    ord_st,
     priority_thresholds,
     run_rbf,
     run_rbf_truthful,
@@ -25,27 +25,6 @@ from mmskit.cli import allocation_to_json, transcript_to_json
 from mmskit.verify import check_bag_pair_bounds
 
 from _instances import random_normalized_ordered
-
-
-# ---------------------------------------------------------------------------
-# Order statistics
-
-
-def test_ord_st_minimum():
-    assert ord_st({5, 9, 2}, {1}) == frozenset({2})
-
-
-def test_ord_st_pair():
-    assert ord_st({5, 9, 2}, {2, 3}) == frozenset({5, 9})
-
-
-def test_ord_st_out_of_range_positions_skipped():
-    assert ord_st({5, 9, 2}, {4}) == frozenset()
-    assert ord_st({5, 9, 2}, {1, 4}) == frozenset({2})
-
-
-def test_ord_st_empty_set():
-    assert ord_st(set(), {1, 2}) == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +60,8 @@ def _unit_instance_with_big_good(n_agents: int = 2) -> Instance:
 
 def test_single_big_good_triggers_type_1():
     inst = _unit_instance_with_big_good()
-    alloc, tr = run_rbf_truthful(inst, priority_thresholds(2))
+    run = run_rbf_truthful(inst, priority_thresholds(2))
+    alloc, tr = run.allocation, run.transcript
     assert tr.reductions[0].type == 1
     assert tr.reductions[0].agent == 0
     assert alloc.bundles[0] == frozenset({0})
@@ -90,7 +70,8 @@ def test_single_big_good_triggers_type_1():
 def test_reduction_goes_to_smallest_rank():
     inst = _unit_instance_with_big_good()
     ranking = PriorityRanking((1, 0))  # agent 1 is most important
-    alloc, tr = run_rbf_truthful(inst, priority_thresholds(2), ranking)
+    run = run_rbf_truthful(inst, priority_thresholds(2), ranking)
+    alloc, tr = run.allocation, run.transcript
     assert tr.reductions[0].agent == 1
 
 
@@ -115,6 +96,22 @@ def test_truthful_input_validation():
             run_rbf_truthful(inst, ThresholdList.constant(2, Fraction(1, 2)))
 
 
+def test_a_truthful_run_holds_its_unit_share_report_and_structure_check():
+    inst, _ = random_normalized_ordered(random.Random(9), 3, 8)
+    thresholds, ranking = priority_thresholds(3), PriorityRanking.rotation(3, 1)
+    run = run_rbf_truthful(inst, thresholds, ranking)
+    assert run.report == check_t_mms(inst, run.allocation, ranking, thresholds, shares=(1,) * 3)
+    assert run.structure == check_transcript(run.transcript)
+    assert run.report.all_ok and run.structure.ok
+
+
+def test_a_built_in_threshold_miss_on_a_short_share_is_an_input_error():
+    row = ["2/3", "2/3", "3/5", "3/5", "2/5", "1/15"]  # each 3-share is 11/15
+    inst = Instance.from_rows([row] * 3)
+    with pytest.raises(InputError, match="^agent 0's 3-share is 11/15, below a unit share$"):
+        run_rbf_truthful(inst, priority_thresholds(3))
+
+
 # ---------------------------------------------------------------------------
 # Full runs on constructed unit-share instances
 
@@ -128,7 +125,8 @@ def test_default_thresholds_satisfy_every_rank():
         thresholds = priority_thresholds(n)
         for shift in (0, rng.randrange(n)):
             ranking = PriorityRanking.rotation(n, shift)
-            alloc, tr = run_rbf_truthful(inst, thresholds, ranking)
+            run = run_rbf_truthful(inst, thresholds, ranking)
+            alloc, tr = run.allocation, run.transcript
             by_rank = ranking.agents_by_rank()
             for rank, agent in enumerate(by_rank):
                 got = bundle_value(inst, agent, alloc.bundles[agent])
@@ -143,7 +141,7 @@ def test_transcript_regex_and_counts():
         n = rng.randint(2, 6)
         m = rng.randint(n, 12)
         inst, _ = random_normalized_ordered(rng, n, m)
-        _, tr = run_rbf_truthful(inst, priority_thresholds(n))
+        tr = run_rbf_truthful(inst, priority_thresholds(n)).transcript
         assert check_transcript(tr).ok
         # Re-checking the same facts directly: the goods/agents counters in
         # successive reduction events are consistent.
@@ -158,7 +156,8 @@ def test_bag_assignment_prefers_smallest_rank():
     inst, _ = random_normalized_ordered(random.Random(3), 2, 6)
     tau = ThresholdList.constant(2, Fraction(99, 100))
     try:
-        alloc, tr = run_rbf_truthful(inst, tau)
+        run = run_rbf_truthful(inst, tau)
+        alloc, tr = run.allocation, run.transcript
     except Exception:
         pytest.skip("degenerate draw")
     assigns = [e for e in tr.bag_events if e.kind in ("assign", "leftover")]
@@ -173,7 +172,8 @@ def test_satisfied_flags_match_values():
         m = rng.randint(max(n, 2), 10)
         inst, _ = random_normalized_ordered(rng, n, m)
         thresholds = priority_thresholds(n)
-        alloc, tr = run_rbf_truthful(inst, thresholds)
+        run = run_rbf_truthful(inst, thresholds)
+        alloc, tr = run.allocation, run.transcript
         for agent in range(n):
             if tr.satisfied[agent]:
                 assert bundle_value(inst, agent, alloc.bundles[agent]) >= thresholds.taus[agent]
@@ -194,7 +194,7 @@ def test_uniform_floor_thresholds_are_always_met():
         m = rng.randint(max(n, 2), 10)
         inst, _ = random_normalized_ordered(rng, n, m)
         tau = Fraction(3, 4) + Fraction(1, 12 * n)
-        alloc, _ = run_rbf_truthful(inst, ThresholdList.constant(n, tau))
+        alloc = run_rbf_truthful(inst, ThresholdList.constant(n, tau)).allocation
         for agent in range(n):
             assert bundle_value(inst, agent, alloc.bundles[agent]) >= tau
 
@@ -207,7 +207,7 @@ def test_harmonic_thresholds_are_always_met():
         m = rng.randint(max(n, 2), 10)
         inst, _ = random_normalized_ordered(rng, n, m)
         taus = ThresholdList(tuple(Fraction(2 * n, 2 * n + i - 1) for i in range(1, n + 1)))
-        alloc, _ = run_rbf_truthful(inst, taus)
+        alloc = run_rbf_truthful(inst, taus).allocation
         for agent in range(n):
             assert bundle_value(inst, agent, alloc.bundles[agent]) >= taus.taus[agent]
 

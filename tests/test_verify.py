@@ -54,7 +54,7 @@ def test_t_mms_report_matches_predicate():
         inst, _ = random_normalized_ordered(rng, n, m)
         thresholds = priority_thresholds(n)
         ranking = PriorityRanking.rotation(n, rng.randrange(n))
-        alloc, _ = run_rbf_truthful(inst, thresholds, ranking)
+        alloc = run_rbf_truthful(inst, thresholds, ranking).allocation
         report = check_t_mms(inst, alloc, ranking, thresholds)
         shares = [mms(inst, i, n).value for i in range(n)]
         assert report.all_ok == check_t_mms(inst, alloc, ranking, thresholds, shares=shares).all_ok
@@ -209,7 +209,7 @@ def test_truthful_runs_always_pass():
         n = rng.randint(1, 6)
         m = rng.randint(max(n, 2), 11)
         inst, _ = random_normalized_ordered(rng, n, m)
-        _, tr = run_rbf_truthful(inst, priority_thresholds(n))
+        tr = run_rbf_truthful(inst, priority_thresholds(n)).transcript
         assert check_transcript(tr).ok
 
 
