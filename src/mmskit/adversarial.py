@@ -29,8 +29,9 @@ from .core import (
 )
 from .errors import GuaranteeViolation, InputError
 from .ordinal import run_ordinal
-from .rbf import Bag, Transcript, TruthfulResponder, reduction_shapes, run_rbf
-from .verify import AgentCheck, check_t_mms, check_witness
+# TruthfulResponder is not used here; it stays importable because perfbench/spans.py replaces it in this module.
+from .rbf import Bag, Transcript, TruthfulResponder, reduction_shapes, run_rbf, run_rbf_truthful
+from .verify import AgentCheck, check_1_out_of_d, check_witness
 
 # Cap on the values (agents x goods) of an ordinalTight or hard2 family,
 # checked from its parameters before anything is built. It admits both
@@ -346,16 +347,16 @@ def demonstrate_failure(
         fam = gen_ordinal_tight(n)
         alloc, run = run_ordinal(fam.instance, witnesses=(fam.witness,) * n)
         thresholds = ThresholdList.constant(n, 1)
-        checks = check_t_mms(fam.instance, alloc, ranking, thresholds, shares=(1,) * n).checks
+        checks = check_1_out_of_d(fam.instance, alloc, fam.d, shares=(1,) * n).checks
         ran_out = run.terminated_early
     elif spec.family == "hard1":
         alpha = Fraction(3 * n, 3 * n + i - 2)
         thresholds = _thresholds(n, i, alpha + Fraction(1, 1000), alpha, thresholds)
         fam = gen_hard1(n, i, _unit_fraction_below(thresholds.taus[-1] / 3))
-        alloc, transcript = run_rbf(TruthfulResponder(fam.instance), thresholds, ranking)
-        # Every agent's share is 1; only the rich agents are meant to fall short.
-        report = check_t_mms(fam.instance, alloc, ranking, thresholds, shares=(1,) * n)
-        checks = [c for c in report.checks if c.agent in fam.rich_agents]
+        run = run_rbf_truthful(fam.instance, thresholds, ranking)
+        alloc, transcript = run.allocation, run.transcript
+        # Only the rich agents are meant to fall short.
+        checks = [c for c in run.report.checks if c.agent in fam.rich_agents]
         ran_out = transcript.ran_out_of_goods
     else:  # hard2
         fam = gen_hard2_responders(n, i, spec.k1, spec.k2, spec.t)

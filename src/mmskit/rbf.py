@@ -58,8 +58,8 @@ class Bag:
 
     def total(self, ints: Sequence[int], stored: dict["Bag", int]) -> int:
         """The sum of ``ints`` over this bag's goods. A grown bag's sum is
-        kept in ``stored`` in place of its nearest stored ancestor's, from
-        which it is computed. A good beyond ``ints`` raises InputError."""
+        kept in ``stored``, in place of its parent's when the parent's is
+        there; a root's is never kept. A good beyond ``ints`` raises InputError."""
         try:
             if self.parent is None:
                 total = 0
@@ -68,17 +68,8 @@ class Bag:
                 return total
             total = stored.get(self)
             if total is None:
-                added, bag = [self.good], self.parent
-                while bag.parent is not None and bag not in stored:
-                    added.append(bag.good)
-                    bag = bag.parent
-                if bag.parent is None:  # no stored ancestor: sum from the root's goods
-                    total = 0
-                    added.extend(bag._goods)
-                else:
-                    total = stored.pop(bag)
-                for g in added:
-                    total += ints[g]
+                total = stored.pop(self.parent, None)
+                total = sum(ints[g] for g in self.goods) if total is None else total + ints[self.good]
                 stored[self] = total
             return total
         except IndexError:  # the goods' signs were checked when the bags were made

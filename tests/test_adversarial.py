@@ -14,8 +14,9 @@ from mmskit import (
     gen_hard2_responders,
     gen_ordinal_tight,
     mms,
+    priority_thresholds,
 )
-from mmskit import adversarial
+from mmskit import adversarial, oracle, verify
 from mmskit.adversarial import FAMILY_MAX_VALUES, HARD1_MAX_GOODS
 
 
@@ -218,6 +219,53 @@ def test_hard1_rejects_threshold_at_or_below_cap():
     T = ThresholdList((Fraction(1),) * 3 + (alpha,) * 3)
     with pytest.raises(InputError):
         demonstrate_failure(HardInstanceSpec("hard1", 6, i=4), T)
+
+
+def test_hard1_demos_never_reach_the_oracle(monkeypatch):
+    # A truthful run asks the oracle for shares only after it raises
+    # GuaranteeViolation; on hard1 no first-round shape is liked, so the
+    # run ends phase 1 with no reduction and cannot raise.
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("a hard1 demo called oracle.mms_all")
+
+    monkeypatch.setattr(oracle, "mms_all", no_oracle)
+    for n in range(3, 15):
+        for i in range(3, n + 1):
+            # The default list, and one whose ranks after i ask for only 1/50:
+            # its epsilon is then 1/151, so the flat agents own 151n goods.
+            alpha = Fraction(3 * n, 3 * n + i - 2)
+            low = ThresholdList((Fraction(1),) * (i - 1) + (alpha + Fraction(1, 1000),) + (Fraction(1, 50),) * (n - i))
+            for T in (None, low):
+                report = demonstrate_failure(HardInstanceSpec("hard1", n, i=i), T)
+                assert report.reduction_count == 0 and report.shortfalls
+
+
+def test_built_in_thresholds_sit_below_the_hard1_cap():
+    # So the built-in-threshold rule of run_rbf_truthful never applies to a
+    # hard1 demo: its rank-i threshold must exceed the cap.
+    for n in range(3, 120):
+        taus = priority_thresholds(n).taus
+        assert all(taus[i - 1] < Fraction(3 * n, 3 * n + i - 2) for i in range(3, n + 1))
+    for n, i in [(3, 3), (6, 4), (9, 9)]:
+        cap = Fraction(3 * n, 3 * n + i - 2)
+        with pytest.raises(InputError, match=f"^rank {i} threshold must exceed the family cap {cap}, got "):
+            demonstrate_failure(HardInstanceSpec("hard1", n, i=i), priority_thresholds(n))
+
+
+def test_a_hard1_demo_is_one_checked_truthful_run(monkeypatch):
+    calls = {"run": 0, "structure": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(adversarial, "run_rbf_truthful", counted("run", adversarial.run_rbf_truthful))
+    monkeypatch.setattr(verify, "check_transcript", counted("structure", verify.check_transcript))
+    report = demonstrate_failure(HardInstanceSpec("hard1", 6, i=4))
+    assert calls == {"run": 1, "structure": 1}
+    assert [c.agent for c in report.shortfalls] == [3]
 
 
 def test_ordinal_tight_takes_no_thresholds():

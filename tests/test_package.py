@@ -107,6 +107,20 @@ def test_verify_does_not_import_rbf_at_run_time():
     assert found == []
 
 
+def test_adversarial_runs_no_truthful_run_of_its_own():
+    # A truthful run is made and judged by rbf.run_rbf_truthful alone, so
+    # adversarial neither builds a TruthfulResponder nor judges T-MMS.
+    found = [
+        node.lineno
+        for node in ast.walk(_modules()["adversarial.py"])
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "TruthfulResponder")
+        or (isinstance(node, ast.Name) and node.id == "check_t_mms")
+        or (isinstance(node, ast.Attribute) and node.attr == "check_t_mms")
+        or (isinstance(node, ast.alias) and node.name == "check_t_mms")
+    ]
+    assert found == []
+
+
 def test_only_core_tests_whether_a_value_is_an_int():
     # One integer validator: core.check_int. Only core's own parsers (a
     # rational literal, a set of good indices) test for an int besides it.

@@ -7,6 +7,7 @@ import pytest
 
 from mmskit import (
     Bag,
+    HardInstanceSpec,
     Instance,
     InputError,
     PriorityRanking,
@@ -15,6 +16,8 @@ from mmskit import (
     bundle_value,
     check_t_mms,
     check_transcript,
+    cyclic_rotation_distribution,
+    demonstrate_failure,
     gen_hard2_responders,
     priority_thresholds,
     run_rbf,
@@ -24,7 +27,7 @@ from mmskit.adversarial import ScriptedHard2Responder
 from mmskit.cli import allocation_to_json, transcript_to_json
 from mmskit.verify import check_bag_pair_bounds
 
-from _instances import random_normalized_ordered
+from _instances import random_normalized_ordered, unit_share_rows
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +254,57 @@ def test_a_grown_bag_keeps_one_sum_per_chain():
         assert bag.total(ints, stored) == sum(ints[: g + 1])
         assert stored == {bag: sum(ints[: g + 1])}  # the parent's sum was dropped
     assert bag.goods == frozenset(range(10)) and bag.size == 10
-    # A bag whose ancestors hold no stored sum is summed from its root.
+    # A bag whose parent holds no stored sum is summed over its goods.
     other = Bag([0, 3]).add(4).add(6)
     assert other.total(ints, {}) == 11 and other.goods == {0, 3, 4, 6}
+    # So is a grandchild queried before its parent, with its grandparent
+    # stored; the grandparent's sum stays, and the parent's is computed from it.
+    stored = {}
+    grandparent = Bag([0, 3]).add(4)
+    assert grandparent.total(ints, stored) == 10
+    parent = grandparent.add(6)
+    grandchild = parent.add(9)
+    assert grandchild.total(ints, stored) == 11
+    assert stored == {grandparent: 10, grandchild: 11}
+    assert parent.total(ints, stored) == 11 and stored == {parent: 11, grandchild: 11}
+    assert grandchild.add(10).total(ints + [7], stored) == 18
+    for stored in ({grandparent: 10}, {grandchild: 11}):  # summed over its goods, or from its parent
+        with pytest.raises(InputError, match="^good must be <= 9, got 10$"):
+            grandchild.add(10).total(ints, stored)
     # A good is added above the bag's goods, so none is counted twice.
     for good in (0, 5, 6):
         with pytest.raises(InputError, match=f"^good must be above the bag's largest good 6, got {good}$"):
             other.add(good)
+
+
+def test_a_grown_bag_is_first_asked_about_right_after_its_parent(monkeypatch):
+    # Phase 2 grows a bag only after every waiting agent was asked about
+    # every open bag, so a grown bag's first query finds its parent's sum
+    # stored, or has a root (never stored) as its parent. A change of query
+    # order that leaves gaps would make Bag.total sum whole bags again.
+    firsts = {"stored": 0, "root": 0, "other": 0}
+    total = Bag.total
+
+    def spy(bag, ints, stored):
+        if bag.parent is not None and bag not in stored:
+            key = "stored" if bag.parent in stored else "root" if bag.parent.parent is None else "other"
+            firsts[key] += 1
+        return total(bag, ints, stored)
+
+    monkeypatch.setattr(Bag, "total", spy)
+    rng = random.Random(21)
+    for n in list(range(2, 13)) + [30]:
+        for m in (2 * n, 3 * n + 2, 4 * n):
+            cyclic_rotation_distribution(Instance.from_rows(unit_share_rows(rng, n, m)), priority_thresholds(n))
+    for n in range(4, 15):
+        for i in range(3, n + 1):
+            demonstrate_failure(HardInstanceSpec("hard1", n, i=i))
+        rich = n // 3
+        for k1 in range(1, rich + 1):
+            for i in (rich + 1, n):
+                demonstrate_failure(HardInstanceSpec("hard2", n, i=i, k1=k1, k2=rich - k1, t=3))
+    assert firsts["other"] == 0
+    assert firsts["stored"] > 10_000 and firsts["root"] > 1_000
 
 
 # ---------------------------------------------------------------------------
