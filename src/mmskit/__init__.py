@@ -37,7 +37,6 @@ from .adversarial import (
 )
 from .verify import (
     check_1_out_of_d,
-    check_bag_pair_bounds,
     check_t_mms,
     check_transcript,
     check_unit_share_structure,
@@ -66,7 +65,6 @@ __all__ = [
     "as_fraction",
     "bundle_value",
     "check_1_out_of_d",
-    "check_bag_pair_bounds",
     "check_t_mms",
     "check_transcript",
     "check_unit_share_structure",

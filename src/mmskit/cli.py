@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Any, NoReturn, Sequence
 
-from . import bobw, oracle, verify
+from . import adversarial, bobw, oracle, verify
 from .adversarial import HardInstanceSpec, demonstrate_failure, gen_hard1, gen_hard2_responders, gen_ordinal_tight
 from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction, check_int
 from .errors import GuaranteeViolation, InputError, MmsKitError, SearchBudgetExceeded
@@ -128,11 +128,14 @@ def _load_json(path: str) -> Any:
 
 def _emit(payload: Any, output: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if output:
+    if not output:
+        print(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {output}: {exc}") from exc
 
 
 # The parsers only parse; the library checks each list's length against the instance.
@@ -156,7 +159,7 @@ def _parse_ranking(spec: str | None, n: int) -> PriorityRanking:
 # Subcommands
 
 
-def _cmd_mms(args: argparse.Namespace) -> int:
+def _cmd_mms(args: argparse.Namespace) -> dict[str, Any]:
     inst = instance_from_json(_load_json(args.instance))
     if args.agent is None:
         solved = enumerate(oracle.mms_all(inst, args.d, node_budget=args.node_budget))
@@ -171,33 +174,30 @@ def _cmd_mms(args: argparse.Namespace) -> int:
         }
         for agent, res in solved
     ]
-    _emit({"results": results}, args.output)
-    return EXIT_OK
+    return {"results": results}
 
 
-def _cmd_ordinal(args: argparse.Namespace) -> int:
+def _cmd_ordinal(args: argparse.Namespace) -> dict[str, Any]:
     inst = instance_from_json(_load_json(args.instance))
     result = run_1_out_of_d(inst, node_budget=args.node_budget)
     per_agent = [
         {"agent": c.agent, "value": str(c.value), "share": str(c.target), "ok": c.ok}
         for c in result.report.checks
     ]
-    payload = {
+    return {
         "d": result.d,
         "allocation": allocation_to_json(result.allocation),
         "perAgent": per_agent,
         "allOk": result.report.all_ok,
         "earlyTermination": bool(result.run and result.run.terminated_early),
     }
-    _emit(payload, args.output)
-    return EXIT_OK
 
 
-def _cmd_rbf(args: argparse.Namespace) -> int:
+def _cmd_rbf(args: argparse.Namespace) -> dict[str, Any]:
     inst = instance_from_json(_load_json(args.instance))
     thresholds = _parse_thresholds(args.thresholds, inst.num_agents)
     run = run_rbf_truthful(inst, thresholds, _parse_ranking(args.ranking, inst.num_agents))
-    payload = {
+    return {
         "allocation": allocation_to_json(run.allocation),
         "transcript": transcript_to_json(run.transcript),
         "thresholds": thresholds_to_json(thresholds),
@@ -205,11 +205,9 @@ def _cmd_rbf(args: argparse.Namespace) -> int:
         "structureOk": run.structure.ok,
         "structureViolations": list(run.structure.violations),
     }
-    _emit(payload, args.output)
-    return EXIT_OK
 
 
-def _cmd_bobw(args: argparse.Namespace) -> int:
+def _cmd_bobw(args: argparse.Namespace) -> dict[str, Any]:
     inst = instance_from_json(_load_json(args.instance))
     thresholds = _parse_thresholds(args.thresholds, inst.num_agents)
     dist = bobw.cyclic_rotation_distribution(inst, thresholds)
@@ -232,8 +230,7 @@ def _cmd_bobw(args: argparse.Namespace) -> int:
             "ranking": list(ranking.rank_of),
             "allocation": allocation_to_json(alloc),
         }
-    _emit(payload, args.output)
-    return EXIT_OK
+    return payload
 
 
 def _family_spec(args: argparse.Namespace) -> HardInstanceSpec:
@@ -241,7 +238,7 @@ def _family_spec(args: argparse.Namespace) -> HardInstanceSpec:
     return HardInstanceSpec(args.family, args.n, i=args.i, k1=args.k1, k2=args.k2, t=t)
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> dict[str, Any]:
     spec = _family_spec(args)  # validates before the default epsilon divides by n
     if args.family == "ordinalTight":
         fam = gen_ordinal_tight(args.n)
@@ -273,14 +270,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "targetAgent": fam.target_agent,
             "targetValuation": [str(v) for v in fam.instance.valuations[0]],
         }
-    _emit(payload, args.output)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
+def _cmd_demo(args: argparse.Namespace) -> dict[str, Any]:
     report = demonstrate_failure(_family_spec(args))
     witness = report.shortfalls[0]
-    payload = {
+    return {
         "family": report.family,
         "n": report.n,
         "thresholds": thresholds_to_json(report.thresholds),
@@ -295,11 +291,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         "ranOutOfGoods": report.ran_out_of_goods,
         "allocation": allocation_to_json(report.allocation),
     }
-    _emit(payload, args.output)
-    return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     inst = instance_from_json(_load_json(args.instance))
     alloc = allocation_from_json(_load_json(args.allocation))
     if args.mode == "1ood":
@@ -316,8 +310,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "thresholds": thresholds_to_json(thresholds),
             **report_to_json(report),
         }
-    _emit(payload, args.output)
-    return EXIT_OK
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The modes or families that read each of these flags; any other rejects it.
-_READ_BY = {"d": ("1ood",), "thresholds": ("tmms",), "ranking": ("tmms",), "i": ("hard1", "hard2"),
-            "epsilon": ("hard1",), "k1": ("hard2",), "k2": ("hard2",), "t": ("hard2",)}
+_READ_BY = {"d": ("1ood",), "thresholds": ("tmms",), "ranking": ("tmms",), "epsilon": ("hard1",),
+            **adversarial._READ_BY}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -421,7 +414,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         for dest, readers in _READ_BY.items():
             if choice and choice not in readers and getattr(args, dest, None) is not None:
                 raise InputError(f"mmskit {args.command}: argument --{dest}: not read with {choice}")
-        return args.func(args)
+        _emit(args.func(args), args.output)
+        return EXIT_OK
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -86,10 +86,6 @@ def scale_row(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
     return tuple(ints), scale
 
 
-# Instance.require_ordered's message, also the one violation an unordered instance gets.
-UNORDERED = "instance is not ordered (some agent's values increase)"
-
-
 @dataclass(frozen=True)
 class Instance:
     """A fair division instance: n agents, m goods, additive valuations.
@@ -183,19 +179,6 @@ class Instance:
     def ordered(self) -> bool:
         """True when every agent's values are non-increasing in the good index."""
         return all(all(map(ge, ints, ints[1:])) for ints, _ in self.scaled)
-
-    def require_ordered(self, total: int | None = None) -> None:
-        """Raise InputError unless the instance is ordered and, when ``total``
-        is given, every agent values all goods at exactly ``total``."""
-        if not self.ordered:
-            raise InputError(UNORDERED)
-        if total is not None:
-            for i, t in enumerate(self.totals):
-                if t != total:
-                    raise InputError(
-                        f"agent {i} values all goods at {t}, expected {total} "
-                        f"for a {total}-normalized instance"
-                    )
 
     def check_agent(self, agent: int) -> None:
         check_int("agent", agent, 0, self.num_agents - 1)

@@ -22,7 +22,7 @@ from .transform import (
     reinstate,
     unpick,
 )
-from .verify import GuaranteeReport, check_1_out_of_d, check_witness
+from .verify import UNORDERED, GuaranteeReport, check_1_out_of_d, unit_share_violations
 
 
 @dataclass(frozen=True)
@@ -50,20 +50,19 @@ def run_ordinal(
     suffix of goods is appended to the bag of the last round.
 
     The instance must be ordered with m >= 2n. Pass ``witnesses``, one
-    unit-share partition per agent, to also verify normalization at their d
-    (the full pipeline does).
+    unit-share partition per agent, to also check the unit-share input at
+    their d (the full pipeline does); the first of its
+    ``unit_share_violations`` raises InputError.
     """
     n, m = inst.num_agents, inst.num_goods
     check_int("n", n, 1)
     if m < 2 * n:
         raise InputError(f"need at least 2n = {2 * n} goods, got {m}")
-    inst.require_ordered(witnesses[0].d if witnesses else None)
-    if witnesses is not None:
-        if len(witnesses) != n:
-            raise InputError("one witness partition per agent required")
-        for i, w in enumerate(witnesses):
-            if violations := check_witness(inst, i, w):
-                raise InputError(f"agent {i}: {violations[0]}")
+    if witnesses is None:
+        if not inst.ordered:
+            raise InputError(UNORDERED)
+    elif violations := unit_share_violations(inst, witnesses[0].d if witnesses else n, witnesses):
+        raise InputError(violations[0])
 
     initial = tuple(frozenset({k, 2 * n - 1 - k}) for k in range(n))
     final = [set(b) for b in initial]

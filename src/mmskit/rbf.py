@@ -97,8 +97,9 @@ class ValueResponder(Protocol):
 
 
 class TruthfulResponder:
-    """Answers queries additively from an ordered unit-share instance, which
-    it validates on construction, and fills the lowest-index open bag.
+    """Answers queries additively from an ordered unit-share instance, and
+    fills the lowest-index open bag. The first of the instance's
+    ``verify.unit_share_violations`` at d = n raises InputError on construction.
 
     An agent's unit is the L that ``Instance.scaled`` stores with her row,
     in lowest terms, and a bag's value the sum of its ints. A grown bag's value is its parent's plus one good:
@@ -107,10 +108,8 @@ class TruthfulResponder:
     """
 
     def __init__(self, instance: Instance):
-        instance.require_ordered(instance.num_agents)
-        for i, (ints, scale) in enumerate(instance.scaled):  # ordered: good 0 is the top good
-            if ints and ints[0] > scale:
-                raise InputError(f"agent {i} values good 0 at {Fraction(ints[0], scale)} > 1, above a unit share")
+        if violations := verify.unit_share_violations(instance, instance.num_agents):
+            raise InputError(violations[0])
         self.instance = instance
         self.num_agents = instance.num_agents
         self.num_goods = instance.num_goods

@@ -20,7 +20,6 @@ from .core import (
     PriorityRanking,
     RationalLike,
     ThresholdList,
-    UNORDERED,
     as_fraction,
     bundle_value,
     check_int,
@@ -185,7 +184,10 @@ def equivalence_expand(inst: Instance, d: int) -> tuple[Instance, ThresholdList]
 
 
 # ---------------------------------------------------------------------------
-# Structural facts of ordered unit-share instances
+# The ordered unit-share input of both allocators, and its structural facts
+
+# The one violation an unordered instance has.
+UNORDERED = "instance is not ordered (some agent's values increase)"
 
 
 def check_witness(inst: Instance, agent: int, witness: Partition) -> tuple[str, ...]:
@@ -197,35 +199,55 @@ def check_witness(inst: Instance, agent: int, witness: Partition) -> tuple[str, 
     return tuple(f"witness part worth {v} != 1" for v in values if v != 1)
 
 
+def unit_share_violations(
+    inst: Instance, d: int, witnesses: Sequence[Partition] | None = None
+) -> tuple[str, ...]:
+    """Violations of the ordered unit-share input at d, empty if none.
+
+    Such an input has non-increasing rows, each totalling d, and a d-part
+    partition worth exactly 1 per part. An unordered instance has one
+    violation, ``UNORDERED``. Otherwise these come in order: each agent whose
+    total is not d, each agent whose good 0 is worth more than 1, and, when
+    ``witnesses`` (one per agent) are given, each ``check_witness`` violation.
+    """
+    n = inst.num_agents
+    if witnesses is not None and len(witnesses) != n:
+        raise InputError(f"need one witness partition per agent: {len(witnesses)} for {n} agents")
+    if not inst.ordered:
+        return (UNORDERED,)
+    violations = [
+        f"agent {i} values all goods at {t}, expected {d} for a {d}-normalized instance"
+        for i, t in enumerate(inst.totals) if t != d
+    ]
+    violations += [  # ordered: good 0 is the top good
+        f"agent {i} values good 0 at {Fraction(ints[0], scale)} > 1, above a unit share"
+        for i, (ints, scale) in enumerate(inst.scaled) if ints and ints[0] > scale
+    ]
+    for i, witness in enumerate(witnesses or ()):
+        violations += [f"agent {i}: {v}" for v in check_witness(inst, i, witness)]
+    return tuple(violations)
+
+
 def check_unit_share_structure(
-    inst: Instance, d: int, witnesses: tuple[Partition, ...] | None = None
+    inst: Instance, d: int, witnesses: Sequence[Partition] | None = None
 ) -> tuple[str, ...]:
     """Violations of the ordered d-normalized structure facts, empty if none.
 
-    Needs 1 <= d <= ``oracle.MAX_PARTS``, m >= 2d and, when witnesses are
-    given, one per agent. An unordered instance has one violation, saying so;
-    otherwise checks per agent: total value d (and, when given, the witness
-    by ``check_witness``); the top good worth <= 1; the middle pair {d, d+1}
-    worth <= 1; good d+1 worth <= 1/2; and every tail of the nested pairs
-    C_k = {k, 2d-k+1} summing to at most its length.
+    Needs 1 <= d <= ``oracle.MAX_PARTS`` and m >= 2d. Reports the
+    ``unit_share_violations`` first; an unordered instance has only that
+    one. Then, per agent: the middle pair {d, d+1} worth <= 1; good d+1
+    worth <= 1/2; every tail of the nested pairs C_k = {k, 2d-k+1} summing
+    to at most its length; and each pair C_k worth more than 1 having its
+    bottom good worth at most 1/3 and its top more than 2/3.
     """
-    n, m = inst.num_agents, inst.num_goods
+    m = inst.num_goods
     check_int("d", d, 1, oracle.MAX_PARTS)
-    if witnesses is not None and len(witnesses) != n:
-        raise InputError(f"need one witness partition per agent: {len(witnesses)} for {n} agents")
     if m < 2 * d:
         raise InputError(f"need at least 2d = {2 * d} goods, got {m}")
+    violations = list(unit_share_violations(inst, d, witnesses))
     if not inst.ordered:  # positions are read as ranks
-        return (UNORDERED,)
-    violations: list[str] = []
-    for i in range(n):
-        row = inst.valuations[i]
-        if inst.totals[i] != d:
-            violations.append(f"agent {i}: total value {inst.totals[i]} != {d}")
-        if witnesses is not None:
-            violations += [f"agent {i}: {v}" for v in check_witness(inst, i, witnesses[i])]
-        if row[0] > 1:
-            violations.append(f"agent {i}: top good worth {row[0]} > 1")
+        return tuple(violations)
+    for i, row in enumerate(inst.valuations):
         middle = row[d - 1] + row[d]
         if middle > 1:
             violations.append(f"agent {i}: middle pair worth {middle} > 1")
@@ -233,40 +255,13 @@ def check_unit_share_structure(
             violations.append(f"agent {i}: good at position {d} worth {row[d]} > 1/2")
         tail = Fraction(0)
         for k in range(d, 0, -1):  # C_k pairs from the middle outwards
-            tail += row[k - 1] + row[2 * d - k]
+            top, bottom = row[k - 1], row[2 * d - k]
+            pair = top + bottom
+            tail += pair
             if tail > d - k + 1:
-                violations.append(
-                    f"agent {i}: pairs {k}..{d} sum to {tail} > {d - k + 1}"
-                )
-    return tuple(violations)
-
-
-def check_bag_pair_bounds(inst: Instance) -> tuple[str, ...]:
-    """Violations of the bag-pair fact on ordered unit-share instances.
-
-    For every k, if the pair {k, 2n+1-k} is worth more than 1 to an agent,
-    then its bottom good is worth at most 1/3 and its top more than 2/3. An
-    unordered instance has one violation, saying so.
-    """
-    n, m = inst.num_agents, inst.num_goods
-    if m < 2 * n:
-        raise InputError(f"need at least 2n = {2 * n} goods, got {m}")
-    if not inst.ordered:  # positions are read as ranks
-        return (UNORDERED,)
-    violations: list[str] = []
-    for i in range(n):
-        row = inst.valuations[i]
-        for k in range(1, n + 1):
-            top, bottom = row[k - 1], row[2 * n - k]
-            if top + bottom > 1:
-                if bottom > Fraction(1, 3):
-                    violations.append(
-                        f"agent {i}, pair {k}: bottom worth {bottom} > 1/3 "
-                        f"despite pair value {top + bottom} > 1"
-                    )
-                if top <= Fraction(2, 3):
-                    violations.append(
-                        f"agent {i}, pair {k}: top worth {top} <= 2/3 "
-                        f"despite pair value {top + bottom} > 1"
-                    )
+                violations.append(f"agent {i}: pairs {k}..{d} sum to {tail} > {d - k + 1}")
+            if pair > 1 and bottom > Fraction(1, 3):
+                violations.append(f"agent {i}, pair {k}: bottom worth {bottom} > 1/3 despite pair value {pair} > 1")
+            if pair > 1 and top <= Fraction(2, 3):
+                violations.append(f"agent {i}, pair {k}: top worth {top} <= 2/3 despite pair value {pair} > 1")
     return tuple(violations)

@@ -127,6 +127,16 @@ def test_cmd_mms_unreadable_json_is_an_input_error(tmp_path, capsys, content):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["missing-dir/out.json", "."], ids=["missing-directory", "a-directory"])
+def test_an_unwritable_output_is_an_input_error(tmp_path, capsys, target):
+    inst = tmp_path / "one.json"
+    inst.write_text(json.dumps(_ONE_ROW))
+    output = str(tmp_path / target)
+    assert main(["mms", str(inst), "--d", "1", "--output", output]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"input error: cannot write {output}: ") and err.count("\n") == 1
+
+
 def test_cmd_mms_budget_exhaustion(instance_file, capsys):
     rng = random.Random(1)
     inst = Instance.from_rows([[rng.randint(50, 99) for _ in range(14)]])
@@ -367,6 +377,12 @@ MALFORMED_INPUTS = [
         )
         for d in ("0", "-3", "20000")
     ],
+    # Some agent's values increase; then, ordered, but some agent's total is not n.
+    *[
+        ({"inst": {"agents": 2, "goods": 4, "valuations": [["1/2"] * 4, row]}}, [command, "{inst}"])
+        for row in ([0, 1, 0, 1], ["1/4"] * 4)
+        for command in ("rbf", "bobw")
+    ],
     # Ordered, every total n, but a good worth more than a unit share.
     *[
         ({"inst": {"agents": 2, "goods": 1, "valuations": [["2"], ["2"]]}}, [command, "{inst}"])
@@ -406,7 +422,8 @@ MALFORMED_IDS = [
     "negative-flag",
     "missing-args", "non-int-flag", "mms-d-over-cap", "verify-d-over-cap",
     "no-agents-mms-d-0", "no-agents-verify-d-0", "no-agents-verify-d-negative",
-    "no-agents-verify-d-over-cap", "rbf-good-over-1", "bobw-good-over-1",
+    "no-agents-verify-d-over-cap", "rbf-unordered", "bobw-unordered", "rbf-total-not-n",
+    "bobw-total-not-n", "rbf-good-over-1", "bobw-good-over-1",
     "rbf-share-3-4", "bobw-share-3-4", "rbf-share-27-35", "bobw-share-27-35", "rbf-share-11-15",
     "bobw-share-11-15", "verify-tmms-d", "verify-1ood-thresholds", "verify-1ood-ranking",
     "gen-ordinal-tight-i", "gen-ordinal-tight-epsilon", "gen-hard2-epsilon", "demo-hard1-k1",

@@ -121,6 +121,22 @@ def test_adversarial_runs_no_truthful_run_of_its_own():
     assert found == []
 
 
+def test_only_verify_decides_the_unit_share_input():
+    # verify.unit_share_violations alone compares each total with d and names
+    # an unordered instance; the validators it replaced stay deleted.
+    def role(node):
+        if isinstance(node, ast.Attribute) and node.attr == "totals":
+            return "reads totals"
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "UNORDERED" for t in node.targets):
+            return "defines UNORDERED"
+        if isinstance(node, ast.FunctionDef) and node.name in ("require_ordered", "check_bag_pair_bounds"):
+            return f"defines {node.name}"
+        return None
+
+    found = {(path, r) for path, tree in _modules().items() for node in ast.walk(tree) if (r := role(node))}
+    assert found == {("verify.py", "defines UNORDERED"), ("verify.py", "reads totals")}
+
+
 def test_only_core_tests_whether_a_value_is_an_int():
     # One integer validator: core.check_int. Only core's own parsers (a
     # rational literal, a set of good indices) test for an int besides it.

@@ -25,7 +25,7 @@ from mmskit import (
 )
 from mmskit.adversarial import ScriptedHard2Responder
 from mmskit.cli import allocation_to_json, transcript_to_json
-from mmskit.verify import check_bag_pair_bounds
+from mmskit.verify import check_unit_share_structure
 
 from _instances import random_normalized_ordered, unit_share_rows
 
@@ -236,8 +236,8 @@ def test_bag_pair_bounds_on_unit_share_instances():
     for _ in range(60):
         n = rng.randint(1, 6)
         m = rng.randint(2 * n, 2 * n + 5)
-        inst, _ = random_normalized_ordered(rng, n, m)
-        assert check_bag_pair_bounds(inst) == ()
+        inst, witnesses = random_normalized_ordered(rng, n, m)
+        assert check_unit_share_structure(inst, n, witnesses) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from mmskit import (
     Instance,
     Partition,
     PriorityRanking,
+    TruthfulResponder,
     check_1_out_of_d,
     check_t_mms,
     check_transcript,
@@ -19,10 +20,11 @@ from mmskit import (
     mms,
     oracle,
     priority_thresholds,
+    run_ordinal,
     run_rbf_truthful,
 )
 from mmskit.rbf import ReductionEvent, Transcript
-from mmskit.verify import check_bag_pair_bounds, check_witness
+from mmskit.verify import UNORDERED, check_witness, unit_share_violations
 
 from _instances import random_instance, random_normalized_ordered
 
@@ -306,37 +308,79 @@ def test_unit_share_structure_needs_one_witness_per_agent():
 @pytest.mark.parametrize(
     "row, d, expected",
     [
-        (["1/2", "1/2", "1/2", "1/4"], 2, ["total value 7/4 != 2"]),
-        (["3/2", "1/4", "1/4", "0"], 2, ["top good worth 3/2 > 1"]),
-        # The middle pair is also the innermost tail. On an ordered row, good d
-        # worth more than 1/2 makes the middle pair worth more than 1.
+        (["1/2", "1/2", "1/2", "1/4"], 2, ["agent 0 values all goods at 7/4, expected 2 for a 2-normalized instance"]),
+        (["3/2", "1/4", "1/4", "0"], 2, ["agent 0 values good 0 at 3/2 > 1, above a unit share"]),
+        # The middle pair is also the innermost tail and the innermost bag pair.
+        # On an ordered row, good d worth more than 1/2 makes the middle pair
+        # worth more than 1.
         (
             ["3/4", "3/4", "1/2", "0"],
             2,
-            ["middle pair worth 5/4 > 1", "pairs 2..2 sum to 5/4 > 1"],
+            [
+                "agent 0: middle pair worth 5/4 > 1",
+                "agent 0: pairs 2..2 sum to 5/4 > 1",
+                "agent 0, pair 2: bottom worth 1/2 > 1/3 despite pair value 5/4 > 1",
+            ],
         ),
         (
             ["3/5", "3/5", "3/5", "1/5"],
             2,
-            ["middle pair worth 6/5 > 1", "good at position 2 worth 3/5 > 1/2", "pairs 2..2 sum to 6/5 > 1"],
+            [
+                "agent 0: middle pair worth 6/5 > 1",
+                "agent 0: good at position 2 worth 3/5 > 1/2",
+                "agent 0: pairs 2..2 sum to 6/5 > 1",
+                "agent 0, pair 2: bottom worth 3/5 > 1/3 despite pair value 6/5 > 1",
+                "agent 0, pair 2: top worth 3/5 <= 2/3 despite pair value 6/5 > 1",
+            ],
         ),
-        (["3/5", "3/5", "1/2", "1/2", "1/2", "3/10"], 3, ["pairs 2..3 sum to 21/10 > 2"]),
+        (
+            ["3/5", "3/5", "1/2", "1/2", "1/2", "3/10"],
+            3,
+            [
+                "agent 0: pairs 2..3 sum to 21/10 > 2",
+                "agent 0, pair 2: bottom worth 1/2 > 1/3 despite pair value 11/10 > 1",
+                "agent 0, pair 2: top worth 3/5 <= 2/3 despite pair value 11/10 > 1",
+            ],
+        ),
+        # Bag pairs at d = n = 1, the unit-share violations first.
+        (
+            ["1", "1/2"],
+            1,
+            [
+                "agent 0 values all goods at 3/2, expected 1 for a 1-normalized instance",
+                "agent 0: middle pair worth 3/2 > 1",
+                "agent 0: pairs 1..1 sum to 3/2 > 1",
+                "agent 0, pair 1: bottom worth 1/2 > 1/3 despite pair value 3/2 > 1",
+            ],
+        ),
+        (
+            ["3/5", "3/5"],
+            1,
+            [
+                "agent 0 values all goods at 6/5, expected 1 for a 1-normalized instance",
+                "agent 0: middle pair worth 6/5 > 1",
+                "agent 0: good at position 1 worth 3/5 > 1/2",
+                "agent 0: pairs 1..1 sum to 6/5 > 1",
+                "agent 0, pair 1: bottom worth 3/5 > 1/3 despite pair value 6/5 > 1",
+                "agent 0, pair 1: top worth 3/5 <= 2/3 despite pair value 6/5 > 1",
+            ],
+        ),
+        # Bag pairs at d = 2 for one agent: every other fact holds, and no
+        # 2-part partition is worth 1 per part.
+        (
+            ["4/5", "2/5", "2/5", "2/5"],
+            2,
+            ["agent 0, pair 1: bottom worth 2/5 > 1/3 despite pair value 6/5 > 1"],
+        ),
     ],
-    ids=["total", "top-good", "middle-pair", "good-d", "pair-tail"],
+    ids=[
+        "total", "top-good", "middle-pair", "good-d", "pair-tail", "bag-pair-bottom", "bag-pair-top",
+        "bag-pair-d-not-n",
+    ],
 )
 def test_unit_share_structure_reports_each_violation(row, d, expected):
     inst = Instance.from_rows([row])
-    assert check_unit_share_structure(inst, d) == tuple(f"agent 0: {v}" for v in expected)
-
-
-def test_bag_pair_bounds_reports_each_violation():
-    assert check_bag_pair_bounds(Instance.from_rows([["1", "1/2"]])) == (
-        "agent 0, pair 1: bottom worth 1/2 > 1/3 despite pair value 3/2 > 1",
-    )
-    assert check_bag_pair_bounds(Instance.from_rows([["3/5", "3/5"]])) == (
-        "agent 0, pair 1: bottom worth 3/5 > 1/3 despite pair value 6/5 > 1",
-        "agent 0, pair 1: top worth 3/5 <= 2/3 despite pair value 6/5 > 1",
-    )
+    assert check_unit_share_structure(inst, d) == tuple(expected)
 
 
 def test_structure_checks_report_an_unordered_instance_as_such():
@@ -345,6 +389,96 @@ def test_structure_checks_report_an_unordered_instance_as_such():
     inst = Instance.from_rows([["1/2", "1", "1/2", "0"]])
     witness = Partition((frozenset({0, 2, 3}), frozenset({1})))
     assert check_witness(inst, 0, witness) == ()
-    unordered = ("instance is not ordered (some agent's values increase)",)
-    assert check_unit_share_structure(inst, 2, (witness,)) == unordered
-    assert check_bag_pair_bounds(inst) == unordered
+    assert UNORDERED == "instance is not ordered (some agent's values increase)"
+    assert check_unit_share_structure(inst, 2, (witness,)) == (UNORDERED,)
+    assert unit_share_violations(inst, 2, (witness,)) == (UNORDERED,)
+
+
+# ---------------------------------------------------------------------------
+# The ordered unit-share input of both allocators
+
+_HALVES = ["1/2"] * 4
+_HALVES_WITNESS = Partition(({0, 1}, {2, 3}))
+
+
+def _first_violation(inst, d, witnesses=None):
+    """The message an allocator raises on this input at d, or None."""
+    try:
+        violations = unit_share_violations(inst, d, witnesses)
+    except InputError as exc:
+        return str(exc)
+    return violations[0] if violations else None
+
+
+# (rows, witnesses, TruthfulResponder's message, run_ordinal's message). The
+# witnesses set run_ordinal's d; None is a message for neither.
+_BAD_UNIT_SHARE_INPUTS = {
+    "unordered": ([_HALVES, [0, 1, 0, 1]], (_HALVES_WITNESS,) * 2, UNORDERED, UNORDERED),
+    "total": (
+        [_HALVES, ["1/4"] * 4],
+        (_HALVES_WITNESS,) * 2,
+        "agent 1 values all goods at 1, expected 2 for a 2-normalized instance",
+        "agent 1 values all goods at 1, expected 2 for a 2-normalized instance",
+    ),
+    "total-at-witness-d": (
+        [["1/2", "1/2", "1/2", "1/4"]],
+        (_HALVES_WITNESS,),
+        "agent 0 values all goods at 7/4, expected 1 for a 1-normalized instance",
+        "agent 0 values all goods at 7/4, expected 2 for a 2-normalized instance",
+    ),
+    # The witness misses too, but a good above 1 comes first.
+    "good-over-1": (
+        [_HALVES, ["3/2", "1/4", "1/4", "0"]],
+        (_HALVES_WITNESS,) * 2,
+        "agent 1 values good 0 at 3/2 > 1, above a unit share",
+        "agent 1 values good 0 at 3/2 > 1, above a unit share",
+    ),
+    # run_ordinal needs 2n goods before it looks at the values.
+    "no-goods": ([[], []], None, "agent 0 values all goods at 0, expected 2 for a 2-normalized instance", None),
+    "witness": (
+        [_HALVES, _HALVES],
+        (_HALVES_WITNESS, Partition(({0, 1, 2}, {3}))),
+        None,
+        "agent 1: witness part worth 3/2 != 1",
+    ),
+    "witness-count": (
+        [_HALVES, _HALVES],
+        (_HALVES_WITNESS,),
+        None,
+        "need one witness partition per agent: 1 for 2 agents",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "rows, witnesses, responder_message, ordinal_message",
+    _BAD_UNIT_SHARE_INPUTS.values(),
+    ids=_BAD_UNIT_SHARE_INPUTS.keys(),
+)
+def test_both_allocators_raise_the_first_unit_share_violation(rows, witnesses, responder_message, ordinal_message):
+    inst = Instance.from_rows(rows)
+    n = inst.num_agents
+    assert _first_violation(inst, n) == responder_message
+    if responder_message is None:
+        TruthfulResponder(inst)
+    else:
+        with pytest.raises(InputError) as info:
+            TruthfulResponder(inst)
+        assert str(info.value) == responder_message
+    if witnesses is not None:
+        assert _first_violation(inst, witnesses[0].d, witnesses) == ordinal_message
+        with pytest.raises(InputError) as info:
+            run_ordinal(inst, witnesses)
+        assert str(info.value) == ordinal_message
+
+
+def test_unit_share_violations_come_totals_first_then_top_goods_then_witnesses():
+    inst = Instance.from_rows([["3/2", "1/4", "1/4", "0"], ["1/2", "1/2", "1/2", "1/4"]])
+    assert unit_share_violations(inst, 2, (_HALVES_WITNESS,) * 2) == (
+        "agent 1 values all goods at 7/4, expected 2 for a 2-normalized instance",
+        "agent 0 values good 0 at 3/2 > 1, above a unit share",
+        "agent 0: witness part worth 7/4 != 1",
+        "agent 0: witness part worth 1/4 != 1",
+        "agent 1: witness part worth 3/4 != 1",
+    )
+    assert unit_share_violations(inst, 2) == unit_share_violations(inst, 2, (_HALVES_WITNESS,) * 2)[:2]
