@@ -6,15 +6,15 @@ from .core import (
     Partition,
     PriorityRanking,
     ThresholdList,
+    Transcript,
     as_fraction,
     bundle_value,
 )
 from .errors import GuaranteeViolation, InputError, MmsKitError, SearchBudgetExceeded
 from .oracle import MmsResult, mms, mms_naive
-from .ordinal import OrdinalRun, run_1_out_of_d, run_ordinal
+from .ordinal import run_1_out_of_d, run_ordinal
 from .rbf import (
     Bag,
-    Transcript,
     TruthfulResponder,
     priority_thresholds,
     run_rbf,
@@ -55,7 +55,6 @@ __all__ = [
     "Instance",
     "MmsKitError",
     "MmsResult",
-    "OrdinalRun",
     "Partition",
     "PriorityRanking",
     "SearchBudgetExceeded",

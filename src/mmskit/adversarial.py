@@ -21,6 +21,7 @@ from .core import (
     Partition,
     PriorityRanking,
     ThresholdList,
+    Transcript,
     as_fraction,
     bundle_value,
     check_int,
@@ -30,7 +31,7 @@ from .core import (
 from .errors import GuaranteeViolation, InputError
 from .ordinal import run_ordinal
 # TruthfulResponder is not used here; it stays importable because perfbench/spans.py replaces it in this module.
-from .rbf import Bag, Transcript, TruthfulResponder, reduction_shapes, run_rbf, run_rbf_truthful
+from .rbf import Bag, TruthfulResponder, reduction_shapes, run_rbf, run_rbf_truthful
 from .verify import AgentCheck, check_1_out_of_d, check_witness
 
 # Cap on the values (agents x goods) of an ordinalTight or hard2 family,
@@ -307,10 +308,8 @@ class FailureReport:
     n: int
     thresholds: ThresholdList
     shortfalls: tuple[AgentCheck, ...]  # the checks not ok, in agent order; [0] is the witness
-    reduction_count: int
-    ran_out_of_goods: bool  # the family's bag filling ran out of goods
     allocation: Allocation
-    transcript: Transcript | None = None
+    transcript: Transcript  # the family's bag-filling run
 
 
 def _thresholds(
@@ -340,15 +339,13 @@ def demonstrate_failure(
     """
     n, i = spec.n, spec.i
     ranking = PriorityRanking.identity(n)
-    transcript = None
     if spec.family == "ordinalTight":
         if thresholds is not None:
             raise InputError("ordinalTight takes no thresholds; its targets are full shares")
         fam = gen_ordinal_tight(n)
-        alloc, run = run_ordinal(fam.instance, witnesses=(fam.witness,) * n)
+        alloc, transcript = run_ordinal(fam.instance, witnesses=(fam.witness,) * n)
         thresholds = ThresholdList.constant(n, 1)
         checks = check_1_out_of_d(fam.instance, alloc, fam.d, shares=(1,) * n).checks
-        ran_out = run.terminated_early
     elif spec.family == "hard1":
         alpha = Fraction(3 * n, 3 * n + i - 2)
         thresholds = _thresholds(n, i, alpha + Fraction(1, 1000), alpha, thresholds)
@@ -357,7 +354,6 @@ def demonstrate_failure(
         alloc, transcript = run.allocation, run.transcript
         # Only the rich agents are meant to fall short.
         checks = [c for c in run.report.checks if c.agent in fam.rich_agents]
-        ran_out = transcript.ran_out_of_goods
     else:  # hard2
         fam = gen_hard2_responders(n, i, spec.k1, spec.k2, spec.t)
         cap = fam.alpha + 2 * fam.epsilon
@@ -366,17 +362,7 @@ def demonstrate_failure(
         alloc, transcript = run_rbf(ScriptedHard2Responder(fam), thresholds, ranking)
         value = bundle_value(fam.instance, 0, alloc.bundles[fam.target_agent])
         checks = [AgentCheck(fam.target_agent, value, thresholds.taus[i - 1], value >= cap)]
-        ran_out = transcript.ran_out_of_goods
     shortfalls = tuple(c for c in checks if not c.ok)
     if not shortfalls:
         raise GuaranteeViolation(f"{spec.family} run left no agent short; construction broken")
-    return FailureReport(
-        family=spec.family,
-        n=n,
-        thresholds=thresholds,
-        shortfalls=shortfalls,
-        reduction_count=len(transcript.reductions) if transcript else 0,
-        ran_out_of_goods=ran_out,
-        allocation=alloc,
-        transcript=transcript,
-    )
+    return FailureReport(spec.family, n, thresholds, shortfalls, alloc, transcript)

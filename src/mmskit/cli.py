@@ -11,16 +11,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, NoReturn, Sequence
 
 from . import adversarial, bobw, oracle, verify
 from .adversarial import HardInstanceSpec, demonstrate_failure, gen_hard1, gen_hard2_responders, gen_ordinal_tight
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction, check_int
+from .core import Allocation, Instance, PriorityRanking, ThresholdList, Transcript, as_fraction, check_int
 from .errors import GuaranteeViolation, InputError, MmsKitError, SearchBudgetExceeded
 from .ordinal import run_1_out_of_d
-from .rbf import Transcript, priority_thresholds, run_rbf_truthful
+from .rbf import priority_thresholds, run_rbf_truthful
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -124,18 +125,21 @@ def _load_json(path: str) -> Any:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, or an integer over the digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:  # a few KB of nested brackets
+        raise InputError(f"{path} is not valid JSON: nested too deeply") from None
 
 
 def _emit(payload: Any, output: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if not output:
-        print(text)
-        return
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     try:
+        if not output:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        raise InputError(f"cannot write {output}: {exc}") from exc
+            fh.write(text)
+    except OSError as exc:  # a closed pipe or a full disk, too
+        raise InputError(f"cannot write {output or 'stdout'}: {exc}") from exc
 
 
 # The parsers only parse; the library checks each list's length against the instance.
@@ -189,7 +193,7 @@ def _cmd_ordinal(args: argparse.Namespace) -> dict[str, Any]:
         "allocation": allocation_to_json(result.allocation),
         "perAgent": per_agent,
         "allOk": result.report.all_ok,
-        "earlyTermination": bool(result.run and result.run.terminated_early),
+        "earlyTermination": bool(result.transcript and result.transcript.ran_out_of_goods),
     }
 
 
@@ -287,8 +291,8 @@ def _cmd_demo(args: argparse.Namespace) -> dict[str, Any]:
             {"agent": c.agent, "value": str(c.value), "target": str(c.target)}
             for c in report.shortfalls
         ],
-        "reductionCount": report.reduction_count,
-        "ranOutOfGoods": report.ran_out_of_goods,
+        "reductionCount": len(report.transcript.reductions),
+        "ranOutOfGoods": report.transcript.ran_out_of_goods,
         "allocation": allocation_to_json(report.allocation),
     }
 
@@ -431,7 +435,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # main reported it; what stdout still buffers goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

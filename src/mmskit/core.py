@@ -355,3 +355,43 @@ def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
     for g in inst.check_goods(bundle):
         total += ints[g]
     return Fraction(total, scale)
+
+
+@dataclass(frozen=True)
+class ReductionEvent:
+    """One removal of (bundle, agent) during phase 1 of the threshold allocator."""
+
+    type: int  # 1..4, the order-statistic shape of the bundle
+    bundle: frozenset[int]
+    agent: int
+    agents_before: int
+    goods_before: int
+
+
+@dataclass(frozen=True)
+class BagEvent:
+    kind: str  # "assign" | "fill" | "leftover"
+    bag: int
+    agent: int | None = None
+    good: int | None = None
+
+
+@dataclass(frozen=True)
+class Transcript:
+    """Ordered log of one run of either bag filler, sufficient to re-check its structure.
+
+    ``run_ordinal`` logs no reductions, and its phase 2 holds every agent and good.
+    """
+
+    num_agents: int
+    num_goods: int
+    reductions: tuple[ReductionEvent, ...]
+    bag_events: tuple[BagEvent, ...]
+    phase2_agents: frozenset[int]
+    phase2_goods: frozenset[int]
+    initial_bags: tuple[frozenset[int], ...]
+    ran_out_of_goods: bool
+    satisfied: tuple[bool, ...]
+
+    def reduction_types(self) -> tuple[int, ...]:
+        return tuple(e.type for e in self.reductions)

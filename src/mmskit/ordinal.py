@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Allocation, Instance, Partition, check_int
+from .core import Allocation, BagEvent, Instance, Partition, Transcript, check_int
 from .errors import GuaranteeViolation, InputError
 from .transform import (
     normalize,
@@ -25,29 +25,18 @@ from .transform import (
 from .verify import UNORDERED, GuaranteeReport, check_1_out_of_d, unit_share_violations
 
 
-@dataclass(frozen=True)
-class OrdinalRun:
-    """Trace of one bag-filling run, for invariant checking and replay."""
-
-    initial_bags: tuple[frozenset[int], ...]
-    final_bags: tuple[frozenset[int], ...]
-    assignment: tuple[int | None, ...]  # bag index -> agent
-    fill_order: tuple[tuple[int, int], ...]  # (bag, good) in consumption order
-    terminated_early: bool
-    satisfied: tuple[bool, ...]  # per agent: got a bag it values >= 1
-
-
 def run_ordinal(
     inst: Instance, witnesses: tuple[Partition, ...] | None = None
-) -> tuple[Allocation, OrdinalRun]:
+) -> tuple[Allocation, Transcript]:
     """Initialize bag k with goods {k, 2n-1-k} and fill bags left to right.
 
     Each round appends the next unconsumed good (in non-increasing value
     order) to the current bag until some agent without a bag values it at
     least 1; the bag goes to the lowest-index such agent. When goods run out
-    the run is flagged ``terminated_early`` and the remaining bags go to the
-    remaining agents in index order. After a complete run, the never-consumed
-    suffix of goods is appended to the bag of the last round.
+    the transcript's ``ran_out_of_goods`` is set and the remaining bags go to
+    the remaining agents in index order. After a complete run, the
+    never-consumed suffix of goods is appended to the bag of the last round;
+    the allocation holds it, and the transcript logs no event for it.
 
     The instance must be ordered with m >= 2n. Pass ``witnesses``, one
     unit-share partition per agent, to also check the unit-share input at
@@ -66,11 +55,11 @@ def run_ordinal(
 
     initial = tuple(frozenset({k, 2 * n - 1 - k}) for k in range(n))
     final = [set(b) for b in initial]
-    assignment: list[int | None] = [None] * n
+    bundles: list[set[int]] = [set()] * n  # each agent's bag in ``final``, once handed out
     unassigned = list(range(n))
-    fills: list[tuple[int, int]] = []
+    events: list[BagEvent] = []
     j = 2 * n  # next unconsumed good
-    terminated_early = False
+    ran_out = False
 
     rows = inst.scaled
     for k in range(n):
@@ -79,55 +68,52 @@ def run_ordinal(
         while True:
             liker = next((i for i in unassigned if sums[i] >= rows[i][1]), None)
             if liker is not None:
-                assignment[k] = liker
+                bundles[liker] = final[k]
                 unassigned.remove(liker)
+                events.append(BagEvent("assign", k, agent=liker))
                 break
             if j >= m:
-                terminated_early = True
+                ran_out = True
                 break
             final[k].add(j)
-            fills.append((k, j))
+            events.append(BagEvent("fill", k, good=j))
             for i in unassigned:
                 sums[i] += rows[i][0][j]
             j += 1
-        if terminated_early:
+        if ran_out:
             break
 
-    satisfied = [False] * n
-    for k, a in enumerate(assignment):
-        if a is not None:
-            satisfied[a] = True
-    if terminated_early:
-        # Hand the untouched bags to the remaining agents, in index order.
-        first_open = assignment.index(None)
-        for k, agent in zip(range(first_open, n), unassigned):
-            assignment[k] = agent
+    satisfied = tuple(i not in unassigned for i in range(n))
+    if ran_out:
+        # Hand bag k, where the goods ran out, and the untouched bags after it
+        # to the remaining agents, in index order.
+        for k, agent in enumerate(unassigned, start=k):
+            bundles[agent] = final[k]
+            events.append(BagEvent("leftover", k, agent=agent))
     else:
-        final[n - 1] |= set(range(j, m))
+        final[n - 1].update(range(j, m))
 
-    bundles: list[frozenset[int]] = [frozenset() for _ in range(n)]
-    for k, a in enumerate(assignment):
-        if a is not None:
-            bundles[a] = frozenset(final[k])
-    alloc = Allocation(tuple(bundles))
-    run = OrdinalRun(
+    transcript = Transcript(
+        num_agents=n,
+        num_goods=m,
+        reductions=(),
+        bag_events=tuple(events),
+        phase2_agents=frozenset(range(n)),
+        phase2_goods=frozenset(range(m)),
         initial_bags=initial,
-        final_bags=tuple(frozenset(b) for b in final),
-        assignment=tuple(assignment),
-        fill_order=tuple(fills),
-        terminated_early=terminated_early,
-        satisfied=tuple(satisfied),
+        ran_out_of_goods=ran_out,
+        satisfied=satisfied,
     )
-    return alloc, run
+    return Allocation(tuple(bundles)), transcript
 
 
 @dataclass(frozen=True)
 class OneOutOfDResult:
-    """Allocation of the original instance, its all-ok d-share report and the bag-filling trace."""
+    """Allocation of the original instance, its all-ok d-share report and the bag-filling transcript."""
 
     allocation: Allocation
     d: int
-    run: OrdinalRun | None
+    transcript: Transcript | None
     report: GuaranteeReport  # one check per agent; each target is her d-share
 
 
@@ -148,7 +134,7 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
         i for i, (ints, _) in enumerate(inst.scaled) if sum(1 for v in ints if v) >= d_target
     )
 
-    run = None
+    transcript = None
     shares = None  # the guarantee check searches unless normalize found them at d_target
     if n == 1:
         allocation = Allocation((frozenset(range(inst.num_goods)),))
@@ -173,8 +159,8 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
             shares = [share_of.get(i, 0) for i in range(n)]
         ordered, perms = order(normalized)
         ordered_witnesses = tuple(permute_partition(r.witness, p) for r, p in zip(results, perms))
-        ordered_alloc, run = run_ordinal(ordered, witnesses=ordered_witnesses)
-        if run.terminated_early:
+        ordered_alloc, transcript = run_ordinal(ordered, witnesses=ordered_witnesses)
+        if transcript.ran_out_of_goods:
             raise GuaranteeViolation(
                 "bag filling ran out of goods on a normalized ordered input; "
                 "this contradicts the existence guarantee"
@@ -188,5 +174,5 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
                 f"agent {c.agent} received {c.value}, below her {d_target}-bundle "
                 f"share {c.target}"
             )
-    return OneOutOfDResult(allocation, d_target, run, report)
+    return OneOutOfDResult(allocation, d_target, transcript, report)
 

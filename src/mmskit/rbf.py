@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Protocol, Sequence
 
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, _as_index_set, check_int, check_ranked
+from .core import (
+    Allocation, BagEvent, Instance, PriorityRanking, ReductionEvent, ThresholdList, Transcript,
+    _as_index_set, check_int, check_ranked,
+)
 from .errors import GuaranteeViolation, InputError
 from . import oracle, verify
 
@@ -139,43 +142,6 @@ def priority_thresholds(n: int) -> ThresholdList:
     floor = Fraction(3, 4) + Fraction(1, 12 * n)
     taus = tuple(max(Fraction(2 * n, 2 * n + i - 1), floor) for i in range(1, n + 1))
     return ThresholdList(taus)
-
-
-@dataclass(frozen=True)
-class ReductionEvent:
-    """One removal of (bundle, agent) during phase 1."""
-
-    type: int  # 1..4, the order-statistic shape of the bundle
-    bundle: frozenset[int]
-    agent: int
-    agents_before: int
-    goods_before: int
-
-
-@dataclass(frozen=True)
-class BagEvent:
-    kind: str  # "assign" | "fill" | "leftover"
-    bag: int
-    agent: int | None = None
-    good: int | None = None
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """Ordered log of one run, sufficient to re-check its structure."""
-
-    num_agents: int
-    num_goods: int
-    reductions: tuple[ReductionEvent, ...]
-    bag_events: tuple[BagEvent, ...]
-    phase2_agents: frozenset[int]
-    phase2_goods: frozenset[int]
-    initial_bags: tuple[frozenset[int], ...]
-    ran_out_of_goods: bool
-    satisfied: tuple[bool, ...]
-
-    def reduction_types(self) -> tuple[int, ...]:
-        return tuple(e.type for e in self.reductions)
 
 
 def reduction_shapes(goods: Iterable[int], agents_left: int) -> list[frozenset[int]]:

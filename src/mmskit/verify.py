@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .core import (
     Allocation,
@@ -20,6 +20,7 @@ from .core import (
     PriorityRanking,
     RationalLike,
     ThresholdList,
+    Transcript,
     as_fraction,
     bundle_value,
     check_int,
@@ -27,9 +28,6 @@ from .core import (
 )
 from .errors import InputError
 from . import oracle
-
-if TYPE_CHECKING:  # rbf imports this module
-    from .rbf import Transcript
 
 _REDUCTION_PATTERN = re.compile(r"^(1*2*4*)(32*4*)*$")
 
@@ -121,7 +119,8 @@ class TranscriptReport:
 
 
 def check_transcript(tr: Transcript) -> TranscriptReport:
-    """Re-verify the structural facts of a truthful run.
+    """Re-verify the structural facts of a truthful run of either bag filler;
+    ``run_ordinal`` logs no reductions, so only the goods count applies to it.
 
     Checks, in order: the reduction type sequence matches (1*2*4*)(32*4*)*;
     from the end of the leading type-1 block on, at least twice as many goods

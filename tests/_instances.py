@@ -73,3 +73,17 @@ def unit_share_rows(rng: random.Random, n: int, m: int) -> list[list[Fraction]]:
         row.sort(reverse=True)
         rows.append(row)
     return rows
+
+
+def fills(tr) -> tuple[tuple[int, int], ...]:
+    """A transcript's (bag, good) fills, in consumption order."""
+    return tuple((e.bag, e.good) for e in tr.bag_events if e.kind == "fill")
+
+
+def bag_owners(tr) -> tuple[int | None, ...]:
+    """The agent each of a transcript's bags went to, None for a bag never handed out."""
+    owners: list[int | None] = [None] * len(tr.initial_bags)
+    for e in tr.bag_events:
+        if e.kind != "fill":
+            owners[e.bag] = e.agent
+    return tuple(owners)

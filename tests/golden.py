@@ -167,7 +167,7 @@ def digest(files: dict, argv: list[str], workdir: str) -> str:
     for name, obj in files.items():
         paths[name] = os.path.join(workdir, f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
+            fh.write(obj if isinstance(obj, str) else json.dumps(obj))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([arg.format(**paths) for arg in argv])

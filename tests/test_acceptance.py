@@ -38,7 +38,7 @@ from mmskit.bobw import (
 )
 from mmskit.verify import check_unit_share_structure
 
-from _instances import random_instance, random_normalized_ordered
+from _instances import bag_owners, random_instance, random_normalized_ordered
 
 
 def _announce(line: str) -> None:
@@ -59,7 +59,7 @@ def test_criterion_1_ordinal_guarantee():
         m = rng.randint(n, 10)
         inst = random_instance(rng, n, m, max_value=10)
         result = run_1_out_of_d(inst)
-        if result.run is not None and result.run.terminated_early:
+        if result.transcript is not None and result.transcript.ran_out_of_goods:
             early += 1
         for i in range(n):
             share = mms(inst, i, result.d).value
@@ -84,11 +84,11 @@ def test_criterion_1_ordinal_guarantee():
 def test_criterion_2_tight_family():
     for n in range(2, 13):
         fam = gen_ordinal_tight(n)
-        alloc, run = run_ordinal(fam.instance)
+        alloc, tr = run_ordinal(fam.instance)
         short_value = 1 - Fraction(1, 3 * n)
         assigned_values = [
-            bundle_value(fam.instance, agent, run.final_bags[bag])
-            for bag, agent in enumerate(run.assignment)
+            bundle_value(fam.instance, agent, alloc.bundles[agent])
+            for agent in bag_owners(tr)
         ]
         assert short_value in assigned_values, (
             f"n={n}: no assigned bag worth exactly {short_value}"
@@ -151,8 +151,8 @@ def test_criterion_4_hard1_family():
             assert report.shortfalls[0].agent < i, (
                 f"n={n} i={i}: shortfall outside the first {i} agents"
             )
-            assert report.reduction_count == 0, (
-                f"n={n} i={i}: {report.reduction_count} reductions happened"
+            assert len(report.transcript.reductions) == 0, (
+                f"n={n} i={i}: {len(report.transcript.reductions)} reductions happened"
             )
             cases += 1
     _announce(
@@ -236,7 +236,7 @@ def test_criterion_7_oblivious_adversary():
             assert report.shortfalls[0].value < cap, (
                 f"n={n} i={i} k1={k1} k2={k2}: {report.shortfalls[0].value} >= {cap}"
             )
-            assert report.reduction_count == 0
+            assert len(report.transcript.reductions) == 0
             cases += 1
     _announce(
         f"criterion 7: scripted runs kept the target agent below alpha + 2*eps "

@@ -19,6 +19,8 @@ from mmskit import (
 from mmskit import adversarial, oracle, verify
 from mmskit.adversarial import FAMILY_MAX_VALUES, HARD1_MAX_GOODS
 
+from _instances import fills
+
 
 # ---------------------------------------------------------------------------
 # ordinalTight generation
@@ -61,9 +63,9 @@ def test_tight_fill_profile_is_one_good_per_early_bag():
     for n in range(2, 11):
         fam = gen_ordinal_tight(n)
         m = fam.instance.num_goods
-        _, run = run_ordinal(fam.instance)
+        _, tr = run_ordinal(fam.instance)
         fills_per_bag = {}
-        for bag, _ in run.fill_order:
+        for bag, _ in fills(tr):
             fills_per_bag[bag] = fills_per_bag.get(bag, 0) + 1
         assert fills_per_bag == {k: 1 for k in range(m - 2 * n)}
 
@@ -195,7 +197,16 @@ def test_family_cap_counts_the_values_a_family_holds():
 def test_ordinal_tight_failure_reports_short_bag():
     report = demonstrate_failure(HardInstanceSpec("ordinalTight", 5))
     assert report.shortfalls[0].value == Fraction(14, 15)
-    assert report.ran_out_of_goods
+    assert report.transcript.ran_out_of_goods
+
+
+def test_ordinal_tight_demos_log_leftover_bags_for_the_unserved_agents():
+    for n in range(2, 13):
+        tr = demonstrate_failure(HardInstanceSpec("ordinalTight", n)).transcript
+        assert tr.ran_out_of_goods and tr.reductions == ()
+        assert verify.check_transcript(tr).ok
+        leftover = [e.agent for e in tr.bag_events if e.kind == "leftover"]
+        assert leftover and sorted(leftover) == [i for i in range(n) if not tr.satisfied[i]]
 
 
 def test_ordinal_tight_all_short_bags_equal_formula():
@@ -208,7 +219,7 @@ def test_hard1_failure_no_reductions_and_short_agent():
     for n, i in [(4, 3), (6, 4), (5, 5)]:
         spec = HardInstanceSpec("hard1", n, i=i)
         report = demonstrate_failure(spec)
-        assert report.reduction_count == 0
+        assert len(report.transcript.reductions) == 0
         witness = report.shortfalls[0]
         assert witness.agent < i  # 0-indexed member of the rich block
         assert witness.value < witness.target and not witness.ok
@@ -237,7 +248,7 @@ def test_hard1_demos_never_reach_the_oracle(monkeypatch):
             low = ThresholdList((Fraction(1),) * (i - 1) + (alpha + Fraction(1, 1000),) + (Fraction(1, 50),) * (n - i))
             for T in (None, low):
                 report = demonstrate_failure(HardInstanceSpec("hard1", n, i=i), T)
-                assert report.reduction_count == 0 and report.shortfalls
+                assert len(report.transcript.reductions) == 0 and report.shortfalls
 
 
 def test_built_in_thresholds_sit_below_the_hard1_cap():
@@ -310,8 +321,8 @@ def test_hard2_failure_stays_below_cap():
     report = demonstrate_failure(spec)
     fam = gen_hard2_responders(6, 4, 3, 0, 3)
     assert report.shortfalls[0].value < fam.alpha + 2 * fam.epsilon
-    assert report.reduction_count == 0
-    assert report.ran_out_of_goods
+    assert len(report.transcript.reductions) == 0
+    assert report.transcript.ran_out_of_goods
 
 
 def test_hard2_rich_bags_go_to_low_ranks():

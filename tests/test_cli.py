@@ -137,6 +137,52 @@ def test_an_unwritable_output_is_an_input_error(tmp_path, capsys, target):
     assert out == "" and err.startswith(f"input error: cannot write {output}: ") and err.count("\n") == 1
 
 
+def _unwritable_stdout_run(argv, stdout) -> subprocess.CompletedProcess:
+    # Stdout stays buffered, as it is by default, so a small output fails only when flushed.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "mmskit.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**env, "PYTHONPATH": src},
+        timeout=60,
+    )
+
+
+# A few hundred bytes, and over 100 KB: more than a pipe buffers.
+_SMALL_AND_LARGE_OUTPUT = [
+    ["gen", "ordinalTight", "--n", "3"],
+    ["gen", "hard1", "--n", "8", "--i", "4", "--epsilon", "1/2000"],
+]
+
+
+def _assert_cannot_write_stdout(proc: subprocess.CompletedProcess, reason: str) -> None:
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith(f"input error: cannot write stdout: {reason}")
+    assert proc.stderr.count("\n") == 1 and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", _SMALL_AND_LARGE_OUTPUT, ids=["small", "large"])
+def test_a_closed_stdout_pipe_is_an_input_error(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody reads: each write fails with EPIPE
+    try:
+        proc = _unwritable_stdout_run(argv, write_end)
+    finally:
+        os.close(write_end)
+    _assert_cannot_write_stdout(proc, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", _SMALL_AND_LARGE_OUTPUT, ids=["small", "large"])
+def test_a_full_stdout_device_is_an_input_error(argv):
+    with open("/dev/full", "w") as full:
+        proc = _unwritable_stdout_run(argv, full)
+    _assert_cannot_write_stdout(proc, "[Errno 28] No space left on device")
+
+
 def test_cmd_mms_budget_exhaustion(instance_file, capsys):
     rng = random.Random(1)
     inst = Instance.from_rows([[rng.randint(50, 99) for _ in range(14)]])
@@ -332,7 +378,11 @@ _SHORT_SHARE_ROWS = [
 ]
 
 
+# A 4 KB file of valid JSON nested deeper than the parser recurses.
+_NESTED_TOO_DEEPLY = "[" * 2000 + "]" * 2000
+
 # (files, argv) of each malformed invocation; the golden corpus replays the rbf and bobw rows.
+# A file given as a string is written as is.
 MALFORMED_INPUTS = [
     (
         {"inst": {"agents": 1, "goods": 3, "valuations": ["123"]}},
@@ -415,6 +465,11 @@ MALFORMED_INPUTS = [
     ({}, ["demo", "hard1", "--n", "4", "--i", "3", "--t", "7"]),
     ({}, ["demo", "ordinalTight", "--n", "3", "--t", "9"]),
     ({}, ["gen", "hard1", "--n", "4", "--i", "3", "--t", "7"]),
+    ({"inst": _NESTED_TOO_DEEPLY}, ["mms", "{inst}", "--d", "2"]),
+    (
+        {"inst": _UNIT_PAIR, "alloc": _NESTED_TOO_DEEPLY},
+        ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "2"],
+    ),
 ]
 MALFORMED_IDS = [
     "string-row", "bool-agents", "int-bundle", "text-ranking", "threshold-count",
@@ -428,6 +483,7 @@ MALFORMED_IDS = [
     "bobw-share-11-15", "verify-tmms-d", "verify-1ood-thresholds", "verify-1ood-ranking",
     "gen-ordinal-tight-i", "gen-ordinal-tight-epsilon", "gen-hard2-epsilon", "demo-hard1-k1",
     "demo-hard1-k2", "demo-ordinal-tight-k1", "demo-hard1-t", "demo-ordinal-tight-t", "gen-hard1-t",
+    "mms-nested-too-deeply", "verify-nested-too-deeply",
 ]
 
 
@@ -436,7 +492,7 @@ def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, files, argv
     paths = {}
     for name, obj in files.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
         paths[name] = str(path)
     assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
     out, err = capsys.readouterr()
@@ -857,7 +913,7 @@ def _ordinal_payload(inst: Instance) -> dict:
             for c in result.report.checks
         ],
         "allOk": result.report.all_ok,
-        "earlyTermination": bool(result.run and result.run.terminated_early),
+        "earlyTermination": bool(result.transcript and result.transcript.ran_out_of_goods),
     }
 
 
@@ -890,8 +946,8 @@ def _demo_payload(spec: HardInstanceSpec) -> dict:
         "witnessValue": shortfalls[0]["value"],
         "witnessTarget": shortfalls[0]["target"],
         "unsatisfied": shortfalls,
-        "reductionCount": report.reduction_count,
-        "ranOutOfGoods": report.ran_out_of_goods,
+        "reductionCount": len(report.transcript.reductions),
+        "ranOutOfGoods": report.transcript.ran_out_of_goods,
         "allocation": allocation_to_json(report.allocation),
     }
 

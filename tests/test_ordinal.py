@@ -7,9 +7,9 @@ import pytest
 
 from mmskit import Instance, InputError, bundle_value, mms, oracle, run_1_out_of_d, run_ordinal
 from mmskit.adversarial import gen_ordinal_tight
-from mmskit.verify import AgentCheck, GuaranteeReport
+from mmskit.verify import AgentCheck, GuaranteeReport, check_transcript
 
-from _instances import random_instance, random_normalized_ordered
+from _instances import bag_owners, fills, random_instance, random_normalized_ordered
 
 
 def test_rejects_unordered_input():
@@ -28,18 +28,18 @@ def test_all_bags_liked_initially_means_no_filling():
     # Identical agents, 2n goods worth 1/2 each: every initial bag is worth 1.
     n = 3
     inst = Instance.from_rows([[Fraction(1, 2)] * (2 * n)] * n)
-    alloc, run = run_ordinal(inst)
-    assert run.fill_order == ()
-    assert not run.terminated_early
-    assert all(run.satisfied)
-    assert run.assignment == (0, 1, 2)
+    alloc, tr = run_ordinal(inst)
+    assert fills(tr) == ()
+    assert not tr.ran_out_of_goods
+    assert all(tr.satisfied)
+    assert bag_owners(tr) == (0, 1, 2)
 
 
 def test_initial_bag_composition():
     n = 4
     inst, _ = random_normalized_ordered(random.Random(0), n, 2 * n, d=n)
-    _, run = run_ordinal(inst)
-    assert run.initial_bags == tuple(
+    _, tr = run_ordinal(inst)
+    assert tr.initial_bags == tuple(
         frozenset({k, 2 * n - 1 - k}) for k in range(n)
     )
 
@@ -50,10 +50,10 @@ def test_fill_goods_consumed_in_increasing_index_order():
         n = rng.randint(2, 5)
         m = rng.randint(2 * n, 2 * n + 6)
         inst, wits = random_normalized_ordered(rng, n, m, d=4 * ((n + 2) // 3))
-        alloc, run = run_ordinal(inst)
-        consumed = [g for _, g in run.fill_order]
+        alloc, tr = run_ordinal(inst)
+        consumed = [g for _, g in fills(tr)]
         assert consumed == sorted(consumed)
-        bags = [b for b, _ in run.fill_order]
+        bags = [b for b, _ in fills(tr)]
         assert bags == sorted(bags)
 
 
@@ -64,10 +64,10 @@ def test_assigned_bags_meet_the_unit_target():
         d = 4 * ((n + 2) // 3)
         m = rng.randint(max(2 * n, d), 2 * n + 6)
         inst, wits = random_normalized_ordered(rng, n, m, d=d)
-        alloc, run = run_ordinal(inst, witnesses=wits)
-        assert not run.terminated_early
-        for bag_idx, agent in enumerate(run.assignment):
-            assert bundle_value(inst, agent, run.final_bags[bag_idx]) >= 1
+        alloc, tr = run_ordinal(inst, witnesses=wits)
+        assert not tr.ran_out_of_goods
+        for agent in bag_owners(tr):
+            assert bundle_value(inst, agent, alloc.bundles[agent]) >= 1
 
 
 def test_filled_bags_were_liked_by_nobody_still_waiting():
@@ -77,13 +77,13 @@ def test_filled_bags_were_liked_by_nobody_still_waiting():
         d = 4 * ((n + 2) // 3)
         m = rng.randint(max(2 * n, d), 2 * n + 6)
         inst, _ = random_normalized_ordered(rng, n, m, d=d)
-        _, run = run_ordinal(inst)
-        filled = {b for b, _ in run.fill_order}
+        _, tr = run_ordinal(inst)
+        filled = {b for b, _ in fills(tr)}
         for k in filled:
-            served_before = {a for a in run.assignment[:k] if a is not None}
+            served_before = {a for a in bag_owners(tr)[:k] if a is not None}
             waiting = set(range(n)) - served_before
             assert all(
-                bundle_value(inst, i, run.initial_bags[k]) < 1 for i in waiting
+                bundle_value(inst, i, tr.initial_bags[k]) < 1 for i in waiting
             )
 
 
@@ -92,9 +92,53 @@ def test_leftover_suffix_lands_in_last_bag():
     n = 2
     rows = [[Fraction(1, 2)] * 4 + [Fraction(1, 13)] * 5] * 2
     inst = Instance.from_rows(rows)
-    alloc, run = run_ordinal(inst)
-    assert not run.terminated_early
-    assert run.final_bags[n - 1] == frozenset({1, 2}) | frozenset(range(4, 9))
+    alloc, tr = run_ordinal(inst)
+    assert not tr.ran_out_of_goods
+    assert alloc.bundles[bag_owners(tr)[n - 1]] == frozenset({1, 2}) | frozenset(range(4, 9))
+
+
+def _assert_well_formed(inst, alloc, tr):
+    # An ordinal transcript passes the threshold allocator's structure check,
+    # and its initial bags and fills rebuild the allocation; after a complete
+    # run, the last bag also holds every good no event names.
+    n, m = inst.num_agents, inst.num_goods
+    assert check_transcript(tr).ok
+    assert tr.reductions == ()
+    assert (tr.phase2_agents, tr.phase2_goods) == (frozenset(range(n)), frozenset(range(m)))
+    owners = bag_owners(tr)
+    assert sorted(owners) == list(range(n))
+    bags = [set(b) for b in tr.initial_bags]
+    for bag, good in fills(tr):
+        bags[bag].add(good)
+    if not tr.ran_out_of_goods:
+        bags[-1] |= set(range(m)) - set().union(*bags)
+    assert [frozenset(b) for b in bags] == [alloc.bundles[a] for a in owners]
+    leftover = {e.agent for e in tr.bag_events if e.kind == "leftover"}
+    assert leftover == {i for i in range(n) if not tr.satisfied[i]}
+    assert bool(leftover) == tr.ran_out_of_goods
+
+
+def test_transcripts_of_random_ordered_normalized_instances_are_well_formed():
+    rng = random.Random(6)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        d = rng.choice((n, 4 * ((n + 2) // 3)))
+        m = rng.randint(max(2 * n, d), 2 * n + 8)
+        inst, wits = random_normalized_ordered(rng, n, m, d=d)
+        _assert_well_formed(inst, *run_ordinal(inst, witnesses=wits))
+
+
+def test_transcripts_of_pipeline_runs_pass_the_structure_check():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        result = run_1_out_of_d(random_instance(rng, n, rng.randint(n, 10)))
+        if result.transcript is not None:
+            assert check_transcript(result.transcript).ok
+            assert result.transcript.reductions == () and all(result.transcript.satisfied)
+            checked += 1
+    assert checked >= 150
 
 
 def test_determinism():
@@ -111,9 +155,10 @@ def test_determinism():
 def test_tight_family_terminates_early_with_short_bag():
     for n in (2, 3, 5, 8):
         fam = gen_ordinal_tight(n)
-        alloc, run = run_ordinal(fam.instance)
-        assert run.terminated_early
-        short = bundle_value(fam.instance, run.assignment[n - 1], run.final_bags[n - 1])
+        alloc, tr = run_ordinal(fam.instance)
+        assert tr.ran_out_of_goods
+        owner = bag_owners(tr)[n - 1]
+        short = bundle_value(fam.instance, owner, alloc.bundles[owner])
         assert short == 1 - Fraction(1, 3 * n)
 
 
@@ -170,8 +215,8 @@ def test_pipeline_guarantee_on_random_instances():
         m = rng.randint(n, 9)
         inst = random_instance(rng, n, m)
         result = run_1_out_of_d(inst)
-        if result.run is not None:
-            assert not result.run.terminated_early
+        if result.transcript is not None:
+            assert not result.transcript.ran_out_of_goods
         for i in range(n):
             share = mms(inst, i, result.d).value
             assert bundle_value(inst, i, result.allocation.bundles[i]) >= share

@@ -192,7 +192,7 @@ def test_reinstate_drops_dummies_and_clone_bundles():
     rng = random.Random(8)
     inst = random_instance(rng, 4, 9, max_value=9)
     result = run_1_out_of_d(inst)
-    if result.run is None:
+    if result.transcript is None:
         pytest.skip("degenerate draw: pipeline short-circuited")
     alloc = result.allocation
     assert alloc.num_agents == 4
