@@ -27,12 +27,13 @@ from .core import (
     check_int,
     check_ranked,
     scale_row,
+    short_repr,
 )
 from .errors import GuaranteeViolation, InputError
 from .ordinal import run_ordinal
 # TruthfulResponder is not used here; it stays importable because perfbench/spans.py replaces it in this module.
 from .rbf import Bag, TruthfulResponder, reduction_shapes, run_rbf, run_rbf_truthful
-from .verify import AgentCheck, check_1_out_of_d, check_witness
+from .verify import AgentCheck, check_targets, check_witness
 
 # Cap on the values (agents x goods) of an ordinalTight or hard2 family,
 # checked from its parameters before anything is built. It admits both
@@ -57,7 +58,7 @@ class HardInstanceSpec:
 
     def __post_init__(self):
         if self.family not in ("ordinalTight", "hard1", "hard2"):
-            raise InputError(f"unknown family {self.family!r}")
+            raise InputError(f"unknown family {short_repr(self.family)}")
         check_int("n", self.n, 3 if self.family == "hard1" else 2)
         for name in ("i", "k1", "k2", "t"):
             if getattr(self, name) is not None and self.family not in _READ_BY[name]:
@@ -345,7 +346,9 @@ def demonstrate_failure(
         fam = gen_ordinal_tight(n)
         alloc, transcript = run_ordinal(fam.instance, witnesses=(fam.witness,) * n)
         thresholds = ThresholdList.constant(n, 1)
-        checks = check_1_out_of_d(fam.instance, alloc, fam.d, shares=(1,) * n).checks
+        # The witness gen_ordinal_tight checked has d parts worth 1 that cover
+        # every good, so each agent's d-share is exactly 1.
+        checks = check_targets(fam.instance, alloc, (1,) * n).checks
     elif spec.family == "hard1":
         alpha = Fraction(3 * n, 3 * n + i - 2)
         thresholds = _thresholds(n, i, alpha + Fraction(1, 1000), alpha, thresholds)

@@ -18,7 +18,7 @@ from typing import Any, NoReturn, Sequence
 
 from . import adversarial, bobw, oracle, verify
 from .adversarial import HardInstanceSpec, demonstrate_failure, gen_hard1, gen_hard2_responders, gen_ordinal_tight
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, Transcript, as_fraction, check_int
+from .core import Allocation, Instance, PriorityRanking, ThresholdList, Transcript, as_fraction, check_int, short_repr
 from .errors import GuaranteeViolation, InputError, MmsKitError, SearchBudgetExceeded
 from .ordinal import run_1_out_of_d
 from .rbf import priority_thresholds, run_rbf_truthful
@@ -155,7 +155,7 @@ def _parse_ranking(spec: str | None, n: int) -> PriorityRanking:
     try:
         ranks = tuple(int(part.strip()) for part in spec.split(","))
     except ValueError as exc:
-        raise InputError(f"ranking must be 'identity' or a list of ints, got {spec!r}") from exc
+        raise InputError(f"ranking must be 'identity' or a list of ints, got {short_repr(spec)}") from exc
     return PriorityRanking(ranks)
 
 
@@ -193,7 +193,7 @@ def _cmd_ordinal(args: argparse.Namespace) -> dict[str, Any]:
         "allocation": allocation_to_json(result.allocation),
         "perAgent": per_agent,
         "allOk": result.report.all_ok,
-        "earlyTermination": bool(result.transcript and result.transcript.ran_out_of_goods),
+        "earlyTermination": False,  # run_1_out_of_d raises on a run that ran out of goods
     }
 
 

@@ -28,6 +28,19 @@ LITERAL_MAX_CHARS = 1000
 LITERAL_MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
 
+# Cap on the repr of a value that an error message echoes, so that one bad
+# input cannot make an arbitrarily long error line.
+REPR_MAX_CHARS = 100
+
+
+def short_repr(value: object) -> str:
+    """``repr(value)``, cut to ``REPR_MAX_CHARS`` characters and then marked
+    with its full length: how every InputError message echoes a value."""
+    text = repr(value)
+    if len(text) <= REPR_MAX_CHARS:
+        return text
+    return f"{text[:REPR_MAX_CHARS]}... ({len(text)} characters)"
+
 
 def as_fraction(x: RationalLike) -> Fraction:
     """Convert an int, a "p/q" string, or a Fraction to an exact Fraction.
@@ -54,19 +67,19 @@ def as_fraction(x: RationalLike) -> Fraction:
         if "e" in x or "E" in x:  # skip the regex on the common "p/q" and integer forms
             exponent = _EXPONENT.search(x)
             if exponent and abs(int(exponent.group(1))) > LITERAL_MAX_EXPONENT:
-                raise InputError(f"rational literal exponent beyond +-{LITERAL_MAX_EXPONENT}: {x!r}")
+                raise InputError(f"rational literal exponent beyond +-{LITERAL_MAX_EXPONENT}: {short_repr(x)}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a valid rational literal: {x!r}") from exc
-    raise InputError(f"not a rational: {x!r} (floats are not accepted)")
+            raise InputError(f"not a valid rational literal: {short_repr(x)}") from exc
+    raise InputError(f"not a rational: {short_repr(x)} (floats are not accepted)")
 
 
 def check_int(name: str, value: object, least: int | None = None, most: int | None = None) -> int:
     """The one check of an integer argument: an int, not a bool, within
     [least, most] where given. Returns ``value``; raises InputError naming ``name``."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{name} must be an integer, got {value!r}")
+        raise InputError(f"{name} must be an integer, got {short_repr(value)}")
     if least is not None and value < least:
         raise InputError(f"{name} must be >= {least}, got {value}")
     if most is not None and value > most:
@@ -105,10 +118,10 @@ class Instance:
     def __post_init__(self):
         check_int("num_goods", self.num_goods, 0)
         if not isinstance(self.scaled, tuple):
-            raise InputError(f"scaled must be a tuple of (ints, L) pairs, got {self.scaled!r}")
+            raise InputError(f"scaled must be a tuple of (ints, L) pairs, got {short_repr(self.scaled)}")
         for i, row in enumerate(self.scaled):
             if not (isinstance(row, tuple) and len(row) == 2 and isinstance(row[0], tuple)):
-                raise InputError(f"scaled[{i}] must be a pair (ints, L) with ints a tuple, got {row!r}")
+                raise InputError(f"scaled[{i}] must be a pair (ints, L) with ints a tuple, got {short_repr(row)}")
             ints, scale = row
             if len(ints) != self.num_goods:
                 raise InputError(f"agent {i} has {len(ints)} values, expected {self.num_goods}")
@@ -116,7 +129,7 @@ class Instance:
             if not {*map(type, ints)} <= {int} or min(ints, default=0) < 0:
                 g, v = next((g, v) for g, v in enumerate(ints) if v.__class__ is not int or v < 0)
                 if v.__class__ is not int:
-                    raise InputError(f"scaled[{i}] value {g} is not an int: {v!r}")
+                    raise InputError(f"scaled[{i}] value {g} is not an int: {short_repr(v)}")
                 raise InputError(f"valuations[{i}][{g}] is negative: {Fraction(v, scale)}")
             if gcd(scale, *ints) != 1:
                 raise InputError(f"scaled[{i}] is not in lowest terms: L = {scale}")
@@ -135,13 +148,13 @@ class Instance:
         memoised = {str, int}
 
         if not hasattr(rows, "__iter__"):
-            raise InputError(f"rows must be a sequence of rows, got {rows!r}")
+            raise InputError(f"rows must be a sequence of rows, got {short_repr(rows)}")
         scaled = []
         for i, row in enumerate(rows):
             if isinstance(row, str):
-                raise InputError(f"row {i} is a string, not a sequence of values: {row!r}")
+                raise InputError(f"row {i} is a string, not a sequence of values: {short_repr(row)}")
             if not hasattr(row, "__iter__"):
-                raise InputError(f"row {i} is not a sequence of values: {row!r}")
+                raise InputError(f"row {i} is not a sequence of values: {short_repr(row)}")
             row = row if row.__class__ in (list, tuple) else [*row]  # read more than once below
             if {*map(type, row)} <= memoised:
                 for v in filterfalse(parsed.__contains__, dict.fromkeys(row)):
@@ -202,7 +215,7 @@ def _as_index_set(goods: Iterable[int], most: int | None = None) -> frozenset[in
     try:
         s = frozenset(goods)
     except TypeError as exc:
-        raise InputError(f"not a collection of good indices: {goods!r}") from exc
+        raise InputError(f"not a collection of good indices: {short_repr(goods)}") from exc
     members = goods if goods.__class__ in (list, tuple) else s
     if most is None:
         for g in members:
@@ -232,10 +245,10 @@ class Allocation:
         seen: set[int] = set()
         for i, b in enumerate(self.bundles):
             if seen & b:
-                raise InputError(f"bundle {i} overlaps an earlier bundle: {sorted(seen & b)}")
+                raise InputError(f"bundle {i} overlaps an earlier bundle: {short_repr(sorted(seen & b))}")
             seen |= b
         if seen & self.unallocated:
-            raise InputError(f"unallocated overlaps a bundle: {sorted(seen & self.unallocated)}")
+            raise InputError(f"unallocated overlaps a bundle: {short_repr(sorted(seen & self.unallocated))}")
 
     @property
     def num_agents(self) -> int:
@@ -280,9 +293,9 @@ class ThresholdList:
 
     def __post_init__(self):
         if isinstance(self.taus, str):
-            raise InputError(f"taus must be a sequence of rationals, not a string: {self.taus!r}")
+            raise InputError(f"taus must be a sequence of rationals, not a string: {short_repr(self.taus)}")
         if not hasattr(self.taus, "__iter__"):
-            raise InputError(f"taus must be a sequence of rationals, got {self.taus!r}")
+            raise InputError(f"taus must be a sequence of rationals, got {short_repr(self.taus)}")
         object.__setattr__(self, "taus", tuple(as_fraction(t) for t in self.taus))
         prev = Fraction(1)
         for r, t in enumerate(self.taus):
@@ -311,7 +324,7 @@ class PriorityRanking:
         for rank in self.rank_of:
             check_int("rank", rank, 0, n - 1)
         if sorted(self.rank_of) != list(range(n)):
-            raise InputError(f"rank_of is not a permutation of 0..{n - 1}: {self.rank_of}")
+            raise InputError(f"rank_of is not a permutation of 0..{n - 1}: {short_repr(self.rank_of)}")
 
     @staticmethod
     def identity(n: int) -> "PriorityRanking":

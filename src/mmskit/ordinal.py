@@ -22,7 +22,7 @@ from .transform import (
     reinstate,
     unpick,
 )
-from .verify import UNORDERED, GuaranteeReport, check_1_out_of_d, unit_share_violations
+from .verify import UNORDERED, GuaranteeReport, check_1_out_of_d, check_targets, unit_share_violations
 
 
 def run_ordinal(
@@ -167,7 +167,10 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
             )
         allocation = reinstate(unpick(ordered_alloc, normalized, ordered), inst, survivors)
 
-    report = check_1_out_of_d(inst, allocation, d_target, node_budget=node_budget, shares=shares)
+    if shares is None:
+        report = check_1_out_of_d(inst, allocation, d_target, node_budget=node_budget)
+    else:
+        report = check_targets(inst, allocation, shares)
     for c in report.checks:
         if not c.ok:
             raise GuaranteeViolation(

@@ -314,7 +314,10 @@ def run_rbf_truthful(
     n = inst.num_agents
     try:
         alloc, transcript = run_rbf(TruthfulResponder(inst), thresholds, ranking)
-        report = verify.check_t_mms(inst, alloc, check_ranked(n, thresholds, ranking), thresholds, shares=(1,) * n)
+        # Every total is n (TruthfulResponder checked), so no n-share exceeds 1 and
+        # tau_rank is a safe target; a miss goes to require_unit_shares below.
+        rank_of = check_ranked(n, thresholds, ranking).rank_of
+        report = verify.check_targets(inst, alloc, [thresholds.taus[r] for r in rank_of])
         run = TruthfulRun(alloc, transcript, report, verify.check_transcript(transcript))
         if not (report.all_ok and run.structure.ok) and thresholds == priority_thresholds(n):
             raise GuaranteeViolation("a default-threshold run violated its guarantee or structure checks")

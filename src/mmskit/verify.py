@@ -49,40 +49,27 @@ class GuaranteeReport:
         return all(c.ok for c in self.checks)
 
 
-def _check_targets(inst: Instance, alloc: Allocation, targets: Sequence[Fraction]) -> GuaranteeReport:
-    # Agent i passes when her bundle is worth at least targets[i]. There is one
-    # target per agent, and ``alloc`` has passed ``inst.check_allocation``.
+def check_targets(inst: Instance, alloc: Allocation, targets: Sequence[RationalLike]) -> GuaranteeReport:
+    """Agent i passes when her bundle is worth at least ``targets[i]``; the
+    comparison is exact and inclusive. The allocation is checked first, then
+    that there is one target per agent, each a rational (``as_fraction``)."""
+    inst.check_allocation(alloc)
+    if len(targets) != inst.num_agents:
+        raise InputError(f"instance has {inst.num_agents} agents, {len(targets)} targets")
     checks = []
-    for i, target in enumerate(targets):
+    for i, target in enumerate([as_fraction(t) for t in targets]):
         value = bundle_value(inst, i, alloc.bundles[i])
         checks.append(AgentCheck(i, value, target, value >= target))
     return GuaranteeReport(tuple(checks))
 
 
-def _shares(
-    inst: Instance, alloc: Allocation, d: int, node_budget: int | None,
-    shares: Sequence[RationalLike] | None,
-) -> list[Fraction]:
-    """The given shares, one exact Fraction per agent, else the oracle's
-    d-shares. The allocation, d and ``node_budget`` are checked first, either way."""
-    inst.check_allocation(alloc)
-    oracle.check_search(d, node_budget)
-    if shares is None:
-        return [r.value for r in oracle.mms_all(inst, d, node_budget=node_budget)]
-    if len(shares) != inst.num_agents:
-        raise InputError(f"instance has {inst.num_agents} agents, {len(shares)} shares")
-    return [as_fraction(share) for share in shares]
-
-
 def check_1_out_of_d(
-    inst: Instance,
-    alloc: Allocation,
-    d: int,
-    node_budget: int | None = None,
-    shares: Sequence[RationalLike] | None = None,
+    inst: Instance, alloc: Allocation, d: int, node_budget: int | None = None
 ) -> GuaranteeReport:
-    """Per-agent exact comparison against the d-bundle share; known ``shares`` skip the oracle."""
-    return _check_targets(inst, alloc, _shares(inst, alloc, d, node_budget, shares))
+    """Per-agent exact comparison against the oracle's d-bundle share. The
+    allocation is checked before the search."""
+    inst.check_allocation(alloc)
+    return check_targets(inst, alloc, [r.value for r in oracle.mms_all(inst, d, node_budget=node_budget)])
 
 
 def check_t_mms(
@@ -91,22 +78,19 @@ def check_t_mms(
     ranking: PriorityRanking,
     thresholds: ThresholdList,
     node_budget: int | None = None,
-    shares: Sequence[RationalLike] | None = None,
 ) -> GuaranteeReport:
-    """Per-agent exact comparison against tau_rank times the n-bundle share.
+    """Per-agent exact comparison against tau_rank times the oracle's
+    n-bundle share.
 
     Agent i passes when her bundle is worth at least
     ``thresholds.taus[ranking.rank_of[i]] * share_i``; the comparison is
-    inclusive. Pass ``shares`` (one per agent) when the shares are known, for
-    example all 1 on a unit-share instance, and the oracle is not called.
+    inclusive. The lengths and the allocation are checked before the search.
     """
     n = inst.num_agents
     check_ranked(n, thresholds, ranking)
-    targets = [
-        thresholds.taus[ranking.rank_of[i]] * share
-        for i, share in enumerate(_shares(inst, alloc, n, node_budget, shares))
-    ]
-    return _check_targets(inst, alloc, targets)
+    inst.check_allocation(alloc)
+    shares = oracle.mms_all(inst, n, node_budget=node_budget)
+    return check_targets(inst, alloc, [thresholds.taus[r] * s.value for r, s in zip(ranking.rank_of, shares)])
 
 
 @dataclass(frozen=True)

@@ -281,7 +281,6 @@ def test_criterion_8_structural_suite():
         inst = random_instance(rng, n, m, max_value=6)
         expanded, thresholds = equivalence_expand(inst, d)
         ranking = PriorityRanking.identity(d)
-        shares = [mms(expanded, i, d).value for i in range(d)]
         goods = list(range(m))
         rng.shuffle(goods)
         cuts = sorted(rng.randint(0, m) for _ in range(d - 1))
@@ -294,7 +293,7 @@ def test_criterion_8_structural_suite():
             tuple(bundles[:n]),
             unallocated=frozenset(g for b in bundles[n:] for g in b),
         )
-        assert check_t_mms(expanded, alloc, ranking, thresholds, shares=shares).all_ok == (
+        assert check_t_mms(expanded, alloc, ranking, thresholds).all_ok == (
             check_1_out_of_d(inst, restricted, d).all_ok
         )
         expansion_runs += 1

@@ -232,14 +232,21 @@ def test_hard1_rejects_threshold_at_or_below_cap():
         demonstrate_failure(HardInstanceSpec("hard1", 6, i=4), T)
 
 
-def test_hard1_demos_never_reach_the_oracle(monkeypatch):
+@pytest.fixture
+def no_oracle(monkeypatch):
+    """Any call of oracle.mms or oracle.mms_all fails the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a demo called the share oracle")
+
+    monkeypatch.setattr(oracle, "mms", refuse)
+    monkeypatch.setattr(oracle, "mms_all", refuse)
+
+
+def test_hard1_demos_never_reach_the_oracle(no_oracle):
     # A truthful run asks the oracle for shares only after it raises
     # GuaranteeViolation; on hard1 no first-round shape is liked, so the
     # run ends phase 1 with no reduction and cannot raise.
-    def no_oracle(*args, **kwargs):
-        raise AssertionError("a hard1 demo called oracle.mms_all")
-
-    monkeypatch.setattr(oracle, "mms_all", no_oracle)
     for n in range(3, 15):
         for i in range(3, n + 1):
             # The default list, and one whose ranks after i ask for only 1/50:
@@ -249,6 +256,23 @@ def test_hard1_demos_never_reach_the_oracle(monkeypatch):
             for T in (None, low):
                 report = demonstrate_failure(HardInstanceSpec("hard1", n, i=i), T)
                 assert len(report.transcript.reductions) == 0 and report.shortfalls
+
+
+def test_ordinal_tight_demos_never_reach_the_oracle(no_oracle):
+    # The witness gen_ordinal_tight checked proves every d-share is 1.
+    for n in range(2, 13):
+        report = demonstrate_failure(HardInstanceSpec("ordinalTight", n))
+        assert report.shortfalls and all(c.target == 1 for c in report.shortfalls)
+
+
+def test_hard2_demos_never_reach_the_oracle(no_oracle):
+    # Only the target agent is judged: her own value against the family's cap.
+    for n in range(4, 9):
+        for i in range(2, n + 1):
+            for k1 in range(1, n // 2 + 1):
+                for k2 in range(0, min(i - k1, n - 2 * k1 + 1)):
+                    report = demonstrate_failure(HardInstanceSpec("hard2", n, i=i, k1=k1, k2=k2, t=3))
+                    assert [c.agent for c in report.shortfalls] == [i - 1]
 
 
 def test_built_in_thresholds_sit_below_the_hard1_cap():

@@ -380,6 +380,7 @@ _SHORT_SHARE_ROWS = [
 
 # A 4 KB file of valid JSON nested deeper than the parser recurses.
 _NESTED_TOO_DEEPLY = "[" * 2000 + "]" * 2000
+_LONG_LIST = [1] * 100_000  # a 300,000-character repr
 
 # (files, argv) of each malformed invocation; the golden corpus replays the rbf and bobw rows.
 # A file given as a string is written as is.
@@ -470,6 +471,14 @@ MALFORMED_INPUTS = [
         {"inst": _UNIT_PAIR, "alloc": _NESTED_TOO_DEEPLY},
         ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "2"],
     ),
+    # A long list where an int, a value and a good index belong: each message
+    # echoes a bounded prefix of it.
+    ({"inst": {"agents": _LONG_LIST, "goods": 1, "valuations": [[1]]}}, ["mms", "{inst}", "--d", "1"]),
+    ({"inst": {"agents": 1, "goods": 1, "valuations": [[_LONG_LIST]]}}, ["mms", "{inst}", "--d", "1"]),
+    (
+        {"inst": _UNIT_PAIR, "alloc": {"bundles": [[_LONG_LIST], []]}},
+        ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "2"],
+    ),
 ]
 MALFORMED_IDS = [
     "string-row", "bool-agents", "int-bundle", "text-ranking", "threshold-count",
@@ -483,7 +492,8 @@ MALFORMED_IDS = [
     "bobw-share-11-15", "verify-tmms-d", "verify-1ood-thresholds", "verify-1ood-ranking",
     "gen-ordinal-tight-i", "gen-ordinal-tight-epsilon", "gen-hard2-epsilon", "demo-hard1-k1",
     "demo-hard1-k2", "demo-ordinal-tight-k1", "demo-hard1-t", "demo-ordinal-tight-t", "gen-hard1-t",
-    "mms-nested-too-deeply", "verify-nested-too-deeply",
+    "mms-nested-too-deeply", "verify-nested-too-deeply", "mms-agents-long-list", "mms-cell-long-list",
+    "verify-bundle-long-list",
 ]
 
 
@@ -497,6 +507,7 @@ def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, files, argv
     assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("input error: ") and err.count("\n") == 1
+    assert len(err.replace(str(tmp_path), "")) <= 300, err[:300]
 
 
 @pytest.mark.parametrize("command", ["rbf", "bobw"])
@@ -522,9 +533,9 @@ def _forced_structure_miss(monkeypatch):
 
 
 def _forced_target_miss(monkeypatch):
-    check = verify.check_t_mms
+    check = verify.check_targets
     monkeypatch.setattr(
-        verify, "check_t_mms",
+        verify, "check_targets",
         lambda *args, **kwargs: verify.GuaranteeReport(
             tuple(dataclasses.replace(c, ok=False) for c in check(*args, **kwargs).checks)
         ),
@@ -571,14 +582,14 @@ def test_one_bobw_op_values_and_checks_each_rotation_once(monkeypatch, instance_
 
         return wrapper
 
-    for name in ("check_t_mms", "check_transcript"):
+    for name in ("check_targets", "check_transcript"):
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
     for module in [m for name, m in sys.modules.items() if name.startswith("mmskit.")]:
         if hasattr(module, "bundle_value"):
             monkeypatch.setattr(module, "bundle_value", counted("bundle_value", module.bundle_value))
     inst, _ = random_normalized_ordered(random.Random(6), 6, 14)
     assert main(["bobw", instance_file(inst)]) == EXIT_OK
-    assert calls == {"check_t_mms": 6, "check_transcript": 6, "bundle_value": 36}
+    assert calls == {"check_targets": 6, "check_transcript": 6, "bundle_value": 36}
 
 
 @pytest.mark.parametrize(
@@ -913,7 +924,7 @@ def _ordinal_payload(inst: Instance) -> dict:
             for c in result.report.checks
         ],
         "allOk": result.report.all_ok,
-        "earlyTermination": bool(result.transcript and result.transcript.ran_out_of_goods),
+        "earlyTermination": False,  # run_1_out_of_d raises on a run that ran out of goods
     }
 
 
@@ -922,7 +933,7 @@ def _rbf_payload(inst: Instance, ranking: PriorityRanking) -> dict:
     run = run_rbf_truthful(inst, thresholds, ranking)
     alloc, transcript = run.allocation, run.transcript
     structure = check_transcript(transcript)
-    report = check_t_mms(inst, alloc, ranking, thresholds, shares=(1,) * inst.num_agents)
+    report = check_t_mms(inst, alloc, ranking, thresholds)  # every n-share is 1
     return {
         "allocation": allocation_to_json(alloc),
         "transcript": transcript_to_json(transcript),

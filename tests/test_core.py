@@ -20,7 +20,8 @@ from mmskit import (
 )
 from mmskit import core
 from mmskit.cli import instance_from_json
-from mmskit.core import LITERAL_MAX_CHARS, LITERAL_MAX_EXPONENT, scale_row
+from mmskit.core import LITERAL_MAX_CHARS, LITERAL_MAX_EXPONENT, REPR_MAX_CHARS, scale_row, short_repr
+from mmskit.verify import check_targets
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
 
@@ -57,18 +58,42 @@ def test_as_fraction_bounds_literal_length_and_exponent():
             as_fraction(literal)
 
 
+def test_short_repr_cuts_a_long_repr_and_marks_its_length():
+    assert REPR_MAX_CHARS == 100
+    assert short_repr("ab") == "'ab'"
+    assert short_repr("x" * 98) == repr("x" * 98)  # 100 characters with the quotes
+    assert short_repr("x" * 99) == "'" + "x" * 99 + "... (101 characters)"
+    assert short_repr([1] * 100_000) == "[" + "1, " * 33 + "... (300000 characters)"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Allocation((range(100_000), range(100_000))),
+        lambda: Allocation((range(100_000),), unallocated=range(100_000)),
+        lambda: PriorityRanking((0,) * 100_000),
+    ],
+    ids=["bundle-overlap", "unallocated-overlap", "ranking"],
+)
+def test_a_message_listing_goods_or_ranks_is_cut(build):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert len(str(exc.value)) < 200 and str(exc.value).endswith(" characters)")
+
+
 def _reference_outcome(s: str) -> tuple[str, object]:
     """What as_fraction(s) must give: the value of Fraction(s), or the error
-    message of the bound that applies, or of a string Fraction rejects."""
+    message of the bound that applies, or of a string Fraction rejects, which
+    echoes the string through ``short_repr``."""
     if len(s) > LITERAL_MAX_CHARS:
         return "error", f"rational literal longer than {LITERAL_MAX_CHARS} characters"
     exponent = re.search(r"e([-+]?\d+(?:_\d+)*)", s, re.IGNORECASE)
     if exponent and abs(int(exponent.group(1))) > LITERAL_MAX_EXPONENT:
-        return "error", f"rational literal exponent beyond +-{LITERAL_MAX_EXPONENT}: {s!r}"
+        return "error", f"rational literal exponent beyond +-{LITERAL_MAX_EXPONENT}: {short_repr(s)}"
     try:
         return "value", Fraction(s)
     except (ValueError, ZeroDivisionError):
-        return "error", f"not a valid rational literal: {s!r}"
+        return "error", f"not a valid rational literal: {short_repr(s)}"
 
 
 _LITERALS = st.one_of(
@@ -381,14 +406,15 @@ def test_is_T_mms_zero_thresholds_always_pass():
     inst, _, ranking = _two_agent_setup()
     empty = Allocation((frozenset(), frozenset()), unallocated=frozenset({0, 1}))
     T = ThresholdList.constant(2, 0)
-    assert check_t_mms(inst, empty, ranking, T, shares=[Fraction(1), Fraction(1)]).all_ok
+    assert check_t_mms(inst, empty, ranking, T).all_ok
 
 
 def test_is_T_mms_boundary_is_inclusive():
-    inst = Instance.from_rows([["3/4"]])
-    alloc = Allocation((frozenset({0}),))
+    # The one agent's 1-share is 1, and her bundle is worth exactly 3/4 of it.
+    inst = Instance.from_rows([["3/4", "1/4"]])
+    alloc = Allocation((frozenset({0}),), unallocated=frozenset({1}))
     T = ThresholdList.constant(1, Fraction(3, 4))
-    assert check_t_mms(inst, alloc, PriorityRanking.identity(1), T, shares=[Fraction(1)]).all_ok
+    assert check_t_mms(inst, alloc, PriorityRanking.identity(1), T).all_ok
 
 
 def test_is_T_mms_identical_two_agent_instance():
@@ -396,13 +422,13 @@ def test_is_T_mms_identical_two_agent_instance():
     # only balanced split is one good each).
     inst, alloc, ranking = _two_agent_setup()
     T = ThresholdList.constant(2, 1)
-    assert check_t_mms(inst, alloc, ranking, T, shares=[Fraction(1), Fraction(1)]).all_ok
+    assert check_t_mms(inst, alloc, ranking, T).all_ok
 
 
 def test_is_T_mms_dimension_mismatch():
     inst, alloc, ranking = _two_agent_setup()
     with pytest.raises(InputError):
-        check_t_mms(inst, alloc, ranking, ThresholdList.constant(3, 1), shares=[Fraction(1)] * 2)
+        check_t_mms(inst, alloc, ranking, ThresholdList.constant(3, 1))
 
 
 @given(st.data())
@@ -414,14 +440,13 @@ def test_is_T_mms_monotone_in_thresholds_and_bundles(data):
     rng.shuffle(goods)
     bundles = [frozenset(goods[i::n]) for i in range(n)]
     alloc = Allocation(tuple(bundles))
-    ranking = PriorityRanking.identity(n)
     mms_values = [Fraction(rng.randint(0, 5)) for _ in range(n)]
     tau = Fraction(rng.randint(0, 4), 4)
-    T_high = ThresholdList.constant(n, tau)
-    T_low = ThresholdList.constant(n, tau * Fraction(1, 2))
-    if check_t_mms(inst, alloc, ranking, T_high, shares=mms_values).all_ok:
+    high = [tau * v for v in mms_values]
+    low = [tau / 2 * v for v in mms_values]
+    if check_targets(inst, alloc, high).all_ok:
         # Lowering thresholds cannot break satisfaction.
-        assert check_t_mms(inst, alloc, ranking, T_low, shares=mms_values).all_ok
+        assert check_targets(inst, alloc, low).all_ok
         # Growing a bundle with unallocated goods cannot break it either.
         grown = Allocation((bundles[0] | alloc.unallocated,) + tuple(bundles[1:]))
-        assert check_t_mms(inst, grown, ranking, T_high, shares=mms_values).all_ok
+        assert check_targets(inst, grown, high).all_ok

@@ -39,6 +39,7 @@ from mmskit import (
     run_rbf,
     run_rbf_truthful,
     sample_allocation,
+    verify,
 )
 from mmskit.bobw import ln_enclosure
 from mmskit.cli import instance_from_json
@@ -152,6 +153,40 @@ def test_only_verify_decides_the_unit_share_input():
     assert found == {("verify.py", "defines UNORDERED"), ("verify.py", "reads totals")}
 
 
+def test_no_guarantee_check_takes_a_share_on_trust():
+    # check_1_out_of_d and check_t_mms compare against the oracle's shares; a
+    # caller that has proved its targets passes them to verify.check_targets.
+    assert "shares" not in inspect.signature(check_1_out_of_d).parameters
+    assert "shares" not in inspect.signature(check_t_mms).parameters
+    assert not hasattr(verify, "_shares") and not hasattr(mmskit, "check_targets")
+    found = [
+        f"{path}:{node.lineno}"
+        for path, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.keyword) and node.arg == "shares"
+    ]
+    assert found == []
+
+
+def test_error_messages_echo_a_value_only_through_short_repr():
+    # A ``!r`` in an f-string echoes the whole value, however long; only
+    # core.short_repr, which cuts it, may use one.
+    found = []
+    for path, tree in _modules().items():
+        exempt = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "short_repr"
+            for inner in ast.walk(node)
+        }
+        found += [
+            f"{path}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FormattedValue) and node.conversion == ord("r") and id(node) not in exempt
+        ]
+    assert found == []
+
+
 def test_only_core_tests_whether_a_value_is_an_int():
     # One integer validator: core.check_int. Only core's own parsers (a
     # rational literal, a set of good indices) test for an int besides it.
@@ -249,23 +284,6 @@ _INTEGER_PARAMETERS = [
         "check_t_mms", "node_budget",
         lambda v: check_t_mms(
             _PAIR, _PAIR_ALLOCATION, PriorityRanking.identity(2), ThresholdList.constant(2, 1), node_budget=v
-        ),
-        0, None,
-    ),
-    # Known shares skip the oracle, not the checks of d and the budget.
-    (
-        "check_1_out_of_d-shares", "d",
-        lambda v: check_1_out_of_d(_PAIR, _PAIR_ALLOCATION, v, shares=[1, 1]), 1, MAX_PARTS,
-    ),
-    (
-        "check_1_out_of_d-shares", "node_budget",
-        lambda v: check_1_out_of_d(_PAIR, _PAIR_ALLOCATION, 2, node_budget=v, shares=[1, 1]), 0, None,
-    ),
-    (
-        "check_t_mms-shares", "node_budget",
-        lambda v: check_t_mms(
-            _PAIR, _PAIR_ALLOCATION, PriorityRanking.identity(2), ThresholdList.constant(2, 1),
-            node_budget=v, shares=[1, 1],
         ),
         0, None,
     ),

@@ -103,7 +103,7 @@ def test_a_truthful_run_holds_its_unit_share_report_and_structure_check():
     inst, _ = random_normalized_ordered(random.Random(9), 3, 8)
     thresholds, ranking = priority_thresholds(3), PriorityRanking.rotation(3, 1)
     run = run_rbf_truthful(inst, thresholds, ranking)
-    assert run.report == check_t_mms(inst, run.allocation, ranking, thresholds, shares=(1,) * 3)
+    assert run.report == check_t_mms(inst, run.allocation, ranking, thresholds)  # every 3-share is 1
     assert run.structure == check_transcript(run.transcript)
     assert run.report.all_ok and run.structure.ok
 

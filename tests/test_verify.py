@@ -12,6 +12,7 @@ from mmskit import (
     Partition,
     PriorityRanking,
     TruthfulResponder,
+    bundle_value,
     check_1_out_of_d,
     check_t_mms,
     check_transcript,
@@ -22,9 +23,10 @@ from mmskit import (
     priority_thresholds,
     run_ordinal,
     run_rbf_truthful,
+    verify,
 )
 from mmskit.rbf import ReductionEvent, Transcript
-from mmskit.verify import UNORDERED, check_witness, unit_share_violations
+from mmskit.verify import UNORDERED, check_targets, check_witness, unit_share_violations
 
 from _instances import random_instance, random_normalized_ordered
 
@@ -58,21 +60,9 @@ def test_t_mms_report_matches_predicate():
         ranking = PriorityRanking.rotation(n, rng.randrange(n))
         alloc = run_rbf_truthful(inst, thresholds, ranking).allocation
         report = check_t_mms(inst, alloc, ranking, thresholds)
-        shares = [mms(inst, i, n).value for i in range(n)]
-        assert report.all_ok == check_t_mms(inst, alloc, ranking, thresholds, shares=shares).all_ok
+        targets = [thresholds.taus[ranking.rank_of[i]] * mms(inst, i, n).value for i in range(n)]
+        assert report == check_targets(inst, alloc, targets)
         assert report.all_ok
-
-
-def test_t_mms_known_shares_skip_the_oracle_and_stay_exact(monkeypatch):
-    inst = Instance.from_rows([[1, 1], [1, 1]])
-    alloc = Allocation((frozenset({0}), frozenset({1})))
-    ranking, thresholds = PriorityRanking.identity(2), priority_thresholds(2)
-    monkeypatch.setattr(oracle, "mms", None)  # any oracle call fails
-    assert check_t_mms(inst, alloc, ranking, thresholds, shares=[1, "1"]).all_ok
-    assert not check_t_mms(inst, alloc, ranking, thresholds, shares=[1, "3/2"]).all_ok
-    for shares in ([1.0, 1], [1], [1, 1, 1]):
-        with pytest.raises(InputError):
-            check_t_mms(inst, alloc, ranking, thresholds, shares=shares)
 
 
 def test_t_mms_rejects_mismatched_lists_before_the_oracle(monkeypatch):
@@ -103,21 +93,53 @@ def test_t_mms_rejects_mismatched_lists_before_the_oracle(monkeypatch):
         check_1_out_of_d(inst, one_bundle, 2)
 
 
-def test_1_out_of_d_known_shares_skip_the_oracle_and_stay_exact(monkeypatch):
+_ONE_EACH = Allocation(({0}, {1}))
+
+
+@pytest.mark.parametrize(
+    "alloc, targets, expected",
+    [
+        (_ONE_EACH, [1, "1"], [(1, True), (1, True)]),
+        (_ONE_EACH, [0, "3/2"], [(0, True), (Fraction(3, 2), False)]),
+        (_ONE_EACH, (Fraction(1, 2), 2), [(Fraction(1, 2), True), (2, False)]),
+        (Allocation(((), {0, 1})), [0, 2], [(0, True), (2, True)]),
+        (Allocation(((), {0})), [0, "1/1"], [(0, True), (1, True)]),
+        (Allocation(({0}, ()), {1}), [1, "1/3"], [(1, True), (Fraction(1, 3), False)]),
+        (_ONE_EACH, [1], "^instance has 2 agents, 1 targets$"),
+        (_ONE_EACH, [1, 1, 1], "^instance has 2 agents, 3 targets$"),
+        (_ONE_EACH, [1.0, 1], r"^not a rational: 1\.0 \(floats are not accepted\)$"),
+        (_ONE_EACH, [1, 0.5], r"^not a rational: 0\.5 \(floats are not accepted\)$"),
+        (Allocation(({0, 9}, {1})), [1, 1], "^good must be <= 1, got 9$"),
+        (Allocation(({0}, {1}), {9}), [1.0], "^good must be <= 1, got 9$"),
+        (Allocation(({0, 1},)), [1], "^allocation has 1 bundles, instance 2 agents$"),
+    ],
+)
+def test_check_targets_checks_its_input_then_compares_exactly(monkeypatch, alloc, targets, expected):
+    # The allocation first, then one rational target per agent, all before any
+    # comparison; and the oracle is never called.
     inst = Instance.from_rows([[1, 1], [1, 1]])
-    alloc = Allocation((frozenset({0}), frozenset({1})))
 
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle was called")
 
     monkeypatch.setattr(oracle, "mms", no_oracle)
     monkeypatch.setattr(oracle, "mms_all", no_oracle)
-    assert check_1_out_of_d(inst, alloc, 2, shares=[1, "1"]).all_ok
-    report = check_1_out_of_d(inst, alloc, 2, shares=[0, "3/2"])
-    assert [(c.target, c.ok) for c in report.checks] == [(0, True), (Fraction(3, 2), False)]
-    for shares in ([1.0, 1], [1], [1, 1, 1]):
-        with pytest.raises(InputError):
-            check_1_out_of_d(inst, alloc, 2, shares=shares)
+    compared = []
+
+    def counted(inst, i, goods):
+        compared.append(i)
+        return bundle_value(inst, i, goods)
+
+    monkeypatch.setattr(verify, "bundle_value", counted)
+    if isinstance(expected, str):
+        with pytest.raises(InputError, match=expected):
+            check_targets(inst, alloc, targets)
+        assert compared == []
+        return
+    report = check_targets(inst, alloc, targets)
+    assert [(c.target, c.ok) for c in report.checks] == expected
+    assert all(type(c.target) is Fraction for c in report.checks)
+    assert compared == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +263,6 @@ def test_expand_bidirectional_equivalence():
         inst = random_instance(rng, n, m, max_value=6)
         expanded, thresholds = equivalence_expand(inst, d)
         ranking = PriorityRanking.identity(d)
-        shares = [mms(expanded, i, d).value for i in range(d)]
         goods = list(range(m))
         rng.shuffle(goods)
         cuts = sorted(rng.randint(0, m) for _ in range(d - 1))
@@ -255,7 +276,7 @@ def test_expand_bidirectional_equivalence():
             tuple(bundles[:n]),
             unallocated=frozenset(g for b in bundles[n:] for g in b),
         )
-        lhs = check_t_mms(expanded, alloc_d, ranking, thresholds, shares=shares).all_ok
+        lhs = check_t_mms(expanded, alloc_d, ranking, thresholds).all_ok
         rhs = check_1_out_of_d(inst, restricted, d).all_ok
         assert lhs == rhs
 
