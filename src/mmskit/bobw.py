@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, as_fraction, check_int
+from .core import Allocation, Instance, PriorityRanking, ThresholdList, check_int
 from .errors import GuaranteeViolation, InputError
 from .rbf import priority_thresholds, run_rbf_truthful
 
@@ -287,82 +287,35 @@ def verify_hard_bound_range(lo: int, hi: int) -> None:
 # Integral sandwich checks
 
 
-@dataclass(frozen=True)
-class IntegralValue:
-    """A definite integral as exact part + sum of c * ln(arg) terms."""
+def _sandwich(values: Sequence[Fraction], exact: Fraction, coeff: int, arg: Fraction) -> bool:
+    """Certify f(b) + I <= sum f(i) <= f(a) + I for the library's own tabulated
+    non-increasing curve f(a), ..., f(b), whose integral over [a, b] is
+    I = exact + coeff * ln(arg) with coeff >= 0 and arg >= 1.
 
-    exact: Fraction = Fraction(0)
-    log_terms: tuple[tuple[Fraction, Fraction], ...] = ()
-
-    def __post_init__(self):
-        # A float here would turn the enclosure into an uncertified point.
-        object.__setattr__(self, "exact", as_fraction(self.exact))
-        terms = tuple((as_fraction(c), as_fraction(a)) for c, a in self.log_terms)
-        object.__setattr__(self, "log_terms", terms)
-
-    def enclosure(self) -> tuple[Fraction, Fraction]:
-        lo = hi = self.exact
-        for coeff, arg in self.log_terms:
-            if arg <= 0:
-                raise InputError(f"log argument must be positive, got {arg}")
-            if arg >= 1:
-                l, h = ln_enclosure(arg.numerator, arg.denominator)
-            else:
-                l, h = ln_enclosure(arg.denominator, arg.numerator)
-                l, h = -h, -l
-            if coeff >= 0:
-                lo += coeff * l
-                hi += coeff * h
-            else:
-                lo += coeff * h
-                hi += coeff * l
-        return lo, hi
-
-
-def integral_bound_check(values: Sequence[Fraction], integral: IntegralValue) -> bool:
-    """Certify f(b) + I <= sum f(i) <= f(a) + I for a tabulated non-increasing
-    sequence f(a), ..., f(b) whose integral over [a, b] is ``integral``.
-
-    Comparisons use the conservative ends of the integral's enclosure, so a
-    True answer is a proof. Rational integrals (no log terms) are compared
-    exactly, which certifies the boundary case of constant sequences too.
+    Each side takes the conservative end of the log's enclosure, so True is a
+    proof; with coeff = 0 or arg = 1 the comparison is exact and inclusive.
     """
-    if not values:
-        raise InputError("need at least one tabulated value")
-    vals = [as_fraction(v) for v in values]
-    for x, y in zip(vals, vals[1:]):
-        if y > x:
-            raise InputError("sequence is not non-increasing")
-    total = sum(vals, Fraction(0))
-    lo, hi = integral.enclosure()
-    return vals[-1] + hi <= total and total <= vals[0] + lo
+    if any(y > x for x, y in zip(values, values[1:])):
+        raise GuaranteeViolation("tabulated curve is not non-increasing")
+    total = sum(values, Fraction(0))
+    lo, hi = ln_enclosure(arg.numerator, arg.denominator)
+    return values[-1] + exact + coeff * hi <= total <= values[0] + exact + coeff * lo
 
 
 def integral_check_gamma(n: int) -> bool:
     """Sandwich check for the average-threshold curve on [0, n-1]."""
     check_int("n", n, 1)
     values = priority_thresholds(n).taus
-    beta = Fraction(2 * n * (3 * n - 1), 9 * n + 1)  # branch switch point
-    end = Fraction(n - 1)
-    if beta >= end:
-        integral = IntegralValue(log_terms=((Fraction(2 * n), (2 * n + end) / (2 * n)),))
-    else:
-        # Past the switch point the curve sits on its floor, the last threshold.
-        integral = IntegralValue(
-            exact=values[-1] * (end - beta),
-            log_terms=((Fraction(2 * n), (2 * n + beta) / (2 * n)),),
-        )
-    return integral_bound_check(values, integral)
+    # Past the branch switch point the curve sits on its floor, the last threshold.
+    beta = min(Fraction(2 * n * (3 * n - 1), 9 * n + 1), Fraction(n - 1))
+    return _sandwich(values, values[-1] * (n - 1 - beta), 2 * n, (2 * n + beta) / (2 * n))
 
 
 def integral_check_hard1(n: int) -> bool:
     """Sandwich check for 3n/(3n+x) on [0, n-2]."""
     check_int("n", n, 2)
     values = [Fraction(3 * n, 3 * n + x) for x in range(n - 1)]
-    integral = IntegralValue(
-        log_terms=((Fraction(3 * n), Fraction(4 * n - 2, 3 * n)),)
-    )
-    return integral_bound_check(values, integral)
+    return _sandwich(values, Fraction(0), 3 * n, Fraction(4 * n - 2, 3 * n))
 
 
 def integral_check_hard2(n: int) -> bool:
@@ -376,7 +329,4 @@ def integral_check_hard2(n: int) -> bool:
     s1 = min(Fraction(n, 2), end)
     s2 = min(Fraction(3 * n, 5) + 1, end)
     exact = s1 - s1 * s1 / (6 * n) + Fraction(5, 6) * (s2 - s1)
-    log_terms = ()
-    if s2 < end:
-        log_terms = ((Fraction(3 * n), (3 * n + end - 1) / (3 * n + s2 - 1)),)
-    return integral_bound_check(values, IntegralValue(exact=exact, log_terms=log_terms))
+    return _sandwich(values, exact, 3 * n, (3 * n + end - 1) / (3 * n + s2 - 1))

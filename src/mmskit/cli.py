@@ -18,7 +18,7 @@ from typing import Any, NoReturn, Sequence
 
 from . import adversarial, bobw, oracle, verify
 from .adversarial import HardInstanceSpec, demonstrate_failure, gen_hard1, gen_hard2_responders, gen_ordinal_tight
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, Transcript, as_fraction, check_int, short_repr
+from .core import Allocation, Instance, PriorityRanking, ThresholdList, Transcript, as_fraction, check_int, short_repr, short_text
 from .errors import GuaranteeViolation, InputError, MmsKitError, SearchBudgetExceeded
 from .ordinal import run_1_out_of_d
 from .rbf import priority_thresholds, run_rbf_truthful
@@ -323,10 +323,11 @@ def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as an InputError (exit 1, one line) instead of
-    argparse's multi-line message and exit 2, which means an exhausted budget."""
+    argparse's multi-line message and exit 2, which means an exhausted budget.
+    argparse echoes a bad argument in full, so the message is cut by ``short_text``."""
 
     def error(self, message: str) -> NoReturn:
-        raise InputError(f"{self.prog}: {message}")
+        raise InputError(f"{self.prog}: {short_text(message)}")
 
 
 @functools.cache  # built on the first call, not at import; parse_args keeps no state on it

@@ -33,13 +33,17 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
 REPR_MAX_CHARS = 100
 
 
-def short_repr(value: object) -> str:
-    """``repr(value)``, cut to ``REPR_MAX_CHARS`` characters and then marked
-    with its full length: how every InputError message echoes a value."""
-    text = repr(value)
+def short_text(text: str) -> str:
+    """``text``, cut to ``REPR_MAX_CHARS`` characters and then marked with its
+    full length: the one cutting rule for input echoed in an error message."""
     if len(text) <= REPR_MAX_CHARS:
         return text
     return f"{text[:REPR_MAX_CHARS]}... ({len(text)} characters)"
+
+
+def short_repr(value: object) -> str:
+    """``short_text(repr(value))``: how every InputError message echoes a value."""
+    return short_text(repr(value))
 
 
 def as_fraction(x: RationalLike) -> Fraction:

@@ -175,11 +175,15 @@ UNORDERED = "instance is not ordered (some agent's values increase)"
 
 def check_witness(inst: Instance, agent: int, witness: Partition) -> tuple[str, ...]:
     """Violations of a unit-share witness, empty if none: its parts must cover
-    exactly the goods 0..m-1, and each must be worth exactly 1 to ``agent``."""
+    exactly the goods 0..m-1, and each must be worth exactly 1 to ``agent``.
+    Once the cover holds, every part names only goods of ``inst``, so each is
+    summed over the agent's ints unchecked."""
+    inst.check_agent(agent)
     if witness.ground_set != frozenset(range(inst.num_goods)):
         return (f"witness does not cover exactly the {inst.num_goods} goods",)
-    values = (bundle_value(inst, agent, part) for part in witness.parts)
-    return tuple(f"witness part worth {v} != 1" for v in values if v != 1)
+    ints, scale = inst.scaled[agent]
+    sums = (sum(ints[g] for g in part) for part in witness.parts)
+    return tuple(f"witness part worth {Fraction(s, scale)} != 1" for s in sums if s != scale)
 
 
 def unit_share_violations(

@@ -19,9 +19,7 @@ from mmskit import (
 )
 from mmskit import bobw
 from mmskit.bobw import (
-    IntegralValue,
     fraction_to_decimal,
-    integral_bound_check,
     integral_check_gamma,
     integral_check_hard1,
     integral_check_hard2,
@@ -212,48 +210,34 @@ def test_hard_range_checker_runs():
 # Integral sandwich
 
 
-def test_integral_check_constant_sequence_is_tight():
-    values = [Fraction(2, 5)] * 6
-    integral = IntegralValue(exact=Fraction(2, 5) * 5)  # width b - a = 5
-    assert integral_bound_check(values, integral)
-
-
-def test_integral_check_decreasing_linear():
-    values = [Fraction(10 - x) for x in range(6)]
-    integral = IntegralValue(exact=Fraction(105, 2) - Fraction(5 * 5, 2) + Fraction(0))
-    # integral of (10 - x) over [0, 5] is 50 - 25/2 = 75/2
-    integral = IntegralValue(exact=Fraction(75, 2))
-    assert integral_bound_check(values, integral)
-
-
-def test_integral_check_rejects_non_monotone():
-    with pytest.raises(InputError):
-        integral_bound_check([Fraction(1), Fraction(2)], IntegralValue())
-
-
-def test_integral_check_rejects_floats():
-    with pytest.raises(InputError, match="floats are not accepted"):
-        integral_bound_check([0.5, 0.25], IntegralValue(exact=Fraction(1, 3)))
-
-
-def test_integral_value_rejects_floats():
-    # A float coefficient made the enclosure a float point, and a float exact
-    # part flipped a certified comparison.
-    with pytest.raises(InputError, match="floats are not accepted"):
-        IntegralValue(log_terms=((0.5, Fraction(2)),))
-    with pytest.raises(InputError, match="floats are not accepted"):
-        integral_bound_check([Fraction(1, 3)] * 4, IntegralValue(exact=1.0))
-    assert integral_bound_check([Fraction(1, 3)] * 4, IntegralValue(exact=Fraction(1)))
-
-
-def test_integral_check_harmonic_curve():
-    # f(x) = 2n/(2n+x) on [0, n-1] for n = 10.
+def test_a_sum_inside_the_log_enclosure_is_not_certified():
+    # Place sum f at the midpoint of f(b) + I (then of f(a) + I), where I's
+    # log enclosure cannot decide the comparison: only the conservative end
+    # of each side may certify it, so a swap of lo and hi would say True.
     n = 10
     values = [Fraction(2 * n, 2 * n + x) for x in range(n)]
-    integral = IntegralValue(
-        log_terms=((Fraction(2 * n), Fraction(2 * n + n - 1, 2 * n)),)
-    )
-    assert integral_bound_check(values, integral)
+    arg = Fraction(3 * n - 1, 2 * n)
+    lo, hi = ln_enclosure(arg.numerator, arg.denominator)
+    assert lo < hi
+    total = sum(values)
+    for end in (values[-1], values[0]):
+        exact = total - end - 2 * n * (lo + hi) / 2
+        assert not bobw._sandwich(values, exact, 2 * n, arg)
+    assert bobw._sandwich(values, Fraction(0), 2 * n, arg)
+
+
+def test_a_constant_curve_with_a_rational_integral_is_certified_at_equality():
+    values = [Fraction(2, 5)] * 6
+    exact = Fraction(2, 5) * 5  # the integral over [0, 5]
+    assert bobw._sandwich(values, exact, 0, Fraction(4, 3))
+    assert not bobw._sandwich(values, exact + Fraction(1, 10**60), 0, Fraction(4, 3))
+    assert not bobw._sandwich(values, exact - Fraction(1, 10**60), 0, Fraction(4, 3))
+
+
+def test_a_rising_curve_is_a_guarantee_violation():
+    # The curves are the library's own, so a rise is a bug, not bad input.
+    with pytest.raises(GuaranteeViolation, match="not non-increasing"):
+        bobw._sandwich([Fraction(1), Fraction(2)], Fraction(0), 0, Fraction(1))
 
 
 def test_proof_curves_for_small_sizes():

@@ -479,6 +479,10 @@ MALFORMED_INPUTS = [
         {"inst": _UNIT_PAIR, "alloc": {"bundles": [[_LONG_LIST], []]}},
         ["verify", "{inst}", "{alloc}", "--mode", "1ood", "--d", "2"],
     ),
+    # A long flag value that argparse rejects: its message is cut too.
+    ({"inst": _UNIT_PAIR}, ["mms", "{inst}", "--d", "x" * 100_000]),
+    ({}, ["gen", "y" * 50_000, "--n", "3"]),
+    ({"inst": _UNIT_PAIR}, ["mms", "{inst}", "--d", "2", "--node-budget", "q" * 70_000]),
 ]
 MALFORMED_IDS = [
     "string-row", "bool-agents", "int-bundle", "text-ranking", "threshold-count",
@@ -493,7 +497,7 @@ MALFORMED_IDS = [
     "gen-ordinal-tight-i", "gen-ordinal-tight-epsilon", "gen-hard2-epsilon", "demo-hard1-k1",
     "demo-hard1-k2", "demo-ordinal-tight-k1", "demo-hard1-t", "demo-ordinal-tight-t", "gen-hard1-t",
     "mms-nested-too-deeply", "verify-nested-too-deeply", "mms-agents-long-list", "mms-cell-long-list",
-    "verify-bundle-long-list",
+    "verify-bundle-long-list", "mms-d-long-value", "gen-family-long-value", "mms-node-budget-long-value",
 ]
 
 
@@ -508,6 +512,27 @@ def test_malformed_input_is_a_one_line_input_error(tmp_path, capsys, files, argv
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("input error: ") and err.count("\n") == 1
     assert len(err.replace(str(tmp_path), "")) <= 300, err[:300]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["mms", "i.json", "--d", "x" * 1000],
+            "mmskit mms: argument --d: invalid int value: '" + "x" * 66 + "... (1035 characters)",
+        ),
+        (
+            ["mms", "i.json", "--d", "1"] + ["z"] * 300,
+            "mmskit: unrecognized arguments: " + "z " * 38 + "... (623 characters)",
+        ),
+    ],
+    ids=["invalid-int", "unrecognized"],
+)
+def test_a_usage_error_is_cut_like_an_echoed_value(capsys, argv, message):
+    # argparse echoes the bad argument in full; the parser cuts its message
+    # by the rule of core.short_text, after the program name.
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["rbf", "bobw"])

@@ -20,7 +20,7 @@ from mmskit import (
 )
 from mmskit import core
 from mmskit.cli import instance_from_json
-from mmskit.core import LITERAL_MAX_CHARS, LITERAL_MAX_EXPONENT, REPR_MAX_CHARS, scale_row, short_repr
+from mmskit.core import LITERAL_MAX_CHARS, LITERAL_MAX_EXPONENT, REPR_MAX_CHARS, scale_row, short_repr, short_text
 from mmskit.verify import check_targets
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
@@ -64,6 +64,8 @@ def test_short_repr_cuts_a_long_repr_and_marks_its_length():
     assert short_repr("x" * 98) == repr("x" * 98)  # 100 characters with the quotes
     assert short_repr("x" * 99) == "'" + "x" * 99 + "... (101 characters)"
     assert short_repr([1] * 100_000) == "[" + "1, " * 33 + "... (300000 characters)"
+    assert short_text("x" * 100) == "x" * 100  # the same rule on text that is not a repr
+    assert short_text("x" * 101) == "x" * 100 + "... (101 characters)"
 
 
 @pytest.mark.parametrize(

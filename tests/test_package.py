@@ -187,6 +187,43 @@ def test_error_messages_echo_a_value_only_through_short_repr():
     assert found == []
 
 
+def test_one_private_sandwich_for_the_three_curves():
+    # The three integral_check_* curves go through bobw._sandwich; the general
+    # integral API it replaced stays deleted, and only _ln and _sandwich
+    # enclose a logarithm.
+    def name(node):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            return node.name
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        return node.name if isinstance(node, ast.alias) else None
+
+    def owner(stmt):
+        if isinstance(stmt, ast.Assign):
+            return ",".join(getattr(t, "id", "?") for t in stmt.targets)
+        return getattr(stmt, "name", type(stmt).__name__)
+
+    modules = _modules()
+    removed = [
+        f"{path}:{node.lineno}"
+        for path, tree in modules.items()
+        for node in ast.walk(tree)
+        if name(node) in ("IntegralValue", "integral_bound_check")
+    ]
+    assert removed == []
+    assert [node.name for node in ast.walk(modules["bobw.py"]) if isinstance(node, ast.alias) and node.name == "as_fraction"] == []
+    callers = {
+        (path, owner(stmt))
+        for path, tree in modules.items()
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name(node) == "ln_enclosure"
+    }
+    assert callers == {("bobw.py", "_ln"), ("bobw.py", "_sandwich")}
+
+
 def test_only_core_tests_whether_a_value_is_an_int():
     # One integer validator: core.check_int. Only core's own parsers (a
     # rational literal, a set of good indices) test for an int besides it.

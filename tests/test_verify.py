@@ -300,6 +300,23 @@ def test_witness_check_reports_coverage_and_part_values():
     )
 
 
+def test_witness_check_checks_the_agent_once_and_sums_the_ints_itself(monkeypatch):
+    # The cover check proves every part's goods, so no part goes through
+    # bundle_value; the agent is checked before the cover.
+    def no_call(*args):
+        raise AssertionError("bundle_value called")
+
+    monkeypatch.setattr(verify, "bundle_value", no_call)
+    inst = Instance.from_rows([["3/4", "1/4", "1/2", "1/2"]])
+    assert check_witness(inst, 0, Partition(({0, 1}, {2, 3}))) == ()
+    assert check_witness(inst, 0, Partition(({0, 2}, {1, 3}))) == (
+        "witness part worth 5/4 != 1",
+        "witness part worth 3/4 != 1",
+    )
+    with pytest.raises(InputError, match="^agent must be <= 0, got 1$"):
+        check_witness(inst, 1, Partition(({0},)))
+
+
 def test_unit_share_structure_checks_witness_coverage():
     # Every part is worth 1, but good 3 is in no part.
     inst = Instance.from_rows([[Fraction(1, 2)] * 4])
