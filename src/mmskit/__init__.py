@@ -11,7 +11,7 @@ from .core import (
     bundle_value,
 )
 from .errors import GuaranteeViolation, InputError, MmsKitError, SearchBudgetExceeded
-from .oracle import MmsResult, mms, mms_naive
+from .oracle import MmsResult, mms
 from .ordinal import run_1_out_of_d, run_ordinal
 from .rbf import (
     Bag,
@@ -77,7 +77,6 @@ __all__ = [
     "hard1_upper_bound",
     "hard2_upper_bound",
     "mms",
-    "mms_naive",
     "priority_thresholds",
     "run_1_out_of_d",
     "run_ordinal",

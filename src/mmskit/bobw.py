@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import Allocation, Instance, PriorityRanking, ThresholdList, check_int
+from .core import MAX_N, Allocation, Instance, PriorityRanking, ThresholdList, check_int
 from .errors import GuaranteeViolation, InputError
 from .rbf import priority_thresholds, run_rbf_truthful
 
@@ -41,17 +41,32 @@ def ln_enclosure(p: int, q: int) -> tuple[Fraction, Fraction]:
     """Rational lower/upper bounds on ln(p/q), width below 10**-ENCLOSURE_DIGITS.
 
     Uses ln(z) = 2 * atanh((z-1)/(z+1)) with a geometric tail bound, so both
-    endpoints are certified. Requires p >= q >= 1.
+    endpoints are certified. Requires p >= q >= 1. For p > 2q it writes
+    p/q = 2**k * r with r in [1, 2) and adds k times an enclosure of ln 2 to
+    one of ln r, so that the series runs on a ratio of at most 2; each of the
+    two parts takes at most half of the width.
     """
     check_int("p", p)
     check_int("q", q, 1)
     if p < q:
         raise InputError(f"ln_enclosure needs p >= q >= 1, got {p}/{q}")
+    tolerance = Fraction(1, 10**ENCLOSURE_DIGITS)
+    if p <= 2 * q:
+        return _atanh_ln(p, q, tolerance)
+    k = p.bit_length() - q.bit_length()
+    if p < q << k:
+        k -= 1
+    lo, hi = _atanh_ln(p, q << k, tolerance / 2)
+    two_lo, two_hi = _ln2(len(str(k)))
+    return lo + k * two_lo, hi + k * two_hi
+
+
+def _atanh_ln(p: int, q: int, tolerance: Fraction) -> tuple[Fraction, Fraction]:
+    """ln(p/q) for q <= p, enclosed by the atanh series to width below ``tolerance``."""
     if p == q:
         return Fraction(0), Fraction(0)
     x = Fraction(p - q, p + q)
     x2 = x * x
-    tolerance = Fraction(1, 10**ENCLOSURE_DIGITS)
     term = x
     partial = Fraction(0)
     k = 0
@@ -62,6 +77,13 @@ def ln_enclosure(p: int, q: int) -> tuple[Fraction, Fraction]:
         tail = 2 * term / ((2 * k + 1) * (1 - x2))
         if tail < tolerance:
             return 2 * partial, 2 * partial + tail
+
+
+@functools.cache
+def _ln2(k_digits: int) -> tuple[Fraction, Fraction]:
+    """ln 2 enclosed to width below 10**-(ENCLOSURE_DIGITS + 1 + k_digits): k
+    times that is below half of 10**-ENCLOSURE_DIGITS for any k of k_digits digits."""
+    return _atanh_ln(2, 1, Fraction(1, 10 ** (ENCLOSURE_DIGITS + 1 + k_digits)))
 
 
 def fraction_to_decimal(value: Fraction) -> str:
@@ -190,7 +212,7 @@ def _certify(bound: _AverageBound, n: int) -> tuple[int, int]:
     n. The closed forms call it, and so do sweeps for each n their window
     enclosure cannot prove; it is the only source of ``GuaranteeViolation``.
     """
-    check_int("n", n, bound.least_n)
+    check_int("n", n, bound.least_n, MAX_N)
     flat, c, a, b = bound.split(n)
     p, q = _reciprocal_range_sum(a, b)
     num = flat.numerator * q + c * p * flat.denominator
@@ -247,7 +269,7 @@ def _sweep(lo: int, hi: int, *bounds: _AverageBound) -> None:
     for the average. An n where that fraction does not strictly beat
     ``bound.constant(n)`` (undecided, a tie or a failure) goes to ``_certify``.
     """
-    check_int("n", hi)
+    check_int("n", hi, most=MAX_N)
     check_int("n", lo)
     if lo > hi:
         return
@@ -304,7 +326,7 @@ def _sandwich(values: Sequence[Fraction], exact: Fraction, coeff: int, arg: Frac
 
 def integral_check_gamma(n: int) -> bool:
     """Sandwich check for the average-threshold curve on [0, n-1]."""
-    check_int("n", n, 1)
+    check_int("n", n, 1, MAX_N)
     values = priority_thresholds(n).taus
     # Past the branch switch point the curve sits on its floor, the last threshold.
     beta = min(Fraction(2 * n * (3 * n - 1), 9 * n + 1), Fraction(n - 1))
@@ -313,14 +335,14 @@ def integral_check_gamma(n: int) -> bool:
 
 def integral_check_hard1(n: int) -> bool:
     """Sandwich check for 3n/(3n+x) on [0, n-2]."""
-    check_int("n", n, 2)
+    check_int("n", n, 2, MAX_N)
     values = [Fraction(3 * n, 3 * n + x) for x in range(n - 1)]
     return _sandwich(values, Fraction(0), 3 * n, Fraction(4 * n - 2, 3 * n))
 
 
 def integral_check_hard2(n: int) -> bool:
     """Sandwich check for the oblivious-family curve on [0, n-1]."""
-    check_int("n", n, 1)
+    check_int("n", n, 1, MAX_N)
     values = [
         min(Fraction(3 * n, 3 * n + x - 1), max(Fraction(5, 6), 1 - Fraction(x, 3 * n)))
         for x in range(n)

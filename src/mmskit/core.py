@@ -28,6 +28,12 @@ LITERAL_MAX_CHARS = 1000
 LITERAL_MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
 
+# Cap on n wherever a call builds something of size n from n alone: a
+# threshold list, a ranking, a closed-form bound, an integral check and a
+# sweep's hi. Each costs time and memory linear in n or more, so a short
+# argument such as n = 10**30 would never return.
+MAX_N = 10_000
+
 # Cap on the repr of a value that an error message echoes, so that one bad
 # input cannot make an arbitrarily long error line.
 REPR_MAX_CHARS = 100
@@ -91,6 +97,17 @@ def check_int(name: str, value: object, least: int | None = None, most: int | No
     return value
 
 
+def check_sequence(name: str, value: object, of: str) -> Sequence:
+    """The one check of a parameter that takes plain data as a sequence: any
+    iterable but a string. Returns ``value``, as a tuple unless it is a list
+    or tuple; raises InputError naming ``name``, a sequence ``of`` what."""
+    if isinstance(value, str):
+        raise InputError(f"{name} must be a sequence of {of}, not a string: {short_repr(value)}")
+    if not hasattr(value, "__iter__"):
+        raise InputError(f"{name} must be a sequence of {of}, got {short_repr(value)}")
+    return value if value.__class__ in (list, tuple) else tuple(value)
+
+
 def scale_row(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
     """A row of values p/q, given as ``(p, q)`` pairs with q > 0, in the
     integer form ``(ints, L)`` that ``Instance.scaled`` holds: L is the lcm
@@ -151,10 +168,8 @@ class Instance:
         parsed: dict[str | int, tuple[int, int]] = {}
         memoised = {str, int}
 
-        if not hasattr(rows, "__iter__"):
-            raise InputError(f"rows must be a sequence of rows, got {short_repr(rows)}")
         scaled = []
-        for i, row in enumerate(rows):
+        for i, row in enumerate(check_sequence("rows", rows, "rows")):
             if isinstance(row, str):
                 raise InputError(f"row {i} is a string, not a sequence of values: {short_repr(row)}")
             if not hasattr(row, "__iter__"):
@@ -181,11 +196,6 @@ class Instance:
     def valuations(self) -> tuple[tuple[Fraction, ...], ...]:
         """Each value as a Fraction, ``Fraction(ints[g], L)``: a view of ``scaled`` for output."""
         return tuple(tuple(Fraction(v, scale) for v in ints) for ints, scale in self.scaled)
-
-    def value(self, agent: int, good: int) -> Fraction:
-        self.check_agent(agent)
-        check_int("good", good, 0, self.num_goods - 1)
-        return self.valuations[agent][good]
 
     @cached_property
     def totals(self) -> tuple[Fraction, ...]:
@@ -244,7 +254,8 @@ class Allocation:
     unallocated: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "bundles", tuple(_as_index_set(b) for b in self.bundles))
+        bundles = check_sequence("bundles", self.bundles, "good collections")
+        object.__setattr__(self, "bundles", tuple(_as_index_set(b) for b in bundles))
         object.__setattr__(self, "unallocated", _as_index_set(self.unallocated))
         seen: set[int] = set()
         for i, b in enumerate(self.bundles):
@@ -266,7 +277,8 @@ class Partition:
     parts: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(_as_index_set(p) for p in self.parts))
+        parts = check_sequence("parts", self.parts, "good collections")
+        object.__setattr__(self, "parts", tuple(_as_index_set(p) for p in parts))
         seen: set[int] = set()
         for i, p in enumerate(self.parts):
             if seen & p:
@@ -296,11 +308,8 @@ class ThresholdList:
     taus: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if isinstance(self.taus, str):
-            raise InputError(f"taus must be a sequence of rationals, not a string: {short_repr(self.taus)}")
-        if not hasattr(self.taus, "__iter__"):
-            raise InputError(f"taus must be a sequence of rationals, got {short_repr(self.taus)}")
-        object.__setattr__(self, "taus", tuple(as_fraction(t) for t in self.taus))
+        taus = check_sequence("taus", self.taus, "rationals")
+        object.__setattr__(self, "taus", tuple(as_fraction(t) for t in taus))
         prev = Fraction(1)
         for r, t in enumerate(self.taus):
             if t < 0 or t > 1:
@@ -314,7 +323,7 @@ class ThresholdList:
 
     @staticmethod
     def constant(n: int, tau: RationalLike) -> "ThresholdList":
-        return ThresholdList((as_fraction(tau),) * check_int("n", n, 0))
+        return ThresholdList((as_fraction(tau),) * check_int("n", n, 0, MAX_N))
 
 
 @dataclass(frozen=True)
@@ -324,6 +333,7 @@ class PriorityRanking:
     rank_of: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "rank_of", check_sequence("rank_of", self.rank_of, "ranks"))
         n = len(self.rank_of)
         for rank in self.rank_of:
             check_int("rank", rank, 0, n - 1)
@@ -332,12 +342,12 @@ class PriorityRanking:
 
     @staticmethod
     def identity(n: int) -> "PriorityRanking":
-        return PriorityRanking(tuple(range(check_int("n", n, 0))))
+        return PriorityRanking(tuple(range(check_int("n", n, 0, MAX_N))))
 
     @staticmethod
     def rotation(n: int, shift: int) -> "PriorityRanking":
         """Cyclic ranking: agent i gets rank (i + shift) mod n."""
-        check_int("n", n, 0)
+        check_int("n", n, 0, MAX_N)
         check_int("shift", shift)
         return PriorityRanking(tuple((i + shift) % n for i in range(n)))
 

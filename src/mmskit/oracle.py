@@ -1,12 +1,8 @@
 """Exact maximin-share values with witnesses.
 
-``mms`` is a branch-and-bound multiway partition search; ``mms_naive`` is a
-deliberately unoptimized enumerator over all set partitions, kept as an
-independent cross-check. Both return the exact optimum or raise; neither
-ever returns an approximate answer. ``mms`` searches the agent's integer row
-from ``Instance.scaled``; ``mms_naive`` adds the Fractions of the
-``Instance.valuations`` view.
-The module keeps no state between calls.
+``mms`` is a branch-and-bound multiway partition search over the agent's
+integer row from ``Instance.scaled``. It returns the exact optimum or raises;
+it never returns an approximate answer. The module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -16,10 +12,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import Instance, Partition, check_int
-from .errors import InputError, SearchBudgetExceeded
+from .errors import SearchBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 10**7
-NAIVE_GOODS_CAP = 12
 # Cap on d. A witness holds d parts, so memory grows linearly in d, and a
 # short flag such as ``--d 100000000`` would ask for tens of GB.
 MAX_PARTS = 10_000
@@ -138,13 +133,6 @@ def check_search(d: int, node_budget: int | None) -> int:
     return DEFAULT_NODE_BUDGET if node_budget is None else check_int("node_budget", node_budget, 0)
 
 
-def _resolve_goods(inst: Instance, agent: int, goods: Iterable[int] | None) -> list[int]:
-    inst.check_agent(agent)
-    if goods is None:
-        return list(range(inst.num_goods))
-    return sorted(inst.check_goods(goods))
-
-
 def mms(
     inst: Instance,
     agent: int,
@@ -158,7 +146,8 @@ def mms(
     wrong answer) if the branch-and-bound exceeds its node budget.
     """
     budget = check_search(d, node_budget)
-    good_list = _resolve_goods(inst, agent, goods)
+    inst.check_agent(agent)
+    good_list = range(inst.num_goods) if goods is None else sorted(inst.check_goods(goods))
     ints, scale = inst.scaled[agent]
     positive = sorted((g for g in good_list if ints[g]), key=lambda g: (-ints[g], g))
     zero = [g for g in good_list if not ints[g]]
@@ -187,59 +176,3 @@ def mms_all(inst: Instance, d: int, node_budget: int | None = None) -> tuple[Mms
         if row not in solved:
             solved[row] = mms(inst, i, d, node_budget=node_budget)
     return tuple(solved[row] for row in inst.scaled)
-
-
-def mms_naive(
-    inst: Instance,
-    agent: int,
-    d: int,
-    goods: Iterable[int] | None = None,
-) -> MmsResult:
-    """Reference enumerator over all set partitions into at most d blocks.
-
-    Used only as a test oracle; capped at 12 goods.
-    """
-    check_int("d", d, 1, MAX_PARTS)
-    good_list = _resolve_goods(inst, agent, goods)
-    if len(good_list) > NAIVE_GOODS_CAP:
-        raise InputError(
-            f"mms_naive is capped at {NAIVE_GOODS_CAP} goods, got {len(good_list)}"
-        )
-    K = len(good_list)
-    vals = [inst.value(agent, g) for g in good_list]
-
-    best_value = Fraction(-1)
-    best_blocks: list[list[int]] = []
-    block_sums: list[Fraction] = []
-    block_items: list[list[int]] = []
-
-    def rec(t: int) -> None:
-        nonlocal best_value, best_blocks
-        if t == K:
-            if len(block_sums) == d:
-                m = min(block_sums)
-            else:
-                m = Fraction(0)  # some of the d parts stays empty
-            if m > best_value:
-                best_value = m
-                best_blocks = [list(b) for b in block_items]
-            return
-        for j in range(len(block_sums)):
-            block_sums[j] += vals[t]
-            block_items[j].append(t)
-            rec(t + 1)
-            block_items[j].pop()
-            block_sums[j] -= vals[t]
-        if len(block_sums) < d:
-            block_sums.append(vals[t])
-            block_items.append([t])
-            rec(t + 1)
-            block_items.pop()
-            block_sums.pop()
-
-    if K == 0:
-        return MmsResult(Fraction(0), Partition((frozenset(),) * d))
-    rec(0)
-    parts = [frozenset(good_list[t] for t in block) for block in best_blocks]
-    parts += [frozenset()] * (d - len(parts))
-    return MmsResult(best_value, Partition(tuple(parts)))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Protocol, Sequence
 
 from .core import (
-    Allocation, BagEvent, Instance, PriorityRanking, ReductionEvent, ThresholdList, Transcript,
+    MAX_N, Allocation, BagEvent, Instance, PriorityRanking, ReductionEvent, ThresholdList, Transcript,
     _as_index_set, check_int, check_ranked,
 )
 from .errors import GuaranteeViolation, InputError
@@ -138,7 +138,7 @@ def priority_thresholds(n: int) -> ThresholdList:
     Rank 1 gets a full share; later ranks decay harmonically down to the
     uniform floor; ``ThresholdList`` checks that the list is non-increasing.
     """
-    check_int("n", n, 1)
+    check_int("n", n, 1, MAX_N)
     floor = Fraction(3, 4) + Fraction(1, 12 * n)
     taus = tuple(max(Fraction(2 * n, 2 * n + i - 1), floor) for i in range(1, n + 1))
     return ThresholdList(taus)

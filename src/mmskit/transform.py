@@ -11,10 +11,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import Allocation, Instance, Partition, bundle_value, check_int, scale_row
+from .core import Allocation, Instance, Partition, bundle_value, check_int, check_sequence, scale_row
 from .errors import GuaranteeViolation, InputError
 from . import oracle
 
+# Cap on the goods ``pad_goods`` pads to. ``run_1_out_of_d`` pads n agents to
+# 2n goods and searches at d = 4n/3 <= ``oracle.MAX_PARTS``, so this covers
+# every padding a run can use; a larger ask would fill each row with zeros.
+MAX_PADDED_GOODS = 2 * oracle.MAX_PARTS
 
 def pad_agents_to_multiple_of_3(inst: Instance) -> Instance:
     """Clone agent 0 until the agent count is a multiple of 3.
@@ -33,7 +37,7 @@ def pad_goods(inst: Instance, min_goods: int) -> Instance:
     The dummies are the goods past the original m. Zero columns keep both the
     ordered and the normalized property intact.
     """
-    check_int("min_goods", min_goods, 0)
+    check_int("min_goods", min_goods, 0, MAX_PADDED_GOODS)
     if min_goods <= inst.num_goods:
         return inst
     zeros = (0,) * (min_goods - inst.num_goods)
@@ -129,6 +133,7 @@ def reinstate(alloc: Allocation, original: Instance, survivors: Sequence[int]) -
     meets her target with her own bundle). Dropped zero-share agents get the
     empty bundle, which meets their zero target.
     """
+    survivors = check_sequence("survivors", survivors, "agent indices")
     n_orig = original.num_agents
     m_orig = original.num_goods
     bundles: list[frozenset[int]] = [frozenset() for _ in range(n_orig)]

@@ -25,6 +25,7 @@ from .core import (
     bundle_value,
     check_int,
     check_ranked,
+    check_sequence,
 )
 from .errors import InputError
 from . import oracle
@@ -54,6 +55,7 @@ def check_targets(inst: Instance, alloc: Allocation, targets: Sequence[RationalL
     comparison is exact and inclusive. The allocation is checked first, then
     that there is one target per agent, each a rational (``as_fraction``)."""
     inst.check_allocation(alloc)
+    targets = check_sequence("targets", targets, "rationals")
     if len(targets) != inst.num_agents:
         raise InputError(f"instance has {inst.num_agents} agents, {len(targets)} targets")
     checks = []
@@ -198,8 +200,10 @@ def unit_share_violations(
     ``witnesses`` (one per agent) are given, each ``check_witness`` violation.
     """
     n = inst.num_agents
-    if witnesses is not None and len(witnesses) != n:
-        raise InputError(f"need one witness partition per agent: {len(witnesses)} for {n} agents")
+    if witnesses is not None:
+        witnesses = check_sequence("witnesses", witnesses, "partitions")
+        if len(witnesses) != n:
+            raise InputError(f"need one witness partition per agent: {len(witnesses)} for {n} agents")
     if not inst.ordered:
         return (UNORDERED,)
     violations = [

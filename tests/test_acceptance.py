@@ -23,7 +23,6 @@ from mmskit import (
     gen_hard2_responders,
     gen_ordinal_tight,
     mms,
-    mms_naive,
     priority_thresholds,
     run_1_out_of_d,
     run_ordinal,
@@ -39,6 +38,7 @@ from mmskit.bobw import (
 from mmskit.verify import check_unit_share_structure
 
 from _instances import bag_owners, random_instance, random_normalized_ordered
+from _reference import mms_naive
 
 
 def _announce(line: str) -> None:

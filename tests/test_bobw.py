@@ -1,7 +1,9 @@
 """Rotation distributions and the certified analytic bounds."""
 
 import dataclasses
+import decimal
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from mmskit.bobw import (
     verify_gamma_bound_range,
     verify_hard_bound_range,
 )
+from mmskit.core import MAX_N
 
 from _instances import random_normalized_ordered
 
@@ -60,6 +63,25 @@ def test_ln_enclosure_brackets_the_true_value():
 
 def test_ln_enclosure_exact_at_one():
     assert ln_enclosure(3, 3) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(10**100, 1), (10**100, 3), (3, 1), (2**64 + 1, 2**30), (8, 1), (10**40 + 7, 3**20)],
+    ids=["10^100", "10^100/3", "3", "(2^64+1)/2^30", "8", "(10^40+7)/3^20"],
+)
+def test_ln_enclosure_reduces_a_large_ratio_by_powers_of_two(p, q):
+    # Beyond p = 2q the series runs on p/(q * 2**k) in [1, 2): 10**100 takes
+    # a few ms, where the series on p/q itself took seconds already at 100/1.
+    with decimal.localcontext() as context:
+        context.prec = 120
+        true = Fraction(decimal.Decimal(p).ln() - decimal.Decimal(q).ln())
+    start = time.perf_counter()
+    lo, hi = ln_enclosure(p, q)
+    assert time.perf_counter() - start < 0.1
+    assert hi - lo < Fraction(1, 10**bobw.ENCLOSURE_DIGITS)
+    slack = Fraction(1, 10**100)  # the 120-digit reference's own error
+    assert lo - slack <= true <= hi + slack
 
 
 def test_fraction_to_decimal():
@@ -285,6 +307,19 @@ def test_every_bound_function_rejects_an_n_that_is_not_an_int(function, extra_ar
         for lo in (1, 5):
             with pytest.raises(InputError, match="n must be an integer"):
                 function(lo, n)
+
+
+@pytest.mark.parametrize(
+    "function, extra_args", _BOUND_CALLS, ids=[f.__name__ for f, _ in _BOUND_CALLS]
+)
+def test_every_bound_function_caps_n(function, extra_args):
+    # n = 10**30 never returned; the cap turns it into an InputError at once.
+    for n in (MAX_N + 1, 10**30):
+        with pytest.raises(InputError, match=f"n must be <= {MAX_N}, got {n}$"):
+            if extra_args:  # a sweep caps its hi
+                function(1, n)
+            else:
+                function(n)
 
 
 def test_an_empty_sweep_is_a_no_op():

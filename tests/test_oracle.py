@@ -14,12 +14,12 @@ from mmskit import (
     bundle_value,
     equivalence_expand,
     mms,
-    mms_naive,
     oracle,
 )
 from mmskit.oracle import MAX_PARTS, mms_all
 
-from _instances import random_instance
+from _instances import random_instance, random_normalized_ordered
+from _reference import dp_share, mms_naive
 
 
 def _witness_is_valid(inst, agent, d, goods, result):
@@ -161,6 +161,31 @@ def test_oracle_matches_naive_on_rational_rows():
         slow = mms_naive(inst, 0, d)
         assert fast.value == slow.value, (inst.valuations, d)
         _witness_is_valid(inst, 0, d, range(m), fast)
+
+
+def test_subset_dp_matches_naive_on_random_instances():
+    # The DP reference against the enumerator, where both run, rational rows included.
+    rng = random.Random(26)
+    for _ in range(80):
+        m = rng.randint(1, 9)
+        d = rng.randint(1, 4)
+        inst = Instance.from_rows([[Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(m)]])
+        assert dp_share(inst, 0, d) == mms_naive(inst, 0, d).value, (inst.valuations, d)
+
+
+def test_oracle_matches_the_subset_dp_beyond_twelve_goods():
+    # Beyond mms_naive's cap, where the oracle's pruning does most of its
+    # work: two rows of small values (1..10) and two unit-share rows, whose
+    # n-share is exactly 1, at each m = 13..15, each searched at d = 3, 4 and n.
+    rng = random.Random(26)
+    for m in (13, 14, 15):
+        n = 3 + m % 3
+        small = Instance.from_rows([[rng.randint(1, 10) for _ in range(m)] for _ in range(2)])
+        unit, _ = random_normalized_ordered(rng, 2, m, d=n)
+        for inst in (small, unit):
+            for agent in (0, 1):
+                for d in sorted({3, 4, n}):
+                    assert mms(inst, agent, d).value == dp_share(inst, agent, d), (inst.valuations[agent], d)
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ from mmskit import (
     gen_hard2_responders,
     gen_ordinal_tight,
     mms,
-    mms_naive,
     oracle,
     priority_thresholds,
     rbf,
@@ -43,9 +42,10 @@ from mmskit import (
 )
 from mmskit.bobw import ln_enclosure
 from mmskit.cli import instance_from_json
+from mmskit.core import MAX_N
 from mmskit.oracle import MAX_PARTS, mms_all
 from mmskit.rbf import reduction_shapes
-from mmskit.transform import normalize, pad_agents_to_multiple_of_3, pad_goods, unpick
+from mmskit.transform import MAX_PADDED_GOODS, normalize, pad_agents_to_multiple_of_3, pad_goods, reinstate, unpick
 from mmskit.verify import check_witness
 
 
@@ -300,7 +300,6 @@ def _sample(seed):
 # The eight bound functions of mmskit.bobw have their own table in test_bobw.py.
 _INTEGER_PARAMETERS = [
     ("Instance", "num_goods", lambda v: Instance((), v), 0, None),
-    ("Instance.value", "agent", lambda v: _PAIR.value(v, 0), 0, 1),
     ("bundle_value", "agent", lambda v: bundle_value(_PAIR, v, ()), 0, 1),
     ("check_witness", "agent", lambda v: check_witness(_UNIT_PAIR, v, Partition(({0, 1}, {2, 3}))), 0, 1),
     ("mms", "agent", lambda v: mms(_PAIR, v, 2), 0, 1),
@@ -308,8 +307,6 @@ _INTEGER_PARAMETERS = [
     ("mms", "node_budget", lambda v: mms(_PAIR, 0, 2, node_budget=v), 0, None),
     ("mms_all", "d", lambda v: mms_all(_agents(0), v), 1, MAX_PARTS),
     ("mms_all", "node_budget", lambda v: mms_all(_agents(0), 2, node_budget=v), 0, None),
-    ("mms_naive", "agent", lambda v: mms_naive(_PAIR, v, 2), 0, 1),
-    ("mms_naive", "d", lambda v: mms_naive(_PAIR, 0, v), 1, MAX_PARTS),
     ("normalize", "d", lambda v: normalize(_PAIR, v), 1, MAX_PARTS),
     ("normalize", "node_budget", lambda v: normalize(_PAIR, 2, v), 0, None),
     ("check_1_out_of_d", "d", lambda v: check_1_out_of_d(_PAIR, _PAIR_ALLOCATION, v), 1, MAX_PARTS),
@@ -331,11 +328,11 @@ _INTEGER_PARAMETERS = [
     ("TruthfulResponder.value", "agent", lambda v: TruthfulResponder(_UNIT_PAIR).value(v, Bag({0})), 0, 1),
     ("ScriptedHard2Responder.unit", "agent", lambda v: _hard2_script().unit(v), 0, 1),
     ("ScriptedHard2Responder.value", "agent", lambda v: _hard2_script().value(v, Bag({0})), 0, 1),
-    ("priority_thresholds", "n", priority_thresholds, 1, None),
-    ("ThresholdList.constant", "n", lambda v: ThresholdList.constant(v, 1), 0, None),
+    ("priority_thresholds", "n", priority_thresholds, 1, MAX_N),
+    ("ThresholdList.constant", "n", lambda v: ThresholdList.constant(v, 1), 0, MAX_N),
     ("PriorityRanking", "rank", lambda v: PriorityRanking((v, 0)), 0, 1),
-    ("PriorityRanking.identity", "n", PriorityRanking.identity, 0, None),
-    ("PriorityRanking.rotation", "n", lambda v: PriorityRanking.rotation(v, 1), 0, None),
+    ("PriorityRanking.identity", "n", PriorityRanking.identity, 0, MAX_N),
+    ("PriorityRanking.rotation", "n", lambda v: PriorityRanking.rotation(v, 1), 0, MAX_N),
     ("PriorityRanking.rotation", "shift", lambda v: PriorityRanking.rotation(2, v), None, None),
     (
         "run_rbf", "n",
@@ -352,7 +349,7 @@ _INTEGER_PARAMETERS = [
     ("cyclic_rotation_distribution*", "n", lambda k: cyclic_rotation_distribution(_agents(k), ThresholdList(())), 1, None),
     ("sample_allocation", "seed", _sample, 0, 2**64 - 1),
     ("pad_agents_to_multiple_of_3*", "n", lambda k: pad_agents_to_multiple_of_3(_agents(k)), 1, None),
-    ("pad_goods", "min_goods", lambda v: pad_goods(_PAIR, v), 0, None),
+    ("pad_goods", "min_goods", lambda v: pad_goods(_PAIR, v), 0, MAX_PADDED_GOODS),
     ("ln_enclosure", "p", lambda v: ln_enclosure(v, 1), None, None),
     ("ln_enclosure", "q", lambda v: ln_enclosure(4, v), 1, None),
     ("HardInstanceSpec-ordinalTight", "n", lambda v: HardInstanceSpec("ordinalTight", v), 2, None),
@@ -400,10 +397,8 @@ def _integer_cases():
 # with one good of _PAIR). Each is called with 1.5, True, -1 and m = 3. An
 # allocation's goods are checked against the instance before the oracle runs.
 _GOOD_INDICES = [
-    ("Instance.value", lambda g: _PAIR.value(0, g)),
     ("bundle_value", lambda g: bundle_value(_PAIR, 0, {g})),
     ("mms", lambda g: mms(_PAIR, 0, 2, goods={g})),
-    ("mms_naive", lambda g: mms_naive(_PAIR, 0, 2, goods={g})),
     # As a list, so that True is not lost in a set that already holds 1.
     ("Allocation-bundle", lambda g: check_1_out_of_d(_PAIR, Allocation(([1, g], [])), 2)),
     (
@@ -432,7 +427,6 @@ def _good_cases():
             yield pytest.param(call, value, message, id=f"{label}-good-{value!r}")
     for label, call in (
         ("mms", lambda goods: mms(_PAIR, 0, 2, goods=goods)),
-        ("mms_naive", lambda goods: mms_naive(_PAIR, 0, 2, goods=goods)),
         ("Allocation", lambda goods: Allocation((goods, ()))),
     ):
         yield pytest.param(call, 5, "not a collection of good indices: 5", id=f"{label}-goods-5")
@@ -445,25 +439,62 @@ def test_every_integer_parameter_is_checked_in_one_wording(call, value, message)
     assert str(exc.value) == message
 
 
+# Every parameter that takes plain data as a sequence goes through
+# core.check_sequence: (label, parameter name, call with the value, what the
+# sequence holds).
+_SEQUENCES = [
+    ("Instance.from_rows", "rows", Instance.from_rows, "rows"),
+    ("ThresholdList", "taus", ThresholdList, "rationals"),
+    ("PriorityRanking", "rank_of", PriorityRanking, "ranks"),
+    ("Allocation", "bundles", Allocation, "good collections"),
+    ("Partition", "parts", Partition, "good collections"),
+    ("check_targets", "targets", lambda v: verify.check_targets(_PAIR, _PAIR_ALLOCATION, v), "rationals"),
+    ("reinstate", "survivors", lambda v: reinstate(_PAIR_ALLOCATION, _PAIR, v), "agent indices"),
+    ("unit_share_violations", "witnesses", lambda v: verify.unit_share_violations(_UNIT_PAIR, 2, v), "partitions"),
+]
+
+
+@pytest.mark.parametrize("name, call, of", [row[1:] for row in _SEQUENCES], ids=[row[0] for row in _SEQUENCES])
+def test_every_sequence_parameter_is_checked_in_one_wording(name, call, of):
+    # A bare int was a raw TypeError; a string would be read as a sequence of characters.
+    for value, message in ((5, "got 5"), ("12", "not a string: '12'")):
+        with pytest.raises(InputError) as exc:
+            call(value)
+        assert str(exc.value) == f"{name} must be a sequence of {of}, {message}"
+
+
 def test_naive_oracle_never_reads_the_integer_kernel():
-    # mms_naive is the independent reference: it adds Fractions, and neither it
-    # nor an oracle.py helper it calls reads Instance.scaled.
-    functions = {
-        node.name: node
-        for node in _modules()["oracle.py"].body
-        if isinstance(node, ast.FunctionDef)
-    }
-    todo, reached = ["mms_naive"], set()
-    while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        for node in ast.walk(functions[name]):
-            if isinstance(node, ast.Name) and node.id in functions:
-                todo.append(node.id)
-            assert not (isinstance(node, ast.Attribute) and node.attr == "scaled"), (name, node.lineno)
-    assert "_resolve_goods" in reached
+    # The share references in tests/_reference.py are independent of the
+    # oracle: they add, or scale to ints themselves, the Fractions of
+    # Instance.valuations, and none of them reads Instance.scaled.
+    tree = ast.parse((Path(__file__).parent / "_reference.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"mms_naive", "dp_share"} <= defined
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "scaled"]
+    assert found == []
+
+
+def test_the_library_ships_one_share_search():
+    # oracle.mms is the library's only share search; the enumerator and its
+    # cap live beside the tests, and Instance has no per-good accessor.
+    def name(node):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            return node.name
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        return node.name if isinstance(node, ast.alias) else None
+
+    found = [
+        f"{path}:{node.lineno}"
+        for path, tree in _modules().items()
+        for node in ast.walk(tree)
+        if name(node) in ("mms_naive", "NAIVE_GOODS_CAP", "_resolve_goods")
+    ]
+    assert found == []
+    assert "mms_naive" not in mmskit.__all__
+    assert not hasattr(Instance, "value")
 
 
 def test_perfbench_trace_targets_resolve():
