@@ -12,8 +12,9 @@ a fixed-point enclosure of the bound's harmonic window: a running integer sum
 of ``2**WINDOW_BITS // j`` that slides from one n to the next in O(1) memory.
 Its conservative end is cross-multiplied against the bound's certified
 constant. The exact engine, ``_certify``, sums the window by binary splitting
-(Haible and Papanikolaou, 1998); it serves the closed forms and every n the
-enclosure cannot prove, so each ``GuaranteeViolation`` comes from it.
+(Haible and Papanikolaou, 1998) over lcm(a, ..., b), not over the product of
+its terms; it serves the closed forms and every n the enclosure cannot prove,
+so each ``GuaranteeViolation`` comes from it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Sequence
 
 from .core import MAX_N, Allocation, Instance, PriorityRanking, ThresholdList, check_int
@@ -31,6 +33,7 @@ from .rbf import priority_thresholds, run_rbf_truthful
 ENCLOSURE_DIGITS = 55
 DECIMAL_DIGITS = 50  # digits after the point in a rendered closed form
 WINDOW_BITS = 128  # fixed point of a sweep's window sum
+LEAF_TERMS = 32  # an exact window of at most this many terms is summed directly
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +89,10 @@ def _ln2(k_digits: int) -> tuple[Fraction, Fraction]:
     return _atanh_ln(2, 1, Fraction(1, 10 ** (ENCLOSURE_DIGITS + 1 + k_digits)))
 
 
-def fraction_to_decimal(value: Fraction) -> str:
+def fraction_to_decimal(value: Fraction | int) -> str:
     """Plain decimal rendering with DECIMAL_DIGITS digits after the point."""
+    if not isinstance(value, Fraction):
+        value = Fraction(check_int("value", value))
     sign = "-" if value < 0 else ""
     value = abs(value)
     scaled = value.numerator * 10**DECIMAL_DIGITS // value.denominator
@@ -96,15 +101,22 @@ def fraction_to_decimal(value: Fraction) -> str:
 
 
 def _reciprocal_range_sum(a: int, b: int) -> tuple[int, int]:
-    """sum_{j=a}^{b} 1/j as an unreduced (numerator, denominator) pair."""
-    if a > b:
-        return 0, 1
-    if a == b:
-        return 1, a
+    """sum_{j=a}^{b} 1/j as the pair (sum_j L // j, L) with L = lcm(a, ..., b).
+
+    A window of at most LEAF_TERMS terms is summed directly; a longer one
+    splits in halves that merge over the lcm of their denominators, so every
+    pair's denominator is its window's lcm, not the product of its terms.
+    """
+    if b - a < LEAF_TERMS:  # an empty window gives (0, 1)
+        L = 1
+        for j in range(a, b + 1):
+            L = L // gcd(L, j) * j
+        return sum(L // j for j in range(a, b + 1)), L
     mid = (a + b) // 2
     p1, q1 = _reciprocal_range_sum(a, mid)
     p2, q2 = _reciprocal_range_sum(mid + 1, b)
-    return p1 * q2 + p2 * q1, q1 * q2
+    g = gcd(q1, q2)
+    return p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +220,10 @@ def _certify(bound: _AverageBound, n: int) -> tuple[int, int]:
     """The exact average at n as an unreduced (numerator, denominator) pair,
     certified against ``bound.constant(n)`` by cross-multiplication.
 
-    It sums the harmonic window by binary splitting, so its cost grows with
-    n. The closed forms call it, and so do sweeps for each n their window
-    enclosure cannot prove; it is the only source of ``GuaranteeViolation``.
+    It sums the harmonic window a..b by binary splitting over lcm(a, ..., b),
+    so its cost grows with n. The closed forms call it, and so do sweeps for
+    each n their window enclosure cannot prove; it is the only source of
+    ``GuaranteeViolation``.
     """
     check_int("n", n, bound.least_n, MAX_N)
     flat, c, a, b = bound.split(n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import Allocation, Instance, Partition, bundle_value, check_int, check_sequence, scale_row
+from .core import Allocation, Instance, Partition, bundle_value, check_int, check_sequence, scale_row, short_repr
 from .errors import GuaranteeViolation, InputError
 from . import oracle
 
@@ -83,9 +83,25 @@ def order(inst: Instance) -> tuple[Instance, tuple[tuple[int, ...], ...]]:
 
 
 def permute_partition(partition: Partition, perm: Sequence[int]) -> Partition:
-    """Rewrite a partition of goods as a partition of sorted positions."""
+    """Rewrite a partition of goods as a partition of sorted positions.
+
+    ``perm`` maps sorted position -> good: a permutation of 0..m-1 that
+    covers the partition's goods.
+    """
+    perm = check_sequence("perm", perm, "good indices")
+    m = len(perm)
+    # Each member must pass check_int("good", g, 0, m - 1), tested inline: the
+    # pipeline permutes every agent's witness.
+    for g in perm:
+        if g.__class__ is not int or not 0 <= g < m:
+            check_int("good", g, 0, m - 1)
     pos_of = {g: p for p, g in enumerate(perm)}
-    return Partition(tuple(frozenset(pos_of[g] for g in part) for part in partition.parts))
+    if len(pos_of) < m:
+        raise InputError(f"perm repeats a good: {short_repr(perm)}")
+    try:
+        return Partition(tuple(frozenset(pos_of[g] for g in part) for part in partition.parts))
+    except KeyError as exc:
+        raise InputError(f"partition holds a good outside perm: {exc.args[0]}") from exc
 
 
 def unpick(ordered_alloc: Allocation, normalized: Instance, ordered: Instance) -> Allocation:
@@ -136,6 +152,10 @@ def reinstate(alloc: Allocation, original: Instance, survivors: Sequence[int]) -
     survivors = check_sequence("survivors", survivors, "agent indices")
     n_orig = original.num_agents
     m_orig = original.num_goods
+    for s in survivors:
+        check_int("survivor", s, 0, n_orig - 1)
+    if len(set(survivors)) < len(survivors):
+        raise InputError(f"survivors repeat an agent: {short_repr(survivors)}")
     bundles: list[frozenset[int]] = [frozenset() for _ in range(n_orig)]
     leftovers = {g for g in alloc.unallocated if g < m_orig}
     for row, bundle in enumerate(alloc.bundles):

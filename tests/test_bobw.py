@@ -2,6 +2,7 @@
 
 import dataclasses
 import decimal
+import math
 import random
 import time
 from fractions import Fraction
@@ -87,6 +88,11 @@ def test_ln_enclosure_reduces_a_large_ratio_by_powers_of_two(p, q):
 def test_fraction_to_decimal():
     assert fraction_to_decimal(Fraction(1, 8)) == "0.125" + "0" * 47
     assert fraction_to_decimal(Fraction(-1, 3)) == "-0." + "3" * 50
+    assert fraction_to_decimal(2) == "2." + "0" * 50
+    # A float or a string was a raw AttributeError or TypeError.
+    for value in (0.5, "1/3", None, True):
+        with pytest.raises(InputError, match="value must be an integer, got "):
+            fraction_to_decimal(value)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +168,7 @@ def test_gamma_n1_is_one():
 
 
 def test_gamma_matches_direct_summation():
-    for n in range(1, 40):
+    for n in (*range(1, 40), 97, 300, 1000):
         exact, _ = gamma_lower_bound(n)
         direct = sum(
             max(Fraction(2 * n, 2 * n + i - 1), Fraction(3, 4) + Fraction(1, 12 * n))
@@ -193,7 +199,7 @@ def test_hard1_small_values():
 
 
 def test_hard1_matches_direct_summation():
-    for n in range(2, 40):
+    for n in (*range(2, 40), 97, 300, 1000):
         exact, _ = hard1_upper_bound(n)
         direct = (2 + sum(Fraction(3 * n, 3 * n + i - 2) for i in range(3, n + 1))) / n
         assert exact == direct
@@ -205,7 +211,7 @@ def test_hard2_small_values():
 
 
 def test_hard2_matches_direct_summation():
-    for n in range(1, 40):
+    for n in (*range(1, 40), 97, 300, 1000):
         exact, _ = hard2_upper_bound(n)
         direct = sum(
             min(
@@ -226,6 +232,40 @@ def test_hard_bounds_approach_their_asymptotes():
 
 def test_hard_range_checker_runs():
     verify_hard_bound_range(1, 300)
+
+
+# ---------------------------------------------------------------------------
+# Exact harmonic windows
+
+
+def _lcm_form(a, b):
+    L = math.lcm(*range(a, b + 1))  # 1 for an empty window
+    return sum(L // j for j in range(a, b + 1)), L
+
+
+def test_the_window_pair_is_exactly_the_lcm_form():
+    # The binary splitting merges its halves over their lcm, so each window's
+    # pair is (sum L // j, L) with L = lcm(a..b), not over the product a...b.
+    # Windows of LEAF_TERMS - 1 to LEAF_TERMS + 1 terms sit on either side of
+    # the direct sum.
+    windows = [(5, 4), (1, 0), (7, 7), (1, 1), (1, 2), (1, 30), (250, 260), (1000, 1030), (4090, 4100)]
+    windows += [(100, 100 + bobw.LEAF_TERMS + k) for k in (-2, -1, 0)]
+    rng = random.Random(27)
+    for _ in range(40):
+        a = rng.randint(1, 3000)
+        windows.append((a, a + rng.randint(0, 400)))
+    for bound in (bobw._GAMMA, bobw._HARD1, bobw._HARD2):
+        _, _, a, b = bound.split(MAX_N)
+        windows.append((a, b))
+    for a, b in windows:
+        assert bobw._reciprocal_range_sum(a, b) == _lcm_form(a, b), (a, b)
+
+
+def test_the_hard1_closed_form_carries_a_window_lcm_not_a_product():
+    # Machine-independent cost of the closed forms: at n = 10^4 the hard1
+    # pair's denominator is 40,973 bits over the lcm, 150,885 over the product.
+    _, den = bobw._certify(bobw._HARD1, MAX_N)
+    assert den.bit_length() <= 45_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,92 @@
+"""Odd arguments to the public functions end in a result or a typed error.
+
+Every public function of the covered modules is called with each parameter
+either valid or drawn from odd values: ints out of range, bools, floats,
+strings, None and short lists. Any exception but an ``MmsKitError`` fails,
+except the documented ``TypeError`` or ``AttributeError`` when a parameter
+whose type is a library record gets something else.
+"""
+
+import inspect
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from mmskit import Allocation, Instance, MmsKitError, Partition, bobw, priority_thresholds, transform
+from mmskit.core import MAX_N
+
+_MODULES = (bobw, transform)
+_RECORDS = {"Instance", "Allocation", "Partition", "ThresholdList", "AllocationDistribution"}
+
+_UNIT_PAIR = Instance.from_rows([["1/2"] * 4] * 2)
+_SPLIT = Allocation(({0, 1}, {2, 3}))
+# One valid value per parameter name; each call with these returns.
+_VALID = {
+    "inst": _UNIT_PAIR,
+    "thresholds": priority_thresholds(2),
+    "dist": bobw.cyclic_rotation_distribution(_UNIT_PAIR, priority_thresholds(2)),
+    "seed": 0,
+    "n": 3,
+    "lo": 1,
+    "hi": 3,
+    "p": 4,
+    "q": 3,
+    "value": Fraction(1, 3),
+    "min_goods": 5,
+    "d": 2,
+    "node_budget": None,
+    "partition": Partition(({0, 1}, {2, 3})),
+    "perm": (3, 2, 1, 0),
+    "ordered_alloc": _SPLIT,
+    "normalized": _UNIT_PAIR,
+    "ordered": _UNIT_PAIR,
+    "alloc": _SPLIT,
+    "original": _UNIT_PAIR,
+    "survivors": (1, 0),
+}
+
+# Ints out of range are picked, not drawn: an in-range n, hi or p of a
+# thousand digits is a valid, and slow, call.
+_ODD = st.one_of(
+    st.sampled_from([-1, 0, MAX_N + 1, 2**64, 10**30, -(10**30)]),
+    st.integers(max_value=-1),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.one_of(st.integers(-2, 5), st.booleans(), st.none(), st.floats(), st.text(max_size=1)), max_size=3),
+)
+
+
+_FUNCTIONS = [
+    f
+    for module in _MODULES
+    for name, f in sorted(vars(module).items())
+    if not name.startswith("_") and inspect.isfunction(f) and f.__module__ == module.__name__
+]
+
+
+def test_every_public_function_has_a_valid_call():
+    assert len(_FUNCTIONS) == 19  # 12 in bobw, 7 in transform
+    for f in _FUNCTIONS:
+        f(**{name: _VALID[name] for name in inspect.signature(f).parameters})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_odd_arguments_end_in_a_result_or_a_typed_error(data):
+    f = data.draw(st.sampled_from(_FUNCTIONS), label="function")
+    args, odd_record = {}, False
+    for name, parameter in inspect.signature(f).parameters.items():
+        if data.draw(st.booleans(), label=f"{name} is odd"):
+            args[name] = data.draw(_ODD, label=name)
+            odd_record |= parameter.annotation in _RECORDS
+        else:
+            args[name] = _VALID[name]
+    try:
+        f(**args)
+    except MmsKitError:
+        pass
+    except (TypeError, AttributeError):
+        if not odd_record:
+            raise

@@ -45,7 +45,15 @@ from mmskit.cli import instance_from_json
 from mmskit.core import MAX_N
 from mmskit.oracle import MAX_PARTS, mms_all
 from mmskit.rbf import reduction_shapes
-from mmskit.transform import MAX_PADDED_GOODS, normalize, pad_agents_to_multiple_of_3, pad_goods, reinstate, unpick
+from mmskit.transform import (
+    MAX_PADDED_GOODS,
+    normalize,
+    pad_agents_to_multiple_of_3,
+    pad_goods,
+    permute_partition,
+    reinstate,
+    unpick,
+)
 from mmskit.verify import check_witness
 
 
@@ -350,6 +358,7 @@ _INTEGER_PARAMETERS = [
     ("sample_allocation", "seed", _sample, 0, 2**64 - 1),
     ("pad_agents_to_multiple_of_3*", "n", lambda k: pad_agents_to_multiple_of_3(_agents(k)), 1, None),
     ("pad_goods", "min_goods", lambda v: pad_goods(_PAIR, v), 0, MAX_PADDED_GOODS),
+    ("reinstate", "survivor", lambda v: reinstate(_PAIR_ALLOCATION, _PAIR, [v, 0]), 0, 1),
     ("ln_enclosure", "p", lambda v: ln_enclosure(v, 1), None, None),
     ("ln_enclosure", "q", lambda v: ln_enclosure(4, v), 1, None),
     ("HardInstanceSpec-ordinalTight", "n", lambda v: HardInstanceSpec("ordinalTight", v), 2, None),
@@ -408,6 +417,7 @@ _GOOD_INDICES = [
         ),
     ),
     ("unpick", lambda g: unpick(Allocation(([g], [])), _PAIR, _PAIR)),
+    ("permute_partition", lambda g: permute_partition(Partition(({0}, {1, 2})), [2, 1, g])),
     # A responder checks a bag's goods once per bag, not once per query.
     ("TruthfulResponder.value", lambda g: TruthfulResponder(_UNIT_TRIPLE).value(0, Bag([1, g]))),
     ("TruthfulResponder.value-grown", lambda g: TruthfulResponder(_UNIT_TRIPLE).value(0, Bag([1]).add(g))),
@@ -450,6 +460,7 @@ _SEQUENCES = [
     ("Partition", "parts", Partition, "good collections"),
     ("check_targets", "targets", lambda v: verify.check_targets(_PAIR, _PAIR_ALLOCATION, v), "rationals"),
     ("reinstate", "survivors", lambda v: reinstate(_PAIR_ALLOCATION, _PAIR, v), "agent indices"),
+    ("permute_partition", "perm", lambda v: permute_partition(Partition(()), v), "good indices"),
     ("unit_share_violations", "witnesses", lambda v: verify.unit_share_violations(_UNIT_PAIR, 2, v), "partitions"),
 ]
 

@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmskit import Allocation, InputError, Instance, bundle_value, mms
+from mmskit import Allocation, InputError, Instance, Partition, bundle_value, mms
 from mmskit import ordinal
 from mmskit.adversarial import gen_hard1, gen_hard2_responders, gen_ordinal_tight
 from mmskit.transform import (
@@ -15,6 +15,8 @@ from mmskit.transform import (
     order,
     pad_agents_to_multiple_of_3,
     pad_goods,
+    permute_partition,
+    reinstate,
     unpick,
 )
 from mmskit.ordinal import run_1_out_of_d
@@ -198,6 +200,24 @@ def test_reinstate_drops_dummies_and_clone_bundles():
     assert alloc.num_agents == 4
     for bundle in alloc.bundles:
         assert all(g < inst.num_goods for g in bundle)
+
+
+def test_reinstate_rejects_a_repeated_survivor():
+    # Each member goes through check_int("survivor", ...); a repeat would hand
+    # one agent two rows' bundles, the last silently replacing the first.
+    inst = Instance.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(InputError, match=r"^survivors repeat an agent: \[1, 1\]$"):
+        reinstate(Allocation(({0}, {1})), inst, [1, 1])
+    assert reinstate(Allocation(({0}, {1})), inst, [1, 0]).bundles == (frozenset({1}), frozenset({0}))
+
+
+def test_permute_partition_needs_a_permutation_that_covers_the_partition():
+    parts = Partition(({0, 3}, {1, 2}))
+    assert permute_partition(parts, [3, 2, 1, 0]).parts == (frozenset({0, 3}), frozenset({1, 2}))
+    with pytest.raises(InputError, match=r"^perm repeats a good: \[0, 1, 2, 2\]$"):
+        permute_partition(parts, [0, 1, 2, 2])
+    with pytest.raises(InputError, match=r"^partition holds a good outside perm: 3$"):
+        permute_partition(parts, [2, 0, 1])
 
 
 def test_unpick_is_value_preserving_on_already_ordered_instances():
