@@ -138,7 +138,9 @@ def cyclic_rotation_distribution(
     """Run the allocator once per cyclic shift of the ranking.
 
     Every agent holds each rank exactly once across the n runs, so her exact
-    expected value is the plain average of her n bundle values.
+    expected value is the plain average of her n bundle values. Each value is
+    summed as an int count of ``1/L`` over the agent's own L, so each average
+    is one ``Fraction``.
     """
     n = check_int("n", inst.num_agents, 1)
     support, rows = [], []
@@ -147,10 +149,12 @@ def cyclic_rotation_distribution(
         run = run_rbf_truthful(inst, thresholds, ranking)
         support.append((ranking, run.allocation))
         rows.append([check.value for check in run.report.checks])
-    values = list(zip(*rows))  # values[i]: agent i's bundle value in each run
-    ex_ante = tuple(sum(vs, Fraction(0)) / n for vs in values)
-    ex_post_min = tuple(min(vs) for vs in values)
-    return AllocationDistribution(tuple(support), ex_ante, ex_post_min)
+    ex_ante, ex_post_min = [], []
+    for values, (_, scale) in zip(zip(*rows), inst.scaled):  # agent i's bundle value in each run
+        counts = [v.numerator * (scale // v.denominator) for v in values]
+        ex_ante.append(Fraction(sum(counts), n * scale))
+        ex_post_min.append(Fraction(min(counts), scale))
+    return AllocationDistribution(tuple(support), tuple(ex_ante), tuple(ex_post_min))
 
 
 def sample_allocation(
@@ -158,6 +162,8 @@ def sample_allocation(
 ) -> tuple[PriorityRanking, Allocation]:
     """Draw one rotation uniformly, reproducibly from a 64-bit seed."""
     check_int("seed", seed, 0, 2**64 - 1)
+    if not dist.support:
+        raise InputError("cannot sample from a distribution with an empty support")
     index = random.Random(seed).randrange(len(dist.support))
     return dist.support[index]
 

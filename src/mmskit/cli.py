@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, NoReturn, Sequence
 
 from . import adversarial, bobw, oracle, verify
@@ -129,8 +130,47 @@ def _load_json(path: str) -> Any:
         raise InputError(f"{path} is not valid JSON: nested too deeply") from None
 
 
+# Writes what _json_text does not: floats, dicts with keys that are not
+# strings, and anything json cannot encode, which raises its TypeError.
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _json_text(value: Any, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, with
+    ``newline`` (a line break and the current indent) starting each line after
+    the first. json's own indented encoder runs in pure Python, one call per
+    token; this one writes a list of ints with one ``str.join``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value.__class__ is int:
+        return str(value)
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if {*map(type, value)} == {int}:
+            body = sep.join(map(str, value))
+        else:
+            body = sep.join([_json_text(v, inner) for v in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            return "{}"
+        body = sep.join([encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())])
+        return "{" + inner + body + newline + "}"
+    # json escapes every line break inside a string, so each one here is the indent's
+    return _ENCODER.encode(value).replace("\n", newline)
+
+
 def _emit(payload: Any, output: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload) + "\n"
     try:
         if not output:
             sys.stdout.write(text)

@@ -120,6 +120,16 @@ def scale_row(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
     return tuple(ints), scale
 
 
+def _unchecked(cls: type, **fields: object):
+    """A frozen dataclass ``cls`` holding ``fields`` as given, built without its
+    ``__post_init__``: the path for fields that the caller built from checked
+    input, so that they already meet every check."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Instance:
     """A fair division instance: n agents, m goods, additive valuations.
@@ -162,11 +172,20 @@ class Instance:
         A row of only ``str`` and ``int`` cells is read in one pass through a
         memo that holds each distinct literal once per call. Its new literals
         are parsed first, in row order, so the first bad cell raises, as it
-        would read cell by cell. Any other row is read cell by cell without
-        the memo, so that ``True`` never meets the memo's ``1``.
+        would read cell by cell, and each literal's sign is checked there,
+        once. The row's L is the lcm of its distinct denominators and its
+        cells map through a literal -> int table. Any other row is read cell
+        by cell without the memo, so that ``True`` never meets the memo's ``1``.
+
+        When every row went through the memo, no literal is negative and every
+        row has ``num_goods`` cells, the rows meet every check of ``Instance``
+        (reduced pairs over their lcm are in lowest terms), so the instance is
+        built without re-checking them. Otherwise ``Instance(...)`` checks it
+        and raises its own messages.
         """
         parsed: dict[str | int, tuple[int, int]] = {}
         memoised = {str, int}
+        trusted = True
 
         scaled = []
         for i, row in enumerate(check_sequence("rows", rows, "rows")):
@@ -176,16 +195,25 @@ class Instance:
                 raise InputError(f"row {i} is not a sequence of values: {short_repr(row)}")
             row = row if row.__class__ in (list, tuple) else [*row]  # read more than once below
             if {*map(type, row)} <= memoised:
-                for v in filterfalse(parsed.__contains__, dict.fromkeys(row)):
-                    parsed[v] = as_fraction(v).as_integer_ratio()
-                pairs = [*map(parsed.__getitem__, row)]
+                literals = dict.fromkeys(row)
+                for v in filterfalse(parsed.__contains__, literals):
+                    parsed[v] = pair = as_fraction(v).as_integer_ratio()
+                    if pair[0] < 0:
+                        trusted = False
+                pairs = [*map(parsed.__getitem__, literals)]
+                scale = lcm(*{q for _, q in pairs})
+                to_int = {v: p * (scale // q) for v, (p, q) in zip(literals, pairs)}
+                scaled.append((tuple(map(to_int.__getitem__, row)), scale))
             else:
-                pairs = [as_fraction(v).as_integer_ratio() for v in row]
-            scaled.append(scale_row(pairs))
+                trusted = False
+                scaled.append(scale_row([as_fraction(v).as_integer_ratio() for v in row]))
         if num_goods is None:
             if not scaled:
                 raise InputError("num_goods is required for an instance with no agents")
             num_goods = len(scaled[0][0])
+        if trusted and num_goods.__class__ is int and num_goods >= 0:
+            if all(len(ints) == num_goods for ints, _ in scaled):
+                return _unchecked(Instance, scaled=tuple(scaled), num_goods=num_goods)
         return Instance(tuple(scaled), num_goods)
 
     @property

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import Allocation, Instance, Partition, bundle_value, check_int, check_sequence, scale_row, short_repr
+from .core import Allocation, Instance, Partition, _unchecked, bundle_value, check_int, check_sequence, scale_row, short_repr
 from .errors import GuaranteeViolation, InputError
 from . import oracle
 
@@ -99,9 +99,12 @@ def permute_partition(partition: Partition, perm: Sequence[int]) -> Partition:
     if len(pos_of) < m:
         raise InputError(f"perm repeats a good: {short_repr(perm)}")
     try:
-        return Partition(tuple(frozenset(pos_of[g] for g in part) for part in partition.parts))
+        parts = tuple(frozenset([pos_of[g] for g in part]) for part in partition.parts)
     except KeyError as exc:
         raise InputError(f"partition holds a good outside perm: {exc.args[0]}") from exc
+    # Disjoint parts of goods map one to one onto disjoint parts of positions
+    # in 0..m-1, so the result needs none of Partition's checks.
+    return _unchecked(Partition, parts=parts)
 
 
 def unpick(ordered_alloc: Allocation, normalized: Instance, ordered: Instance) -> Allocation:

@@ -52,8 +52,9 @@ class GuaranteeReport:
 
 def check_targets(inst: Instance, alloc: Allocation, targets: Sequence[RationalLike]) -> GuaranteeReport:
     """Agent i passes when her bundle is worth at least ``targets[i]``; the
-    comparison is exact and inclusive. The allocation is checked first, then
-    that there is one target per agent, each a rational (``as_fraction``)."""
+    comparison is exact and inclusive, cross-multiplied in ints. The
+    allocation is checked first, then that there is one target per agent,
+    each a rational (``as_fraction``)."""
     inst.check_allocation(alloc)
     targets = check_sequence("targets", targets, "rationals")
     if len(targets) != inst.num_agents:
@@ -61,7 +62,8 @@ def check_targets(inst: Instance, alloc: Allocation, targets: Sequence[RationalL
     checks = []
     for i, target in enumerate([as_fraction(t) for t in targets]):
         value = bundle_value(inst, i, alloc.bundles[i])
-        checks.append(AgentCheck(i, value, target, value >= target))
+        ok = value.numerator * target.denominator >= target.numerator * value.denominator
+        checks.append(AgentCheck(i, value, target, ok))
     return GuaranteeReport(tuple(checks))
 
 

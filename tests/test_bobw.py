@@ -13,6 +13,7 @@ from mmskit import (
     GuaranteeViolation,
     Instance,
     InputError,
+    bundle_value,
     cyclic_rotation_distribution,
     gamma_lower_bound,
     hard1_upper_bound,
@@ -135,6 +136,8 @@ def test_rotation_guarantees_on_random_instances():
         for agent in range(n):
             assert dist.ex_ante[agent] >= gamma
             assert dist.ex_post_min[agent] >= thresholds.taus[-1]
+            values = [bundle_value(inst, agent, alloc.bundles[agent]) for _, alloc in dist.support]
+            assert (dist.ex_ante[agent], dist.ex_post_min[agent]) == (sum(values, Fraction(0)) / n, min(values))
 
 
 def test_rotation_distribution_rejects_unordered_and_non_unit_instances():
@@ -155,6 +158,9 @@ def test_sampling_is_reproducible_and_validated():
         sample_allocation(dist, -1)
     with pytest.raises(InputError):
         sample_allocation(dist, 2**64)
+    empty = bobw.AllocationDistribution((), (), ())
+    with pytest.raises(InputError, match=r"^cannot sample from a distribution with an empty support$"):
+        sample_allocation(empty, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,39 @@ def test_an_unwritable_output_is_an_input_error(tmp_path, capsys, target):
     assert out == "" and err.startswith(f"input error: cannot write {output}: ") and err.count("\n") == 1
 
 
+_EMIT_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from(["\u2028", "\u2029", "\x00", "\x1f", "\x7f", '"', "\\", "\n", "\t", "é"])),
+    max_size=6,
+)
+_EMIT_INTS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.integers(-1, 1).map(lambda sign: sign * (10**3999 + 12345)),  # 4000 digits
+)
+_EMIT_PAYLOADS = st.recursive(
+    st.one_of(st.none(), st.booleans(), _EMIT_INTS, _EMIT_TEXT, st.floats()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(_EMIT_INTS, max_size=5),  # the one-join path
+        st.dictionaries(_EMIT_TEXT, children, max_size=4),
+        st.dictionaries(st.integers(-3, 3), children, max_size=3),  # json's own encoder writes these
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_EMIT_PAYLOADS)
+def test_emit_writes_the_text_of_json_dumps_byte_for_byte(tmp_path_factory, payload):
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload, None)
+    assert out.getvalue() == expected
+    path = tmp_path_factory.mktemp("emit") / "out.json"
+    cli._emit(payload, str(path))
+    assert path.read_bytes() == expected.encode("ascii")
+
+
 def _unwritable_stdout_run(argv, stdout) -> subprocess.CompletedProcess:
     # Stdout stays buffered, as it is by default, so a small output fails only when flushed.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -223,6 +223,49 @@ def test_from_rows_matches_a_cell_by_cell_read(rows):
         assert Instance.from_rows(rows) == expected
 
 
+_LONG_LITERAL = "1/" + "7" * (LITERAL_MAX_CHARS - 2)
+# Cells that tell the trusted row path from the checked one: a bool, a float or
+# a Fraction beside an equal int, signs, zeros and exponents, and literals at the cap.
+_ROW_CELLS = st.one_of(
+    st.sampled_from(
+        [1, True, 1.0, "1", 0, "0/5", "-0", "+3", "1e3", "-1", -1, "1/2", "2/4", "-1/2", "x", Fraction(1, 2), Fraction(-1, 2)]
+        + [_LONG_LITERAL, _LONG_LITERAL + "7"]
+    ),
+    st.integers(-2, 9),
+)
+
+
+@example([[True, 1]], None)
+@example([[1, True]], None)
+@example([[1, 1], [1.0, 1]], None)
+@example([["1/2", "1/2"], ["1/2", "-1/2"]], None)
+@example([[1, 0], [0, 3], [0, -1]], None)
+@example([["0/5", "-0", "+3", "1e3"]], None)
+@example([[_LONG_LITERAL, "1"], ["1", _LONG_LITERAL]], None)
+@example([[_LONG_LITERAL + "7", "1"]], None)
+@example([[1, 2], [1]], None)
+@example([[1, 2]], 3)
+@example([[1, 2]], True)
+@settings(max_examples=300)
+@given(
+    st.lists(st.lists(_ROW_CELLS, min_size=2, max_size=3), min_size=1, max_size=4),
+    st.sampled_from([None, 0, 2, 3, -1, True]),
+)
+def test_the_trusted_row_path_matches_the_checked_path(rows, num_goods):
+    # The checked path: each cell alone, scale_row, then every check of Instance.
+    try:
+        scaled = tuple(scale_row([as_fraction(v).as_integer_ratio() for v in row]) for row in rows)
+        expected = Instance(scaled, len(scaled[0][0]) if num_goods is None else num_goods)
+    except InputError as exc:
+        with pytest.raises(InputError) as info:
+            Instance.from_rows(rows, num_goods)
+        assert str(info.value) == str(exc)
+    else:
+        inst = Instance.from_rows(rows, num_goods)
+        assert inst.scaled == expected.scaled and inst.num_goods == expected.num_goods
+        assert {type(v) for ints, _ in inst.scaled for v in ints} <= {int}
+
+
 def _unit_share_file(rng: random.Random, n: int, m: int) -> dict:
     """Ordered rows in which every n-share is 1: each agent splits the goods
     into n parts and each part's unit value by random weights 1..9."""
@@ -254,6 +297,26 @@ def test_instance_file_parses_each_distinct_literal_once(monkeypatch):
     assert sorted(parsed) == sorted(distinct)
     assert len(distinct) < 400 < n * (3 * n + 2)
     assert inst.valuations == tuple(tuple(Fraction(v) for v in row) for row in obj["valuations"])
+
+
+def test_a_clean_instance_file_is_not_checked_twice(monkeypatch):
+    # Rows of literals that parse to non-negative values, each of the right
+    # length, are built without Instance.__post_init__; a negative cell is not.
+    checks = []
+    post_init = Instance.__post_init__
+
+    def counted(self):
+        checks.append(self.num_agents)
+        post_init(self)
+
+    monkeypatch.setattr(Instance, "__post_init__", counted)
+    obj = _unit_share_file(random.Random(7), 30, 92)
+    inst = instance_from_json(obj)
+    assert checks == []
+    assert inst.valuations == tuple(tuple(Fraction(v) for v in row) for row in obj["valuations"])
+    with pytest.raises(InputError, match=re.escape("valuations[1][0] is negative: -1/2")):
+        Instance.from_rows([["1/2"], ["-1/2"]])
+    assert checks == [2]
 
 
 _values = st.fractions(min_value=0, max_value=3, max_denominator=4)

@@ -10,9 +10,10 @@ whose type is a library record gets something else.
 import inspect
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmskit import Allocation, Instance, MmsKitError, Partition, bobw, priority_thresholds, transform
+from mmskit import Allocation, InputError, Instance, MmsKitError, Partition, bobw, priority_thresholds, transform
 from mmskit.core import MAX_N
 
 _MODULES = (bobw, transform)
@@ -90,3 +91,22 @@ def test_odd_arguments_end_in_a_result_or_a_typed_error(data):
     except (TypeError, AttributeError):
         if not odd_record:
             raise
+
+
+# Calls that raised a raw error before they were mended, some found by the
+# test above; each must now raise InputError.
+_MENDED = [
+    (bobw.fraction_to_decimal, (0.5,)),
+    (bobw.fraction_to_decimal, ("1/3",)),
+    (bobw.sample_allocation, (bobw.AllocationDistribution((), (), ()), 0)),
+    (transform.permute_partition, (_VALID["partition"], (3, 2, 1, "0"))),
+    (transform.permute_partition, (_VALID["partition"], (0, 1, 2, 2))),
+    (transform.reinstate, (_SPLIT, _UNIT_PAIR, (5, 0))),
+    (transform.reinstate, (_SPLIT, _UNIT_PAIR, ("a", 0))),
+]
+
+
+@pytest.mark.parametrize("f, args", _MENDED, ids=lambda v: v.__name__ if callable(v) else None)
+def test_each_mended_call_raises_an_input_error(f, args):
+    with pytest.raises(InputError):
+        f(*args)

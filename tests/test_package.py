@@ -95,6 +95,20 @@ def test_only_core_scales_rows_to_integers():
     assert found and all(f.startswith("core.py:") for f in found), found
 
 
+def test_no_output_goes_through_the_indented_json_dumps():
+    # json.dumps(indent=...) runs json's pure-Python encoder, one call per
+    # token; cli._json_text writes the same bytes.
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+        and any(k.arg == "indent" for k in node.keywords)
+    ]
+    assert found == []
+
+
 def test_verify_does_not_import_rbf_at_run_time():
     # rbf imports verify to judge each truthful run, so verify does not
     # import rbf; the run record it checks lives in core.
