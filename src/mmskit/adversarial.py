@@ -344,7 +344,7 @@ def demonstrate_failure(
         if thresholds is not None:
             raise InputError("ordinalTight takes no thresholds; its targets are full shares")
         fam = gen_ordinal_tight(n)
-        alloc, transcript = run_ordinal(fam.instance, witnesses=(fam.witness,) * n)
+        alloc, transcript = run_ordinal(fam.instance)
         thresholds = ThresholdList.constant(n, 1)
         # The witness gen_ordinal_tight checked has d parts worth 1 that cover
         # every good, so each agent's d-share is exactly 1.

@@ -26,13 +26,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Sequence
 
-from .core import MAX_N, Allocation, Instance, PriorityRanking, ThresholdList, check_int
+from .core import MAX_N, Allocation, Instance, PriorityRanking, ThresholdList, check_int, short_repr
 from .errors import GuaranteeViolation, InputError
 from .rbf import priority_thresholds, run_rbf_truthful
 
 ENCLOSURE_DIGITS = 55
 DECIMAL_DIGITS = 50  # digits after the point in a rendered closed form
 WINDOW_BITS = 128  # fixed point of a sweep's window sum
+EXACT_LN_BITS = 256  # a log's ratio of longer terms is rounded to a dyadic one first
 LEAF_TERMS = 32  # an exact window of at most this many terms is summed directly
 
 
@@ -47,12 +48,14 @@ def ln_enclosure(p: int, q: int) -> tuple[Fraction, Fraction]:
     endpoints are certified. Requires p >= q >= 1. For p > 2q it writes
     p/q = 2**k * r with r in [1, 2) and adds k times an enclosure of ln 2 to
     one of ln r, so that the series runs on a ratio of at most 2; each of the
-    two parts takes at most half of the width.
+    two parts takes at most half of the width. A ratio whose numerator is
+    longer than ``EXACT_LN_BITS`` is rounded down to a dyadic one before the
+    series runs, so the time does not grow with the digits of p and q.
     """
     check_int("p", p)
     check_int("q", q, 1)
     if p < q:
-        raise InputError(f"ln_enclosure needs p >= q >= 1, got {p}/{q}")
+        raise InputError(f"ln_enclosure needs p >= q >= 1, got {short_repr(p)}/{short_repr(q)}")
     tolerance = Fraction(1, 10**ENCLOSURE_DIGITS)
     if p <= 2 * q:
         return _atanh_ln(p, q, tolerance)
@@ -65,9 +68,19 @@ def ln_enclosure(p: int, q: int) -> tuple[Fraction, Fraction]:
 
 
 def _atanh_ln(p: int, q: int, tolerance: Fraction) -> tuple[Fraction, Fraction]:
-    """ln(p/q) for q <= p, enclosed by the atanh series to width below ``tolerance``."""
+    """ln(p/q) for q <= p, enclosed by the atanh series to width below ``tolerance``.
+
+    Past ``EXACT_LN_BITS``, p/q lies in [a, a + 1) / 2**K with a =
+    floor(p * 2**K / q) >= 2**K, so ln(p/q) - ln(a / 2**K) is in [0, 2**-K):
+    the series encloses ln(a / 2**K) to half the width, and 2**-K, below the
+    other half, widens its upper end.
+    """
     if p == q:
         return Fraction(0), Fraction(0)
+    if p.bit_length() > EXACT_LN_BITS:
+        bits = (2 * tolerance.denominator).bit_length()  # 2**-bits < tolerance / 2
+        lo, hi = _atanh_ln((p << bits) // q, 1 << bits, tolerance / 2)
+        return lo, hi + Fraction(1, 1 << bits)
     x = Fraction(p - q, p + q)
     x2 = x * x
     term = x
@@ -90,14 +103,17 @@ def _ln2(k_digits: int) -> tuple[Fraction, Fraction]:
 
 
 def fraction_to_decimal(value: Fraction | int) -> str:
-    """Plain decimal rendering with DECIMAL_DIGITS digits after the point."""
+    """Plain decimal rendering with DECIMAL_DIGITS digits after the point. A
+    value whose whole part has more digits than Python writes out raises InputError."""
     if not isinstance(value, Fraction):
         value = Fraction(check_int("value", value))
     sign = "-" if value < 0 else ""
-    value = abs(value)
-    scaled = value.numerator * 10**DECIMAL_DIGITS // value.denominator
+    scaled = abs(value.numerator) * 10**DECIMAL_DIGITS // value.denominator
     whole, frac = divmod(scaled, 10**DECIMAL_DIGITS)
-    return f"{sign}{whole}.{str(frac).zfill(DECIMAL_DIGITS)}"
+    try:
+        return f"{sign}{whole}.{str(frac).zfill(DECIMAL_DIGITS)}"
+    except ValueError as exc:  # whole is past Python's digit limit for str
+        raise InputError(f"value has too many digits to write in decimal: {short_repr(value)}") from exc
 
 
 def _reciprocal_range_sum(a: int, b: int) -> tuple[int, int]:

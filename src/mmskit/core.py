@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import filterfalse
 from math import gcd, lcm
 from operator import ge, itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import InputError
 
@@ -47,9 +47,20 @@ def short_text(text: str) -> str:
     return f"{text[:REPR_MAX_CHARS]}... ({len(text)} characters)"
 
 
-def short_repr(value: object) -> str:
-    """``short_text(repr(value))``: how every InputError message echoes a value."""
-    return short_text(repr(value))
+def short_repr(value: object, show: Callable[[object], str] = repr) -> str:
+    """``short_text(show(value))``: how every InputError message echoes a
+    value. A value that Python will not write out, an int past its digit
+    limit for ``str`` or a value holding one, is shown by its size."""
+    try:
+        return short_text(show(value))
+    except ValueError:
+        if isinstance(value, (int, Fraction)):
+            sign = "negative " if value < 0 else ""
+            bits = f"{value.numerator.bit_length()}"
+            if value.denominator != 1:
+                bits += f"/{value.denominator.bit_length()}"
+            return f"<{sign}{type(value).__name__} of {bits} bits>"
+        return f"<{type(value).__name__} too long to show>"
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -91,9 +102,9 @@ def check_int(name: str, value: object, least: int | None = None, most: int | No
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{name} must be an integer, got {short_repr(value)}")
     if least is not None and value < least:
-        raise InputError(f"{name} must be >= {least}, got {value}")
+        raise InputError(f"{name} must be >= {least}, got {short_repr(value)}")
     if most is not None and value > most:
-        raise InputError(f"{name} must be <= {most}, got {value}")
+        raise InputError(f"{name} must be <= {most}, got {short_repr(value)}")
     return value
 
 
@@ -161,7 +172,7 @@ class Instance:
                 g, v = next((g, v) for g, v in enumerate(ints) if v.__class__ is not int or v < 0)
                 if v.__class__ is not int:
                     raise InputError(f"scaled[{i}] value {g} is not an int: {short_repr(v)}")
-                raise InputError(f"valuations[{i}][{g}] is negative: {Fraction(v, scale)}")
+                raise InputError(f"valuations[{i}][{g}] is negative: {short_repr(Fraction(v, scale), str)}")
             if gcd(scale, *ints) != 1:
                 raise InputError(f"scaled[{i}] is not in lowest terms: L = {scale}")
 
@@ -341,9 +352,9 @@ class ThresholdList:
         prev = Fraction(1)
         for r, t in enumerate(self.taus):
             if t < 0 or t > 1:
-                raise InputError(f"threshold at rank {r} outside [0, 1]: {t}")
+                raise InputError(f"threshold at rank {r} outside [0, 1]: {short_repr(t, str)}")
             if t > prev:
-                raise InputError(f"thresholds increase at rank {r}: {t} > {prev}")
+                raise InputError(f"thresholds increase at rank {r}: {short_repr(t, str)} > {prev}")
             prev = t
 
     def __len__(self) -> int:

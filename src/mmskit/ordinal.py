@@ -11,23 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Allocation, BagEvent, Instance, Partition, Transcript, check_int
+from .core import Allocation, BagEvent, Instance, Transcript, check_int
 from .errors import GuaranteeViolation, InputError
-from .transform import (
-    normalize,
-    order,
-    pad_agents_to_multiple_of_3,
-    pad_goods,
-    permute_partition,
-    reinstate,
-    unpick,
-)
-from .verify import UNORDERED, GuaranteeReport, check_1_out_of_d, check_targets, unit_share_violations
+from .transform import normalize, order, pad_agents_to_multiple_of_3, pad_goods, reinstate, unpick
+from .verify import UNORDERED, GuaranteeReport, check_1_out_of_d, check_targets, check_witness
 
 
-def run_ordinal(
-    inst: Instance, witnesses: tuple[Partition, ...] | None = None
-) -> tuple[Allocation, Transcript]:
+def run_ordinal(inst: Instance) -> tuple[Allocation, Transcript]:
     """Initialize bag k with goods {k, 2n-1-k} and fill bags left to right.
 
     Each round appends the next unconsumed good (in non-increasing value
@@ -38,20 +28,16 @@ def run_ordinal(
     never-consumed suffix of goods is appended to the bag of the last round;
     the allocation holds it, and the transcript logs no event for it.
 
-    The instance must be ordered with m >= 2n. Pass ``witnesses``, one
-    unit-share partition per agent, to also check the unit-share input at
-    their d (the full pipeline does); the first of its
-    ``unit_share_violations`` raises InputError.
+    The instance must be ordered with m >= 2n. A unit-share input is
+    checked where it is made: ``run_1_out_of_d`` checks each witness of
+    ``normalize``, and ``verify.unit_share_violations`` checks any other.
     """
     n, m = inst.num_agents, inst.num_goods
     check_int("n", n, 1)
     if m < 2 * n:
         raise InputError(f"need at least 2n = {2 * n} goods, got {m}")
-    if witnesses is None:
-        if not inst.ordered:
-            raise InputError(UNORDERED)
-    elif violations := unit_share_violations(inst, witnesses[0].d if witnesses else n, witnesses):
-        raise InputError(violations[0])
+    if not inst.ordered:
+        raise InputError(UNORDERED)
 
     initial = tuple(frozenset({k, 2 * n - 1 - k}) for k in range(n))
     final = [set(b) for b in initial]
@@ -154,12 +140,16 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
         # The oracle puts the zero-valued dummy goods in each witness's part 0.
         padded = pad_goods(padded, 2 * n_run)
         normalized, results = normalize(padded, d_run, node_budget)
+        # Every part worth 1 makes each total d_run and no good worth more
+        # than 1; sorting a row keeps both, so the ordered input is unit-share.
+        for i, r in enumerate(results):
+            if violations := check_witness(normalized, i, r.witness):
+                raise GuaranteeViolation(f"normalized agent {i}'s {violations[0]}")
         if d_run == d_target:  # dummy goods are worth 0; so is a non-survivor's share
             share_of = {i: r.value for i, r in zip(survivors, results)}
             shares = [share_of.get(i, 0) for i in range(n)]
-        ordered, perms = order(normalized)
-        ordered_witnesses = tuple(permute_partition(r.witness, p) for r, p in zip(results, perms))
-        ordered_alloc, transcript = run_ordinal(ordered, witnesses=ordered_witnesses)
+        ordered, _ = order(normalized)
+        ordered_alloc, transcript = run_ordinal(ordered)
         if transcript.ran_out_of_goods:
             raise GuaranteeViolation(
                 "bag filling ran out of goods on a normalized ordered input; "

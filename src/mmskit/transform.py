@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import Allocation, Instance, Partition, _unchecked, bundle_value, check_int, check_sequence, scale_row, short_repr
+from .core import Allocation, Instance, bundle_value, check_int, check_sequence, scale_row, short_repr
 from .errors import GuaranteeViolation, InputError
 from . import oracle
 
@@ -80,31 +80,6 @@ def order(inst: Instance) -> tuple[Instance, tuple[tuple[int, ...], ...]]:
     perms = tuple(tuple(sorted(goods, key=lambda g: (-ints[g], g))) for ints, _ in inst.scaled)
     rows = tuple((tuple([ints[g] for g in perm]), scale) for (ints, scale), perm in zip(inst.scaled, perms))
     return Instance(rows, inst.num_goods), perms
-
-
-def permute_partition(partition: Partition, perm: Sequence[int]) -> Partition:
-    """Rewrite a partition of goods as a partition of sorted positions.
-
-    ``perm`` maps sorted position -> good: a permutation of 0..m-1 that
-    covers the partition's goods.
-    """
-    perm = check_sequence("perm", perm, "good indices")
-    m = len(perm)
-    # Each member must pass check_int("good", g, 0, m - 1), tested inline: the
-    # pipeline permutes every agent's witness.
-    for g in perm:
-        if g.__class__ is not int or not 0 <= g < m:
-            check_int("good", g, 0, m - 1)
-    pos_of = {g: p for p, g in enumerate(perm)}
-    if len(pos_of) < m:
-        raise InputError(f"perm repeats a good: {short_repr(perm)}")
-    try:
-        parts = tuple(frozenset([pos_of[g] for g in part]) for part in partition.parts)
-    except KeyError as exc:
-        raise InputError(f"partition holds a good outside perm: {exc.args[0]}") from exc
-    # Disjoint parts of goods map one to one onto disjoint parts of positions
-    # in 0..m-1, so the result needs none of Partition's checks.
-    return _unchecked(Partition, parts=parts)
 
 
 def unpick(ordered_alloc: Allocation, normalized: Instance, ordered: Instance) -> Allocation:

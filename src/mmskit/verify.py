@@ -26,6 +26,7 @@ from .core import (
     check_int,
     check_ranked,
     check_sequence,
+    short_repr,
 )
 from .errors import InputError
 from . import oracle
@@ -206,14 +207,18 @@ def unit_share_violations(
         witnesses = check_sequence("witnesses", witnesses, "partitions")
         if len(witnesses) != n:
             raise InputError(f"need one witness partition per agent: {len(witnesses)} for {n} agents")
+        for i, witness in enumerate(witnesses):
+            if not isinstance(witness, Partition):
+                raise InputError(f"witness {i} is not a Partition: {short_repr(witness)}")
     if not inst.ordered:
         return (UNORDERED,)
     violations = [
-        f"agent {i} values all goods at {t}, expected {d} for a {d}-normalized instance"
+        f"agent {i} values all goods at {short_repr(t, str)}, expected {short_repr(d, str)} for a "
+        f"{short_repr(d, str)}-normalized instance"
         for i, t in enumerate(inst.totals) if t != d
     ]
     violations += [  # ordered: good 0 is the top good
-        f"agent {i} values good 0 at {Fraction(ints[0], scale)} > 1, above a unit share"
+        f"agent {i} values good 0 at {short_repr(Fraction(ints[0], scale), str)} > 1, above a unit share"
         for i, (ints, scale) in enumerate(inst.scaled) if ints and ints[0] > scale
     ]
     for i, witness in enumerate(witnesses or ()):
@@ -240,21 +245,25 @@ def check_unit_share_structure(
     violations = list(unit_share_violations(inst, d, witnesses))
     if not inst.ordered:  # positions are read as ranks
         return tuple(violations)
-    for i, row in enumerate(inst.valuations):
-        middle = row[d - 1] + row[d]
-        if middle > 1:
-            violations.append(f"agent {i}: middle pair worth {middle} > 1")
-        if row[d] > Fraction(1, 2):
-            violations.append(f"agent {i}: good at position {d} worth {row[d]} > 1/2")
-        tail = Fraction(0)
+    # Each fact compares the agent's ints against multiples of her L; a
+    # Fraction is built only for a message.
+    for i, (ints, scale) in enumerate(inst.scaled):
+        middle = ints[d - 1] + ints[d]
+        if middle > scale:
+            violations.append(f"agent {i}: middle pair worth {Fraction(middle, scale)} > 1")
+        if 2 * ints[d] > scale:
+            violations.append(f"agent {i}: good at position {d} worth {Fraction(ints[d], scale)} > 1/2")
+        tail = 0
         for k in range(d, 0, -1):  # C_k pairs from the middle outwards
-            top, bottom = row[k - 1], row[2 * d - k]
+            top, bottom = ints[k - 1], ints[2 * d - k]
             pair = top + bottom
             tail += pair
-            if tail > d - k + 1:
-                violations.append(f"agent {i}: pairs {k}..{d} sum to {tail} > {d - k + 1}")
-            if pair > 1 and bottom > Fraction(1, 3):
-                violations.append(f"agent {i}, pair {k}: bottom worth {bottom} > 1/3 despite pair value {pair} > 1")
-            if pair > 1 and top <= Fraction(2, 3):
-                violations.append(f"agent {i}, pair {k}: top worth {top} <= 2/3 despite pair value {pair} > 1")
+            if tail > (d - k + 1) * scale:
+                violations.append(f"agent {i}: pairs {k}..{d} sum to {Fraction(tail, scale)} > {d - k + 1}")
+            if pair > scale:
+                despite = f"despite pair value {Fraction(pair, scale)} > 1"
+                if 3 * bottom > scale:
+                    violations.append(f"agent {i}, pair {k}: bottom worth {Fraction(bottom, scale)} > 1/3 {despite}")
+                if 3 * top <= 2 * scale:
+                    violations.append(f"agent {i}, pair {k}: top worth {Fraction(top, scale)} <= 2/3 {despite}")
     return tuple(violations)

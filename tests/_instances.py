@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from mmskit import Instance, Partition
-from mmskit.transform import order, permute_partition
+from mmskit.transform import order
 
 
 def random_instance(rng: random.Random, n: int, m: int, max_value: int = 10) -> Instance:
@@ -47,10 +47,11 @@ def random_normalized_ordered(
         witnesses.append(Partition(tuple(frozenset(p) for p in parts)))
     inst = Instance.from_rows(rows)
     ordered, perms = order(inst)
-    ordered_witnesses = tuple(
-        permute_partition(w, perms[i]) for i, w in enumerate(witnesses)
-    )
-    return ordered, ordered_witnesses
+    ordered_witnesses = []
+    for w, perm in zip(witnesses, perms):  # perm maps sorted position -> good
+        position = {g: p for p, g in enumerate(perm)}
+        ordered_witnesses.append(Partition(tuple(frozenset(position[g] for g in part) for part in w.parts)))
+    return ordered, tuple(ordered_witnesses)
 
 
 def unit_share_rows(rng: random.Random, n: int, m: int) -> list[list[Fraction]]:

@@ -75,6 +75,22 @@ def test_ln_enclosure_exact_at_one():
 def test_ln_enclosure_reduces_a_large_ratio_by_powers_of_two(p, q):
     # Beyond p = 2q the series runs on p/(q * 2**k) in [1, 2): 10**100 takes
     # a few ms, where the series on p/q itself took seconds already at 100/1.
+    _assert_encloses_the_log_quickly(p, q)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(3**2000, 2**3169), (3**1000, 2**1584), (2**300 + 1, 2**300), (10**1000 + 1, 10**1000), (7**500, 3)],
+    ids=["3^2000/2^3169", "3^1000/2^1584", "(2^300+1)/2^300", "(10^1000+1)/10^1000", "7^500/3"],
+)
+def test_ln_enclosure_rounds_a_ratio_of_long_terms_to_a_dyadic_one(p, q):
+    # Past EXACT_LN_BITS the series runs on floor(p * 2**K / q) / 2**K, so
+    # its time no longer grows with the digits of p and q: the series on
+    # 3**2000 / 2**3169 itself took about 4 s.
+    _assert_encloses_the_log_quickly(p, q)
+
+
+def _assert_encloses_the_log_quickly(p, q):
     with decimal.localcontext() as context:
         context.prec = 120
         true = Fraction(decimal.Decimal(p).ln() - decimal.Decimal(q).ln())

@@ -20,7 +20,7 @@ from mmskit import (
 )
 from mmskit import core
 from mmskit.cli import instance_from_json
-from mmskit.core import LITERAL_MAX_CHARS, LITERAL_MAX_EXPONENT, REPR_MAX_CHARS, scale_row, short_repr, short_text
+from mmskit.core import LITERAL_MAX_CHARS, LITERAL_MAX_EXPONENT, REPR_MAX_CHARS, check_int, scale_row, short_repr, short_text
 from mmskit.verify import check_targets
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
@@ -66,6 +66,20 @@ def test_short_repr_cuts_a_long_repr_and_marks_its_length():
     assert short_repr([1] * 100_000) == "[" + "1, " * 33 + "... (300000 characters)"
     assert short_text("x" * 100) == "x" * 100  # the same rule on text that is not a repr
     assert short_text("x" * 101) == "x" * 100 + "... (101 characters)"
+
+
+def test_short_repr_shows_a_value_python_will_not_write_out_by_its_size():
+    # str and repr refuse an int of more than 4300 digits.
+    assert short_repr(10**5000) == "<int of 16610 bits>"
+    assert short_repr(-(10**5000)) == "<negative int of 16610 bits>"
+    assert short_repr(Fraction(10**5000, 3), str) == "<Fraction of 16610/2 bits>"
+    assert short_repr([10**5000]) == "<list too long to show>"
+    assert short_repr(Fraction(-1, 2), str) == "-1/2"
+    # check_int echoes through it: an int of 100 digits whole, a longer one cut.
+    for value, echo in ((10**99, str(10**99)), (10**4000, "1" + "0" * 99 + "... (4001 characters)")):
+        with pytest.raises(InputError) as info:
+            check_int("x", value, 0, 5)
+        assert str(info.value) == f"x must be <= 5, got {echo}"
 
 
 @pytest.mark.parametrize(

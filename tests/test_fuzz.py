@@ -13,11 +13,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmskit import Allocation, InputError, Instance, MmsKitError, Partition, bobw, priority_thresholds, transform
-from mmskit.core import MAX_N
+from mmskit import (
+    Allocation,
+    InputError,
+    Instance,
+    MmsKitError,
+    Partition,
+    PriorityRanking,
+    bobw,
+    ordinal,
+    priority_thresholds,
+    transform,
+    verify,
+)
+from mmskit.core import MAX_N, ThresholdList, check_int
 
-_MODULES = (bobw, transform)
-_RECORDS = {"Instance", "Allocation", "Partition", "ThresholdList", "AllocationDistribution"}
+_MODULES = (bobw, ordinal, transform, verify)
+_RECORDS = {
+    "Instance", "Allocation", "Partition", "ThresholdList", "PriorityRanking", "Transcript", "AllocationDistribution",
+}
 
 _UNIT_PAIR = Instance.from_rows([["1/2"] * 4] * 2)
 _SPLIT = Allocation(({0, 1}, {2, 3}))
@@ -37,7 +51,12 @@ _VALID = {
     "d": 2,
     "node_budget": None,
     "partition": Partition(({0, 1}, {2, 3})),
-    "perm": (3, 2, 1, 0),
+    "witness": Partition(({0, 1}, {2, 3})),
+    "witnesses": (Partition(({0, 1}, {2, 3})),) * 2,
+    "agent": 1,
+    "targets": (Fraction(1), 1),
+    "ranking": PriorityRanking.identity(2),
+    "tr": ordinal.run_ordinal(_UNIT_PAIR)[1],
     "ordered_alloc": _SPLIT,
     "normalized": _UNIT_PAIR,
     "ordered": _UNIT_PAIR,
@@ -49,7 +68,7 @@ _VALID = {
 # Ints out of range are picked, not drawn: an in-range n, hi or p of a
 # thousand digits is a valid, and slow, call.
 _ODD = st.one_of(
-    st.sampled_from([-1, 0, MAX_N + 1, 2**64, 10**30, -(10**30)]),
+    st.sampled_from([-1, 0, MAX_N + 1, 2**64, 10**30, -(10**30), 10**5000, -(10**5000)]),
     st.integers(max_value=-1),
     st.booleans(),
     st.floats(),
@@ -68,7 +87,7 @@ _FUNCTIONS = [
 
 
 def test_every_public_function_has_a_valid_call():
-    assert len(_FUNCTIONS) == 19  # 12 in bobw, 7 in transform
+    assert len(_FUNCTIONS) == 28  # 12 in bobw, 2 in ordinal, 6 in transform, 8 in verify
     for f in _FUNCTIONS:
         f(**{name: _VALID[name] for name in inspect.signature(f).parameters})
 
@@ -99,10 +118,16 @@ _MENDED = [
     (bobw.fraction_to_decimal, (0.5,)),
     (bobw.fraction_to_decimal, ("1/3",)),
     (bobw.sample_allocation, (bobw.AllocationDistribution((), (), ()), 0)),
-    (transform.permute_partition, (_VALID["partition"], (3, 2, 1, "0"))),
-    (transform.permute_partition, (_VALID["partition"], (0, 1, 2, 2))),
+    (bobw.fraction_to_decimal, (10**5000,)),
+    (bobw.ln_enclosure, (2**20000, 3**20000)),
     (transform.reinstate, (_SPLIT, _UNIT_PAIR, (5, 0))),
     (transform.reinstate, (_SPLIT, _UNIT_PAIR, ("a", 0))),
+    (priority_thresholds, (10**5000,)),
+    (check_int, ("x", -(10**5000), 0)),
+    (Instance.from_rows, ([[-(10**5000)]],)),
+    (ThresholdList, ((Fraction(10**5000, 3),),)),
+    (verify.unit_share_violations, (_UNIT_PAIR, 2, [0, 1])),
+    (verify.check_unit_share_structure, (_UNIT_PAIR, 2, (None, None))),
 ]
 
 

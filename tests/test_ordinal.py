@@ -5,9 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from mmskit import Instance, InputError, bundle_value, mms, oracle, run_1_out_of_d, run_ordinal
+from mmskit import (
+    GuaranteeViolation,
+    Instance,
+    InputError,
+    bundle_value,
+    mms,
+    oracle,
+    ordinal,
+    run_1_out_of_d,
+    run_ordinal,
+)
 from mmskit.adversarial import gen_ordinal_tight
-from mmskit.verify import AgentCheck, GuaranteeReport, check_transcript
+from mmskit.core import scale_row
+from mmskit.verify import AgentCheck, GuaranteeReport, check_transcript, unit_share_violations
 
 from _instances import bag_owners, fills, random_instance, random_normalized_ordered
 
@@ -64,7 +75,8 @@ def test_assigned_bags_meet_the_unit_target():
         d = 4 * ((n + 2) // 3)
         m = rng.randint(max(2 * n, d), 2 * n + 6)
         inst, wits = random_normalized_ordered(rng, n, m, d=d)
-        alloc, tr = run_ordinal(inst, witnesses=wits)
+        assert unit_share_violations(inst, d, wits) == ()
+        alloc, tr = run_ordinal(inst)
         assert not tr.ran_out_of_goods
         for agent in bag_owners(tr):
             assert bundle_value(inst, agent, alloc.bundles[agent]) >= 1
@@ -125,7 +137,8 @@ def test_transcripts_of_random_ordered_normalized_instances_are_well_formed():
         d = rng.choice((n, 4 * ((n + 2) // 3)))
         m = rng.randint(max(2 * n, d), 2 * n + 8)
         inst, wits = random_normalized_ordered(rng, n, m, d=d)
-        _assert_well_formed(inst, *run_ordinal(inst, witnesses=wits))
+        assert unit_share_violations(inst, d, wits) == ()
+        _assert_well_formed(inst, *run_ordinal(inst))
 
 
 def test_transcripts_of_pipeline_runs_pass_the_structure_check():
@@ -206,6 +219,24 @@ def test_pipeline_asks_each_row_and_d_of_the_oracle_at_most_once(monkeypatch, n,
     monkeypatch.setattr(oracle, "mms", real_mms)
     assert asked and len(asked) == len(set(asked))
     assert [c.target for c in result.report.checks] == [mms(inst, i, d).value for i in range(n)]
+
+
+def test_a_normalized_row_one_unit_off_is_a_guarantee_violation(monkeypatch):
+    # run_1_out_of_d checks each witness on the instance normalize made; a
+    # part that is not worth 1 there is a library bug, not bad input.
+    real_normalize = ordinal.normalize
+
+    def one_unit_off(inst, d, node_budget=None):
+        normalized, results = real_normalize(inst, d, node_budget)
+        (ints, scale), *rest = normalized.scaled
+        bumped = scale_row([(v + (g == 0), scale) for g, v in enumerate(ints)])
+        return Instance((bumped, *rest), normalized.num_goods), results
+
+    rng = random.Random(8)
+    inst = Instance.from_rows([[rng.randint(1, 20) for _ in range(8)] for _ in range(3)])
+    monkeypatch.setattr(ordinal, "normalize", one_unit_off)
+    with pytest.raises(GuaranteeViolation, match=r"^normalized agent 0's witness part worth \d+/\d+ != 1$"):
+        run_1_out_of_d(inst)
 
 
 def test_pipeline_guarantee_on_random_instances():

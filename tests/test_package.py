@@ -50,10 +50,10 @@ from mmskit.transform import (
     normalize,
     pad_agents_to_multiple_of_3,
     pad_goods,
-    permute_partition,
     reinstate,
     unpick,
 )
+from mmskit import ordinal, transform
 from mmskit.verify import check_witness
 
 
@@ -188,6 +188,40 @@ def test_no_guarantee_check_takes_a_share_on_trust():
         if isinstance(node, ast.keyword) and node.arg == "shares"
     ]
     assert found == []
+
+
+def test_each_witness_is_checked_once_where_it_is_made(monkeypatch):
+    # run_1_out_of_d checks each witness of normalize on the normalized
+    # instance; run_ordinal takes no witnesses, and no witness is carried
+    # to the sorted positions, so the trusted construction has one caller.
+    assert not hasattr(transform, "permute_partition")
+    assert list(inspect.signature(run_ordinal).parameters) == ["inst"]
+    modules = _modules()
+    callers = {
+        (path, func.name)
+        for path, tree in modules.items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_unchecked"
+    }
+    assert callers == {("core.py", "from_rows")}
+
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for module in (ordinal, verify):
+        for name in ("check_witness", "unit_share_violations"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rows = [[1 + (i * 7 + g * 5) % 11 for g in range(10)] for i in range(4)]  # 4 agents, padded to 6
+    run_1_out_of_d(Instance.from_rows(rows))
+    assert calls == ["check_witness"] * 6
 
 
 def test_error_messages_echo_a_value_only_through_short_repr():
@@ -431,7 +465,6 @@ _GOOD_INDICES = [
         ),
     ),
     ("unpick", lambda g: unpick(Allocation(([g], [])), _PAIR, _PAIR)),
-    ("permute_partition", lambda g: permute_partition(Partition(({0}, {1, 2})), [2, 1, g])),
     # A responder checks a bag's goods once per bag, not once per query.
     ("TruthfulResponder.value", lambda g: TruthfulResponder(_UNIT_TRIPLE).value(0, Bag([1, g]))),
     ("TruthfulResponder.value-grown", lambda g: TruthfulResponder(_UNIT_TRIPLE).value(0, Bag([1]).add(g))),
@@ -474,7 +507,6 @@ _SEQUENCES = [
     ("Partition", "parts", Partition, "good collections"),
     ("check_targets", "targets", lambda v: verify.check_targets(_PAIR, _PAIR_ALLOCATION, v), "rationals"),
     ("reinstate", "survivors", lambda v: reinstate(_PAIR_ALLOCATION, _PAIR, v), "agent indices"),
-    ("permute_partition", "perm", lambda v: permute_partition(Partition(()), v), "good indices"),
     ("unit_share_violations", "witnesses", lambda v: verify.unit_share_violations(_UNIT_PAIR, 2, v), "partitions"),
 ]
 
@@ -486,6 +518,18 @@ def test_every_sequence_parameter_is_checked_in_one_wording(name, call, of):
         with pytest.raises(InputError) as exc:
             call(value)
         assert str(exc.value) == f"{name} must be a sequence of {of}, {message}"
+
+
+def test_only_the_cli_reads_the_valuations_view():
+    # Every decision runs on Instance.scaled; the Fraction view is output,
+    # which the CLI writes, and the reference checks under tests/ read it.
+    found = [
+        f"{path}:{node.lineno}"
+        for path, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "valuations" and path != "cli.py"
+    ]
+    assert found == []
 
 
 def test_naive_oracle_never_reads_the_integer_kernel():

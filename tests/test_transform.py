@@ -15,7 +15,6 @@ from mmskit.transform import (
     order,
     pad_agents_to_multiple_of_3,
     pad_goods,
-    permute_partition,
     reinstate,
     unpick,
 )
@@ -209,37 +208,6 @@ def test_reinstate_rejects_a_repeated_survivor():
     with pytest.raises(InputError, match=r"^survivors repeat an agent: \[1, 1\]$"):
         reinstate(Allocation(({0}, {1})), inst, [1, 1])
     assert reinstate(Allocation(({0}, {1})), inst, [1, 0]).bundles == (frozenset({1}), frozenset({0}))
-
-
-def test_permute_partition_needs_a_permutation_that_covers_the_partition():
-    parts = Partition(({0, 3}, {1, 2}))
-    assert permute_partition(parts, [3, 2, 1, 0]).parts == (frozenset({0, 3}), frozenset({1, 2}))
-    with pytest.raises(InputError, match=r"^perm repeats a good: \[0, 1, 2, 2\]$"):
-        permute_partition(parts, [0, 1, 2, 2])
-    with pytest.raises(InputError, match=r"^partition holds a good outside perm: 3$"):
-        permute_partition(parts, [2, 0, 1])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 12).flatmap(lambda m: st.tuples(st.permutations(range(m)), st.lists(st.integers(0, 3), min_size=m, max_size=m))))
-def test_permute_partition_builds_the_checked_partition_without_rechecking(perm_and_labels):
-    perm, labels = perm_and_labels
-    partition = Partition(tuple(frozenset(g for g, label in enumerate(labels) if label == k) for k in range(4)))
-    checks = []
-    post_init = Partition.__post_init__
-
-    def counted(self):
-        checks.append(self.d)
-        post_init(self)
-
-    Partition.__post_init__ = counted
-    try:
-        permuted = permute_partition(partition, perm)
-    finally:
-        Partition.__post_init__ = post_init
-    assert checks == []
-    position = {g: p for p, g in enumerate(perm)}
-    assert permuted == Partition(tuple(frozenset(position[g] for g in part) for part in partition.parts))
 
 
 def test_unpick_is_value_preserving_on_already_ordered_instances():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmskit import (
     Allocation,
@@ -21,7 +22,6 @@ from mmskit import (
     mms,
     oracle,
     priority_thresholds,
-    run_ordinal,
     run_rbf_truthful,
     verify,
 )
@@ -421,6 +421,52 @@ def test_unit_share_structure_reports_each_violation(row, d, expected):
     assert check_unit_share_structure(inst, d) == tuple(expected)
 
 
+def _structure_facts_over_fractions(inst, d):
+    """The lemma facts of check_unit_share_structure, stated over the
+    Fractions of the valuations view: the reference for its int comparisons."""
+    violations = []
+    for i, row in enumerate(inst.valuations):
+        middle = row[d - 1] + row[d]
+        if middle > 1:
+            violations.append(f"agent {i}: middle pair worth {middle} > 1")
+        if row[d] > Fraction(1, 2):
+            violations.append(f"agent {i}: good at position {d} worth {row[d]} > 1/2")
+        tail = Fraction(0)
+        for k in range(d, 0, -1):
+            top, bottom = row[k - 1], row[2 * d - k]
+            pair = top + bottom
+            tail += pair
+            if tail > d - k + 1:
+                violations.append(f"agent {i}: pairs {k}..{d} sum to {tail} > {d - k + 1}")
+            if pair > 1 and bottom > Fraction(1, 3):
+                violations.append(f"agent {i}, pair {k}: bottom worth {bottom} > 1/3 despite pair value {pair} > 1")
+            if pair > 1 and top <= Fraction(2, 3):
+                violations.append(f"agent {i}, pair {k}: top worth {top} <= 2/3 despite pair value {pair} > 1")
+    return violations
+
+
+# Values at and beside every bound the facts compare against.
+_STRUCTURE_VALUES = st.one_of(
+    st.sampled_from(["0", "1/6", "1/4", "1/3", "2/5", "1/2", "3/5", "2/3", "3/4", "1", "7/6"]),
+    st.fractions(0, 2, max_denominator=30).map(str),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_structure_facts_on_the_ints_match_the_fractions(data):
+    d = data.draw(st.integers(1, 4), label="d")
+    m = data.draw(st.integers(2 * d, 2 * d + 2), label="m")
+    n = data.draw(st.integers(1, 3), label="n")
+    rows = [
+        sorted(data.draw(st.lists(_STRUCTURE_VALUES, min_size=m, max_size=m)), key=Fraction, reverse=True)
+        for _ in range(n)
+    ]
+    inst = Instance.from_rows(rows)
+    expected = unit_share_violations(inst, d) + tuple(_structure_facts_over_fractions(inst, d))
+    assert check_unit_share_structure(inst, d) == expected
+
+
 def test_structure_checks_report_an_unordered_instance_as_such():
     # A valid unit-share witness, but position 1 outranks position 0: read as
     # ranks, the row would show a middle pair and a pair tail worth 3/2.
@@ -448,8 +494,8 @@ def _first_violation(inst, d, witnesses=None):
     return violations[0] if violations else None
 
 
-# (rows, witnesses, TruthfulResponder's message, run_ordinal's message). The
-# witnesses set run_ordinal's d; None is a message for neither.
+# (rows, witnesses, TruthfulResponder's message, the message at the
+# witnesses' d). None is no violation.
 _BAD_UNIT_SHARE_INPUTS = {
     "unordered": ([_HALVES, [0, 1, 0, 1]], (_HALVES_WITNESS,) * 2, UNORDERED, UNORDERED),
     "total": (
@@ -471,7 +517,6 @@ _BAD_UNIT_SHARE_INPUTS = {
         "agent 1 values good 0 at 3/2 > 1, above a unit share",
         "agent 1 values good 0 at 3/2 > 1, above a unit share",
     ),
-    # run_ordinal needs 2n goods before it looks at the values.
     "no-goods": ([[], []], None, "agent 0 values all goods at 0, expected 2 for a 2-normalized instance", None),
     "witness": (
         [_HALVES, _HALVES],
@@ -489,11 +534,11 @@ _BAD_UNIT_SHARE_INPUTS = {
 
 
 @pytest.mark.parametrize(
-    "rows, witnesses, responder_message, ordinal_message",
+    "rows, witnesses, responder_message, witness_message",
     _BAD_UNIT_SHARE_INPUTS.values(),
     ids=_BAD_UNIT_SHARE_INPUTS.keys(),
 )
-def test_both_allocators_raise_the_first_unit_share_violation(rows, witnesses, responder_message, ordinal_message):
+def test_both_allocators_raise_the_first_unit_share_violation(rows, witnesses, responder_message, witness_message):
     inst = Instance.from_rows(rows)
     n = inst.num_agents
     assert _first_violation(inst, n) == responder_message
@@ -504,10 +549,15 @@ def test_both_allocators_raise_the_first_unit_share_violation(rows, witnesses, r
             TruthfulResponder(inst)
         assert str(info.value) == responder_message
     if witnesses is not None:
-        assert _first_violation(inst, witnesses[0].d, witnesses) == ordinal_message
-        with pytest.raises(InputError) as info:
-            run_ordinal(inst, witnesses)
-        assert str(info.value) == ordinal_message
+        assert _first_violation(inst, witnesses[0].d, witnesses) == witness_message
+
+
+def test_unit_share_violations_show_a_d_past_the_digit_limit_by_its_size():
+    # str refuses an int of more than 4300 digits; the message was a raw ValueError.
+    huge = "<int of 16610 bits>"
+    assert unit_share_violations(Instance.from_rows([_HALVES]), 10**5000) == (
+        f"agent 0 values all goods at 2, expected {huge} for a {huge}-normalized instance",
+    )
 
 
 def test_unit_share_violations_come_totals_first_then_top_goods_then_witnesses():
