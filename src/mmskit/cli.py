@@ -34,11 +34,21 @@ EXIT_GUARANTEE = 3
 # JSON encoding / decoding
 
 
+def _fraction_text(value: Fraction) -> str:
+    """How the CLI writes every rational: "p/q", or "p" for an integer. A value
+    with more digits than Python writes out raises InputError, as
+    ``bobw.fraction_to_decimal`` does."""
+    try:
+        return str(value)
+    except ValueError as exc:  # an int past Python's digit limit for str
+        raise InputError(f"value has too many digits to write: {short_repr(value)}") from exc
+
+
 def instance_to_json(inst: Instance) -> dict[str, Any]:
     return {
         "agents": inst.num_agents,
         "goods": inst.num_goods,
-        "valuations": [[str(v) for v in row] for row in inst.valuations],
+        "valuations": [[_fraction_text(v) for v in row] for row in inst.valuations],
     }
 
 
@@ -74,7 +84,7 @@ def allocation_from_json(obj: Any) -> Allocation:
 
 
 def thresholds_to_json(t: ThresholdList) -> list[str]:
-    return [str(x) for x in t.taus]
+    return [_fraction_text(x) for x in t.taus]
 
 
 def transcript_to_json(tr: Transcript) -> dict[str, Any]:
@@ -108,8 +118,8 @@ def report_to_json(report: verify.GuaranteeReport) -> dict[str, Any]:
         "perAgent": [
             {
                 "agent": c.agent,
-                "value": str(c.value),
-                "target": str(c.target),
+                "value": _fraction_text(c.value),
+                "target": _fraction_text(c.target),
                 "ok": c.ok,
             }
             for c in report.checks
@@ -213,7 +223,7 @@ def _cmd_mms(args: argparse.Namespace) -> dict[str, Any]:
         {
             "agent": agent,
             "d": args.d,
-            "value": str(res.value),
+            "value": _fraction_text(res.value),
             "witness": [sorted(p) for p in res.witness.parts],
         }
         for agent, res in solved
@@ -225,7 +235,7 @@ def _cmd_ordinal(args: argparse.Namespace) -> dict[str, Any]:
     inst = instance_from_json(_load_json(args.instance))
     result = run_1_out_of_d(inst, node_budget=args.node_budget)
     per_agent = [
-        {"agent": c.agent, "value": str(c.value), "share": str(c.target), "ok": c.ok}
+        {"agent": c.agent, "value": _fraction_text(c.value), "share": _fraction_text(c.target), "ok": c.ok}
         for c in result.report.checks
     ]
     return {
@@ -264,8 +274,8 @@ def _cmd_bobw(args: argparse.Namespace) -> dict[str, Any]:
             }
             for ranking, alloc in dist.support
         ],
-        "perAgentExAnte": [str(v) for v in dist.ex_ante],
-        "perAgentExPostMin": [str(v) for v in dist.ex_post_min],
+        "perAgentExAnte": [_fraction_text(v) for v in dist.ex_ante],
+        "perAgentExPostMin": [_fraction_text(v) for v in dist.ex_post_min],
     }
     if args.seed is not None:
         ranking, alloc = bobw.sample_allocation(dist, args.seed)
@@ -296,8 +306,8 @@ def _cmd_gen(args: argparse.Namespace) -> dict[str, Any]:
             {
                 "family": "hard1",
                 "i": args.i,
-                "alpha": str(fam.alpha),
-                "epsilon": str(fam.epsilon),
+                "alpha": _fraction_text(fam.alpha),
+                "epsilon": _fraction_text(fam.epsilon),
             }
         )
     else:  # hard2
@@ -309,10 +319,10 @@ def _cmd_gen(args: argparse.Namespace) -> dict[str, Any]:
             "k1": fam.k1,
             "k2": fam.k2,
             "t": fam.t,
-            "alpha": str(fam.alpha),
-            "epsilon": str(fam.epsilon),
+            "alpha": _fraction_text(fam.alpha),
+            "epsilon": _fraction_text(fam.epsilon),
             "targetAgent": fam.target_agent,
-            "targetValuation": [str(v) for v in fam.instance.valuations[0]],
+            "targetValuation": [_fraction_text(v) for v in fam.instance.valuations[0]],
         }
     return payload
 
@@ -325,10 +335,10 @@ def _cmd_demo(args: argparse.Namespace) -> dict[str, Any]:
         "n": report.n,
         "thresholds": thresholds_to_json(report.thresholds),
         "witnessAgent": witness.agent,
-        "witnessValue": str(witness.value),
-        "witnessTarget": str(witness.target),
+        "witnessValue": _fraction_text(witness.value),
+        "witnessTarget": _fraction_text(witness.target),
         "unsatisfied": [
-            {"agent": c.agent, "value": str(c.value), "target": str(c.target)}
+            {"agent": c.agent, "value": _fraction_text(c.value), "target": _fraction_text(c.target)}
             for c in report.shortfalls
         ],
         "reductionCount": len(report.transcript.reductions),

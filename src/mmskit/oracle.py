@@ -18,6 +18,10 @@ DEFAULT_NODE_BUDGET = 10**7
 # Cap on d. A witness holds d parts, so memory grows linearly in d, and a
 # short flag such as ``--d 100000000`` would ask for tens of GB.
 MAX_PARTS = 10_000
+# Cap on the bits of one search's subset-sum tables, over all depths: about
+# (K + 1) * (cap + 1), so at most 1 MiB. A row past it is searched without the
+# subset-sum cut, to the same result with more nodes.
+SUBSET_SUM_BITS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -26,6 +30,21 @@ class MmsResult:
 
     value: Fraction
     witness: Partition
+
+
+def _subset_sums(vals: tuple[int, ...], cap: int) -> list[int] | None:
+    """Per depth t, the subset sums of ``vals[t:]`` up to ``cap``, as the set
+    bits of one int; None when the K + 1 ints would hold more than
+    ``SUBSET_SUM_BITS`` bits."""
+    K = len(vals)
+    if (K + 1) * (cap + 1) > SUBSET_SUM_BITS:
+        return None
+    mask = (2 << cap) - 1
+    reach = [1] * (K + 1)
+    for t in range(K - 1, -1, -1):
+        r = reach[t + 1]
+        reach[t] = (r | r << vals[t]) & mask
+    return reach
 
 
 def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int, ...]]:
@@ -49,6 +68,17 @@ def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int,
     unplaced sum onto the lowest parts, would cut only when ``W <= best``;
     this cut holds whenever ``W < best + 1``, since part sums are ints. So
     the search never visits more nodes than one cut by that relaxation.
+
+    The subset-sum cut asks whether the unplaced items can be split to meet
+    each shortfall. Let ``room`` be the unplaced sum less the total
+    shortfall. A leaf that beats the incumbent gives each short part a
+    subset of the unplaced items worth at least its deficit δ, and at most
+    δ + room, since the other short parts need the rest. So a node with two
+    or more short parts is cut when some part's window [δ, δ + room] holds
+    no subset sum of the unplaced items. The sums come from one bitset per
+    depth, kept up to ``cap`` (``_subset_sums``); a window that reaches past
+    ``cap`` is not tested. Like the cut above, it skips no strict
+    improvement, so the value and witness are the same.
     """
     K = len(vals)
     cap = sum(vals) // d
@@ -57,7 +87,7 @@ def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int,
     sums = [0] * d
     seed = [0] * K
     for t, v in enumerate(vals):
-        j = min(range(d), key=lambda p: (sums[p], p))
+        j = sums.index(min(sums))
         sums[j] += v
         seed[t] = j
     best_val = min(sums)
@@ -68,6 +98,7 @@ def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int,
     suffix = [0] * (K + 1)
     for t in range(K - 1, -1, -1):
         suffix[t] = suffix[t + 1] + vals[t]
+    reach = _subset_sums(vals, cap)
 
     sums = [0] * d
     assign = [0] * K
@@ -98,7 +129,19 @@ def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int,
                 if s < target:
                     need += target - s
                     short += 1
-            if need > suffix[t] or short > K - t:
+            room = suffix[t] - need
+            cut = room < 0 or short > K - t
+            if not cut and short > 1 and reach and room < cap:
+                # Each short part needs a subset of the unplaced items worth
+                # from its deficit up to the deficit plus the spare ``room``.
+                window = (2 << room) - 1  # room + 1 bits
+                sums_t = reach[t]
+                for s in sums:
+                    lo = target - s
+                    if 0 < lo <= cap - room and not (sums_t >> lo) & window:
+                        cut = True
+                        break
+            if cut:
                 t -= 1
                 entering = False
                 continue

@@ -201,7 +201,9 @@ def unit_share_violations(
     violation, ``UNORDERED``. Otherwise these come in order: each agent whose
     total is not d, each agent whose good 0 is worth more than 1, and, when
     ``witnesses`` (one per agent) are given, each ``check_witness`` violation.
+    A d that is not an int >= 0 raises InputError.
     """
+    check_int("d", d, 0)
     n = inst.num_agents
     if witnesses is not None:
         witnesses = check_sequence("witnesses", witnesses, "partitions")

@@ -516,6 +516,12 @@ MALFORMED_INPUTS = [
     ({"inst": _UNIT_PAIR}, ["mms", "{inst}", "--d", "x" * 100_000]),
     ({}, ["gen", "y" * 50_000, "--n", "3"]),
     ({"inst": _UNIT_PAIR}, ["mms", "{inst}", "--d", "2", "--node-budget", "q" * 70_000]),
+    # Each literal is under the length cap, but the share's denominator is the
+    # product of six 991-digit ints, more digits than Python writes out.
+    (
+        {"inst": {"agents": 1, "goods": 6, "valuations": [[f"1/{10**990 + k}" for k in range(1, 12, 2)]]}},
+        ["mms", "{inst}", "--d", "1"],
+    ),
 ]
 MALFORMED_IDS = [
     "string-row", "bool-agents", "int-bundle", "text-ranking", "threshold-count",
@@ -531,6 +537,7 @@ MALFORMED_IDS = [
     "demo-hard1-k2", "demo-ordinal-tight-k1", "demo-hard1-t", "demo-ordinal-tight-t", "gen-hard1-t",
     "mms-nested-too-deeply", "verify-nested-too-deeply", "mms-agents-long-list", "mms-cell-long-list",
     "verify-bundle-long-list", "mms-d-long-value", "gen-family-long-value", "mms-node-budget-long-value",
+    "mms-share-too-long-to-write",
 ]
 
 

@@ -128,6 +128,8 @@ _MENDED = [
     (ThresholdList, ((Fraction(10**5000, 3),),)),
     (verify.unit_share_violations, (_UNIT_PAIR, 2, [0, 1])),
     (verify.check_unit_share_structure, (_UNIT_PAIR, 2, (None, None))),
+    (verify.unit_share_violations, (_UNIT_PAIR, 2.5)),
+    (verify.unit_share_violations, (_UNIT_PAIR, "x")),
 ]
 
 

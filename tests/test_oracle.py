@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmskit import (
     Instance,
@@ -109,6 +110,76 @@ def test_the_integer_cut_solves_a_row_in_a_fiftieth_of_the_nodes():
     assert res.witness.parts == (
         frozenset({0, 5, 7, 10}), frozenset({1, 4, 12}), frozenset({2, 3, 6, 8, 9, 11, 13}),
     )
+
+
+def test_the_subset_sum_cut_solves_a_row_in_a_sixtieth_of_the_nodes():
+    """14 goods at d = 4, total 612: the share is 152, one below 612 // 4.
+
+    The search takes 19 nodes; without the subset-sum cut it takes 1199, all
+    spent proving that no split reaches 153.
+    """
+    row = [100, 96, 84, 60, 44, 43, 41, 40, 31, 28, 17, 16, 11, 1]
+    res = mms(Instance.from_rows([row]), 0, 4, node_budget=19)
+    assert res.value == 152
+    assert res.witness.parts == (
+        frozenset({0, 7, 12, 13}), frozenset({1, 6, 11}), frozenset({2, 5, 9}), frozenset({3, 4, 8, 10}),
+    )
+
+
+class _CountingBudget(int):
+    """A node budget that counts the search's ``nodes > budget`` checks, one
+    per node: Python asks the right operand's reflected ``__lt__`` first when
+    its type is a subclass of the left one's."""
+
+    nodes = 0
+
+    def __lt__(self, other):
+        self.nodes += 1
+        return int.__lt__(self, other)
+
+
+def _search_with_bits(row, d, bits):
+    """``oracle._search`` on the row's integer form with ``SUBSET_SUM_BITS``
+    set to ``bits``: ((value, assignment), nodes)."""
+    ints, _ = Instance.from_rows([row]).scaled[0]
+    vals = tuple(sorted((v for v in ints if v), reverse=True))
+    budget = _CountingBudget(oracle.DEFAULT_NODE_BUDGET)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "SUBSET_SUM_BITS", bits)
+        return oracle._search(vals, d, budget), budget.nodes
+
+
+_CUT_ROWS = st.one_of(
+    st.lists(st.integers(1, 100), min_size=5, max_size=14),
+    st.lists(st.builds(Fraction, st.integers(1, 30), st.integers(1, 9)), min_size=5, max_size=14),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(row=_CUT_ROWS, d=st.integers(2, 5))
+def test_the_subset_sum_cut_keeps_the_result_and_never_adds_nodes(row, d):
+    # With no bits allowed, no table is built and the search runs without the cut.
+    cut, cut_nodes = _search_with_bits(row, d, oracle.SUBSET_SUM_BITS)
+    plain, plain_nodes = _search_with_bits(row, d, 0)
+    assert cut == plain
+    assert cut_nodes <= plain_nodes
+
+
+def test_subset_sum_tables_stay_under_their_bound():
+    # A 3000-good row of small values fits; each table is the exact set of
+    # subset sums up to cap. The 3000-good row of values up to 10**6 that
+    # test_thousands_of_goods_end_in_a_result_or_a_budget_error searches at
+    # d = 7 builds none.
+    rng = random.Random(18)
+    small = tuple(sorted((rng.randint(1, 3) for _ in range(3000)), reverse=True))
+    cap = sum(small) // 7
+    reach = oracle._subset_sums(small, cap)
+    assert sum(r.bit_length() for r in reach) <= (len(small) + 1) * (cap + 1) <= oracle.SUBSET_SUM_BITS
+    assert reach[0] == (2 << cap) - 1 and reach[-1] == 1
+    assert reach[-3] == sum(1 << s for s in {0, small[-2], small[-1], small[-2] + small[-1]})
+    rng = random.Random(17)
+    big = sorted((rng.randint(1, 10**6) for _ in range(3000)), reverse=True)
+    assert oracle._subset_sums(tuple(big), sum(big) // 7) is None
 
 
 def test_d_and_index_validation():

@@ -109,6 +109,21 @@ def test_no_output_goes_through_the_indented_json_dumps():
     assert found == []
 
 
+def test_the_cli_writes_every_rational_through_one_helper():
+    # str of a Fraction past Python's digit limit raises a raw ValueError;
+    # cli._fraction_text turns it into InputError. The one other str call
+    # writes an int inside _json_text.
+    tree = _modules()["cli.py"]
+    found = sorted(
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "str"
+    )
+    assert found == ["_fraction_text", "_json_text"]
+
+
 def test_verify_does_not_import_rbf_at_run_time():
     # rbf imports verify to judge each truthful run, so verify does not
     # import rbf; the run record it checks lives in core.
