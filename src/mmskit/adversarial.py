@@ -78,7 +78,7 @@ class HardInstanceSpec:
             values = self.n * (2 * self.n + 1 + 3 * ((4 * self.n - 2) // 3 - self.n))
         if values > FAMILY_MAX_VALUES:
             raise InputError(
-                f"{self.family} family would hold {values} values, more than {FAMILY_MAX_VALUES}"
+                f"{self.family} family would hold {short_repr(values, str)} values, more than {FAMILY_MAX_VALUES}"
             )
 
 
@@ -145,7 +145,7 @@ def gen_hard1(n: int, i: int, epsilon: Fraction) -> Hard1Family:
     HardInstanceSpec("hard1", n, i=i)
     epsilon = as_fraction(epsilon)
     if epsilon <= 0 or epsilon.numerator != 1:
-        raise InputError(f"epsilon must be a positive unit fraction, got {epsilon}")
+        raise InputError(f"epsilon must be a positive unit fraction, got {short_repr(epsilon, str)}")
     if n / epsilon < 2 * n + i - 1:
         raise InputError("epsilon too large: flat agents need >= 2n+i-1 goods")
     if n / epsilon > HARD1_MAX_GOODS:
@@ -238,8 +238,11 @@ class ScriptedHard2Responder:
 
     def choose_bag(self, open_bags: list[int]) -> int:
         """The first open bag after the last one filled, wrapping around."""
-        later = [b for b in open_bags if b > self.last_filled]
-        self.last_filled = later[0] if later else open_bags[0]
+        try:
+            later = [b for b in open_bags if b > self.last_filled]
+            self.last_filled = later[0] if later else open_bags[0]
+        except (IndexError, TypeError) as exc:
+            raise InputError(f"no open bag to choose in {short_repr(open_bags)}") from exc
         return self.last_filled
 
 

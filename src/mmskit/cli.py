@@ -140,16 +140,14 @@ def _load_json(path: str) -> Any:
         raise InputError(f"{path} is not valid JSON: nested too deeply") from None
 
 
-# Writes what _json_text does not: floats, dicts with keys that are not
-# strings, and anything json cannot encode, which raises its TypeError.
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
-
-
 def _json_text(value: Any, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, with
     ``newline`` (a line break and the current indent) starting each line after
     the first. json's own indented encoder runs in pure Python, one call per
-    token; this one writes a list of ints with one ``str.join``."""
+    token; this one writes a list of ints with one ``str.join``. It writes
+    what the CLI emits: None, bools, ints, strs, lists, tuples and dicts with
+    str keys. Any other value, a float or an int key among them, raises
+    TypeError."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -170,13 +168,13 @@ def _json_text(value: Any, newline: str = "\n") -> str:
         else:
             body = sep.join([_json_text(v, inner) for v in value])
         return "[" + inner + body + newline + "]"
-    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+    if isinstance(value, dict):
         if not value:
             return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
         body = sep.join([encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())])
         return "{" + inner + body + newline + "}"
-    # json escapes every line break inside a string, so each one here is the indent's
-    return _ENCODER.encode(value).replace("\n", newline)
+    raise TypeError(f"the CLI writes no {value.__class__.__name__}: {short_repr(value)}")
 
 
 def _emit(payload: Any, output: str | None) -> None:
@@ -390,7 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(p: argparse.ArgumentParser) -> None:  # only subcommands that search
-        p.add_argument("--node-budget", type=int, default=None, help="search node budget")
+        p.add_argument(
+            "--node-budget", type=int, default=None,
+            help="nodes of each share search, one per distinct agent row (ordinal may run about 2n); default 10^7",
+        )
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", default=None, help="write JSON here instead of stdout")

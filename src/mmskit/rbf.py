@@ -15,7 +15,7 @@ from typing import Iterable, Protocol, Sequence
 
 from .core import (
     MAX_N, Allocation, BagEvent, Instance, PriorityRanking, ReductionEvent, ThresholdList, Transcript,
-    _as_index_set, check_int, check_ranked,
+    _as_index_set, check_int, check_ranked, short_repr,
 )
 from .errors import GuaranteeViolation, InputError
 from . import oracle, verify
@@ -129,7 +129,10 @@ class TruthfulResponder:
         return goods.total(self._ints[agent], self._sums[agent])
 
     def choose_bag(self, open_bags: list[int]) -> int:
-        return open_bags[0]
+        try:
+            return open_bags[0]
+        except (IndexError, TypeError) as exc:
+            raise InputError(f"no open bag to choose in {short_repr(open_bags)}") from exc
 
 
 def priority_thresholds(n: int) -> ThresholdList:
@@ -146,14 +149,18 @@ def priority_thresholds(n: int) -> ThresholdList:
 
 def reduction_shapes(goods: Iterable[int], agents_left: int) -> list[frozenset[int]]:
     """Phase 1's four order-statistic bundles, types 1..4, over ``goods``,
-    which are sorted once for all four."""
+    which are sorted once for all four. Goods that cannot be sorted or
+    hashed raise InputError."""
     k = check_int("agents_left", agents_left, 1)
-    ranked = sorted(goods)
-    size = len(ranked)
-    return [
-        frozenset(ranked[j - 1] for j in positions if j <= size)
-        for positions in ((1,), (k, k + 1), (2 * k - 1, 2 * k, 2 * k + 1), (1, 2 * k + 1))
-    ]
+    try:
+        ranked = sorted(goods)
+        size = len(ranked)
+        return [
+            frozenset(ranked[j - 1] for j in positions if j <= size)
+            for positions in ((1,), (k, k + 1), (2 * k - 1, 2 * k, 2 * k + 1), (1, 2 * k + 1))
+        ]
+    except TypeError as exc:
+        raise InputError(f"not a collection of good indices: {short_repr(goods)}") from exc
 
 
 def run_rbf(

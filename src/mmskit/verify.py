@@ -22,7 +22,6 @@ from .core import (
     ThresholdList,
     Transcript,
     as_fraction,
-    bundle_value,
     check_int,
     check_ranked,
     check_sequence,
@@ -55,16 +54,18 @@ def check_targets(inst: Instance, alloc: Allocation, targets: Sequence[RationalL
     """Agent i passes when her bundle is worth at least ``targets[i]``; the
     comparison is exact and inclusive, cross-multiplied in ints. The
     allocation is checked first, then that there is one target per agent,
-    each a rational (``as_fraction``)."""
+    each a rational (``as_fraction``). Once checked, each bundle is summed
+    over the agent's ints unchecked."""
     inst.check_allocation(alloc)
     targets = check_sequence("targets", targets, "rationals")
     if len(targets) != inst.num_agents:
         raise InputError(f"instance has {inst.num_agents} agents, {len(targets)} targets")
     checks = []
     for i, target in enumerate([as_fraction(t) for t in targets]):
-        value = bundle_value(inst, i, alloc.bundles[i])
-        ok = value.numerator * target.denominator >= target.numerator * value.denominator
-        checks.append(AgentCheck(i, value, target, ok))
+        ints, scale = inst.scaled[i]
+        total = sum(ints[g] for g in alloc.bundles[i])
+        ok = total * target.denominator >= target.numerator * scale
+        checks.append(AgentCheck(i, Fraction(total, scale), target, ok))
     return GuaranteeReport(tuple(checks))
 
 
@@ -191,27 +192,17 @@ def check_witness(inst: Instance, agent: int, witness: Partition) -> tuple[str, 
     return tuple(f"witness part worth {Fraction(s, scale)} != 1" for s in sums if s != scale)
 
 
-def unit_share_violations(
-    inst: Instance, d: int, witnesses: Sequence[Partition] | None = None
-) -> tuple[str, ...]:
+def unit_share_violations(inst: Instance, d: int) -> tuple[str, ...]:
     """Violations of the ordered unit-share input at d, empty if none.
 
     Such an input has non-increasing rows, each totalling d, and a d-part
-    partition worth exactly 1 per part. An unordered instance has one
-    violation, ``UNORDERED``. Otherwise these come in order: each agent whose
-    total is not d, each agent whose good 0 is worth more than 1, and, when
-    ``witnesses`` (one per agent) are given, each ``check_witness`` violation.
-    A d that is not an int >= 0 raises InputError.
+    partition worth exactly 1 per part, which ``check_witness`` checks where
+    the partition is made. An unordered instance has one violation,
+    ``UNORDERED``. Otherwise these come in order: each agent whose total is
+    not d, then each agent whose good 0 is worth more than 1. A d that is not
+    an int >= 0 raises InputError.
     """
     check_int("d", d, 0)
-    n = inst.num_agents
-    if witnesses is not None:
-        witnesses = check_sequence("witnesses", witnesses, "partitions")
-        if len(witnesses) != n:
-            raise InputError(f"need one witness partition per agent: {len(witnesses)} for {n} agents")
-        for i, witness in enumerate(witnesses):
-            if not isinstance(witness, Partition):
-                raise InputError(f"witness {i} is not a Partition: {short_repr(witness)}")
     if not inst.ordered:
         return (UNORDERED,)
     violations = [
@@ -223,14 +214,10 @@ def unit_share_violations(
         f"agent {i} values good 0 at {short_repr(Fraction(ints[0], scale), str)} > 1, above a unit share"
         for i, (ints, scale) in enumerate(inst.scaled) if ints and ints[0] > scale
     ]
-    for i, witness in enumerate(witnesses or ()):
-        violations += [f"agent {i}: {v}" for v in check_witness(inst, i, witness)]
     return tuple(violations)
 
 
-def check_unit_share_structure(
-    inst: Instance, d: int, witnesses: Sequence[Partition] | None = None
-) -> tuple[str, ...]:
+def check_unit_share_structure(inst: Instance, d: int) -> tuple[str, ...]:
     """Violations of the ordered d-normalized structure facts, empty if none.
 
     Needs 1 <= d <= ``oracle.MAX_PARTS`` and m >= 2d. Reports the
@@ -244,7 +231,7 @@ def check_unit_share_structure(
     check_int("d", d, 1, oracle.MAX_PARTS)
     if m < 2 * d:
         raise InputError(f"need at least 2d = {2 * d} goods, got {m}")
-    violations = list(unit_share_violations(inst, d, witnesses))
+    violations = list(unit_share_violations(inst, d))
     if not inst.ordered:  # positions are read as ranks
         return tuple(violations)
     # Each fact compares the agent's ints against multiples of her L; a

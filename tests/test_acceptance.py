@@ -35,7 +35,7 @@ from mmskit.bobw import (
     verify_gamma_bound_range,
     verify_hard_bound_range,
 )
-from mmskit.verify import check_unit_share_structure
+from mmskit.verify import check_unit_share_structure, check_witness
 
 from _instances import bag_owners, random_instance, random_normalized_ordered
 from _reference import mms_naive
@@ -259,7 +259,8 @@ def test_criterion_8_structural_suite():
         d = n if structure_runs % 2 == 0 else rng.randint(1, 8)
         m = rng.randint(2 * d, 2 * d + 4)
         inst, witnesses = random_normalized_ordered(rng, n, m, d=d)
-        assert check_unit_share_structure(inst, d, witnesses) == ()
+        assert check_unit_share_structure(inst, d) == ()
+        assert all(check_witness(inst, i, w) == () for i, w in enumerate(witnesses))
         structure_runs += 1
 
     # Oracle equivalence on 300 instances.

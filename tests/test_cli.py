@@ -146,12 +146,12 @@ _EMIT_INTS = st.one_of(
     st.integers(-1, 1).map(lambda sign: sign * (10**3999 + 12345)),  # 4000 digits
 )
 _EMIT_PAYLOADS = st.recursive(
-    st.one_of(st.none(), st.booleans(), _EMIT_INTS, _EMIT_TEXT, st.floats()),
+    st.one_of(st.none(), st.booleans(), _EMIT_INTS, _EMIT_TEXT),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
+        st.tuples(children, children),
         st.lists(_EMIT_INTS, max_size=5),  # the one-join path
         st.dictionaries(_EMIT_TEXT, children, max_size=4),
-        st.dictionaries(st.integers(-3, 3), children, max_size=3),  # json's own encoder writes these
     ),
     max_leaves=25,
 )
@@ -168,6 +168,12 @@ def test_emit_writes_the_text_of_json_dumps_byte_for_byte(tmp_path_factory, payl
     path = tmp_path_factory.mktemp("emit") / "out.json"
     cli._emit(payload, str(path))
     assert path.read_bytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize("payload", [0.5, [1, 2.0], {"a": {1: "b"}}], ids=["float", "float-in-list", "int-key"])
+def test_json_text_raises_a_type_error_on_what_the_cli_does_not_write(payload):
+    with pytest.raises(TypeError):
+        cli._json_text(payload)
 
 
 def _unwritable_stdout_run(argv, stdout) -> subprocess.CompletedProcess:
@@ -652,9 +658,11 @@ def test_one_bobw_op_values_and_checks_each_rotation_once(monkeypatch, instance_
     for module in [m for name, m in sys.modules.items() if name.startswith("mmskit.")]:
         if hasattr(module, "bundle_value"):
             monkeypatch.setattr(module, "bundle_value", counted("bundle_value", module.bundle_value))
+    monkeypatch.setattr(Instance, "check_goods", counted("check_goods", Instance.check_goods))
     inst, _ = random_normalized_ordered(random.Random(6), 6, 14)
     assert main(["bobw", instance_file(inst)]) == EXIT_OK
-    assert calls == {"check_targets": 6, "check_transcript": 6, "bundle_value": 36}
+    # check_targets checks each rotation's 6 bundles and unallocated goods once, and sums them itself
+    assert calls == {"check_targets": 6, "check_transcript": 6, "check_goods": 42}
 
 
 @pytest.mark.parametrize(

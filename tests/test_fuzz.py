@@ -1,10 +1,11 @@
 """Odd arguments to the public functions end in a result or a typed error.
 
-Every public function of the covered modules is called with each parameter
-either valid or drawn from odd values: ints out of range, bools, floats,
-strings, None and short lists. Any exception but an ``MmsKitError`` fails,
-except the documented ``TypeError`` or ``AttributeError`` when a parameter
-whose type is a library record gets something else.
+Every public function of the covered modules, and each responder method the
+threshold allocator calls, is called with each parameter either valid or
+drawn from odd values: ints out of range, bools, floats, strings, None and
+short lists. Any exception but an ``MmsKitError`` fails, except the
+documented ``TypeError`` or ``AttributeError`` when a parameter whose type
+is a library record gets something else.
 """
 
 import inspect
@@ -20,21 +21,28 @@ from mmskit import (
     MmsKitError,
     Partition,
     PriorityRanking,
+    adversarial,
     bobw,
     ordinal,
     priority_thresholds,
+    rbf,
     transform,
     verify,
 )
 from mmskit.core import MAX_N, ThresholdList, check_int
 
-_MODULES = (bobw, ordinal, transform, verify)
+_MODULES = (adversarial, bobw, ordinal, rbf, transform, verify)
 _RECORDS = {
     "Instance", "Allocation", "Partition", "ThresholdList", "PriorityRanking", "Transcript", "AllocationDistribution",
+    "ValueResponder", "HardInstanceSpec", "Bag",
 }
 
 _UNIT_PAIR = Instance.from_rows([["1/2"] * 4] * 2)
 _SPLIT = Allocation(({0, 1}, {2, 3}))
+_RESPONDERS = (
+    rbf.TruthfulResponder(_UNIT_PAIR),
+    adversarial.ScriptedHard2Responder(adversarial.gen_hard2_responders(2, 2, 1, 0, 3)),
+)
 # One valid value per parameter name; each call with these returns.
 _VALID = {
     "inst": _UNIT_PAIR,
@@ -52,7 +60,6 @@ _VALID = {
     "node_budget": None,
     "partition": Partition(({0, 1}, {2, 3})),
     "witness": Partition(({0, 1}, {2, 3})),
-    "witnesses": (Partition(({0, 1}, {2, 3})),) * 2,
     "agent": 1,
     "targets": (Fraction(1), 1),
     "ranking": PriorityRanking.identity(2),
@@ -63,7 +70,27 @@ _VALID = {
     "alloc": _SPLIT,
     "original": _UNIT_PAIR,
     "survivors": (1, 0),
+    "goods": range(5),
+    "agents_left": 2,
+    "responder": _RESPONDERS[0],
+    "open_bags": [0, 1],
+    "i": 3,
+    "epsilon": Fraction(1, 12),
+    "k1": 1,
+    "k2": 0,
+    "t": 3,
+    "spec": adversarial.HardInstanceSpec("hard1", 3, i=3),
 }
+# Where one function reads a name as something else.
+_VALID_FOR = {
+    ("value", "goods"): rbf.Bag({0, 1}),
+    ("demonstrate_failure", "thresholds"): None,
+}
+
+
+def _valid(f, name):
+    return _VALID_FOR.get((f.__name__, name), _VALID[name])
+
 
 # Ints out of range are picked, not drawn: an in-range n, hi or p of a
 # thousand digits is a valid, and slow, call.
@@ -83,16 +110,18 @@ _FUNCTIONS = [
     for module in _MODULES
     for name, f in sorted(vars(module).items())
     if not name.startswith("_") and inspect.isfunction(f) and f.__module__ == module.__name__
-]
+] + [getattr(r, name) for r in _RESPONDERS for name in ("unit", "value", "choose_bag")]
 
 
 def test_every_public_function_has_a_valid_call():
-    assert len(_FUNCTIONS) == 28  # 12 in bobw, 2 in ordinal, 6 in transform, 8 in verify
+    # 4 in adversarial, 12 in bobw, 2 in ordinal, 5 in rbf, 6 in transform,
+    # 8 in verify, and 3 methods of each responder
+    assert len(_FUNCTIONS) == 43
     for f in _FUNCTIONS:
-        f(**{name: _VALID[name] for name in inspect.signature(f).parameters})
+        f(**{name: _valid(f, name) for name in inspect.signature(f).parameters})
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=450, deadline=None, derandomize=True)
 @given(st.data())
 def test_odd_arguments_end_in_a_result_or_a_typed_error(data):
     f = data.draw(st.sampled_from(_FUNCTIONS), label="function")
@@ -100,9 +129,9 @@ def test_odd_arguments_end_in_a_result_or_a_typed_error(data):
     for name, parameter in inspect.signature(f).parameters.items():
         if data.draw(st.booleans(), label=f"{name} is odd"):
             args[name] = data.draw(_ODD, label=name)
-            odd_record |= parameter.annotation in _RECORDS
+            odd_record |= parameter.annotation.removesuffix(" | None") in _RECORDS
         else:
-            args[name] = _VALID[name]
+            args[name] = _valid(f, name)
     try:
         f(**args)
     except MmsKitError:
@@ -126,10 +155,14 @@ _MENDED = [
     (check_int, ("x", -(10**5000), 0)),
     (Instance.from_rows, ([[-(10**5000)]],)),
     (ThresholdList, ((Fraction(10**5000, 3),),)),
-    (verify.unit_share_violations, (_UNIT_PAIR, 2, [0, 1])),
-    (verify.check_unit_share_structure, (_UNIT_PAIR, 2, (None, None))),
+    (rbf.reduction_shapes, (5, 2)),
+    (rbf.reduction_shapes, ([[0]], 2)),
     (verify.unit_share_violations, (_UNIT_PAIR, 2.5)),
     (verify.unit_share_violations, (_UNIT_PAIR, "x")),
+    (_RESPONDERS[0].choose_bag, ([],)),
+    (_RESPONDERS[1].choose_bag, ([],)),
+    (adversarial.gen_ordinal_tight, (10**5000,)),
+    (adversarial.gen_hard1, (3, 3, 10**5000)),
 ]
 
 

@@ -18,7 +18,7 @@ from mmskit import (
 )
 from mmskit.adversarial import gen_ordinal_tight
 from mmskit.core import scale_row
-from mmskit.verify import AgentCheck, GuaranteeReport, check_transcript, unit_share_violations
+from mmskit.verify import AgentCheck, GuaranteeReport, check_transcript, check_witness, unit_share_violations
 
 from _instances import bag_owners, fills, random_instance, random_normalized_ordered
 
@@ -75,7 +75,8 @@ def test_assigned_bags_meet_the_unit_target():
         d = 4 * ((n + 2) // 3)
         m = rng.randint(max(2 * n, d), 2 * n + 6)
         inst, wits = random_normalized_ordered(rng, n, m, d=d)
-        assert unit_share_violations(inst, d, wits) == ()
+        assert unit_share_violations(inst, d) == ()
+        assert all(check_witness(inst, i, w) == () for i, w in enumerate(wits))
         alloc, tr = run_ordinal(inst)
         assert not tr.ran_out_of_goods
         for agent in bag_owners(tr):
@@ -137,7 +138,8 @@ def test_transcripts_of_random_ordered_normalized_instances_are_well_formed():
         d = rng.choice((n, 4 * ((n + 2) // 3)))
         m = rng.randint(max(2 * n, d), 2 * n + 8)
         inst, wits = random_normalized_ordered(rng, n, m, d=d)
-        assert unit_share_violations(inst, d, wits) == ()
+        assert unit_share_violations(inst, d) == ()
+        assert all(check_witness(inst, i, w) == () for i, w in enumerate(wits))
         _assert_well_formed(inst, *run_ordinal(inst))
 
 

@@ -207,10 +207,13 @@ def test_no_guarantee_check_takes_a_share_on_trust():
 
 def test_each_witness_is_checked_once_where_it_is_made(monkeypatch):
     # run_1_out_of_d checks each witness of normalize on the normalized
-    # instance; run_ordinal takes no witnesses, and no witness is carried
-    # to the sorted positions, so the trusted construction has one caller.
+    # instance; run_ordinal and the unit-share checks take no witnesses, and
+    # no witness is carried to the sorted positions, so the trusted
+    # construction has one caller.
     assert not hasattr(transform, "permute_partition")
     assert list(inspect.signature(run_ordinal).parameters) == ["inst"]
+    for check in (verify.unit_share_violations, verify.check_unit_share_structure):
+        assert list(inspect.signature(check).parameters) == ["inst", "d"]
     modules = _modules()
     callers = {
         (path, func.name)
@@ -522,7 +525,6 @@ _SEQUENCES = [
     ("Partition", "parts", Partition, "good collections"),
     ("check_targets", "targets", lambda v: verify.check_targets(_PAIR, _PAIR_ALLOCATION, v), "rationals"),
     ("reinstate", "survivors", lambda v: reinstate(_PAIR_ALLOCATION, _PAIR, v), "agent indices"),
-    ("unit_share_violations", "witnesses", lambda v: verify.unit_share_violations(_UNIT_PAIR, 2, v), "partitions"),
 ]
 
 

@@ -25,7 +25,7 @@ from mmskit import (
 )
 from mmskit.adversarial import ScriptedHard2Responder
 from mmskit.cli import allocation_to_json, transcript_to_json
-from mmskit.verify import check_unit_share_structure
+from mmskit.verify import check_unit_share_structure, check_witness
 
 from _instances import random_normalized_ordered, unit_share_rows
 
@@ -237,7 +237,8 @@ def test_bag_pair_bounds_on_unit_share_instances():
         n = rng.randint(1, 6)
         m = rng.randint(2 * n, 2 * n + 5)
         inst, witnesses = random_normalized_ordered(rng, n, m)
-        assert check_unit_share_structure(inst, n, witnesses) == ()
+        assert check_unit_share_structure(inst, n) == ()
+        assert all(check_witness(inst, i, w) == () for i, w in enumerate(witnesses))
 
 
 # ---------------------------------------------------------------------------

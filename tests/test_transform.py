@@ -19,7 +19,7 @@ from mmskit.transform import (
     unpick,
 )
 from mmskit.ordinal import run_1_out_of_d
-from mmskit.verify import check_1_out_of_d, check_unit_share_structure, equivalence_expand
+from mmskit.verify import check_1_out_of_d, check_unit_share_structure, check_witness, equivalence_expand
 
 from _instances import random_instance, random_normalized_ordered
 
@@ -147,7 +147,8 @@ def test_unit_share_structure_on_constructed_instances():
         d = rng.randint(1, 6)
         m = rng.randint(2 * d, 2 * d + 4)
         inst, witnesses = random_normalized_ordered(rng, n, m, d=d)
-        assert check_unit_share_structure(inst, d, witnesses) == ()
+        assert check_unit_share_structure(inst, d) == ()
+        assert all(check_witness(inst, i, w) == () for i, w in enumerate(witnesses))
 
 
 def test_unit_share_structure_after_real_normalization():

@@ -13,7 +13,6 @@ from mmskit import (
     Partition,
     PriorityRanking,
     TruthfulResponder,
-    bundle_value,
     check_1_out_of_d,
     check_t_mms,
     check_transcript,
@@ -115,8 +114,8 @@ _ONE_EACH = Allocation(({0}, {1}))
     ],
 )
 def test_check_targets_checks_its_input_then_compares_exactly(monkeypatch, alloc, targets, expected):
-    # The allocation first, then one rational target per agent, all before any
-    # comparison; and the oracle is never called.
+    # The allocation first, then one rational target per agent; the oracle is
+    # never called, and each set of goods is checked once.
     inst = Instance.from_rows([[1, 1], [1, 1]])
 
     def no_oracle(*args, **kwargs):
@@ -124,22 +123,22 @@ def test_check_targets_checks_its_input_then_compares_exactly(monkeypatch, alloc
 
     monkeypatch.setattr(oracle, "mms", no_oracle)
     monkeypatch.setattr(oracle, "mms_all", no_oracle)
-    compared = []
+    checked = []
+    check_goods = Instance.check_goods
 
-    def counted(inst, i, goods):
-        compared.append(i)
-        return bundle_value(inst, i, goods)
+    def counted(self, goods):
+        checked.append(goods)
+        return check_goods(self, goods)
 
-    monkeypatch.setattr(verify, "bundle_value", counted)
+    monkeypatch.setattr(Instance, "check_goods", counted)
     if isinstance(expected, str):
         with pytest.raises(InputError, match=expected):
             check_targets(inst, alloc, targets)
-        assert compared == []
         return
     report = check_targets(inst, alloc, targets)
     assert [(c.target, c.ok) for c in report.checks] == expected
     assert all(type(c.target) is Fraction for c in report.checks)
-    assert compared == [0, 1]
+    assert checked == [*alloc.bundles, alloc.unallocated]
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +299,11 @@ def test_witness_check_reports_coverage_and_part_values():
     )
 
 
-def test_witness_check_checks_the_agent_once_and_sums_the_ints_itself(monkeypatch):
+def test_witness_check_checks_the_agent_once_and_sums_the_ints_itself():
     # The cover check proves every part's goods, so no part goes through
-    # bundle_value; the agent is checked before the cover.
-    def no_call(*args):
-        raise AssertionError("bundle_value called")
-
-    monkeypatch.setattr(verify, "bundle_value", no_call)
+    # bundle_value, which verify does not import; the agent is checked before
+    # the cover.
+    assert not hasattr(verify, "bundle_value")
     inst = Instance.from_rows([["3/4", "1/4", "1/2", "1/2"]])
     assert check_witness(inst, 0, Partition(({0, 1}, {2, 3}))) == ()
     assert check_witness(inst, 0, Partition(({0, 2}, {1, 3}))) == (
@@ -317,30 +314,11 @@ def test_witness_check_checks_the_agent_once_and_sums_the_ints_itself(monkeypatc
         check_witness(inst, 1, Partition(({0},)))
 
 
-def test_unit_share_structure_checks_witness_coverage():
-    # Every part is worth 1, but good 3 is in no part.
-    inst = Instance.from_rows([[Fraction(1, 2)] * 4])
-    short = Partition(({0, 1}, {2}))
-    assert check_unit_share_structure(inst, 2, (Partition(({0, 1}, {2, 3})),)) == ()
-    assert check_unit_share_structure(inst, 2, (short,)) == (
-        "agent 0: witness does not cover exactly the 4 goods",
-    )
-
-
 @pytest.mark.parametrize("d", [0, -1])
 def test_unit_share_structure_rejects_d_below_one(d):
     inst = Instance.from_rows([[Fraction(1, 2)] * 4])
     with pytest.raises(InputError, match="d must be >= 1"):
         check_unit_share_structure(inst, d)
-
-
-def test_unit_share_structure_needs_one_witness_per_agent():
-    inst = Instance.from_rows([[Fraction(1, 2)] * 4] * 2)
-    witness = Partition(({0, 1}, {2, 3}))
-    assert check_unit_share_structure(inst, 2, (witness,) * 2) == ()
-    for witnesses in ((witness,), (witness,) * 3):
-        with pytest.raises(InputError, match="one witness partition per agent"):
-            check_unit_share_structure(inst, 2, witnesses)
 
 
 @pytest.mark.parametrize(
@@ -474,71 +452,55 @@ def test_structure_checks_report_an_unordered_instance_as_such():
     witness = Partition((frozenset({0, 2, 3}), frozenset({1})))
     assert check_witness(inst, 0, witness) == ()
     assert UNORDERED == "instance is not ordered (some agent's values increase)"
-    assert check_unit_share_structure(inst, 2, (witness,)) == (UNORDERED,)
-    assert unit_share_violations(inst, 2, (witness,)) == (UNORDERED,)
+    assert check_unit_share_structure(inst, 2) == (UNORDERED,)
+    assert unit_share_violations(inst, 2) == (UNORDERED,)
 
 
 # ---------------------------------------------------------------------------
 # The ordered unit-share input of both allocators
 
 _HALVES = ["1/2"] * 4
-_HALVES_WITNESS = Partition(({0, 1}, {2, 3}))
 
 
-def _first_violation(inst, d, witnesses=None):
+def _first_violation(inst, d):
     """The message an allocator raises on this input at d, or None."""
-    try:
-        violations = unit_share_violations(inst, d, witnesses)
-    except InputError as exc:
-        return str(exc)
+    violations = unit_share_violations(inst, d)
     return violations[0] if violations else None
 
 
-# (rows, witnesses, TruthfulResponder's message, the message at the
-# witnesses' d). None is no violation.
+# (rows, TruthfulResponder's message, the message at d = 2). None is no violation.
 _BAD_UNIT_SHARE_INPUTS = {
-    "unordered": ([_HALVES, [0, 1, 0, 1]], (_HALVES_WITNESS,) * 2, UNORDERED, UNORDERED),
+    "unordered": ([_HALVES, [0, 1, 0, 1]], UNORDERED, UNORDERED),
     "total": (
         [_HALVES, ["1/4"] * 4],
-        (_HALVES_WITNESS,) * 2,
         "agent 1 values all goods at 1, expected 2 for a 2-normalized instance",
         "agent 1 values all goods at 1, expected 2 for a 2-normalized instance",
     ),
-    "total-at-witness-d": (
+    "total-at-d-2": (
         [["1/2", "1/2", "1/2", "1/4"]],
-        (_HALVES_WITNESS,),
         "agent 0 values all goods at 7/4, expected 1 for a 1-normalized instance",
         "agent 0 values all goods at 7/4, expected 2 for a 2-normalized instance",
     ),
-    # The witness misses too, but a good above 1 comes first.
     "good-over-1": (
         [_HALVES, ["3/2", "1/4", "1/4", "0"]],
-        (_HALVES_WITNESS,) * 2,
         "agent 1 values good 0 at 3/2 > 1, above a unit share",
         "agent 1 values good 0 at 3/2 > 1, above a unit share",
     ),
-    "no-goods": ([[], []], None, "agent 0 values all goods at 0, expected 2 for a 2-normalized instance", None),
-    "witness": (
-        [_HALVES, _HALVES],
-        (_HALVES_WITNESS, Partition(({0, 1, 2}, {3}))),
-        None,
-        "agent 1: witness part worth 3/2 != 1",
+    "no-goods": (
+        [[], []],
+        "agent 0 values all goods at 0, expected 2 for a 2-normalized instance",
+        "agent 0 values all goods at 0, expected 2 for a 2-normalized instance",
     ),
-    "witness-count": (
-        [_HALVES, _HALVES],
-        (_HALVES_WITNESS,),
-        None,
-        "need one witness partition per agent: 1 for 2 agents",
-    ),
+    "unit-shares": ([_HALVES, _HALVES], None, None),
 }
 
 
 @pytest.mark.parametrize(
-    "rows, witnesses, responder_message, witness_message",
+    "rows, responder_message, message_at_2",
     _BAD_UNIT_SHARE_INPUTS.values(),
     ids=_BAD_UNIT_SHARE_INPUTS.keys(),
 )
-def test_both_allocators_raise_the_first_unit_share_violation(rows, witnesses, responder_message, witness_message):
+def test_both_allocators_raise_the_first_unit_share_violation(rows, responder_message, message_at_2):
     inst = Instance.from_rows(rows)
     n = inst.num_agents
     assert _first_violation(inst, n) == responder_message
@@ -548,8 +510,7 @@ def test_both_allocators_raise_the_first_unit_share_violation(rows, witnesses, r
         with pytest.raises(InputError) as info:
             TruthfulResponder(inst)
         assert str(info.value) == responder_message
-    if witnesses is not None:
-        assert _first_violation(inst, witnesses[0].d, witnesses) == witness_message
+    assert _first_violation(inst, 2) == message_at_2
 
 
 def test_unit_share_violations_show_a_d_past_the_digit_limit_by_its_size():
@@ -560,13 +521,9 @@ def test_unit_share_violations_show_a_d_past_the_digit_limit_by_its_size():
     )
 
 
-def test_unit_share_violations_come_totals_first_then_top_goods_then_witnesses():
+def test_unit_share_violations_come_totals_first_then_top_goods():
     inst = Instance.from_rows([["3/2", "1/4", "1/4", "0"], ["1/2", "1/2", "1/2", "1/4"]])
-    assert unit_share_violations(inst, 2, (_HALVES_WITNESS,) * 2) == (
+    assert unit_share_violations(inst, 2) == (
         "agent 1 values all goods at 7/4, expected 2 for a 2-normalized instance",
         "agent 0 values good 0 at 3/2 > 1, above a unit share",
-        "agent 0: witness part worth 7/4 != 1",
-        "agent 0: witness part worth 1/4 != 1",
-        "agent 1: witness part worth 3/4 != 1",
     )
-    assert unit_share_violations(inst, 2) == unit_share_violations(inst, 2, (_HALVES_WITNESS,) * 2)[:2]
