@@ -86,7 +86,9 @@ class ValueResponder(Protocol):
     goes into.
 
     ``value`` is an int count of ``1/unit(agent)``, and ``unit`` a positive
-    int, so that each query is decided by one int comparison.
+    int, so that each query is decided by one int comparison. Within a run,
+    ``value(agent, bag)`` must depend only on the agent and the bag's goods:
+    ``run_rbf`` skips questions whose answers it already has.
     """
 
     num_agents: int
@@ -179,6 +181,14 @@ def run_rbf(
     go to the remaining agents in rank order and the run is flagged, not
     failed. The responder gives the number of agents n and of goods m, and
     each agent's unit, asked once per run.
+
+    An answer depends only on the agent and the goods, and the waiting
+    agents only shrink, so two rules skip questions whose answers the run
+    already has. Phase 1 skips a shape that every waiting agent declined
+    before; a hit shape's goods leave the pool, so it never comes back. A
+    fill follows a round in which every waiting agent declined every open
+    bag, so the round after a fill asks only about the filled bag; the first
+    round, and the round after an assign, ask about every open bag.
     """
     n = check_int("n", responder.num_agents, 1)
     m = check_int("m", responder.num_goods, 0)
@@ -202,11 +212,12 @@ def run_rbf(
     reductions: list[ReductionEvent] = []
 
     # Phase 1: reductions.
+    declined: set[frozenset[int]] = set()  # shapes that every waiting agent declined
     while waiting and goods_left:
         shapes = reduction_shapes(goods_left, len(waiting))
         hit = None
         for shape_idx, shape in enumerate(shapes, start=1):
-            if not shape:
+            if not shape or shape in declined:
                 continue
             bag = Bag(shape)
             for agent in waiting:
@@ -216,6 +227,7 @@ def run_rbf(
                     break
             if hit:
                 break
+            declined.add(shape)
         if hit is None:
             break
         shape_idx, agent, shape = hit
@@ -245,6 +257,7 @@ def run_rbf(
         initial_bags = tuple(bag.goods for bag in bags)
         loose = 2 * k
         open_bags = list(range(k))
+        asked = open_bags  # the open bags whose answers may have changed
         while waiting:
             if len(waiting) != len(open_bags):
                 raise GuaranteeViolation(
@@ -253,7 +266,7 @@ def run_rbf(
             hit = None
             for agent in waiting:
                 den, num = need[agent]
-                for b in open_bags:
+                for b in asked:
                     if value(agent, bags[b]) * den >= num:
                         hit = (agent, b)
                         break
@@ -265,14 +278,16 @@ def run_rbf(
                 satisfied[agent] = True
                 waiting.remove(agent)
                 open_bags.remove(b)
+                asked = open_bags
                 bag_events.append(BagEvent("assign", b, agent=agent))
             elif loose < len(ranked_goods):
                 g = ranked_goods[loose]
                 loose += 1
-                b = responder.choose_bag(list(open_bags))
+                b = check_int("chosen bag", responder.choose_bag(list(open_bags)))
                 if b not in open_bags:
                     raise InputError(f"responder picked a closed bag {b}")
                 bags[b] = bags[b].add(g)
+                asked = (b,)
                 bag_events.append(BagEvent("fill", b, good=g))
             else:
                 ran_out = True

@@ -141,6 +141,21 @@ def test_odd_arguments_end_in_a_result_or_a_typed_error(data):
             raise
 
 
+class _OddChoice(rbf.TruthfulResponder):
+    """Truthful answers; each loose good's bag is the first open bag's index
+    as ``kind``, a float or a bool."""
+
+    def __init__(self, instance, kind):
+        super().__init__(instance)
+        self.kind = kind
+
+    def choose_bag(self, open_bags):
+        return self.kind(open_bags[0])
+
+
+# Phase 1 takes nothing and phase 2's first round likes no bag, so a loose good is placed.
+_FILLS = Instance.from_rows([["1/2", "1/2", "1/4", "1/4", "1/4", "1/4"]] * 2)
+
 # Calls that raised a raw error before they were mended, some found by the
 # test above; each must now raise InputError.
 _MENDED = [
@@ -163,6 +178,8 @@ _MENDED = [
     (_RESPONDERS[1].choose_bag, ([],)),
     (adversarial.gen_ordinal_tight, (10**5000,)),
     (adversarial.gen_hard1, (3, 3, 10**5000)),
+    (rbf.run_rbf, (_OddChoice(_FILLS, float), ThresholdList.constant(2, 1))),
+    (rbf.run_rbf, (_OddChoice(_FILLS, bool), ThresholdList.constant(2, 1))),
 ]
 
 

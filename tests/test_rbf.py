@@ -1,6 +1,7 @@
 """Threshold allocator: reductions, bag filling, transcripts."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -279,8 +280,8 @@ def test_a_grown_bag_keeps_one_sum_per_chain():
 
 
 def test_a_grown_bag_is_first_asked_about_right_after_its_parent(monkeypatch):
-    # Phase 2 grows a bag only after every waiting agent was asked about
-    # every open bag, so a grown bag's first query finds its parent's sum
+    # A fill follows a round in which every waiting agent declined every
+    # open bag, so a grown bag's first query finds its parent's sum
     # stored, or has a root (never stored) as its parent. A change of query
     # order that leaves gaps would make Bag.total sum whole bags again.
     firsts = {"stored": 0, "root": 0, "other": 0}
@@ -345,6 +346,39 @@ def test_a_closed_bag_is_an_input_error():
     responder = _FlatResponder(2, 8, pick=lambda open_bags: 7)
     with pytest.raises(InputError, match="^responder picked a closed bag 7$"):
         run_rbf(responder, ThresholdList.constant(2, Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("choice", [0.0, True, "0", None])
+def test_a_chosen_bag_that_is_not_an_int_is_an_input_error(choice):
+    # 0.0 would index no bag, and True would pass as bag 1 into the transcript.
+    responder = _FlatResponder(2, 8, pick=lambda open_bags: choice)
+    with pytest.raises(InputError, match=f"^chosen bag must be an integer, got {re.escape(repr(choice))}$"):
+        run_rbf(responder, ThresholdList.constant(2, Fraction(1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Query counts
+
+
+def test_query_counts_are_pinned(monkeypatch):
+    # Asking a question again changes no answer, so only a count shows it.
+    queries = [0]
+
+    def counted(value):
+        def count(self, agent, goods):
+            queries[0] += 1
+            return value(self, agent, goods)
+
+        return count
+
+    for responder in (TruthfulResponder, ScriptedHard2Responder):
+        monkeypatch.setattr(responder, "value", counted(responder.value))
+    inst = Instance.from_rows(unit_share_rows(random.Random(2), 10, 32))
+    cyclic_rotation_distribution(inst, priority_thresholds(10))
+    assert queries == [594]
+    queries[0] = 0
+    demonstrate_failure(HardInstanceSpec("hard2", 14, i=14, k1=2, k2=2, t=3))
+    assert queries == [3160]
 
 
 # Fixed runs through each path of the engine, pinned to the transcript and
