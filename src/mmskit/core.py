@@ -110,9 +110,9 @@ def check_int(name: str, value: object, least: int | None = None, most: int | No
 
 def check_sequence(name: str, value: object, of: str) -> Sequence:
     """The one check of a parameter that takes plain data as a sequence: any
-    iterable but a string. Returns ``value``, as a tuple unless it is a list
-    or tuple; raises InputError naming ``name``, a sequence ``of`` what."""
-    if isinstance(value, str):
+    iterable but a string or bytes. Returns ``value``, as a tuple unless it is
+    a list or tuple; raises InputError naming ``name``, a sequence ``of`` what."""
+    if isinstance(value, (str, bytes, bytearray)):
         raise InputError(f"{name} must be a sequence of {of}, not a string: {short_repr(value)}")
     if not hasattr(value, "__iter__"):
         raise InputError(f"{name} must be a sequence of {of}, got {short_repr(value)}")
@@ -200,7 +200,7 @@ class Instance:
 
         scaled = []
         for i, row in enumerate(check_sequence("rows", rows, "rows")):
-            if isinstance(row, str):
+            if isinstance(row, (str, bytes, bytearray)):
                 raise InputError(f"row {i} is a string, not a sequence of values: {short_repr(row)}")
             if not hasattr(row, "__iter__"):
                 raise InputError(f"row {i} is not a sequence of values: {short_repr(row)}")

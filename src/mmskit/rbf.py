@@ -183,12 +183,12 @@ def run_rbf(
     each agent's unit, asked once per run.
 
     An answer depends only on the agent and the goods, and the waiting
-    agents only shrink, so two rules skip questions whose answers the run
-    already has. Phase 1 skips a shape that every waiting agent declined
-    before; a hit shape's goods leave the pool, so it never comes back. A
-    fill follows a round in which every waiting agent declined every open
-    bag, so the round after a fill asks only about the filled bag; the first
-    round, and the round after an assign, ask about every open bag.
+    agents only shrink, so the run asks no (agent, goods) question twice
+    within a phase. Phase 1 skips a shape that every waiting agent declined
+    before; a hit shape's goods leave the pool, so it never comes back.
+    Phase 2's scan gives each waiting agent, in rank order, the first open
+    bag she likes; then every waiting agent declines every open bag until
+    it is filled, so after a fill only the filled bag is asked about.
     """
     n = check_int("n", responder.num_agents, 1)
     m = check_int("m", responder.num_goods, 0)
@@ -257,44 +257,44 @@ def run_rbf(
         initial_bags = tuple(bag.goods for bag in bags)
         loose = 2 * k
         open_bags = list(range(k))
-        asked = open_bags  # the open bags whose answers may have changed
+
+        def assign(agent: int, b: int) -> None:
+            bundles[agent] = bags[b].goods
+            satisfied[agent] = True
+            waiting.remove(agent)
+            open_bags.remove(b)
+            bag_events.append(BagEvent("assign", b, agent=agent))
+        # The scan: each waiting agent, in rank order, takes the first open bag
+        # she likes. It walks a copy of waiting, which assign shrinks.
+        for agent in waiting[:]:
+            den, num = need[agent]
+            for b in open_bags:
+                if value(agent, bags[b]) * den >= num:
+                    assign(agent, b)
+                    break
+        # Every waiting agent now declines every open bag, and keeps declining
+        # it until it is filled: the fill loop asks only about the filled bag.
         while waiting:
             if len(waiting) != len(open_bags):
-                raise GuaranteeViolation(
-                    f"{len(waiting)} agents wait for {len(open_bags)} open bags"
-                )
-            hit = None
-            for agent in waiting:
-                den, num = need[agent]
-                for b in asked:
-                    if value(agent, bags[b]) * den >= num:
-                        hit = (agent, b)
-                        break
-                if hit:
-                    break
-            if hit is not None:
-                agent, b = hit
-                bundles[agent] = bags[b].goods
-                satisfied[agent] = True
-                waiting.remove(agent)
-                open_bags.remove(b)
-                asked = open_bags
-                bag_events.append(BagEvent("assign", b, agent=agent))
-            elif loose < len(ranked_goods):
-                g = ranked_goods[loose]
-                loose += 1
-                b = check_int("chosen bag", responder.choose_bag(list(open_bags)))
-                if b not in open_bags:
-                    raise InputError(f"responder picked a closed bag {b}")
-                bags[b] = bags[b].add(g)
-                asked = (b,)
-                bag_events.append(BagEvent("fill", b, good=g))
-            else:
+                raise GuaranteeViolation(f"{len(waiting)} agents wait for {len(open_bags)} open bags")
+            if loose == len(ranked_goods):
                 ran_out = True
                 for agent, b in zip(waiting, open_bags):
                     bundles[agent] = bags[b].goods
                     bag_events.append(BagEvent("leftover", b, agent=agent))
                 break
+            g = ranked_goods[loose]
+            loose += 1
+            b = check_int("chosen bag", responder.choose_bag(list(open_bags)))
+            if b not in open_bags:
+                raise InputError(f"responder picked a closed bag {b}")
+            bag = bags[b] = bags[b].add(g)
+            bag_events.append(BagEvent("fill", b, good=g))
+            for agent in waiting:
+                den, num = need[agent]
+                if value(agent, bag) * den >= num:
+                    assign(agent, b)
+                    break
     unallocated = frozenset(ranked_goods[loose:])
 
     alloc = Allocation(tuple(bundles), unallocated)

@@ -397,10 +397,16 @@ def test_integer_kernel_matches_fraction_recomputation(rows, sort_rows, data):
         (lambda: Instance(([1], 1), 1), "scaled[0] must be a pair (ints, L) with ints a tuple, got [1]"),
         (lambda: Instance((([1], 1),), 1), "scaled[0] must be a pair (ints, L) with ints a tuple, got ([1], 1)"),
         (lambda: Instance([((1,), 1)], 1), "scaled must be a tuple of (ints, L) pairs, got [((1,), 1)]"),
+        # Bytes would be read as a row of ints.
+        (lambda: Instance.from_rows([b"12"]), "row 0 is a string, not a sequence of values: b'12'"),
+        (
+            lambda: Instance.from_rows([[1, 2], bytearray(b"12")]),
+            "row 1 is a string, not a sequence of values: bytearray(b'12')",
+        ),
     ],
     ids=[
         "row", "later-row", "taus", "rows-int", "row-int", "taus-int", "scaled-row-not-a-pair",
-        "scaled-row-a-list", "scaled-ints-a-list", "scaled-a-list",
+        "scaled-row-a-list", "scaled-ints-a-list", "scaled-a-list", "row-bytes", "later-row-bytearray",
     ],
 )
 def test_malformed_library_input_is_a_one_line_input_error(build, message):

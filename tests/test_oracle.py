@@ -365,6 +365,58 @@ def test_scale_covariance():
         _witness_is_valid(scaled, 0, d, range(m), res)
 
 
+# ---------------------------------------------------------------------------
+# Metamorphic properties beyond the naive enumerator's 12 goods, which need no
+# reference: each relates two searches, or a search to its own witness.
+
+_PROPERTY_ROWS = st.one_of(
+    st.lists(st.integers(0, 60), min_size=13, max_size=20),
+    st.lists(st.builds("{}/{}".format, st.integers(0, 30), st.integers(1, 9)), min_size=13, max_size=20),
+)
+_PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@_PROPERTY_SETTINGS
+@given(row=_PROPERTY_ROWS)
+def test_the_share_does_not_increase_in_d(row):
+    inst = Instance.from_rows([row])
+    values = [mms(inst, 0, d).value for d in range(2, 6)]
+    assert values == sorted(values, reverse=True)
+
+
+@_PROPERTY_SETTINGS
+@given(row=_PROPERTY_ROWS, d=st.integers(2, 5), data=st.data())
+def test_adding_a_good_does_not_decrease_the_share(row, d, data):
+    inst = Instance.from_rows([row])
+    added = data.draw(st.integers(0, len(row) - 1))
+    fewer = [g for g in range(len(row)) if g != added]
+    assert mms(inst, 0, d, goods=fewer).value <= mms(inst, 0, d).value
+
+
+@_PROPERTY_SETTINGS
+@given(row=_PROPERTY_ROWS, d=st.integers(2, 5), data=st.data())
+def test_permuting_the_goods_keeps_the_value(row, d, data):
+    permuted = data.draw(st.permutations(row))
+    assert mms(Instance.from_rows([permuted]), 0, d).value == mms(Instance.from_rows([row]), 0, d).value
+
+
+@_PROPERTY_SETTINGS
+@given(row=_PROPERTY_ROWS, d=st.integers(2, 5), c=st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)))
+def test_the_value_and_its_witness_scale_with_the_row_and_fit_the_cheap_bound(row, d, c):
+    # The witness's smallest part is worth exactly the value, and the value is
+    # at most (total - top k goods) / (d - k) for each k < d: the d - k parts
+    # without the top k goods share what those goods leave.
+    inst = Instance.from_rows([row])
+    res = mms(inst, 0, d)
+    _witness_is_valid(inst, 0, d, range(len(row)), res)
+    top = sorted(inst.valuations[0], reverse=True)
+    total = sum(top)
+    assert all(res.value <= (total - sum(top[:k])) / (d - k) for k in range(d))
+    scaled = mms(Instance.from_rows([[c * v for v in inst.valuations[0]]]), 0, d)
+    assert scaled.value == c * res.value
+    assert scaled.witness == res.witness
+
+
 def test_determinism():
     rng = random.Random(15)
     inst = random_instance(rng, 1, 9)

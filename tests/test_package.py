@@ -530,8 +530,14 @@ _SEQUENCES = [
 
 @pytest.mark.parametrize("name, call, of", [row[1:] for row in _SEQUENCES], ids=[row[0] for row in _SEQUENCES])
 def test_every_sequence_parameter_is_checked_in_one_wording(name, call, of):
-    # A bare int was a raw TypeError; a string would be read as a sequence of characters.
-    for value, message in ((5, "got 5"), ("12", "not a string: '12'")):
+    # A bare int was a raw TypeError; a string would be read as a sequence of
+    # characters, and bytes as a sequence of ints.
+    for value, message in (
+        (5, "got 5"),
+        ("12", "not a string: '12'"),
+        (b"12", "not a string: b'12'"),
+        (bytearray(b"\x01"), "not a string: bytearray(b'\\x01')"),
+    ):
         with pytest.raises(InputError) as exc:
             call(value)
         assert str(exc.value) == f"{name} must be a sequence of {of}, {message}"

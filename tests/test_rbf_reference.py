@@ -4,12 +4,11 @@ threshold, and nothing remembered between queries.
 
 Both must produce the same allocation and transcript, or fail with the same
 error. The reference decides by asking every question the pseudocode asks,
-and counts twice: every query, and the queries that the allocator's two
-ask-once rules leave to ask. Those rules skip a reduction shape that every
-waiting agent declined before, and, after a fill, every open bag but the
-filled one. A responder subclass that overrides only ``value`` must see
-exactly the ask-once count, and never more than the full count: that hook is
-how perfbench counts ``rbf.queries``.
+and counts twice: every query, and the queries whose (agent, goods) pair was
+not asked before in the same phase. The allocator asks no question twice
+within a phase and skips none whose answer it lacks, so a responder subclass
+that overrides only ``value`` must see exactly the second count, and never
+more than the first: that hook is how perfbench counts ``rbf.queries``.
 """
 
 import random
@@ -38,15 +37,16 @@ def reference_rbf(n, m, value, choose_bag, thresholds, ranking):
     """Reductions and bag filling as the paper states them. ``value(agent,
     goods)`` is a Fraction for a frozenset of goods. Returns the allocation,
     the transcript, the number of value queries, and the number of those
-    that are ``fresh``: a shape not declined before, or a bag changed since
-    the last round."""
+    not asked before in the same phase."""
     queries = fresh_queries = 0
     tau = {agent: thresholds.taus[rank] for agent, rank in enumerate(ranking.rank_of)}
+    memo = set()  # the (agent, goods) questions asked in this phase
 
-    def likes(agent, goods, fresh):
+    def likes(agent, goods):
         nonlocal queries, fresh_queries
         queries += 1
-        fresh_queries += fresh
+        fresh_queries += (agent, goods) not in memo
+        memo.add((agent, goods))
         return value(agent, goods) >= tau[agent]
 
     agents = sorted(range(n), key=lambda a: ranking.rank_of[a])  # N, in rank order
@@ -54,7 +54,6 @@ def reference_rbf(n, m, value, choose_bag, thresholds, ranking):
     bundles = [frozenset()] * n
     satisfied = [False] * n
     reductions = []
-    declined = set()  # shapes every agent then waiting declined
     while agents and goods:
         k = len(agents)
         ranked = sorted(goods)
@@ -69,13 +68,12 @@ def reference_rbf(n, m, value, choose_bag, thresholds, ranking):
                 for t, s in enumerate(shapes, start=1)
                 if s
                 for a in agents
-                if likes(a, s, s not in declined)
+                if likes(a, s)
             ),
             None,
         )
         if hit is None:
             break
-        declined.update(shapes[: hit[0] - 1])
         t, a, s = hit
         reductions.append(ReductionEvent(t, s, a, len(agents), len(goods)))
         bundles[a] = s
@@ -84,6 +82,7 @@ def reference_rbf(n, m, value, choose_bag, thresholds, ranking):
         goods -= s
 
     phase2_agents, phase2_goods = frozenset(agents), frozenset(goods)
+    memo.clear()  # phase 2's first middle bag {k, k+1} can be a type-2 shape of phase 1
     events, initial, ran_out = [], (), False
     loose = sorted(goods)
     if agents:
@@ -96,22 +95,19 @@ def reference_rbf(n, m, value, choose_bag, thresholds, ranking):
         initial = tuple(bags)
         loose = loose[2 * k:]
         open_bags = list(range(k))
-        changed = set(open_bags)  # the bags changed since the last round
         while agents:
-            hit = next(((a, b) for a in agents for b in open_bags if likes(a, bags[b], b in changed)), None)
+            hit = next(((a, b) for a in agents for b in open_bags if likes(a, bags[b])), None)
             if hit is not None:
                 a, b = hit
                 bundles[a] = bags[b]
                 satisfied[a] = True
                 agents.remove(a)
                 open_bags.remove(b)
-                changed = set(open_bags)
                 events.append(BagEvent("assign", b, agent=a))
             elif loose:
                 g = loose.pop(0)
                 b = choose_bag(list(open_bags))
                 bags[b] = bags[b] | {g}
-                changed = {b}
                 events.append(BagEvent("fill", b, good=g))
             else:
                 ran_out = True
