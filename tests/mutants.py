@@ -6,10 +6,10 @@ A mutant is a (file, snippet, replacement, tests) row. The runner copies
 the snippet, which must occur exactly once, and runs only the mutant's tests
 there. Each listed test id (``path::function``, which selects every
 parametrization of the function) must fail; a mutant under which any of them
-passes survives.
+passes survives. An equivalent mutant, one that changes no behaviour a test
+could see, has no tests and a reason instead, and is listed rather than run.
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named mutants
+    python tests/mutants.py
 
 It prints one line per mutant and exits 1 if one survives. Pytest does not
 collect this file; ``tests/test_mutants.py`` checks, in tier 1, that every
@@ -35,16 +35,7 @@ class Mutant(NamedTuple):
     snippet: str
     replacement: str
     tests: tuple[str, ...]  # test ids that must each fail under the mutant
-
-
-# An equivalent mutant changes no behaviour any test could see; it is listed
-# with the reason instead of being run.
-class Equivalent(NamedTuple):
-    name: str
-    file: str
-    snippet: str
-    replacement: str
-    reason: str
+    reason: str = ""  # why an equivalent mutant, which has no tests, is equivalent
 
 
 _RBF = "src/mmskit/rbf.py"
@@ -112,21 +103,19 @@ MUTANTS = (
         "            if not shape or (shape_idx == 1 and shape in declined):\n",
         (_QUERY_PIN, _TRUTHFUL_REFERENCE),
     ),
-)
-
-EQUIVALENTS = (
-    Equivalent(
+    Mutant(
         "rbf-declined-holds-the-hit-shape",
         _RBF,
         "        shape_idx, agent, shape = hit\n",
         "        shape_idx, agent, shape = hit\n        declined.add(shape)\n",
+        (),
         "every later shape is a subset of the goods left, and the hit shape's goods have left, "
         "so the hit shape is never looked up again",
     ),
 )
 
 
-def apply(root: Path, mutant: Mutant | Equivalent) -> None:
+def apply(root: Path, mutant: Mutant) -> None:
     """Replace the mutant's snippet in its file under ``root``; the snippet must occur once."""
     path = root / mutant.file
     text = path.read_text(encoding="utf-8")
@@ -159,20 +148,18 @@ def run(mutant: Mutant) -> list[str]:
     return [test for test in mutant.tests if test not in failed]
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    if unknown := set(names) - {m.name for m in MUTANTS}:
-        raise SystemExit(f"no mutant named {', '.join(sorted(unknown))}")
+def main() -> int:
     survivors = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
+        if mutant.reason:
+            print(f"equivalent {mutant.name}: {mutant.reason}")
+            continue
         passed = run(mutant)
         survivors += bool(passed)
         print(f"{'SURVIVED' if passed else 'caught  '} {mutant.name}" + "".join(f"\n    passes {t}" for t in passed))
-    for equivalent in EQUIVALENTS if not names else ():
-        print(f"equivalent {equivalent.name}: {equivalent.reason}")
-    print(f"{len(chosen)} mutants, {survivors} survived")
+    print(f"{sum(not m.reason for m in MUTANTS)} mutants run, {survivors} survived")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

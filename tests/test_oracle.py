@@ -332,89 +332,68 @@ def test_thousands_of_goods_end_in_a_result_or_a_budget_error():
         _witness_is_valid(inst, 0, 7, range(3000), res)
 
 
+def _int_or_ratio_row(rng, m):
+    """Integers in [0, 60], or half the time "p/q" strings."""
+    if rng.random() < 0.5:
+        return [rng.randint(0, 60) for _ in range(m)]
+    return [f"{rng.randint(0, 30)}/{rng.randint(1, 9)}" for _ in range(m)]
+
+
+# The properties below need no reference, so they run past the naive
+# enumerator's 12 goods.
+
+
 def test_monotone_in_bundle_count():
     rng = random.Random(12)
-    for _ in range(40):
-        m = rng.randint(2, 9)
-        inst = random_instance(rng, 1, m)
+    for _ in range(100):
+        m = rng.randint(2, 20)
+        inst = Instance.from_rows([_int_or_ratio_row(rng, m)])
         values = [mms(inst, 0, d).value for d in range(1, 6)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_monotone_in_goods():
     rng = random.Random(13)
-    for _ in range(40):
-        m = rng.randint(2, 9)
-        d = rng.randint(1, 4)
-        inst = random_instance(rng, 1, m)
+    for _ in range(100):
+        m = rng.randint(2, 20)
+        d = rng.randint(1, 5)
+        inst = Instance.from_rows([_int_or_ratio_row(rng, m)])
         small = sorted(rng.sample(range(m), rng.randint(1, m)))
         assert mms(inst, 0, d, goods=small).value <= mms(inst, 0, d).value
 
 
 def test_scale_covariance():
+    # The witness's smallest part is worth exactly the value, and the value is
+    # at most (total - top k goods) / (d - k) for each k < d: the d - k parts
+    # without the top k goods share what those goods leave.
     rng = random.Random(14)
-    for _ in range(30):
-        m = rng.randint(2, 8)
-        d = rng.randint(1, 4)
-        inst = random_instance(rng, 1, m)
+    for _ in range(100):
+        m = rng.randint(2, 20)
+        d = rng.randint(1, 5)
+        inst = Instance.from_rows([_int_or_ratio_row(rng, m)])
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         scaled = Instance.from_rows([[c * v for v in inst.valuations[0]]])
         base = mms(inst, 0, d)
         res = mms(scaled, 0, d)
         assert res.value == c * base.value
+        assert res.witness == base.witness
         _witness_is_valid(scaled, 0, d, range(m), res)
+        top = sorted(inst.valuations[0], reverse=True)
+        assert all(base.value <= (sum(top) - sum(top[:k])) / (d - k) for k in range(d))
 
 
-# ---------------------------------------------------------------------------
-# Metamorphic properties beyond the naive enumerator's 12 goods, which need no
-# reference: each relates two searches, or a search to its own witness.
-
-_PROPERTY_ROWS = st.one_of(
-    st.lists(st.integers(0, 60), min_size=13, max_size=20),
-    st.lists(st.builds("{}/{}".format, st.integers(0, 30), st.integers(1, 9)), min_size=13, max_size=20),
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    row=st.one_of(
+        st.lists(st.integers(0, 60), min_size=13, max_size=20),
+        st.lists(st.builds("{}/{}".format, st.integers(0, 30), st.integers(1, 9)), min_size=13, max_size=20),
+    ),
+    d=st.integers(2, 5),
+    data=st.data(),
 )
-_PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
-
-
-@_PROPERTY_SETTINGS
-@given(row=_PROPERTY_ROWS)
-def test_the_share_does_not_increase_in_d(row):
-    inst = Instance.from_rows([row])
-    values = [mms(inst, 0, d).value for d in range(2, 6)]
-    assert values == sorted(values, reverse=True)
-
-
-@_PROPERTY_SETTINGS
-@given(row=_PROPERTY_ROWS, d=st.integers(2, 5), data=st.data())
-def test_adding_a_good_does_not_decrease_the_share(row, d, data):
-    inst = Instance.from_rows([row])
-    added = data.draw(st.integers(0, len(row) - 1))
-    fewer = [g for g in range(len(row)) if g != added]
-    assert mms(inst, 0, d, goods=fewer).value <= mms(inst, 0, d).value
-
-
-@_PROPERTY_SETTINGS
-@given(row=_PROPERTY_ROWS, d=st.integers(2, 5), data=st.data())
 def test_permuting_the_goods_keeps_the_value(row, d, data):
     permuted = data.draw(st.permutations(row))
     assert mms(Instance.from_rows([permuted]), 0, d).value == mms(Instance.from_rows([row]), 0, d).value
-
-
-@_PROPERTY_SETTINGS
-@given(row=_PROPERTY_ROWS, d=st.integers(2, 5), c=st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)))
-def test_the_value_and_its_witness_scale_with_the_row_and_fit_the_cheap_bound(row, d, c):
-    # The witness's smallest part is worth exactly the value, and the value is
-    # at most (total - top k goods) / (d - k) for each k < d: the d - k parts
-    # without the top k goods share what those goods leave.
-    inst = Instance.from_rows([row])
-    res = mms(inst, 0, d)
-    _witness_is_valid(inst, 0, d, range(len(row)), res)
-    top = sorted(inst.valuations[0], reverse=True)
-    total = sum(top)
-    assert all(res.value <= (total - sum(top[:k])) / (d - k) for k in range(d))
-    scaled = mms(Instance.from_rows([[c * v for v in inst.valuations[0]]]), 0, d)
-    assert scaled.value == c * res.value
-    assert scaled.witness == res.witness
 
 
 def test_determinism():
