@@ -50,9 +50,12 @@ def short_text(text: str) -> str:
 def short_repr(value: object, show: Callable[[object], str] = repr) -> str:
     """``short_text(show(value))``: how every InputError message echoes a
     value. A value that Python will not write out, an int past its digit
-    limit for ``str`` or a value holding one, is shown by its size."""
+    limit for ``str`` or a value holding one, is shown by its size, and one
+    nested past the recursion limit by its type."""
     try:
         return short_text(show(value))
+    except RecursionError:
+        return f"<{type(value).__name__} too deeply nested to show>"
     except ValueError:
         if isinstance(value, (int, Fraction)):
             sign = "negative " if value < 0 else ""
@@ -166,7 +169,7 @@ class Instance:
                 raise InputError(f"scaled[{i}] must be a pair (ints, L) with ints a tuple, got {short_repr(row)}")
             ints, scale = row
             if len(ints) != self.num_goods:
-                raise InputError(f"agent {i} has {len(ints)} values, expected {self.num_goods}")
+                raise InputError(f"agent {i} has {len(ints)} values, expected {short_repr(self.num_goods)}")
             check_int(f"scaled[{i}]'s L", scale, 1)
             if not {*map(type, ints)} <= {int} or min(ints, default=0) < 0:
                 g, v = next((g, v) for g, v in enumerate(ints) if v.__class__ is not int or v < 0)
@@ -174,7 +177,7 @@ class Instance:
                     raise InputError(f"scaled[{i}] value {g} is not an int: {short_repr(v)}")
                 raise InputError(f"valuations[{i}][{g}] is negative: {short_repr(Fraction(v, scale), str)}")
             if gcd(scale, *ints) != 1:
-                raise InputError(f"scaled[{i}] is not in lowest terms: L = {scale}")
+                raise InputError(f"scaled[{i}] is not in lowest terms: L = {short_repr(scale)}")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[RationalLike]], num_goods: int | None = None) -> "Instance":
@@ -354,7 +357,7 @@ class ThresholdList:
             if t < 0 or t > 1:
                 raise InputError(f"threshold at rank {r} outside [0, 1]: {short_repr(t, str)}")
             if t > prev:
-                raise InputError(f"thresholds increase at rank {r}: {short_repr(t, str)} > {prev}")
+                raise InputError(f"thresholds increase at rank {r}: {short_repr(t, str)} > {short_repr(prev, str)}")
             prev = t
 
     def __len__(self) -> int:
@@ -444,20 +447,38 @@ class BagEvent:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Ordered log of one run of either bag filler, sufficient to re-check its structure.
-
-    ``run_ordinal`` logs no reductions, and its phase 2 holds every agent and good.
+    """Ordered log of one run of either bag filler, sufficient to re-check its
+    structure; the four properties are worked out from it, not reported.
+    ``run_ordinal`` logs no reductions, so its phase 2 holds every agent and good.
     """
 
     num_agents: int
     num_goods: int
     reductions: tuple[ReductionEvent, ...]
     bag_events: tuple[BagEvent, ...]
-    phase2_agents: frozenset[int]
-    phase2_goods: frozenset[int]
     initial_bags: tuple[frozenset[int], ...]
-    ran_out_of_goods: bool
-    satisfied: tuple[bool, ...]
+
+    @cached_property
+    def phase2_agents(self) -> frozenset[int]:
+        """The agents no reduction served."""
+        return frozenset(range(self.num_agents)).difference(e.agent for e in self.reductions)
+
+    @cached_property
+    def phase2_goods(self) -> frozenset[int]:
+        """The goods no reduction took."""
+        return frozenset(range(self.num_goods)).difference(*(e.bundle for e in self.reductions))
+
+    @cached_property
+    def satisfied(self) -> tuple[bool, ...]:
+        """Per agent, whether a reduction or an ``"assign"`` event served her."""
+        served = {e.agent for e in self.reductions}
+        served.update(e.agent for e in self.bag_events if e.kind == "assign")
+        return tuple(i in served for i in range(self.num_agents))
+
+    @cached_property
+    def ran_out_of_goods(self) -> bool:
+        """Whether the goods ran out: true when some ``"leftover"`` event exists."""
+        return any(e.kind == "leftover" for e in self.bag_events)
 
     def reduction_types(self) -> tuple[int, ...]:
         return tuple(e.type for e in self.reductions)

@@ -23,10 +23,10 @@ def run_ordinal(inst: Instance) -> tuple[Allocation, Transcript]:
     Each round appends the next unconsumed good (in non-increasing value
     order) to the current bag until some agent without a bag values it at
     least 1; the bag goes to the lowest-index such agent. When goods run out
-    the transcript's ``ran_out_of_goods`` is set and the remaining bags go to
-    the remaining agents in index order. After a complete run, the
-    never-consumed suffix of goods is appended to the bag of the last round;
-    the allocation holds it, and the transcript logs no event for it.
+    the remaining bags go to the remaining agents in index order, as
+    ``"leftover"`` events. After a complete run, the never-consumed suffix of
+    goods is appended to the bag of the last round; the allocation holds it,
+    and the transcript logs no event for it.
 
     The instance must be ordered with m >= 2n. A unit-share input is
     checked where it is made: ``run_1_out_of_d`` checks each witness of
@@ -69,7 +69,6 @@ def run_ordinal(inst: Instance) -> tuple[Allocation, Transcript]:
         if ran_out:
             break
 
-    satisfied = tuple(i not in unassigned for i in range(n))
     if ran_out:
         # Hand bag k, where the goods ran out, and the untouched bags after it
         # to the remaining agents, in index order.
@@ -84,11 +83,7 @@ def run_ordinal(inst: Instance) -> tuple[Allocation, Transcript]:
         num_goods=m,
         reductions=(),
         bag_events=tuple(events),
-        phase2_agents=frozenset(range(n)),
-        phase2_goods=frozenset(range(m)),
         initial_bags=initial,
-        ran_out_of_goods=ran_out,
-        satisfied=satisfied,
     )
     return Allocation(tuple(bundles)), transcript
 

@@ -178,9 +178,9 @@ def run_rbf(
     into |N| bags and serves the smallest-rank agent liking any bag; when
     nobody likes anything, the most valuable loose good goes into the open
     bag the responder chooses. If the loose goods run out, the leftover bags
-    go to the remaining agents in rank order and the run is flagged, not
-    failed. The responder gives the number of agents n and of goods m, and
-    each agent's unit, asked once per run.
+    go to the remaining agents in rank order as ``"leftover"`` events; the
+    run does not fail. The responder gives the number of agents n and of
+    goods m, and each agent's unit, asked once per run.
 
     An answer depends only on the agent and the goods, and the waiting
     agents only shrink, so the run asks no (agent, goods) question twice
@@ -206,7 +206,6 @@ def run_rbf(
     value = responder.value
 
     bundles: list[frozenset[int]] = [frozenset() for _ in range(n)]
-    satisfied = [False] * n
     waiting = list(by_rank)  # agents without a bundle, in rank order
     goods_left = set(range(m))
     reductions: list[ReductionEvent] = []
@@ -233,17 +232,12 @@ def run_rbf(
         shape_idx, agent, shape = hit
         reductions.append(ReductionEvent(shape_idx, shape, agent, len(waiting), len(goods_left)))
         bundles[agent] = shape
-        satisfied[agent] = True
         waiting.remove(agent)
         goods_left -= shape
-
-    phase2_agents = frozenset(waiting)
-    phase2_goods = frozenset(goods_left)
 
     # Phase 2: bag filling over the surviving goods.
     bag_events: list[BagEvent] = []
     initial_bags: tuple[frozenset[int], ...] = ()
-    ran_out = False
     ranked_goods = sorted(goods_left)
     loose = 0  # ranked_goods[loose:] are the loose goods, most valuable first
     if waiting:
@@ -260,7 +254,6 @@ def run_rbf(
 
         def assign(agent: int, b: int) -> None:
             bundles[agent] = bags[b].goods
-            satisfied[agent] = True
             waiting.remove(agent)
             open_bags.remove(b)
             bag_events.append(BagEvent("assign", b, agent=agent))
@@ -278,7 +271,6 @@ def run_rbf(
             if len(waiting) != len(open_bags):
                 raise GuaranteeViolation(f"{len(waiting)} agents wait for {len(open_bags)} open bags")
             if loose == len(ranked_goods):
-                ran_out = True
                 for agent, b in zip(waiting, open_bags):
                     bundles[agent] = bags[b].goods
                     bag_events.append(BagEvent("leftover", b, agent=agent))
@@ -303,11 +295,7 @@ def run_rbf(
         num_goods=m,
         reductions=tuple(reductions),
         bag_events=tuple(bag_events),
-        phase2_agents=phase2_agents,
-        phase2_goods=phase2_goods,
         initial_bags=initial_bags,
-        ran_out_of_goods=ran_out,
-        satisfied=tuple(satisfied),
     )
     return alloc, transcript
 

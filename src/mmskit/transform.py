@@ -9,9 +9,10 @@ increase each agent's value.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
-from .core import Allocation, Instance, bundle_value, check_int, check_sequence, scale_row, short_repr
+from .core import Allocation, Instance, check_int, check_sequence, scale_row, short_repr
 from .errors import GuaranteeViolation, InputError
 from . import oracle
 
@@ -89,7 +90,8 @@ def unpick(ordered_alloc: Allocation, normalized: Instance, ordered: Instance) -
     from most valuable down; at each position its owner picks her favourite
     remaining good under her normalized valuation (ties broken by lowest good
     index). Each agent ends up at least as well off as she was in the sorted
-    instance; this is re-checked exactly.
+    instance; this is re-checked exactly, on each agent's ints: ``order``
+    only permutes them, so her normalized and ordered rows share one L.
     """
     ordered.check_allocation(ordered_alloc)
     n = normalized.num_agents
@@ -107,11 +109,12 @@ def unpick(ordered_alloc: Allocation, normalized: Instance, ordered: Instance) -
         remaining.remove(g)
     result = Allocation(tuple(frozenset(p) for p in picked), frozenset(remaining))
     for a in range(n):
-        got = bundle_value(normalized, a, result.bundles[a])
-        had = bundle_value(ordered, a, ordered_alloc.bundles[a])
+        ints, scale = normalized.scaled[a]
+        got = sum(ints[g] for g in result.bundles[a])
+        had = sum(ordered.scaled[a][0][p] for p in ordered_alloc.bundles[a])
         if got < had:
             raise GuaranteeViolation(
-                f"picking lowered agent {a}'s value from {had} to {got}; "
+                f"picking lowered agent {a}'s value from {Fraction(had, scale)} to {Fraction(got, scale)}; "
                 f"this contradicts the picking argument"
             )
     return result

@@ -114,9 +114,9 @@ def check_transcript(tr: Transcript) -> TranscriptReport:
 
     Checks, in order: the reduction type sequence matches (1*2*4*)(32*4*)*;
     from the end of the leading type-1 block on, at least twice as many goods
-    as agents remain at every step; and every good taken by a type-2 (resp.
-    type-3) reduction ranks strictly below the |N|-th (resp. 2|N|-th) most
-    valuable good that survives all reductions.
+    as agents remain at every step and when phase 2 starts; and every good
+    taken by a type-2 (resp. type-3) reduction ranks strictly below the
+    |N|-th (resp. 2|N|-th) most valuable good that no logged reduction took.
     """
     violations: list[str] = []
     types = "".join(str(t) for t in tr.reduction_types())
@@ -134,15 +134,11 @@ def check_transcript(tr: Transcript) -> TranscriptReport:
                 f"reduction {k}: only {event.goods_before} goods for "
                 f"{event.agents_before} agents after the type-1 block"
             )
-    if tr.phase2_agents and len(tr.phase2_goods) < 2 * len(tr.phase2_agents):
-        violations.append(
-            f"phase 2 started with {len(tr.phase2_goods)} goods for "
-            f"{len(tr.phase2_agents)} agents"
-        )
-
     if tr.phase2_agents:
         n_f = len(tr.phase2_agents)
         ranked = sorted(tr.phase2_goods)
+        if len(ranked) < 2 * n_f:
+            violations.append(f"phase 2 started with {len(ranked)} goods for {n_f} agents")
         cuts = {t: ranked[j - 1] for t, j in ((2, n_f), (3, 2 * n_f)) if j <= len(ranked)}
         for k, event in enumerate(tr.reductions):
             if (cut := cuts.get(event.type)) is not None:

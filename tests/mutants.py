@@ -39,9 +39,16 @@ class Mutant(NamedTuple):
 
 
 _RBF = "src/mmskit/rbf.py"
+_CORE = "src/mmskit/core.py"
+_ORACLE = "src/mmskit/oracle.py"
 _QUERY_PIN = "tests/test_rbf.py::test_query_counts_are_pinned"
 _TRUTHFUL_REFERENCE = "tests/test_rbf_reference.py::test_truthful_runs_match_the_reference"
 _HARD2_REFERENCE = "tests/test_rbf_reference.py::test_hard2_scripts_match_the_reference"
+_TRANSCRIPT_PINS = "tests/test_rbf.py::test_transcripts_are_pinned"
+_ORDINAL_TRANSCRIPTS = "tests/test_ordinal.py::test_transcripts_of_random_ordered_normalized_instances_are_well_formed"
+_SUBSET_CUT = "tests/test_oracle.py::test_the_subset_sum_cut_keeps_the_result_and_never_adds_nodes"
+_ORACLE_DIGEST = "tests/test_golden.py::test_oracle_witnesses_match_the_golden_digest"
+_GOLDEN_CLI = "tests/test_golden.py::test_cli_outputs_match_the_golden_corpus"
 
 _SCAN = """\
         for agent in waiting[:]:
@@ -94,7 +101,7 @@ MUTANTS = (
         _RBF,
         "        for agent in waiting[:]:\n",
         "        for agent in waiting:\n",
-        ("tests/test_golden.py::test_cli_outputs_match_the_golden_corpus", _QUERY_PIN, _TRUTHFUL_REFERENCE),
+        (_GOLDEN_CLI, _QUERY_PIN, _TRUTHFUL_REFERENCE),
     ),
     Mutant(
         "rbf-declined-skips-only-shape-1",
@@ -111,6 +118,62 @@ MUTANTS = (
         (),
         "every later shape is a subset of the goods left, and the hit shape's goods have left, "
         "so the hit shape is never looked up again",
+    ),
+    Mutant(
+        "oracle-window-one-bit-too-narrow",
+        _ORACLE,
+        "                window = (2 << room) - 1  # room + 1 bits\n",
+        "                window = (1 << room) - 1  # room + 1 bits\n",
+        (_SUBSET_CUT, _ORACLE_DIGEST, "tests/test_oracle.py::test_the_integer_cut_solves_a_row_in_a_fiftieth_of_the_nodes"),
+    ),
+    Mutant(
+        "oracle-window-test-ignores-the-stored-range",
+        _ORACLE,
+        "                    if 0 < lo <= cap - room and not (sums_t >> lo) & window:\n",
+        "                    if 0 < lo and not (sums_t >> lo) & window:\n",
+        (_SUBSET_CUT, _ORACLE_DIGEST, "tests/test_acceptance.py::test_criterion_8_structural_suite"),
+    ),
+    Mutant(
+        "transcript-phase2-agents-keep-the-first-reduced-agent",
+        _CORE,
+        "        return frozenset(range(self.num_agents)).difference(e.agent for e in self.reductions)\n",
+        "        return frozenset(range(self.num_agents)).difference(e.agent for e in self.reductions[1:])\n",
+        (
+            "tests/test_verify.py::test_reductions_above_the_surviving_cutoff_are_flagged",
+            _TRANSCRIPT_PINS, _TRUTHFUL_REFERENCE, _HARD2_REFERENCE,
+        ),
+    ),
+    Mutant(
+        "transcript-phase2-goods-skip-the-last-reduction",
+        _CORE,
+        "        return frozenset(range(self.num_goods)).difference(*(e.bundle for e in self.reductions))\n",
+        "        return frozenset(range(self.num_goods)).difference(*(e.bundle for e in self.reductions[:-1]))\n",
+        (
+            "tests/test_verify.py::test_reductions_above_the_surviving_cutoff_are_flagged",
+            _TRANSCRIPT_PINS, _TRUTHFUL_REFERENCE, _HARD2_REFERENCE,
+        ),
+    ),
+    Mutant(
+        "transcript-satisfied-counts-leftover-agents",
+        _CORE,
+        '        served.update(e.agent for e in self.bag_events if e.kind == "assign")\n',
+        '        served.update(e.agent for e in self.bag_events if e.kind in ("assign", "leftover"))\n',
+        (
+            "tests/test_adversarial.py::test_ordinal_tight_demos_log_leftover_bags_for_the_unserved_agents",
+            "tests/test_rbf.py::test_scripted_runs_reach_the_leftover_path",
+            _ORDINAL_TRANSCRIPTS, _TRANSCRIPT_PINS, _TRUTHFUL_REFERENCE, _HARD2_REFERENCE,
+        ),
+    ),
+    Mutant(
+        "transcript-ran-out-on-any-fill",
+        _CORE,
+        '        return any(e.kind == "leftover" for e in self.bag_events)\n',
+        '        return any(e.kind != "assign" for e in self.bag_events)\n',
+        (
+            "tests/test_ordinal.py::test_assigned_bags_meet_the_unit_target",
+            "tests/test_acceptance.py::test_criterion_1_ordinal_guarantee",
+            _GOLDEN_CLI, _ORDINAL_TRANSCRIPTS, _TRANSCRIPT_PINS, _TRUTHFUL_REFERENCE,
+        ),
     ),
 )
 

@@ -1,9 +1,10 @@
 """Odd arguments to the public functions end in a result or a typed error.
 
-Every public function of the covered modules, and each responder method the
-threshold allocator calls, is called with each parameter either valid or
-drawn from odd values: ints out of range, bools, floats, strings, None and
-short lists. Any exception but an ``MmsKitError`` fails, except the
+Every public function of the covered modules, each constructor of ``core``'s
+records, and each responder method the threshold allocator calls, is called
+with each parameter either valid or drawn from odd values: ints out of
+range, bools, floats, strings, None, short lists and a list nested past the
+recursion limit. Any exception but an ``MmsKitError`` fails, except the
 documented ``TypeError`` or ``AttributeError`` when a parameter whose type
 is a library record gets something else.
 """
@@ -23,6 +24,7 @@ from mmskit import (
     PriorityRanking,
     adversarial,
     bobw,
+    oracle,
     ordinal,
     priority_thresholds,
     rbf,
@@ -31,7 +33,11 @@ from mmskit import (
 )
 from mmskit.core import MAX_N, ThresholdList, check_int
 
-_MODULES = (adversarial, bobw, ordinal, rbf, transform, verify)
+_MODULES = (adversarial, bobw, oracle, ordinal, rbf, transform, verify)
+_CONSTRUCTORS = (
+    Instance, Instance.from_rows, Allocation, Partition, ThresholdList, ThresholdList.constant,
+    PriorityRanking, PriorityRanking.identity, PriorityRanking.rotation,
+)
 _RECORDS = {
     "Instance", "Allocation", "Partition", "ThresholdList", "PriorityRanking", "Transcript", "AllocationDistribution",
     "ValueResponder", "HardInstanceSpec", "Bag",
@@ -80,10 +86,21 @@ _VALID = {
     "k2": 0,
     "t": 3,
     "spec": adversarial.HardInstanceSpec("hard1", 3, i=3),
+    "scaled": _UNIT_PAIR.scaled,
+    "num_goods": 4,
+    "rows": [["1/2"] * 4] * 2,
+    "bundles": ({0, 1}, {2, 3}),
+    "unallocated": (),
+    "parts": ({0, 1}, {2, 3}),
+    "taus": ("1", "3/4"),
+    "tau": "3/4",
+    "rank_of": (1, 0),
+    "shift": 1,
 }
 # Where one function reads a name as something else.
 _VALID_FOR = {
     ("value", "goods"): rbf.Bag({0, 1}),
+    ("mms", "goods"): range(4),
     ("demonstrate_failure", "thresholds"): None,
 }
 
@@ -92,9 +109,15 @@ def _valid(f, name):
     return _VALID_FOR.get((f.__name__, name), _VALID[name])
 
 
+# A list nested past the recursion limit: repr cannot write it.
+_DEEP: list = []
+for _ in range(3000):
+    _DEEP = [_DEEP]
+
 # Ints out of range are picked, not drawn: an in-range n, hi or p of a
 # thousand digits is a valid, and slow, call.
 _ODD = st.one_of(
+    st.just(_DEEP),
     st.sampled_from([-1, 0, MAX_N + 1, 2**64, 10**30, -(10**30), 10**5000, -(10**5000)]),
     st.integers(max_value=-1),
     st.booleans(),
@@ -110,18 +133,18 @@ _FUNCTIONS = [
     for module in _MODULES
     for name, f in sorted(vars(module).items())
     if not name.startswith("_") and inspect.isfunction(f) and f.__module__ == module.__name__
-] + [getattr(r, name) for r in _RESPONDERS for name in ("unit", "value", "choose_bag")]
+] + [*_CONSTRUCTORS] + [getattr(r, name) for r in _RESPONDERS for name in ("unit", "value", "choose_bag")]
 
 
 def test_every_public_function_has_a_valid_call():
-    # 4 in adversarial, 12 in bobw, 2 in ordinal, 5 in rbf, 6 in transform,
-    # 8 in verify, and 3 methods of each responder
-    assert len(_FUNCTIONS) == 43
+    # 4 in adversarial, 12 in bobw, 3 in oracle, 2 in ordinal, 5 in rbf,
+    # 6 in transform, 8 in verify, 9 constructors, and 3 methods of each responder
+    assert len(_FUNCTIONS) == 55
     for f in _FUNCTIONS:
         f(**{name: _valid(f, name) for name in inspect.signature(f).parameters})
 
 
-@settings(max_examples=450, deadline=None, derandomize=True)
+@settings(max_examples=580, deadline=None, derandomize=True)
 @given(st.data())
 def test_odd_arguments_end_in_a_result_or_a_typed_error(data):
     f = data.draw(st.sampled_from(_FUNCTIONS), label="function")
@@ -180,6 +203,20 @@ _MENDED = [
     (adversarial.gen_hard1, (3, 3, 10**5000)),
     (rbf.run_rbf, (_OddChoice(_FILLS, float), ThresholdList.constant(2, 1))),
     (rbf.run_rbf, (_OddChoice(_FILLS, bool), ThresholdList.constant(2, 1))),
+    (Instance.from_rows, (_DEEP,)),
+    (Instance, (_DEEP, 1)),
+    (Allocation, (_DEEP,)),
+    (Partition, (_DEEP,)),
+    (ThresholdList, (_DEEP,)),
+    (PriorityRanking, (_DEEP,)),
+    (check_int, ("x", _DEEP)),
+    (oracle.mms, (_UNIT_PAIR, 0, 2, _DEEP)),
+    (oracle.mms, (_UNIT_PAIR, 0, _DEEP)),
+    (oracle.mms_all, (_UNIT_PAIR, _DEEP)),
+    (Instance, (_UNIT_PAIR.scaled, 10**5000)),
+    (Instance.from_rows, ([["1/2"] * 4], 10**5000)),
+    (Instance, ((((2,), 2 * 10**5000),), 1)),
+    (ThresholdList, ((Fraction(10**5000, 10**5000 + 1), 1),)),
 ]
 
 

@@ -1,6 +1,7 @@
 """Rules that hold across the whole package source."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from fractions import Fraction
@@ -42,7 +43,7 @@ from mmskit import (
 )
 from mmskit.bobw import ln_enclosure
 from mmskit.cli import instance_from_json
-from mmskit.core import MAX_N
+from mmskit.core import MAX_N, Transcript
 from mmskit.oracle import MAX_PARTS, mms_all
 from mmskit.rbf import reduction_shapes
 from mmskit.transform import (
@@ -158,6 +159,18 @@ def test_one_run_record_for_both_bag_fillers():
     assert classes == {("core.py", "Transcript")}
     assert [path for path, tree in modules.items() for node in ast.walk(tree) if names(node) == "OrdinalRun"] == []
     assert [node.lineno for node in ast.walk(modules["verify.py"]) if names(node) == "TYPE_CHECKING"] == []
+    # The record stores the log alone. Who reached phase 2, who was satisfied
+    # and whether goods ran out are its properties: no filler passes them, and
+    # no filler keeps them (run_ordinal's ran_out still ends its loop).
+    assert [f.name for f in dataclasses.fields(Transcript)] == [
+        "num_agents", "num_goods", "reductions", "bag_events", "initial_bags"
+    ]
+    derived = {"phase2_agents", "phase2_goods", "satisfied", "ran_out_of_goods"}
+    for path, banned in (("rbf.py", derived | {"ran_out"}), ("ordinal.py", derived)):
+        calls = [node for node in ast.walk(modules[path]) if isinstance(node, ast.Call) and names(node.func) == "Transcript"]
+        assert len(calls) == 1 and not calls[0].args, path
+        assert {k.arg for k in calls[0].keywords} == {f.name for f in dataclasses.fields(Transcript)}, path
+        assert [node.lineno for node in ast.walk(modules[path]) if isinstance(node, ast.Name) and node.id in banned] == [], path
 
 
 def test_adversarial_runs_no_truthful_run_of_its_own():

@@ -36,8 +36,9 @@ from _instances import unit_share_rows
 def reference_rbf(n, m, value, choose_bag, thresholds, ranking):
     """Reductions and bag filling as the paper states them. ``value(agent,
     goods)`` is a Fraction for a frozenset of goods. Returns the allocation,
-    the transcript, the number of value queries, and the number of those
-    not asked before in the same phase."""
+    the transcript, the number of value queries, the number of those not
+    asked before in the same phase, and the run's own facts: the agents and
+    goods that reached phase 2, who was satisfied and whether goods ran out."""
     queries = fresh_queries = 0
     tau = {agent: thresholds.taus[rank] for agent, rank in enumerate(ranking.rank_of)}
     memo = set()  # the (agent, goods) questions asked in this phase
@@ -115,10 +116,9 @@ def reference_rbf(n, m, value, choose_bag, thresholds, ranking):
                     bundles[a] = bags[b]
                     events.append(BagEvent("leftover", b, agent=a))
                 break
-    transcript = Transcript(
-        n, m, tuple(reductions), tuple(events), phase2_agents, phase2_goods, initial, ran_out, tuple(satisfied)
-    )
-    return Allocation(tuple(bundles), frozenset(loose)), transcript, queries, fresh_queries
+    transcript = Transcript(n, m, tuple(reductions), tuple(events), initial)
+    facts = (phase2_agents, phase2_goods, tuple(satisfied), ran_out)
+    return Allocation(tuple(bundles), frozenset(loose)), transcript, queries, fresh_queries, facts
 
 
 def _truthful_reference(inst):
@@ -195,8 +195,11 @@ def _check_against_reference(responder, reference, thresholds, ranking):
     expected = _outcome(lambda: reference_rbf(n, m, value, choose_bag, thresholds, ranking))
     got = _outcome(lambda: (*run_rbf(responder, thresholds, ranking), responder.queries))
     if isinstance(expected[0], Allocation):  # a run, not an error
-        alloc, transcript, all_queries, fresh_queries = expected
+        alloc, transcript, all_queries, fresh_queries, facts = expected
         assert responder.queries <= all_queries
+        # The transcripts are compared below, so the run's derived facts are these.
+        assert (transcript.phase2_agents, transcript.phase2_goods, transcript.satisfied,
+                transcript.ran_out_of_goods) == facts
         expected = (alloc, transcript, fresh_queries)
     assert got == expected
 

@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmskit import Allocation, InputError, Instance, Partition, bundle_value, mms
+from mmskit import Allocation, GuaranteeViolation, InputError, Instance, Partition, bundle_value, mms
 from mmskit import ordinal
 from mmskit.adversarial import gen_hard1, gen_hard2_responders, gen_ordinal_tight
 from mmskit.transform import (
@@ -248,6 +248,27 @@ def test_unpick_beats_the_sorted_allocation_per_agent():
             assert bundle_value(inst, a, picked.bundles[a]) >= bundle_value(
                 ordered, a, bundles[a]
             )
+
+
+def test_unpick_checks_the_allocation_once_and_sums_the_ints_itself(monkeypatch):
+    # ordered.check_allocation checks each bundle and the unallocated goods
+    # once; the picking self-check sums each agent's ints, and shows Fractions
+    # only in its message. Rows that picking cannot match raise it.
+    checked = []
+    check_goods = Instance.check_goods
+
+    def counted(self, goods):
+        checked.append(goods)
+        return check_goods(self, goods)
+
+    monkeypatch.setattr(Instance, "check_goods", counted)
+    inst = Instance.from_rows([["1/2", "1/4", "1/2", "1/4"], ["1/4", "1/2", "1/4", "1/2"]])
+    alloc = Allocation(({0, 3}, {1}), {2})
+    assert unpick(alloc, inst, order(inst)[0]).bundles == (frozenset({0, 2}), frozenset({1}))
+    assert checked == [*alloc.bundles, alloc.unallocated]
+    lowered = r"^picking lowered agent 0's value from 3/2 to 1/2; this contradicts the picking argument$"
+    with pytest.raises(GuaranteeViolation, match=lowered):
+        unpick(Allocation(({0, 1},)), Instance.from_rows([["1/2", 0]]), Instance.from_rows([["1/2", 1]]))
 
 
 def test_end_to_end_guarantee_against_oracle():

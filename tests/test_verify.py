@@ -160,11 +160,7 @@ def _transcript_with_types(types, n=8, m=30):
         num_goods=m,
         reductions=tuple(events),
         bag_events=(),
-        phase2_agents=frozenset(range(n - len(types), n)),
-        phase2_goods=frozenset(range(m - goods_left, m)),
         initial_bags=(),
-        ran_out_of_goods=False,
-        satisfied=(False,) * n,
     )
 
 
@@ -211,13 +207,23 @@ def test_goods_shortfall_is_flagged():
             ("type-3 reduction 0 took goods [0, 1, 2] ranked at or above the surviving cutoff 4",),
         ),
         (
-            # Too few surviving goods for a type-3 cutoff: only type 2 is checked.
+            # One agent and the goods 5 and 6 reach phase 2: both cutoffs exist.
             [3, 2],
             3,
             7,
             (
-                "phase 2 started with 2 goods for 2 agents",
-                "type-2 reduction 1 took goods [3, 4] ranked at or above the surviving cutoff 6",
+                "type-3 reduction 0 took goods [0, 1, 2] ranked at or above the surviving cutoff 6",
+                "type-2 reduction 1 took goods [3, 4] ranked at or above the surviving cutoff 5",
+            ),
+        ),
+        (
+            # Too few surviving goods for a type-3 cutoff: only type 2 is checked.
+            [2, 3],
+            3,
+            6,
+            (
+                "phase 2 started with 1 goods for 1 agents",
+                "type-2 reduction 0 took goods [0, 1] ranked at or above the surviving cutoff 5",
             ),
         ),
     ],
