@@ -2,19 +2,25 @@
 
 The distribution layer runs the threshold allocator once per cyclic shift of
 the priority ranking and aggregates exact per-agent expectations. The bound
-layer certifies inequalities that mix exact rational sums with logarithms;
-logarithms are enclosed in rational intervals (series with an explicit tail
-bound) at 50+ decimal digits, so every certified comparison is a plain
-rational comparison.
+layer certifies inequalities that mix exact rational sums with logarithms.
+One integer kernel, ``_ln_fixed``, encloses every logarithm on a binary fixed
+point: the atanh series rounded down, and rounded up with an explicit
+geometric tail bound. ``ln_enclosure`` returns its ends as dyadic fractions
+at 55+ decimal digits, so every certified comparison is a plain rational
+comparison.
 
 Each averaged bound is one ``_AverageBound``. Range sweeps decide each n from
-a fixed-point enclosure of the bound's harmonic window: a running integer sum
-of ``2**WINDOW_BITS // j`` that slides from one n to the next in O(1) memory.
-Its conservative end is cross-multiplied against the bound's certified
-constant. The exact engine, ``_certify``, sums the window by binary splitting
-(Haible and Papanikolaou, 1998) over lcm(a, ..., b), not over the product of
-its terms; it serves the closed forms and every n the enclosure cannot prove,
-so each ``GuaranteeViolation`` comes from it.
+an integer enclosure of the bound's harmonic window in units of
+2**-WINDOW_BITS. A sweep's first window starts from Euler-Maclaurin (the
+kernel's log, five Bernoulli terms, and a remainder bounded by the first
+omitted term) once that remainder is below one unit, and from a direct sum
+of ``2**WINDOW_BITS // j`` before; each later window slides from the last
+one by the terms that enter and leave, in O(1) memory. The enclosure's
+conservative end is cross-multiplied against the bound's certified constant.
+The exact engine, ``_certify``, sums the window by binary splitting (Haible
+and Papanikolaou, 1998) over lcm(a, ..., b), not over the product of its
+terms; it serves the closed forms and every n the enclosure cannot prove, so
+each ``GuaranteeViolation`` comes from it.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from .rbf import priority_thresholds, run_rbf_truthful
 ENCLOSURE_DIGITS = 55
 DECIMAL_DIGITS = 50  # digits after the point in a rendered closed form
 WINDOW_BITS = 128  # fixed point of a sweep's window sum
-EXACT_LN_BITS = 256  # a log's ratio of longer terms is rounded to a dyadic one first
+LN_BITS = (10**ENCLOSURE_DIGITS).bit_length() + 1  # two units of 2**-LN_BITS are below 10**-ENCLOSURE_DIGITS
+GUARD_BITS = 12  # the log kernel's series run this many bits finer than the ends it returns
 LEAF_TERMS = 32  # an exact window of at most this many terms is summed directly
 
 
@@ -42,64 +49,72 @@ LEAF_TERMS = 32  # an exact window of at most this many terms is summed directly
 
 
 def ln_enclosure(p: int, q: int) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds on ln(p/q), width below 10**-ENCLOSURE_DIGITS.
+    """Dyadic lower/upper bounds on ln(p/q), width below 10**-ENCLOSURE_DIGITS.
 
-    Uses ln(z) = 2 * atanh((z-1)/(z+1)) with a geometric tail bound, so both
-    endpoints are certified. Requires p >= q >= 1. For p > 2q it writes
-    p/q = 2**k * r with r in [1, 2) and adds k times an enclosure of ln 2 to
-    one of ln r, so that the series runs on a ratio of at most 2; each of the
-    two parts takes at most half of the width. A ratio whose numerator is
-    longer than ``EXACT_LN_BITS`` is rounded down to a dyadic one before the
-    series runs, so the time does not grow with the digits of p and q.
+    Requires p >= q >= 1. The ends are ``_ln_fixed(p, q, LN_BITS)`` over
+    2**LN_BITS, at most two units apart. The kernel takes p/q to a fixed point
+    in one long division, so the time does not grow with the digits of p and q.
     """
     check_int("p", p)
     check_int("q", q, 1)
     if p < q:
         raise InputError(f"ln_enclosure needs p >= q >= 1, got {short_repr(p)}/{short_repr(q)}")
-    tolerance = Fraction(1, 10**ENCLOSURE_DIGITS)
-    if p <= 2 * q:
-        return _atanh_ln(p, q, tolerance)
+    lo, hi = _ln_fixed(p, q, LN_BITS)
+    return Fraction(lo, 1 << LN_BITS), Fraction(hi, 1 << LN_BITS)
+
+
+def _ln_fixed(p: int, q: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2**bits * ln(p/q) <= hi with hi - lo <= 2, for p >= q >= 1.
+
+    It writes p/q = 2**k * r with r in [1, 2), encloses ln r = 2 * atanh(x)
+    with x = (p - q*2**k) / (p + q*2**k) < 1/3, and adds k times ln 2 = 2 *
+    atanh(1/3). The series run GUARD_BITS plus the bits of k finer than
+    ``bits``, where their widths add up to less than one unit of 2**-bits, so
+    the lower end rounded down and the upper end rounded up differ by two
+    units at most.
+    """
     k = p.bit_length() - q.bit_length()
     if p < q << k:
         k -= 1
-    lo, hi = _atanh_ln(p, q << k, tolerance / 2)
-    two_lo, two_hi = _ln2(len(str(k)))
-    return lo + k * two_lo, hi + k * two_hi
+    q <<= k
+    guard = GUARD_BITS + k.bit_length()
+    lo, hi = _atanh_fixed(p - q, p + q, bits + guard)
+    if k:
+        two_lo, two_hi = _ln2_fixed(bits + guard)
+        lo, hi = lo + k * two_lo, hi + k * two_hi
+    return lo >> guard, -(-hi >> guard)
 
 
-def _atanh_ln(p: int, q: int, tolerance: Fraction) -> tuple[Fraction, Fraction]:
-    """ln(p/q) for q <= p, enclosed by the atanh series to width below ``tolerance``.
+def _atanh_fixed(num: int, den: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2**bits * 2 * atanh(x) <= hi for x = num/den in [0, 1/3].
 
-    Past ``EXACT_LN_BITS``, p/q lies in [a, a + 1) / 2**K with a =
-    floor(p * 2**K / q) >= 2**K, so ln(p/q) - ln(a / 2**K) is in [0, 2**-K):
-    the series encloses ln(a / 2**K) to half the width, and 2**-K, below the
-    other half, widens its upper end.
+    Both series sum x**k / k over odd k, the lower one with x, x**2, each
+    power and each quotient rounded down, the upper one with each rounded up.
+    They stop once x**k / k is below 2**(GUARD_BITS - 4) units: the lower one
+    drops only positive terms, and the upper one adds the tail bound
+    sum_{j >= k} x**j / j <= x**k / (k * (1 - x**2)), rounded up. So hi - lo
+    is at most that tail bound, below 2**(GUARD_BITS - 2), plus a few units
+    of rounding per term.
     """
-    if p == q:
-        return Fraction(0), Fraction(0)
-    if p.bit_length() > EXACT_LN_BITS:
-        bits = (2 * tolerance.denominator).bit_length()  # 2**-bits < tolerance / 2
-        lo, hi = _atanh_ln((p << bits) // q, 1 << bits, tolerance / 2)
-        return lo, hi + Fraction(1, 1 << bits)
-    x = Fraction(p - q, p + q)
-    x2 = x * x
-    term = x
-    partial = Fraction(0)
-    k = 0
-    while True:
-        partial += term / (2 * k + 1)
-        k += 1
-        term *= x2
-        tail = 2 * term / ((2 * k + 1) * (1 - x2))
-        if tail < tolerance:
-            return 2 * partial, 2 * partial + tail
+    lo_x = (num << bits) // den
+    hi_x = -(-(num << bits) // den)
+    lo_x2 = lo_x * lo_x >> bits
+    hi_x2 = -(-hi_x * hi_x >> bits)
+    lo = hi = 0
+    lo_t, hi_t, k = lo_x, hi_x, 1
+    while hi_t > k << (GUARD_BITS - 4):
+        lo += lo_t // k
+        hi -= -hi_t // k
+        lo_t = lo_t * lo_x2 >> bits
+        hi_t = -(-hi_t * hi_x2 >> bits)
+        k += 2
+    hi -= -(hi_t << bits) // (k * ((1 << bits) - hi_x2))
+    return 2 * lo, 2 * hi
 
 
 @functools.cache
-def _ln2(k_digits: int) -> tuple[Fraction, Fraction]:
-    """ln 2 enclosed to width below 10**-(ENCLOSURE_DIGITS + 1 + k_digits): k
-    times that is below half of 10**-ENCLOSURE_DIGITS for any k of k_digits digits."""
-    return _atanh_ln(2, 1, Fraction(1, 10 ** (ENCLOSURE_DIGITS + 1 + k_digits)))
+def _ln2_fixed(bits: int) -> tuple[int, int]:
+    return _atanh_fixed(1, 3, bits)
 
 
 def fraction_to_decimal(value: Fraction | int) -> str:
@@ -294,14 +309,56 @@ def _fixed_sum(a: int, b: int) -> int:
     return sum((1 << WINDOW_BITS) // j for j in range(a, b + 1))
 
 
+# H_n = ln n + gamma + r(n) + R(n) with r(n) = 1/(2n) - sum_{k=1}^{5} B_2k / (2k n**2k)
+# = _em_numerator(n) / (55440 n**10), where 55440 is the lcm of 2 and the five
+# denominators 12, 120, 252, 240, 132, and 0 < R(n) < |B_12| / (12 n**12) = 691 / (32760 n**12).
+
+
+def _em_numerator(n: int) -> int:
+    return 27720 * n**9 - 4620 * n**8 + 462 * n**6 - 220 * n**4 + 231 * n**2 - 420
+
+
+def _em_remainder(m: int) -> int:
+    """691 / (32760 m**12) rounded up to a unit of 2**-WINDOW_BITS."""
+    return -((-691 << WINDOW_BITS) // (32760 * m**12))
+
+
+def _harmonic_enclosure(a: int, b: int) -> tuple[int, int]:
+    """Integers lo <= 2**WINDOW_BITS * sum_{j=a}^{b} 1/j <= hi for 2 <= a <= b, by Euler-Maclaurin.
+
+    With m = a - 1 the sum is H_b - H_m = ln(b/m) + r(b) - r(m) + R(b) - R(m).
+    The remainder of the asymptotic series of psi is bounded by the first
+    omitted term and has its sign (DLMF 5.11(ii)), so R(b) and R(m) both lie
+    in (0, 691 / (32760 m**12)) and their difference within plus or minus that
+    bound. The log comes from ``_ln_fixed``, r(b) - r(m) is one exact
+    quotient, floored, so hi - lo is at most 3 + 2 * ``_em_remainder(m)``.
+    """
+    m = a - 1
+    lo, hi = _ln_fixed(b, m, WINDOW_BITS)
+    num = _em_numerator(b) * m**10 - _em_numerator(m) * b**10
+    r = (num << WINDOW_BITS) // (55440 * (b * m) ** 10)
+    remainder = _em_remainder(m)
+    return lo + r - remainder, hi + r + 1 + remainder
+
+
 def _sweep(lo: int, hi: int, *bounds: _AverageBound) -> None:
     """Certify each bound, in the given order, at every n in [lo, hi] from its least_n.
 
-    Each bound keeps its window (a, b) and W = _fixed_sum(a, b), moved to the
-    next n's window by adding the terms that enter and subtracting those that
-    leave. Then sum_{j=a}^{b} 1/j lies in [W, W + b - a + 1] / 2**WINDOW_BITS,
-    and the end on the bound's conservative side gives an integer fraction
-    for the average. An n where that fraction does not strictly beat
+    Each bound keeps its window (a, b) and integers W, S with 2**WINDOW_BITS
+    * sum_{j=a}^{b} 1/j in [W, W + S]. By Euler-Maclaurin that sum is
+    ln(b/(a-1)) plus an exact rational part plus R(b) - R(a-1), where the
+    remainder R(n) of psi's asymptotic series has the sign of its first
+    omitted term and is smaller, 0 < R(n) < 691 / (32760 n**12). Once that
+    bound at a - 1 is at most one unit, which takes a - 1 >= 1179, the first
+    window starts from this enclosure (``_harmonic_enclosure``), at the cost
+    of one log; below that it starts from W = _fixed_sum(a, b), S = b - a + 1.
+    Each move to the next n's window adds 2**WINDOW_BITS // j for a term j
+    that enters and subtracts it for one that leaves; each such floor is
+    below its term by less than one unit, so W also drops one unit for each
+    term that leaves, and S widens by one unit for each term that moves. An
+    empty window sums to 0 exactly and keeps no state. The end of [W, W + S]
+    on the bound's conservative side gives an integer fraction for the
+    average. An n where that fraction does not strictly beat
     ``bound.constant(n)`` (undecided, a tie or a failure) goes to ``_certify``.
     """
     check_int("n", hi, most=MAX_N)
@@ -309,18 +366,26 @@ def _sweep(lo: int, hi: int, *bounds: _AverageBound) -> None:
     if lo > hi:
         return
     check_int("n", lo, min(bound.least_n for bound in bounds))
-    windows: list[tuple[int, int, int] | None] = [None] * len(bounds)
+    windows: list[tuple[int, int, int, int] | None] = [None] * len(bounds)
     for n in range(lo, hi + 1):
         for k, bound in enumerate(bounds):
             if n < bound.least_n:
                 continue
             flat, c, a, b = bound.split(n)
-            a0, b0, W = windows[k] or (a, a - 1, 0)
-            # W stays _fixed_sum(1, b) - _fixed_sum(1, a - 1) through every move.
-            W += _fixed_sum(b0 + 1, b) - _fixed_sum(b + 1, b0)
-            W += _fixed_sum(a, a0 - 1) - _fixed_sum(a0, a - 1)
-            windows[k] = a, b, W
-            s = 0 if a > b else W if bound.floor else W + b - a + 1
+            if a > b:
+                W = S = 0
+            elif windows[k] is None and _em_remainder(a - 1) == 1:
+                W, top = _harmonic_enclosure(a, b)
+                S = top - W
+            elif windows[k] is None:
+                W, S = _fixed_sum(a, b), b - a + 1
+            else:
+                a0, b0, W, S = windows[k]
+                W += _fixed_sum(b0 + 1, b) + _fixed_sum(a, a0 - 1)
+                W -= _fixed_sum(b + 1, b0) + _fixed_sum(a0, a - 1) + max(0, b0 - b) + max(0, a - a0)
+                S += abs(b - b0) + abs(a - a0)
+            windows[k] = (a, b, W, S) if a <= b else None
+            s = W if bound.floor else W + S
             num = (flat.numerator << WINDOW_BITS) + c * s * flat.denominator
             den = (n * flat.denominator) << WINDOW_BITS
             constant = bound.constant(n)

@@ -49,6 +49,10 @@ _ORDINAL_TRANSCRIPTS = "tests/test_ordinal.py::test_transcripts_of_random_ordere
 _SUBSET_CUT = "tests/test_oracle.py::test_the_subset_sum_cut_keeps_the_result_and_never_adds_nodes"
 _ORACLE_DIGEST = "tests/test_golden.py::test_oracle_witnesses_match_the_golden_digest"
 _GOLDEN_CLI = "tests/test_golden.py::test_cli_outputs_match_the_golden_corpus"
+_BOBW = "src/mmskit/bobw.py"
+_ATANH_SERIES = "tests/test_bobw.py::test_the_atanh_series_enclose_the_log_at_their_own_precision"
+_LN_REFERENCE = "tests/test_bobw.py::test_ln_enclosure_agrees_with_a_decimal_reference"
+_EM_ENCLOSURE = "tests/test_bobw.py::test_the_euler_maclaurin_enclosure_contains_the_exact_window_sum"
 
 _SCAN = """\
         for agent in waiting[:]:
@@ -174,6 +178,41 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_1_ordinal_guarantee",
             _GOLDEN_CLI, _ORDINAL_TRANSCRIPTS, _TRANSCRIPT_PINS, _TRUTHFUL_REFERENCE,
         ),
+    ),
+    Mutant(
+        "bobw-log-tail-dropped",
+        _BOBW,
+        "    hi -= -(hi_t << bits) // (k * ((1 << bits) - hi_x2))\n",
+        "",
+        (_ATANH_SERIES, _LN_REFERENCE),
+    ),
+    Mutant(
+        "bobw-log-lower-series-rounded-up",
+        _BOBW,
+        "        lo += lo_t // k\n",
+        "        lo -= -lo_t // k\n",
+        (_ATANH_SERIES,),
+    ),
+    Mutant(
+        "bobw-window-remainder-dropped",
+        _BOBW,
+        "    remainder = _em_remainder(m)\n",
+        "    remainder = 0\n",
+        (_EM_ENCLOSURE,),
+    ),
+    Mutant(
+        "bobw-slide-keeps-the-lower-end-of-a-leaving-term",
+        _BOBW,
+        "_fixed_sum(a0, a - 1) + max(0, b0 - b) + max(0, a - a0)\n",
+        "_fixed_sum(a0, a - 1)\n",
+        ("tests/test_bobw.py::test_a_window_that_only_loses_terms_keeps_the_exact_verdict",),
+    ),
+    Mutant(
+        "bobw-slide-keeps-the-width",
+        _BOBW,
+        "                S += abs(b - b0) + abs(a - a0)\n",
+        "",
+        ("tests/test_bobw.py::test_a_sweep_from_the_euler_maclaurin_window_keeps_the_exact_verdict",),
     ),
 )
 

@@ -84,16 +84,61 @@ def test_ln_enclosure_reduces_a_large_ratio_by_powers_of_two(p, q):
     ids=["3^2000/2^3169", "3^1000/2^1584", "(2^300+1)/2^300", "(10^1000+1)/10^1000", "7^500/3"],
 )
 def test_ln_enclosure_rounds_a_ratio_of_long_terms_to_a_dyadic_one(p, q):
-    # Past EXACT_LN_BITS the series runs on floor(p * 2**K / q) / 2**K, so
-    # its time no longer grows with the digits of p and q: the series on
-    # 3**2000 / 2**3169 itself took about 4 s.
+    # The kernel takes x = (p - q) / (p + q) to a binary fixed point in one
+    # long division, so its time does not grow with the digits of p and q: an
+    # exact series on 3**2000 / 2**3169 took about 4 s.
     _assert_encloses_the_log_quickly(p, q)
 
 
-def _assert_encloses_the_log_quickly(p, q):
+def _seeded_log_ratios(rng, count):
+    """(p, q) with p >= q >= 1: ratios next to 1, up to 2, and far above 2q,
+    with terms of one to a thousand digits."""
+    cases = []
+    for k in range(count):
+        q = rng.randint(1, 10 ** rng.randint(0, 1000 if k % 4 == 0 else 30))
+        kind = k % 3
+        if kind == 0:
+            p = q + rng.randint(0, min(q, 10 ** rng.randint(0, 6)))
+        elif kind == 1:
+            p = rng.randint(q, 2 * q)
+        else:
+            p = q * rng.randint(2, 10 ** rng.randint(1, 60)) + rng.randint(0, q - 1)
+        cases.append((p, q))
+    return cases
+
+
+def _reference_ln(p, q, digits=120):
     with decimal.localcontext() as context:
-        context.prec = 120
-        true = Fraction(decimal.Decimal(p).ln() - decimal.Decimal(q).ln())
+        context.prec = digits
+        return Fraction(decimal.Decimal(p).ln() - decimal.Decimal(q).ln())
+
+
+def test_ln_enclosure_agrees_with_a_decimal_reference():
+    # A differential test of the fixed-point kernel against decimal's ln at
+    # 120 digits, on 300 seeded ratios.
+    for p, q in _seeded_log_ratios(random.Random(35), 300):
+        _assert_encloses_the_log_quickly(p, q)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 200, 320])
+def test_the_atanh_series_enclose_the_log_at_their_own_precision(bits):
+    # The series on their own, before the kernel's guard bits are rounded
+    # away: a term rounded the wrong way or a dropped tail bound moves an end
+    # past the value by many units of 2**-bits, where behind the guard bits
+    # it would move it by a fraction of one.
+    ratios = [(2, 1), (4, 3), (10, 9)] + _seeded_log_ratios(random.Random(bits), 120)
+    for p, q in ratios:
+        k = p.bit_length() - q.bit_length()
+        q <<= k - (p < q << k)  # p / q in [1, 2), where x = (p - q) / (p + q) < 1/3
+        lo, hi = bobw._atanh_fixed(p - q, p + q, bits)
+        true = _reference_ln(p, q, 160) * 2**bits
+        slack = Fraction(2**bits, 10**140)
+        assert lo - slack <= true <= hi + slack, (p, q)
+        assert hi - lo < 2**bobw.GUARD_BITS
+
+
+def _assert_encloses_the_log_quickly(p, q):
+    true = _reference_ln(p, q)
     start = time.perf_counter()
     lo, hi = ln_enclosure(p, q)
     assert time.perf_counter() - start < 0.1
@@ -290,6 +335,30 @@ def test_the_hard1_closed_form_carries_a_window_lcm_not_a_product():
     assert den.bit_length() <= 45_000
 
 
+# The least a - 1 at which Euler-Maclaurin's remainder bound is one unit of
+# 2**-WINDOW_BITS, so that a sweep's first window starts from the enclosure.
+EM_LEAST = 1179
+
+
+def test_the_euler_maclaurin_enclosure_contains_the_exact_window_sum():
+    # 200 seeded windows with a - 1 from EM_LEAST to 4 * MAX_N, the three
+    # bounds' windows at n = MAX_N, and 40 windows below EM_LEAST, where the
+    # remainder bound is many units wide and only it keeps the sum inside.
+    assert bobw._em_remainder(EM_LEAST - 1) > 1 == bobw._em_remainder(EM_LEAST)
+    rng = random.Random(35)
+    above = [EM_LEAST, EM_LEAST + 1, 4 * MAX_N] + [rng.randint(EM_LEAST, 4 * MAX_N) for _ in range(197)]
+    below = [1, 2] + [rng.randint(1, EM_LEAST - 1) for _ in range(38)]
+    windows = [(m + 1, m + 1 + rng.randint(0, 10 ** rng.randint(0, 3))) for m in above]
+    windows += [bound.split(MAX_N)[2:] for bound in (bobw._GAMMA, bobw._HARD1, bobw._HARD2)]
+    windows += [(m + 1, m + 1 + rng.randint(0, 300)) for m in below]
+    for a, b in windows:
+        lo, hi = bobw._harmonic_enclosure(a, b)
+        p, q = bobw._reciprocal_range_sum(a, b)
+        assert lo * q <= p << bobw.WINDOW_BITS <= hi * q, (a, b)
+        if a - 1 >= EM_LEAST:
+            assert hi - lo <= 5
+
+
 # ---------------------------------------------------------------------------
 # Integral sandwich
 
@@ -432,18 +501,17 @@ def test_the_full_sweeps_need_no_exact_fallback(monkeypatch):
     assert fallbacks == []
 
 
-@pytest.mark.parametrize("record", ["_GAMMA", "_HARD1", "_HARD2"])
-def test_the_sweep_verdict_equals_the_exact_verdict(monkeypatch, record):
+def _assert_sweep_verdicts_are_exact(monkeypatch, record, lo, hi):
     # Each n gets a constant at a seeded offset from its exact average: far on
     # either side, inside the window enclosure's width, or a tie. One sweep over
-    # n = 1..1500 must fail exactly the n whose offset is on the failing side;
+    # n = lo..hi must fail exactly the n whose offset is on the failing side;
     # a failure is recorded, not raised, so the sweep goes on sliding its window.
     bound = getattr(bobw, record)
     sweep = verify_gamma_bound_range if record == "_GAMMA" else verify_hard_bound_range
     rng = random.Random(11)
     offsets = [0, Fraction(1, 10**6), Fraction(1, 10**30), Fraction(1, 10**45)]
     constants, expected = {}, set()
-    for n in range(bound.least_n, 1501):
+    for n in range(max(lo, bound.least_n), hi + 1):
         num, den = bobw._certify(bound, n)
         offset = rng.choice((-1, 1)) * rng.choice(offsets)
         constants[n] = Fraction(num, den) + offset
@@ -464,5 +532,60 @@ def test_the_sweep_verdict_equals_the_exact_verdict(monkeypatch, record):
 
     monkeypatch.setattr(bobw, record, moved)
     monkeypatch.setattr(bobw, "_certify", recording_certify)
-    sweep(1, 1500)
+    sweep(lo, hi)
     assert failed == expected
+
+
+@pytest.mark.parametrize("record", ["_GAMMA", "_HARD1", "_HARD2"])
+def test_the_sweep_verdict_equals_the_exact_verdict(monkeypatch, record):
+    _assert_sweep_verdicts_are_exact(monkeypatch, record, 1, 1500)
+
+
+@pytest.mark.parametrize("record", ["_GAMMA", "_HARD1", "_HARD2"])
+def test_a_sweep_from_the_euler_maclaurin_window_keeps_the_exact_verdict(monkeypatch, record):
+    # At n = 9000 each bound's first window starts from _harmonic_enclosure.
+    _assert_sweep_verdicts_are_exact(monkeypatch, record, 9000, 9023)
+
+
+def test_a_window_that_only_loses_terms_keeps_the_exact_verdict(monkeypatch):
+    # A term that leaves lowers the window's lower end by one unit more than
+    # its floor. Here three terms leave at each n and none enter, so without
+    # that unit the lower end would pass the exact sum within a few n.
+    shrinking = dataclasses.replace(
+        bobw._GAMMA, split=lambda n: (Fraction(0), 1, EM_LEAST + 3 * n, 2000), constant=lambda n: Fraction(0)
+    )
+    monkeypatch.setattr(bobw, "_GAMMA", shrinking)
+    _assert_sweep_verdicts_are_exact(monkeypatch, "_GAMMA", 1, 120)
+
+
+def test_a_sweep_sums_only_the_terms_that_move(monkeypatch):
+    # Machine-independent cost of a sweep at the top of the range: with each
+    # first window summed term by term, these two sweeps summed 6,743 and
+    # 14,248 terms.
+    fixed_sum = bobw._fixed_sum
+    terms = []
+
+    def counting_fixed_sum(a, b):
+        terms.append(max(0, b - a + 1))
+        return fixed_sum(a, b)
+
+    monkeypatch.setattr(bobw, "_fixed_sum", counting_fixed_sum)
+    verify_gamma_bound_range(9981, 10_000)
+    assert sum(terms) == 89
+    terms.clear()
+    verify_hard_bound_range(9981, 10_000)
+    assert sum(terms) == 278
+
+
+def test_a_sweep_from_any_base_past_the_threshold_needs_no_exact_fallback(monkeypatch):
+    # Every sweep of 20 n that the analysis workload may run from a base where
+    # a first window starts from the enclosure: the first such base of each
+    # bound, the last base, and every 61st base between.
+    fallbacks = []
+    monkeypatch.setattr(bobw, "_certify", lambda bound, n: fallbacks.append((bound.name, n)))
+    firsts = [next(n for n in range(2, MAX_N) if bound.split(n)[2] - 1 >= EM_LEAST)
+              for bound in (bobw._GAMMA, bobw._HARD1, bobw._HARD2)]
+    for base in sorted({*firsts, *range(min(firsts), 10_000 - 19, 61), 10_000 - 19}):
+        verify_gamma_bound_range(base, base + 19)
+        verify_hard_bound_range(base, base + 19)
+    assert fallbacks == []

@@ -309,6 +309,15 @@ def test_one_private_sandwich_for_the_three_curves():
         if isinstance(node, (ast.Name, ast.Attribute)) and name(node) == "ln_enclosure"
     }
     assert callers == {("bobw.py", "_ln"), ("bobw.py", "_sandwich")}
+    # One integer log kernel serves ln_enclosure and the sweeps' window enclosure.
+    kernel = {
+        (path, owner(stmt))
+        for path, tree in modules.items()
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if name(node) == "_ln_fixed"
+    }
+    assert kernel == {("bobw.py", "_ln_fixed"), ("bobw.py", "ln_enclosure"), ("bobw.py", "_harmonic_enclosure")}
 
 
 def test_only_core_tests_whether_a_value_is_an_int():
