@@ -15,12 +15,12 @@ an integer enclosure of the bound's harmonic window in units of
 kernel's log, five Bernoulli terms, and a remainder bounded by the first
 omitted term) once that remainder is below one unit, and from a direct sum
 of ``2**WINDOW_BITS // j`` before; each later window slides from the last
-one by the terms that enter and leave, in O(1) memory. The enclosure's
-conservative end is cross-multiplied against the bound's certified constant.
-The exact engine, ``_certify``, sums the window by binary splitting (Haible
-and Papanikolaou, 1998) over lcm(a, ..., b), not over the product of its
-terms; it serves the closed forms and every n the enclosure cannot prove, so
-each ``GuaranteeViolation`` comes from it.
+one by the terms that enter and leave, in O(1) memory. The sweeps and the
+exact engine, ``_certify``, share one integer comparison, ``_margin``. The
+exact engine sums the window by binary splitting (Haible and Papanikolaou,
+1998) over lcm(a, ..., b), not over the product of its terms; it serves the
+closed forms and every n the enclosure cannot prove, so each
+``GuaranteeViolation`` comes from it.
 """
 
 from __future__ import annotations
@@ -205,57 +205,63 @@ def sample_allocation(
 
 @dataclass(frozen=True)
 class _AverageBound:
-    """The average (1/n) sum_{i=1}^{n} f(i), bounded by constant(n) for n >= least_n.
+    """The average (1/n) sum_{i=1}^{n} f(i), bounded for n >= least_n by the
+    constant coeff * ln(lp/lq) + rational + 1/(r*n), with ``log`` = (coeff, lp, lq).
 
-    ``split(n)`` is (flat, c, a, b) with sum_i f(i) = flat + c * sum_{j=a}^{b} 1/j.
-    ``constant(n)`` takes the conservative end of each log enclosure.
+    ``split(n)`` is (p, q, c, a, b) with sum_i f(i) = p/q + c * sum_{j=a}^{b} 1/j.
     """
 
     name: str
     least_n: int
-    split: Callable[[int], tuple[Fraction, int, int, int]]
-    constant: Callable[[int], Fraction]
-    floor: bool  # the average is at least constant(n); else at most
+    split: Callable[[int], tuple[int, int, int, int, int]]
+    log: tuple[int, int, int]
+    rational: tuple[int, int]
+    r: int
+    floor: bool  # the average is at least the constant; else at most
+
+    @functools.cached_property
+    def _terms(self) -> tuple[int, int, int]:
+        coeff, lp, lq = self.log
+        num, den = self.rational
+        end = _ln_fixed(lp, lq, LN_BITS)[self.floor]  # the log's conservative end: the upper one for a floor
+        return (coeff * end * den + (num << LN_BITS)) * self.r, den << LN_BITS, den * self.r << LN_BITS
+
+    def target(self, n: int) -> tuple[int, int]:
+        """n times the constant at n, as (numerator, denominator)."""
+        slope, one, den = self._terms
+        return n * slope + one, den
 
 
-# Only the bound constants call it, so ln(4/3) and ln(10/9) are enclosed once per process.
-_ln = functools.cache(ln_enclosure)
-
-
-def _gamma_split(n: int) -> tuple[Fraction, int, int, int]:
-    # Ranks 1..K take the harmonic branch 2n/(2n+i-1), the rest the floor:
-    # 2n/(2n+i-1) >= floor  <=>  2n+i-1 <= 24n^2/(9n+1).
-    floor = Fraction(3, 4) + Fraction(1, 12 * n)
+def _gamma_split(n: int) -> tuple[int, int, int, int, int]:
+    # Ranks 1..K take the harmonic branch 2n/(2n+i-1), the rest the floor
+    # (9n+1)/(12n): 2n/(2n+i-1) >= floor  <=>  2n+i-1 <= 24n^2/(9n+1).
     K = min(n, max(0, (24 * n * n) // (9 * n + 1) - 2 * n + 1))
-    return (n - K) * floor, 2 * n, 2 * n, 2 * n + K - 1
+    return (n - K) * (9 * n + 1), 12 * n, 2 * n, 2 * n, 2 * n + K - 1
 
 
-def _hard2_split(n: int) -> tuple[Fraction, int, int, int]:
-    # Ranks 1..i1 take the linear branch, ranks i1+1..i2 sit on the 5/6
-    # plateau, and the rest take the harmonic branch 3n/(3n+i-2).
+def _hard2_split(n: int) -> tuple[int, int, int, int, int]:
+    # Ranks 1..i1 take the linear branch 1 - (i-1)/(3n), ranks i1+1..i2 sit
+    # on the 5/6 plateau, and the rest take the harmonic branch 3n/(3n+i-2).
     i1 = n // 2 + 1
     i2 = min((3 * n + 10) // 5, n)
-    flat = i1 - Fraction((i1 - 1) * i1, 6 * n) + Fraction(5, 6) * (i2 - i1)
-    return flat, 3 * n, 3 * n + i2 - 1, 4 * n - 2
+    return 6 * n * i1 - (i1 - 1) * i1 + 5 * n * (i2 - i1), 6 * n, 3 * n, 3 * n + i2 - 1, 4 * n - 2
 
 
-_GAMMA = _AverageBound(
-    "average threshold floor", 1, _gamma_split,
-    lambda n: 2 * _ln(4, 3)[1] + Fraction(1, 4) + Fraction(1, 36 * n), floor=True,
-)
+_GAMMA = _AverageBound("average threshold floor", 1, _gamma_split, (2, 4, 3), (1, 4), 36, floor=True)
 _HARD1 = _AverageBound(  # ranks 1 and 2 worth 1, rank i >= 3 capped at 3n/(3n+i-2)
-    "hard1 ceiling", 2, lambda n: (Fraction(2), 3 * n, 3 * n + 1, 4 * n - 2),
-    lambda n: 3 * _ln(4, 3)[0] + Fraction(1, 2 * n), floor=False,
-)
-_HARD2 = _AverageBound(
-    "hard2 ceiling", 1, _hard2_split,
-    lambda n: Fraction(13, 24) + 3 * _ln(10, 9)[0] + Fraction(1, 3 * n), floor=False,
-)
+    "hard1 ceiling", 2, lambda n: (2, 1, 3 * n, 3 * n + 1, 4 * n - 2), (3, 4, 3), (0, 1), 2, floor=False)
+_HARD2 = _AverageBound("hard2 ceiling", 1, _hard2_split, (3, 10, 9), (13, 24), 3, floor=False)
+
+
+def _margin(bound: _AverageBound, n: int, num: int, den: int) -> int:
+    """Positive when the rank sum num/den is strictly on the bound's safe side of ``target(n)``, 0 at a tie."""
+    top, bottom = bound.target(n)
+    margin = num * bottom - top * den
+    return margin if bound.floor else -margin
 
 
 def _certify(bound: _AverageBound, n: int) -> tuple[int, int]:
-    """The exact average at n as an unreduced (numerator, denominator) pair,
-    certified against ``bound.constant(n)`` by cross-multiplication.
+    """The exact average at n as an unreduced (numerator, denominator) pair, certified by ``_margin``.
 
     It sums the harmonic window a..b by binary splitting over lcm(a, ..., b),
     so its cost grows with n. The closed forms call it, and so do sweeps for
@@ -263,20 +269,16 @@ def _certify(bound: _AverageBound, n: int) -> tuple[int, int]:
     ``GuaranteeViolation``.
     """
     check_int("n", n, bound.least_n, MAX_N)
-    flat, c, a, b = bound.split(n)
-    p, q = _reciprocal_range_sum(a, b)
-    num = flat.numerator * q + c * p * flat.denominator
-    den = n * flat.denominator * q
-    constant = bound.constant(n)
-    lhs, rhs = num * constant.denominator, constant.numerator * den
-    if (lhs < rhs) if bound.floor else (lhs > rhs):
+    p, q, c, a, b = bound.split(n)
+    hp, hq = _reciprocal_range_sum(a, b)
+    num, den = p * hq + c * hp * q, q * hq
+    if _margin(bound, n, num, den) < 0:
         raise GuaranteeViolation(f"{bound.name} fails at n={n}")
-    return num, den
+    return num, n * den
 
 
 def _closed_form(bound: _AverageBound, n: int) -> tuple[Fraction, str]:
-    num, den = _certify(bound, n)
-    return Fraction(num, den), fraction_to_decimal(bound.constant(n))
+    return Fraction(*_certify(bound, n)), fraction_to_decimal(Fraction(*bound.target(n)) / n)
 
 
 def gamma_lower_bound(n: int) -> tuple[Fraction, str]:
@@ -356,10 +358,9 @@ def _sweep(lo: int, hi: int, *bounds: _AverageBound) -> None:
     that enters and subtracts it for one that leaves; each such floor is
     below its term by less than one unit, so W also drops one unit for each
     term that leaves, and S widens by one unit for each term that moves. An
-    empty window sums to 0 exactly and keeps no state. The end of [W, W + S]
-    on the bound's conservative side gives an integer fraction for the
-    average. An n where that fraction does not strictly beat
-    ``bound.constant(n)`` (undecided, a tie or a failure) goes to ``_certify``.
+    empty window sums to 0 exactly and keeps no state. An n whose rank sum,
+    taken at the conservative end of [W, W + S], has no positive ``_margin``
+    (undecided, a tie or a failure) goes to ``_certify``.
     """
     check_int("n", hi, most=MAX_N)
     check_int("n", lo)
@@ -371,7 +372,7 @@ def _sweep(lo: int, hi: int, *bounds: _AverageBound) -> None:
         for k, bound in enumerate(bounds):
             if n < bound.least_n:
                 continue
-            flat, c, a, b = bound.split(n)
+            p, q, c, a, b = bound.split(n)
             if a > b:
                 W = S = 0
             elif windows[k] is None and _em_remainder(a - 1) == 1:
@@ -386,11 +387,7 @@ def _sweep(lo: int, hi: int, *bounds: _AverageBound) -> None:
                 S += abs(b - b0) + abs(a - a0)
             windows[k] = (a, b, W, S) if a <= b else None
             s = W if bound.floor else W + S
-            num = (flat.numerator << WINDOW_BITS) + c * s * flat.denominator
-            den = (n * flat.denominator) << WINDOW_BITS
-            constant = bound.constant(n)
-            lhs, rhs = num * constant.denominator, constant.numerator * den
-            if not (lhs > rhs if bound.floor else lhs < rhs):
+            if _margin(bound, n, (p << WINDOW_BITS) + c * s * q, q << WINDOW_BITS) <= 0:
                 _certify(bound, n)
 
 

@@ -53,6 +53,7 @@ _BOBW = "src/mmskit/bobw.py"
 _ATANH_SERIES = "tests/test_bobw.py::test_the_atanh_series_enclose_the_log_at_their_own_precision"
 _LN_REFERENCE = "tests/test_bobw.py::test_ln_enclosure_agrees_with_a_decimal_reference"
 _EM_ENCLOSURE = "tests/test_bobw.py::test_the_euler_maclaurin_enclosure_contains_the_exact_window_sum"
+_CONSTANT_SIDE = "tests/test_bobw.py::test_each_constant_lies_on_its_safe_side_of_the_true_value"
 
 _SCAN = """\
         for agent in waiting[:]:
@@ -213,6 +214,27 @@ MUTANTS = (
         "                S += abs(b - b0) + abs(a - a0)\n",
         "",
         ("tests/test_bobw.py::test_a_sweep_from_the_euler_maclaurin_window_keeps_the_exact_verdict",),
+    ),
+    Mutant(
+        "bobw-constant-drops-the-1-over-rn-term",
+        _BOBW,
+        ", den << LN_BITS, den * self.r << LN_BITS\n",
+        ", 0, den * self.r << LN_BITS\n",
+        (_CONSTANT_SIDE, "tests/test_bobw.py::test_the_closed_forms_are_pinned"),
+    ),
+    Mutant(
+        "bobw-constant-reads-the-wrong-log-end",
+        _BOBW,
+        "        end = _ln_fixed(lp, lq, LN_BITS)[self.floor]",
+        "        end = _ln_fixed(lp, lq, LN_BITS)[not self.floor]",
+        (_CONSTANT_SIDE,),
+    ),
+    Mutant(
+        "bobw-sweep-accepts-a-tie",
+        _BOBW,
+        "q << WINDOW_BITS) <= 0:\n",
+        "q << WINDOW_BITS) < 0:\n",
+        ("tests/test_bobw.py::test_a_tie_goes_to_the_exact_engine",),
     ),
 )
 

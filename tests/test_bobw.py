@@ -2,6 +2,7 @@
 
 import dataclasses
 import decimal
+import hashlib
 import math
 import random
 import time
@@ -290,6 +291,20 @@ def test_hard2_matches_direct_summation():
         assert exact == direct
 
 
+_PINNED_NS = [*range(1, 301), 997, 1000, 2024, 4001, 5000, 9999, MAX_N]
+
+
+def test_the_closed_forms_are_pinned():
+    # A digest of each closed form's exact average, in hex (a 40k-bit value
+    # is past Python's digit limit for str), and its decimal bound string.
+    digest = hashlib.sha256()
+    for closed_form, least_n in ((gamma_lower_bound, 1), (hard1_upper_bound, 2), (hard2_upper_bound, 1)):
+        for n in _PINNED_NS[least_n - 1:]:
+            exact, bound = closed_form(n)
+            digest.update(f"{n} {exact.numerator:x}/{exact.denominator:x} {bound}\n".encode())
+    assert digest.hexdigest() == "9d4669e30d92eab48d7b77460a8069ab37c1d2c64b326095d3ed5ba1ab89ca49"
+
+
 def test_hard_bounds_approach_their_asymptotes():
     exact1, _ = hard1_upper_bound(10000)
     assert Fraction(85, 100) < exact1 < Fraction(87, 100)  # ~0.86305
@@ -322,7 +337,7 @@ def test_the_window_pair_is_exactly_the_lcm_form():
         a = rng.randint(1, 3000)
         windows.append((a, a + rng.randint(0, 400)))
     for bound in (bobw._GAMMA, bobw._HARD1, bobw._HARD2):
-        _, _, a, b = bound.split(MAX_N)
+        *_, a, b = bound.split(MAX_N)
         windows.append((a, b))
     for a, b in windows:
         assert bobw._reciprocal_range_sum(a, b) == _lcm_form(a, b), (a, b)
@@ -349,7 +364,7 @@ def test_the_euler_maclaurin_enclosure_contains_the_exact_window_sum():
     above = [EM_LEAST, EM_LEAST + 1, 4 * MAX_N] + [rng.randint(EM_LEAST, 4 * MAX_N) for _ in range(197)]
     below = [1, 2] + [rng.randint(1, EM_LEAST - 1) for _ in range(38)]
     windows = [(m + 1, m + 1 + rng.randint(0, 10 ** rng.randint(0, 3))) for m in above]
-    windows += [bound.split(MAX_N)[2:] for bound in (bobw._GAMMA, bobw._HARD1, bobw._HARD2)]
+    windows += [bound.split(MAX_N)[3:] for bound in (bobw._GAMMA, bobw._HARD1, bobw._HARD2)]
     windows += [(m + 1, m + 1 + rng.randint(0, 300)) for m in below]
     for a, b in windows:
         lo, hi = bobw._harmonic_enclosure(a, b)
@@ -391,6 +406,28 @@ def test_a_rising_curve_is_a_guarantee_violation():
     # The curves are the library's own, so a rise is a bug, not bad input.
     with pytest.raises(GuaranteeViolation, match="not non-increasing"):
         bobw._sandwich([Fraction(1), Fraction(2)], Fraction(0), 0, Fraction(1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 30, 101])
+@pytest.mark.parametrize(
+    "check, closed_form, extra",
+    [(integral_check_gamma, gamma_lower_bound, 0), (integral_check_hard1, hard1_upper_bound, -1),
+     (integral_check_hard2, hard2_upper_bound, 0)],
+    ids=["gamma", "hard1", "hard2"],
+)
+def test_each_sandwich_curve_sums_to_its_bound_record(monkeypatch, check, closed_form, extra, n):
+    # A sandwich tabulates its curve, and the bound's record splits the same
+    # rank sum into a flat part and a harmonic window: the two must agree.
+    # The hard1 curve counts rank 1 once, where the bound counts ranks 1 and 2.
+    sandwich, totals = bobw._sandwich, []
+
+    def recording_sandwich(values, *args):
+        totals.append(sum(values))
+        return sandwich(values, *args)
+
+    monkeypatch.setattr(bobw, "_sandwich", recording_sandwich)
+    assert check(n)
+    assert totals == [n * closed_form(n)[0] + extra]
 
 
 def test_proof_curves_for_small_sizes():
@@ -458,6 +495,19 @@ def test_an_empty_sweep_is_a_no_op():
     verify_hard_bound_range(5, 4)
 
 
+def _moved(bound, constants):
+    """``bound`` with its constant replaced by ``constants[n]`` at each n the dict holds."""
+
+    class Moved(bobw._AverageBound):
+        def target(self, n):
+            if n not in constants:
+                return super().target(n)
+            moved = n * constants[n]
+            return moved.numerator, moved.denominator
+
+    return Moved(**{field.name: getattr(bound, field.name) for field in dataclasses.fields(bound)})
+
+
 @pytest.mark.parametrize(
     "record, closed_form, sweep",
     [
@@ -476,9 +526,7 @@ def test_a_bound_moved_past_the_exact_average_fails(monkeypatch, record, closed_
     for n in (5, 9000):
         exact, _ = closed_form(n)
         for shift, fails in ((0, False), (step, True)):
-            moved = dataclasses.replace(
-                bound, constant=lambda m: exact + shift if m == n else bound.constant(m)
-            )
+            moved = _moved(bound, {n: exact + shift})
             monkeypatch.setattr(bobw, record, moved)
             if fails:
                 with pytest.raises(GuaranteeViolation, match=f"n={n}$"):
@@ -489,6 +537,29 @@ def test_a_bound_moved_past_the_exact_average_fails(monkeypatch, record, closed_
                 assert closed_form(n)[0] == exact
                 sweep(n - 1, n + 1)
         monkeypatch.setattr(bobw, record, bound)
+
+
+@pytest.mark.parametrize(
+    "record, true_constant",
+    [
+        ("_GAMMA", lambda n: 2 * _reference_ln(4, 3) + Fraction(1, 4) + Fraction(1, 36 * n)),
+        ("_HARD1", lambda n: 3 * _reference_ln(4, 3) + Fraction(1, 2 * n)),
+        ("_HARD2", lambda n: Fraction(13, 24) + 3 * _reference_ln(10, 9) + Fraction(1, 3 * n)),
+    ],
+)
+def test_each_constant_lies_on_its_safe_side_of_the_true_value(record, true_constant):
+    # A floor's constant is at or above the true value and a ceiling's at or
+    # below it, by at most three log widths. The two ends of a log enclosure
+    # lie about 10**-55 apart, past the 50 digits a closed form renders, so
+    # only this comparison tells which end a record reads.
+    bound = getattr(bobw, record)
+    slack = Fraction(1, 10**100)  # the 120-digit reference's own error
+    for n in (1, 2, 3, 10, 997, MAX_N):
+        top, bottom = bound.target(n)
+        gap = Fraction(top, n * bottom) - true_constant(n)
+        if not bound.floor:
+            gap = -gap
+        assert -slack <= gap < Fraction(3, 10**bobw.ENCLOSURE_DIGITS), n
 
 
 def test_the_full_sweeps_need_no_exact_fallback(monkeypatch):
@@ -517,7 +588,7 @@ def _assert_sweep_verdicts_are_exact(monkeypatch, record, lo, hi):
         constants[n] = Fraction(num, den) + offset
         if (offset > 0) if bound.floor else (offset < 0):
             expected.add(n)
-    moved = dataclasses.replace(bound, constant=constants.__getitem__)
+    moved = _moved(bound, constants)
     assert 0 < len(expected) < len(constants)
 
     certify = bobw._certify
@@ -547,12 +618,31 @@ def test_a_sweep_from_the_euler_maclaurin_window_keeps_the_exact_verdict(monkeyp
     _assert_sweep_verdicts_are_exact(monkeypatch, record, 9000, 9023)
 
 
+def test_a_tie_goes_to_the_exact_engine(monkeypatch):
+    # For n <= 5 the hard2 window is empty, so a sweep's rank sum is exact,
+    # and a constant equal to the exact average is a tie. A sweep proves only
+    # a strict margin and leaves each tie to _certify, which accepts it.
+    exact = {n: Fraction(*bobw._certify(bobw._HARD2, n)) for n in range(1, 6)}
+    assert all(a > b for *_, a, b in map(bobw._HARD2.split, exact))
+    certify, ties = bobw._certify, []
+
+    def recording_certify(bound, n):
+        ties.append((bound.name, n))
+        return certify(bound, n)
+
+    monkeypatch.setattr(bobw, "_HARD2", _moved(bobw._HARD2, exact))
+    monkeypatch.setattr(bobw, "_certify", recording_certify)
+    verify_hard_bound_range(1, 5)
+    assert ties == [("hard2 ceiling", n) for n in exact]
+
+
 def test_a_window_that_only_loses_terms_keeps_the_exact_verdict(monkeypatch):
     # A term that leaves lowers the window's lower end by one unit more than
     # its floor. Here three terms leave at each n and none enter, so without
     # that unit the lower end would pass the exact sum within a few n.
+    # The constant 1/n - 1 is at most 0, below every average of this floor.
     shrinking = dataclasses.replace(
-        bobw._GAMMA, split=lambda n: (Fraction(0), 1, EM_LEAST + 3 * n, 2000), constant=lambda n: Fraction(0)
+        bobw._GAMMA, split=lambda n: (0, 1, 1, EM_LEAST + 3 * n, 2000), log=(0, 1, 1), rational=(-1, 1), r=1
     )
     monkeypatch.setattr(bobw, "_GAMMA", shrinking)
     _assert_sweep_verdicts_are_exact(monkeypatch, "_GAMMA", 1, 120)
@@ -583,7 +673,7 @@ def test_a_sweep_from_any_base_past_the_threshold_needs_no_exact_fallback(monkey
     # bound, the last base, and every 61st base between.
     fallbacks = []
     monkeypatch.setattr(bobw, "_certify", lambda bound, n: fallbacks.append((bound.name, n)))
-    firsts = [next(n for n in range(2, MAX_N) if bound.split(n)[2] - 1 >= EM_LEAST)
+    firsts = [next(n for n in range(2, MAX_N) if bound.split(n)[3] - 1 >= EM_LEAST)
               for bound in (bobw._GAMMA, bobw._HARD1, bobw._HARD2)]
     for base in sorted({*firsts, *range(min(firsts), 10_000 - 19, 61), 10_000 - 19}):
         verify_gamma_bound_range(base, base + 19)

@@ -276,8 +276,8 @@ def test_error_messages_echo_a_value_only_through_short_repr():
 
 def test_one_private_sandwich_for_the_three_curves():
     # The three integral_check_* curves go through bobw._sandwich; the general
-    # integral API it replaced stays deleted, and only _ln and _sandwich
-    # enclose a logarithm.
+    # integral API it replaced stays deleted, and only _sandwich encloses a
+    # logarithm through ln_enclosure.
     def name(node):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             return node.name
@@ -308,8 +308,9 @@ def test_one_private_sandwich_for_the_three_curves():
         for node in ast.walk(stmt)
         if isinstance(node, (ast.Name, ast.Attribute)) and name(node) == "ln_enclosure"
     }
-    assert callers == {("bobw.py", "_ln"), ("bobw.py", "_sandwich")}
-    # One integer log kernel serves ln_enclosure and the sweeps' window enclosure.
+    assert callers == {("bobw.py", "_sandwich")}
+    # One integer log kernel serves ln_enclosure, the sweeps' window enclosure
+    # and the bound records' constants.
     kernel = {
         (path, owner(stmt))
         for path, tree in modules.items()
@@ -317,7 +318,9 @@ def test_one_private_sandwich_for_the_three_curves():
         for node in ast.walk(stmt)
         if name(node) == "_ln_fixed"
     }
-    assert kernel == {("bobw.py", "_ln_fixed"), ("bobw.py", "ln_enclosure"), ("bobw.py", "_harmonic_enclosure")}
+    assert kernel == {
+        ("bobw.py", "_ln_fixed"), ("bobw.py", "ln_enclosure"), ("bobw.py", "_harmonic_enclosure"), ("bobw.py", "_AverageBound"),
+    }
 
 
 def test_only_core_tests_whether_a_value_is_an_int():
