@@ -31,8 +31,7 @@ from .core import (
 )
 from .errors import GuaranteeViolation, InputError
 from .ordinal import run_ordinal
-# TruthfulResponder is not used here; it stays importable because perfbench/spans.py replaces it in this module.
-from .rbf import Bag, TruthfulResponder, reduction_shapes, run_rbf, run_rbf_truthful
+from .rbf import Bag, reduction_shapes, run_rbf, run_rbf_truthful
 from .verify import AgentCheck, check_targets, check_witness
 
 # Cap on the values (agents x goods) of an ordinalTight or hard2 family,
@@ -351,7 +350,7 @@ def demonstrate_failure(
         thresholds = ThresholdList.constant(n, 1)
         # The witness gen_ordinal_tight checked has d parts worth 1 that cover
         # every good, so each agent's d-share is exactly 1.
-        checks = check_targets(fam.instance, alloc, (1,) * n).checks
+        checks = check_targets(fam.instance, alloc, (1,) * n)
     elif spec.family == "hard1":
         alpha = Fraction(3 * n, 3 * n + i - 2)
         thresholds = _thresholds(n, i, alpha + Fraction(1, 1000), alpha, thresholds)
@@ -359,7 +358,7 @@ def demonstrate_failure(
         run = run_rbf_truthful(fam.instance, thresholds, ranking)
         alloc, transcript = run.allocation, run.transcript
         # Only the rich agents are meant to fall short.
-        checks = [c for c in run.report.checks if c.agent in fam.rich_agents]
+        checks = [c for c in run.report if c.agent in fam.rich_agents]
     else:  # hard2
         fam = gen_hard2_responders(n, i, spec.k1, spec.k2, spec.t)
         cap = fam.alpha + 2 * fam.epsilon

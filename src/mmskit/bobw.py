@@ -179,7 +179,7 @@ def cyclic_rotation_distribution(
         ranking = PriorityRanking.rotation(n, shift)
         run = run_rbf_truthful(inst, thresholds, ranking)
         support.append((ranking, run.allocation))
-        rows.append([check.value for check in run.report.checks])
+        rows.append([check.value for check in run.report])
     ex_ante, ex_post_min = [], []
     for values, (_, scale) in zip(zip(*rows), inst.scaled):  # agent i's bundle value in each run
         counts = [v.numerator * (scale // v.denominator) for v in values]

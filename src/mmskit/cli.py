@@ -113,7 +113,7 @@ def transcript_to_json(tr: Transcript) -> dict[str, Any]:
     }
 
 
-def report_to_json(report: verify.GuaranteeReport) -> dict[str, Any]:
+def report_to_json(report: Sequence[verify.AgentCheck]) -> dict[str, Any]:
     return {
         "perAgent": [
             {
@@ -122,9 +122,9 @@ def report_to_json(report: verify.GuaranteeReport) -> dict[str, Any]:
                 "target": _fraction_text(c.target),
                 "ok": c.ok,
             }
-            for c in report.checks
+            for c in report
         ],
-        "allOk": report.all_ok,
+        "allOk": all(c.ok for c in report),
     }
 
 
@@ -234,13 +234,13 @@ def _cmd_ordinal(args: argparse.Namespace) -> dict[str, Any]:
     result = run_1_out_of_d(inst, node_budget=args.node_budget)
     per_agent = [
         {"agent": c.agent, "value": _fraction_text(c.value), "share": _fraction_text(c.target), "ok": c.ok}
-        for c in result.report.checks
+        for c in result.report
     ]
     return {
         "d": result.d,
         "allocation": allocation_to_json(result.allocation),
         "perAgent": per_agent,
-        "allOk": result.report.all_ok,
+        "allOk": all(c.ok for c in result.report),
         "earlyTermination": False,  # run_1_out_of_d raises on a run that ran out of goods
     }
 
@@ -254,8 +254,8 @@ def _cmd_rbf(args: argparse.Namespace) -> dict[str, Any]:
         "transcript": transcript_to_json(run.transcript),
         "thresholds": thresholds_to_json(thresholds),
         **report_to_json(run.report),
-        "structureOk": run.structure.ok,
-        "structureViolations": list(run.structure.violations),
+        "structureOk": not run.structure,
+        "structureViolations": list(run.structure),
     }
 
 
@@ -352,17 +352,11 @@ def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
         if args.d is None:
             raise InputError("mode '1ood' needs --d")
         report = verify.check_1_out_of_d(inst, alloc, args.d, node_budget=args.node_budget)
-        payload = {"mode": "1ood", "d": args.d, **report_to_json(report)}
-    else:
-        thresholds = _parse_thresholds(args.thresholds, inst.num_agents)
-        ranking = _parse_ranking(args.ranking, inst.num_agents)
-        report = verify.check_t_mms(inst, alloc, ranking, thresholds, node_budget=args.node_budget)
-        payload = {
-            "mode": "tmms",
-            "thresholds": thresholds_to_json(thresholds),
-            **report_to_json(report),
-        }
-    return payload
+        return {"mode": "1ood", "d": args.d, **report_to_json(report)}
+    thresholds = _parse_thresholds(args.thresholds, inst.num_agents)
+    ranking = _parse_ranking(args.ranking, inst.num_agents)
+    report = verify.check_t_mms(inst, alloc, ranking, thresholds, node_budget=args.node_budget)
+    return {"mode": "tmms", "thresholds": thresholds_to_json(thresholds), **report_to_json(report)}
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,3 @@ class Transcript:
     def ran_out_of_goods(self) -> bool:
         """Whether the goods ran out: true when some ``"leftover"`` event exists."""
         return any(e.kind == "leftover" for e in self.bag_events)
-
-    def reduction_types(self) -> tuple[int, ...]:
-        return tuple(e.type for e in self.reductions)

@@ -12,14 +12,16 @@ class InputError(MmsKitError):
 class SearchBudgetExceeded(MmsKitError):
     """An exact search ran out of its node budget before proving optimality.
 
-    Raised instead of ever returning a possibly-wrong answer.
+    Raised instead of ever returning a possibly-wrong answer. ``agent`` and
+    ``d`` name the share whose search ran out.
     """
 
-    def __init__(self, budget: int, nodes: int):
+    def __init__(self, budget: int, agent: int, d: int):
         self.budget = budget
-        self.nodes = nodes
+        self.agent = agent
+        self.d = d
         super().__init__(
-            f"search budget of {budget} nodes exhausted after {nodes} nodes; "
+            f"search budget of {budget} nodes exhausted on agent {agent}'s {d}-share; "
             f"raise the node budget to continue"
         )
 

@@ -24,6 +24,10 @@ MAX_PARTS = 10_000
 SUBSET_SUM_BITS = 1 << 23
 
 
+class _OutOfNodes(Exception):
+    """``_search`` ran past its node budget; ``mms`` names the agent and d."""
+
+
 @dataclass(frozen=True)
 class MmsResult:
     """The maximin value together with one partition achieving it."""
@@ -51,7 +55,8 @@ def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int,
     """Maximize the minimum part sum over partitions of ``vals`` into d parts.
 
     ``vals`` must be positive ints, non-increasing, with len(vals) >= d >= 1.
-    Returns (optimal min, part index per item). Deterministic: the witness is
+    Returns (optimal min, part index per item), or raises ``_OutOfNodes``
+    at node ``budget + 1``. Deterministic: the witness is
     the greedy seed when the seed is already optimal, otherwise the last
     strict improvement found in a fixed depth-first order. The depth-first
     search keeps its own stack, so no recursion limit applies to it.
@@ -111,7 +116,7 @@ def _search(vals: tuple[int, ...], d: int, budget: int) -> tuple[int, tuple[int,
         if entering:
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetExceeded(budget, nodes)
+                raise _OutOfNodes
             if t == K:
                 m = min(sums)
                 if m > best_val:
@@ -185,8 +190,9 @@ def mms(
 ) -> MmsResult:
     """Exact maximin share of ``agent`` splitting ``goods`` into ``d`` bundles.
 
-    Deterministic for fixed inputs. Raises SearchBudgetExceeded (never a
-    wrong answer) if the branch-and-bound exceeds its node budget.
+    Deterministic for fixed inputs. Raises SearchBudgetExceeded, naming
+    ``agent`` and ``d`` (never a wrong answer), if the branch-and-bound
+    exceeds its node budget.
     """
     budget = check_search(d, node_budget)
     inst.check_agent(agent)
@@ -200,7 +206,10 @@ def mms(
         parts = [set(good_list)] + [set() for _ in range(d - 1)]
         return MmsResult(Fraction(0), Partition(tuple(frozenset(p) for p in parts)))
 
-    value, assign = _search(tuple(ints[g] for g in positive), d, budget)
+    try:
+        value, assign = _search(tuple(ints[g] for g in positive), d, budget)
+    except _OutOfNodes:
+        raise SearchBudgetExceeded(budget, agent, d) from None
     parts = [set() for _ in range(d)]
     for t, g in enumerate(positive):
         parts[assign[t]].add(g)

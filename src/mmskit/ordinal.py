@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .core import Allocation, BagEvent, Instance, Transcript, check_int
 from .errors import GuaranteeViolation, InputError
 from .transform import normalize, order, pad_agents_to_multiple_of_3, pad_goods, reinstate, unpick
-from .verify import UNORDERED, GuaranteeReport, check_1_out_of_d, check_targets, check_witness
+from .verify import UNORDERED, AgentCheck, check_1_out_of_d, check_targets, check_witness
 
 
 def run_ordinal(inst: Instance) -> tuple[Allocation, Transcript]:
@@ -95,7 +95,7 @@ class OneOutOfDResult:
     allocation: Allocation
     d: int
     transcript: Transcript | None
-    report: GuaranteeReport  # one check per agent; each target is her d-share
+    report: tuple[AgentCheck, ...]  # one check per agent; each target is her d-share
 
 
 def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDResult:
@@ -156,7 +156,7 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
         report = check_1_out_of_d(inst, allocation, d_target, node_budget=node_budget)
     else:
         report = check_targets(inst, allocation, shares)
-    for c in report.checks:
+    for c in report:
         if not c.ok:
             raise GuaranteeViolation(
                 f"agent {c.agent} received {c.value}, below her {d_target}-bundle "

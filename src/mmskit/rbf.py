@@ -302,12 +302,12 @@ def run_rbf(
 
 @dataclass(frozen=True)
 class TruthfulRun:
-    """A truthful run with its unit-share ``report`` and transcript ``structure`` checks."""
+    """A truthful run with its unit-share ``report`` and its transcript ``structure`` violations."""
 
     allocation: Allocation
     transcript: Transcript
-    report: verify.GuaranteeReport
-    structure: verify.TranscriptReport
+    report: tuple[verify.AgentCheck, ...]
+    structure: tuple[str, ...]
 
 
 def run_rbf_truthful(
@@ -329,7 +329,7 @@ def run_rbf_truthful(
         rank_of = check_ranked(n, thresholds, ranking).rank_of
         report = verify.check_targets(inst, alloc, [thresholds.taus[r] for r in rank_of])
         run = TruthfulRun(alloc, transcript, report, verify.check_transcript(transcript))
-        if not (report.all_ok and run.structure.ok) and thresholds == priority_thresholds(n):
+        if (run.structure or not all(c.ok for c in report)) and thresholds == priority_thresholds(n):
             raise GuaranteeViolation("a default-threshold run violated its guarantee or structure checks")
     except GuaranteeViolation:
         require_unit_shares(inst)

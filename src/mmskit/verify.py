@@ -41,18 +41,9 @@ class AgentCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class GuaranteeReport:
-    checks: tuple[AgentCheck, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def check_targets(inst: Instance, alloc: Allocation, targets: Sequence[RationalLike]) -> GuaranteeReport:
-    """Agent i passes when her bundle is worth at least ``targets[i]``; the
-    comparison is exact and inclusive, cross-multiplied in ints. The
+def check_targets(inst: Instance, alloc: Allocation, targets: Sequence[RationalLike]) -> tuple[AgentCheck, ...]:
+    """One ``AgentCheck`` per agent: agent i passes when her bundle is worth
+    at least ``targets[i]``, exact and inclusive, cross-multiplied in ints. The
     allocation is checked first, then that there is one target per agent,
     each a rational (``as_fraction``). Once checked, each bundle is summed
     over the agent's ints unchecked."""
@@ -66,12 +57,12 @@ def check_targets(inst: Instance, alloc: Allocation, targets: Sequence[RationalL
         total = sum(ints[g] for g in alloc.bundles[i])
         ok = total * target.denominator >= target.numerator * scale
         checks.append(AgentCheck(i, Fraction(total, scale), target, ok))
-    return GuaranteeReport(tuple(checks))
+    return tuple(checks)
 
 
 def check_1_out_of_d(
     inst: Instance, alloc: Allocation, d: int, node_budget: int | None = None
-) -> GuaranteeReport:
+) -> tuple[AgentCheck, ...]:
     """Per-agent exact comparison against the oracle's d-bundle share. The
     allocation is checked before the search."""
     inst.check_allocation(alloc)
@@ -84,7 +75,7 @@ def check_t_mms(
     ranking: PriorityRanking,
     thresholds: ThresholdList,
     node_budget: int | None = None,
-) -> GuaranteeReport:
+) -> tuple[AgentCheck, ...]:
     """Per-agent exact comparison against tau_rank times the oracle's
     n-bundle share.
 
@@ -99,16 +90,7 @@ def check_t_mms(
     return check_targets(inst, alloc, [thresholds.taus[r] * s.value for r, s in zip(ranking.rank_of, shares)])
 
 
-@dataclass(frozen=True)
-class TranscriptReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_transcript(tr: Transcript) -> TranscriptReport:
+def check_transcript(tr: Transcript) -> tuple[str, ...]:
     """Re-verify the structural facts of a truthful run of either bag filler;
     ``run_ordinal`` logs no reductions, so only the goods count applies to it.
 
@@ -119,7 +101,7 @@ def check_transcript(tr: Transcript) -> TranscriptReport:
     |N|-th (resp. 2|N|-th) most valuable good that no logged reduction took.
     """
     violations: list[str] = []
-    types = "".join(str(t) for t in tr.reduction_types())
+    types = "".join(str(e.type) for e in tr.reductions)
     if not _REDUCTION_PATTERN.match(types):
         violations.append(
             f"reduction sequence {types or '(empty)'} does not match (1*2*4*)(32*4*)*"
@@ -148,7 +130,7 @@ def check_transcript(tr: Transcript) -> TranscriptReport:
                         f"type-{event.type} reduction {k} took goods {sorted(bad)} "
                         f"ranked at or above the surviving cutoff {cut}"
                     )
-    return TranscriptReport(tuple(violations))
+    return tuple(violations)
 
 
 def equivalence_expand(inst: Instance, d: int) -> tuple[Instance, ThresholdList]:

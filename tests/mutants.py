@@ -102,6 +102,23 @@ MUTANTS = (
         (_QUERY_PIN, _TRUTHFUL_REFERENCE, _HARD2_REFERENCE),
     ),
     Mutant(
+        "rbf-fill-loop-serves-the-worst-ranked-liker",
+        _RBF,
+        '            bag_events.append(BagEvent("fill", b, good=g))\n            for agent in waiting:\n',
+        '            bag_events.append(BagEvent("fill", b, good=g))\n            for agent in reversed(waiting):\n',
+        (
+            _GOLDEN_CLI, _TRANSCRIPT_PINS, _TRUTHFUL_REFERENCE, _HARD2_REFERENCE,
+            "tests/test_rbf.py::test_default_thresholds_satisfy_every_rank",
+        ),
+    ),
+    Mutant(
+        "rbf-truthful-rule-ignores-the-structure-check",
+        _RBF,
+        "        if (run.structure or not all(c.ok for c in report)) and thresholds",
+        "        if (not all(c.ok for c in report)) and thresholds",
+        ("tests/test_cli.py::test_a_default_threshold_run_that_fails_its_checks_is_a_bug",),
+    ),
+    Mutant(
         "rbf-scan-walks-the-list-it-removes-from",
         _RBF,
         "        for agent in waiting[:]:\n",

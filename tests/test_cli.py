@@ -227,6 +227,19 @@ def test_cmd_mms_budget_exhaustion(instance_file, capsys):
     inst = Instance.from_rows([[rng.randint(50, 99) for _ in range(14)]])
     path = instance_file(inst)
     assert main(["mms", path, "--d", "5", "--node-budget", "10"]) == EXIT_BUDGET
+    assert capsys.readouterr() == (
+        "",
+        "budget exhausted: search budget of 10 nodes exhausted on agent 0's 5-share; "
+        "raise the node budget to continue\n",
+    )
+    rows = [[1] * 14] * 3 + [[rng.randint(50, 99) for _ in range(14)]]
+    path = instance_file(Instance.from_rows(rows))
+    assert main(["mms", path, "--d", "5", "--agent", "3", "--node-budget", "1000"]) == EXIT_BUDGET
+    assert capsys.readouterr() == (
+        "",
+        "budget exhausted: search budget of 1000 nodes exhausted on agent 3's 5-share; "
+        "raise the node budget to continue\n",
+    )
 
 
 def test_cmd_ordinal_single_agent(instance_file, capsys):
@@ -600,16 +613,14 @@ def test_thresholds_equal_to_the_built_in_list_are_judged_like_default(tmp_path,
 
 
 def _forced_structure_miss(monkeypatch):
-    monkeypatch.setattr(verify, "check_transcript", lambda tr: verify.TranscriptReport(("forced",)))
+    monkeypatch.setattr(verify, "check_transcript", lambda tr: ("forced",))
 
 
 def _forced_target_miss(monkeypatch):
     check = verify.check_targets
     monkeypatch.setattr(
         verify, "check_targets",
-        lambda *args, **kwargs: verify.GuaranteeReport(
-            tuple(dataclasses.replace(c, ok=False) for c in check(*args, **kwargs).checks)
-        ),
+        lambda *args, **kwargs: tuple(dataclasses.replace(c, ok=False) for c in check(*args, **kwargs)),
     )
 
 
@@ -640,7 +651,7 @@ def test_a_custom_threshold_run_reports_its_failed_checks(tmp_path, capsys, forc
     payload = json.loads(capsys.readouterr().out)
     assert not (payload["allOk"] and payload["structureOk"])
     run = run_rbf_truthful(instance_from_json(_UNIT_PAIR), ThresholdList.constant(2, 1))
-    assert not (run.report.all_ok and run.structure.ok)
+    assert run.structure or not all(c.ok for c in run.report)
 
 
 def test_one_bobw_op_values_and_checks_each_rotation_once(monkeypatch, instance_file, capsys):
@@ -911,6 +922,39 @@ def _flag(draw):
     return draw(_FLAG_VALUES) if draw(st.integers(1, 4)) == 1 else str(draw(st.integers(1, 6)))
 
 
+# Odd text for --thresholds, --ranking and --epsilon: a zero denominator, empty
+# parts, a float that is not finite or overflows, and a 5000-digit literal.
+_ODD_TEXT = st.sampled_from(["1/0", ",", "nan", "1e999999", "0,,1", "9" * 5000, "", "-1/2", "x"])
+
+
+def _text_flag(draw, valid):
+    """A draw of ``valid``, or one time in three odd text."""
+    return draw(_ODD_TEXT) if draw(st.integers(1, 3)) == 1 else draw(valid)
+
+
+def _list_of(items, n):
+    """A comma list of n items, give or take one."""
+    return st.integers(max(n - 1, 0), n + 1).flatmap(lambda k: st.lists(items, min_size=k, max_size=k)).map(",".join)
+
+
+def _add_list_and_rational_flags(draw, argv, n):
+    """Append --thresholds and --ranking where ``argv`` reads them (rbf, bobw
+    and verify --mode tmms; bobw has no ranking), or --epsilon to gen hard1,
+    each for n agents and each at times left out."""
+    if argv[:2] == ["gen", "hard1"]:
+        if draw(st.booleans()):
+            argv += ["--epsilon", _text_flag(draw, st.sampled_from(["1/12", "1/100", "1/2", "2/3", "0", "1"]))]
+        return
+    if argv[0] not in ("rbf", "bobw") and "tmms" not in argv:
+        return
+    if draw(st.booleans()):
+        taus = st.sampled_from(["1", "3/4", "6/7", "1/2", "0", "0.75"])
+        argv += ["--thresholds", _text_flag(draw, st.just("default") | _list_of(taus, n))]
+    if argv[0] != "bobw" and draw(st.booleans()):
+        ranks = st.just("identity") | st.permutations([str(r) for r in range(n)]).map(",".join)
+        argv += ["--ranking", _text_flag(draw, ranks | _list_of(st.sampled_from(["0", "1", "5"]), n))]
+
+
 @st.composite
 def _invocations(draw):
     """Instance and allocation files and an argv for one subcommand.
@@ -920,7 +964,8 @@ def _invocations(draw):
     need), and bundles dealt round-robin. Any field may be replaced by junk.
     For verify, one allocation file in two names, in a bundle or as
     unallocated, a good that is not one: the instance's good count, or
-    negative, a bool or a float. Also returns whether it does.
+    negative, a bool or a float. Also returns whether it does. The thresholds,
+    ranking and epsilon flags come from ``_add_list_and_rational_flags``.
     """
     command = draw(st.sampled_from(["mms", "ordinal", "rbf", "bobw", "gen", "demo", "verify"]))
     n, m = draw(st.integers(0, 4)), draw(st.integers(0, 8))
@@ -946,10 +991,12 @@ def _invocations(draw):
         for flag in ("--n", "--i", "--k1", "--k2", "--t")[: {"ordinalTight": 1, "hard1": 2}.get(family, 5)]:
             if draw(st.integers(0, 9)):
                 argv += [flag, _flag(draw)]
+        _add_list_and_rational_flags(draw, argv, n)
         return files, argv, bad_good
     argv = [command, "{inst}"]
     if command == "verify":
         argv += ["{alloc}", "--mode", draw(st.sampled_from(["1ood", "tmms"]))]
+    _add_list_and_rational_flags(draw, argv, n)
     if command in ("mms", "verify") and draw(st.integers(0, 9)):
         argv += ["--d", _flag(draw)]
     if command == "mms" and draw(st.booleans()):
@@ -961,11 +1008,9 @@ def _invocations(draw):
     return files, argv, bad_good
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(invocation=_invocations())
-def test_every_subcommand_ends_in_an_exit_code_and_at_most_one_line(tmp_path_factory, invocation):
-    files, argv, bad_good = invocation
-    root = tmp_path_factory.mktemp("fuzz")
+def _run_fuzzed(root, files, argv) -> int:
+    """Write ``files`` as JSON under ``root``, run the CLI on ``argv`` with
+    their paths, and check that it ends in an exit code and at most one line."""
     paths = {}
     for name, obj in files.items():
         paths[name] = str(root / f"{name}.json")
@@ -979,8 +1024,36 @@ def test_every_subcommand_ends_in_an_exit_code_and_at_most_one_line(tmp_path_fac
     assert "Traceback" not in stderr and stderr.count("\n") <= 1
     assert (stderr == "") == (code == EXIT_OK)
     assert code == EXIT_OK or out.getvalue() == ""
+    return code
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(invocation=_invocations())
+def test_every_subcommand_ends_in_an_exit_code_and_at_most_one_line(tmp_path_factory, invocation):
+    files, argv, bad_good = invocation
+    code = _run_fuzzed(tmp_path_factory.mktemp("fuzz"), files, argv)
     if bad_good:
         assert code == EXIT_INPUT
+
+
+@st.composite
+def _flagged_argvs(draw):
+    """rbf, bobw, verify --mode tmms or gen hard1 on well-formed unit-share
+    files, so that each drawn flag is parsed and, when valid, run."""
+    argv = list(draw(st.sampled_from([
+        ("rbf", "{inst}"),
+        ("bobw", "{inst}"),
+        ("verify", "{inst}", "{alloc}", "--mode", "tmms"),
+        ("gen", "hard1", "--n", "4", "--i", "3"),
+    ])))
+    _add_list_and_rational_flags(draw, argv, 2)
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=_flagged_argvs())
+def test_the_list_and_rational_flags_end_in_an_exit_code_and_at_most_one_line(tmp_path_factory, argv):
+    _run_fuzzed(tmp_path_factory.mktemp("flags"), {"inst": _UNIT_PAIR, "alloc": _UNIT_PAIR_ALLOCATION}, argv)
 
 
 # ---------------------------------------------------------------------------
@@ -994,9 +1067,9 @@ def _ordinal_payload(inst: Instance) -> dict:
         "allocation": allocation_to_json(result.allocation),
         "perAgent": [
             {"agent": c.agent, "value": str(c.value), "share": str(c.target), "ok": c.ok}
-            for c in result.report.checks
+            for c in result.report
         ],
-        "allOk": result.report.all_ok,
+        "allOk": all(c.ok for c in result.report),
         "earlyTermination": False,  # run_1_out_of_d raises on a run that ran out of goods
     }
 
@@ -1012,8 +1085,8 @@ def _rbf_payload(inst: Instance, ranking: PriorityRanking) -> dict:
         "transcript": transcript_to_json(transcript),
         "thresholds": thresholds_to_json(thresholds),
         **report_to_json(report),
-        "structureOk": structure.ok,
-        "structureViolations": list(structure.violations),
+        "structureOk": not structure,
+        "structureViolations": list(structure),
     }
 
 

@@ -491,7 +491,7 @@ def test_is_T_mms_zero_thresholds_always_pass():
     inst, _, ranking = _two_agent_setup()
     empty = Allocation((frozenset(), frozenset()), unallocated=frozenset({0, 1}))
     T = ThresholdList.constant(2, 0)
-    assert check_t_mms(inst, empty, ranking, T).all_ok
+    assert all(c.ok for c in check_t_mms(inst, empty, ranking, T))
 
 
 def test_is_T_mms_boundary_is_inclusive():
@@ -499,7 +499,7 @@ def test_is_T_mms_boundary_is_inclusive():
     inst = Instance.from_rows([["3/4", "1/4"]])
     alloc = Allocation((frozenset({0}),), unallocated=frozenset({1}))
     T = ThresholdList.constant(1, Fraction(3, 4))
-    assert check_t_mms(inst, alloc, PriorityRanking.identity(1), T).all_ok
+    assert all(c.ok for c in check_t_mms(inst, alloc, PriorityRanking.identity(1), T))
 
 
 def test_is_T_mms_identical_two_agent_instance():
@@ -507,7 +507,7 @@ def test_is_T_mms_identical_two_agent_instance():
     # only balanced split is one good each).
     inst, alloc, ranking = _two_agent_setup()
     T = ThresholdList.constant(2, 1)
-    assert check_t_mms(inst, alloc, ranking, T).all_ok
+    assert all(c.ok for c in check_t_mms(inst, alloc, ranking, T))
 
 
 def test_is_T_mms_dimension_mismatch():
@@ -529,9 +529,9 @@ def test_is_T_mms_monotone_in_thresholds_and_bundles(data):
     tau = Fraction(rng.randint(0, 4), 4)
     high = [tau * v for v in mms_values]
     low = [tau / 2 * v for v in mms_values]
-    if check_targets(inst, alloc, high).all_ok:
+    if all(c.ok for c in check_targets(inst, alloc, high)):
         # Lowering thresholds cannot break satisfaction.
-        assert check_targets(inst, alloc, low).all_ok
+        assert all(c.ok for c in check_targets(inst, alloc, low))
         # Growing a bundle with unallocated goods cannot break it either.
         grown = Allocation((bundles[0] | alloc.unallocated,) + tuple(bundles[1:]))
-        assert check_targets(inst, grown, high).all_ok
+        assert all(c.ok for c in check_targets(inst, grown, high))

@@ -84,6 +84,19 @@ def test_budget_exhaustion_is_an_error_not_an_answer():
     assert err.value.budget == 10
 
 
+def test_a_budget_error_names_the_agent_and_d():
+    rng = random.Random(5)
+    row = [rng.randint(50, 100) for _ in range(14)]
+    inst = Instance.from_rows([[1] * 14, [1] * 14, row])
+    with pytest.raises(SearchBudgetExceeded) as err:
+        mms_all(inst, 5, node_budget=10)
+    assert (err.value.budget, err.value.agent, err.value.d) == (10, 2, 5)
+    assert str(err.value) == (
+        "search budget of 10 nodes exhausted on agent 2's 5-share; raise the node budget to continue"
+    )
+    assert not hasattr(err.value, "nodes")
+
+
 def test_a_seed_worth_the_floor_of_total_over_d_needs_no_search():
     """No part can exceed floor(total / d), so a seed worth that is optimal.
 

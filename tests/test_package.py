@@ -4,6 +4,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -633,30 +637,17 @@ def test_perfbench_trace_targets_resolve():
     ]
     assert missing == []
     inspect.signature(oracle.mms).bind(None, 0, 1, goods=None, node_budget=None)
-    # `install` also replaces module attributes, among them the responder
-    # classes it subclasses to count queries.
+    # `install` also subclasses the two responder classes to count queries;
+    # the names it only assigns need not exist beforehand.
     (install,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "install"]
-    replaced = {
+    bases = {
         (node.value.id, node.attr)
-        for stmt in ast.walk(install)
-        for node in (
-            stmt.bases if isinstance(stmt, ast.ClassDef)
-            else stmt.targets if isinstance(stmt, ast.Assign) else ()
-        )
+        for stmt in ast.walk(install) if isinstance(stmt, ast.ClassDef)
+        for node in stmt.bases
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
     }
-    responders = {
-        ("rbf", "TruthfulResponder"),
-        ("adversarial", "TruthfulResponder"),
-        ("adversarial", "ScriptedHard2Responder"),
-    }
-    assert replaced >= responders
-    resolved = {
-        (module, attr): getattr(importlib.import_module(f"mmskit.{module}"), attr, None)
-        for module, attr in replaced
-    }
-    assert [pair for pair, obj in resolved.items() if obj is None] == []
-    assert all(inspect.isclass(resolved[pair]) for pair in responders)
+    assert bases == {("rbf", "TruthfulResponder"), ("adversarial", "ScriptedHard2Responder")}
+    assert all(inspect.isclass(getattr(importlib.import_module(f"mmskit.{m}"), attr, None)) for m, attr in bases)
     # demonstrate_failure builds the (replaced) hard2 script from its family alone.
     inspect.signature(adversarial.ScriptedHard2Responder).bind(None)
     # The counting subclasses override only `value`; the engine reads the rest
@@ -667,3 +658,45 @@ def test_perfbench_trace_targets_resolve():
         adversarial.ScriptedHard2Responder(adversarial.gen_hard2_responders(2, 2, 1, 0, 3)),
     ]
     assert [(type(r).__name__, m) for r in instances for m in members if not hasattr(r, m)] == []
+
+
+_TRACED_OPS = """
+import contextlib, io, json, sys
+import spans
+from mmskit import cli
+tracer = spans.Tracer()
+spans.install(tracer)
+out = {}
+for name, argv in (("demo", ["demo", "hard1", "--n", "5", "--i", "3"]), ("mms", ["mms", sys.argv[1], "--d", "2"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    op = tracer.finish_op()
+    out[name] = [code, op["counts"], sorted(op["layers"])]
+print(json.dumps(out))
+"""
+
+
+def test_perfbench_install_runs_traced_ops(tmp_path):
+    # Past the names above: a process with perfbench's wrappers in place runs a
+    # hard1 demo through the counting responder and a share search through the
+    # counting oracle, as a `--trace 1` worker does.
+    root = Path(__file__).resolve().parent.parent
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"agents": 2, "goods": 4, "valuations": [[3, 2, 2, 1], [1, 1, 1, 1]]}))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_OPS, str(inst)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "demo": [
+            0,
+            {"rbf.queries": 60},
+            ["adversarial.demonstrate_failure", "cli.main", "rbf.run_rbf", "verify.check_transcript"],
+        ],
+        "mms": [0, {"oracle.calls": 2}, ["cli.main", "oracle.mms"]],
+    }
