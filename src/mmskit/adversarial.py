@@ -325,7 +325,9 @@ def _thresholds(
     check_ranked(n, thresholds)
     tau = thresholds.taus[i - 1]
     if tau <= cap:
-        raise InputError(f"rank {i} threshold must exceed the family cap {cap}, got {tau}")
+        raise InputError(
+            f"rank {i} threshold must exceed the family cap {short_repr(cap, str)}, got {short_repr(tau, str)}"
+        )
     return thresholds
 
 

@@ -17,10 +17,11 @@ omitted term) once that remainder is below one unit, and from a direct sum
 of ``2**WINDOW_BITS // j`` before; each later window slides from the last
 one by the terms that enter and leave, in O(1) memory. The sweeps and the
 exact engine, ``_certify``, share one integer comparison, ``_margin``. The
-exact engine sums the window by binary splitting (Haible and Papanikolaou,
-1998) over lcm(a, ..., b), not over the product of its terms; it serves the
-closed forms and every n the enclosure cannot prove, so each
-``GuaranteeViolation`` comes from it.
+exact rank sum, ``_rank_sum``, sums the window by binary splitting (Haible and
+Papanikolaou, 1998) over lcm(a, ..., b), not over the product of its terms.
+The exact engine reads it for the closed forms and every n the enclosure cannot
+prove, so each ``GuaranteeViolation`` comes from it; each integral sandwich
+reads it for its curve, so no curve is listed value by value.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import MAX_N, Allocation, Instance, PriorityRanking, ThresholdList, check_int, short_repr
 from .errors import GuaranteeViolation, InputError
-from .rbf import priority_thresholds, run_rbf_truthful
+from .rbf import run_rbf_truthful
 
 ENCLOSURE_DIGITS = 55
 DECIMAL_DIGITS = 50  # digits after the point in a rendered closed form
@@ -260,18 +261,21 @@ def _margin(bound: _AverageBound, n: int, num: int, den: int) -> int:
     return margin if bound.floor else -margin
 
 
+def _rank_sum(bound: _AverageBound, n: int) -> tuple[int, int]:
+    """sum_{i=1}^{n} f(i) as an unreduced pair, its harmonic window summed by binary splitting."""
+    p, q, c, a, b = bound.split(n)
+    hp, hq = _reciprocal_range_sum(a, b)
+    return p * hq + c * hp * q, q * hq
+
+
 def _certify(bound: _AverageBound, n: int) -> tuple[int, int]:
     """The exact average at n as an unreduced (numerator, denominator) pair, certified by ``_margin``.
 
-    It sums the harmonic window a..b by binary splitting over lcm(a, ..., b),
-    so its cost grows with n. The closed forms call it, and so do sweeps for
-    each n their window enclosure cannot prove; it is the only source of
-    ``GuaranteeViolation``.
+    Its cost grows with n. The closed forms call it, and so do sweeps for each n their
+    window enclosure cannot prove; it is the only source of ``GuaranteeViolation``.
     """
     check_int("n", n, bound.least_n, MAX_N)
-    p, q, c, a, b = bound.split(n)
-    hp, hq = _reciprocal_range_sum(a, b)
-    num, den = p * hq + c * hp * q, q * hq
+    num, den = _rank_sum(bound, n)
     if _margin(bound, n, num, den) < 0:
         raise GuaranteeViolation(f"{bound.name} fails at n={n}")
     return num, n * den
@@ -406,46 +410,41 @@ def verify_hard_bound_range(lo: int, hi: int) -> None:
 # Integral sandwich checks
 
 
-def _sandwich(values: Sequence[Fraction], exact: Fraction, coeff: int, arg: Fraction) -> bool:
-    """Certify f(b) + I <= sum f(i) <= f(a) + I for the library's own tabulated
-    non-increasing curve f(a), ..., f(b), whose integral over [a, b] is
-    I = exact + coeff * ln(arg) with coeff >= 0 and arg >= 1.
+def _sandwich(bound: _AverageBound, n: int, last: Fraction, exact: Fraction, coeff: int, arg: Fraction) -> bool:
+    """Certify f(b) + I <= sum f(i) <= f(a) + I, with I = exact + coeff * ln(arg), coeff >= 0
+    and arg >= 1, for a bound record's curve f(a) = 1, ..., f(b) = ``last`` at n, whose sum is
+    the record's rank sum, less rank 1 (worth 1) for hard1, whose curve starts at rank 2.
 
-    Each side takes the conservative end of the log's enclosure, so True is a
-    proof; with coeff = 0 or arg = 1 the comparison is exact and inclusive.
-    """
-    if any(y > x for x, y in zip(values, values[1:])):
-        raise GuaranteeViolation("tabulated curve is not non-increasing")
-    total = sum(values, Fraction(0))
+    Each curve is non-increasing: gamma's max(2n/(2n+x), (9n+1)/(12n)) and hard2's
+    min(3n/(3n+x-1), max(5/6, 1 - x/(3n))) are maxima and minima of falling or constant
+    branches, and hard1's 3n/(3n+x) falls. Each side takes the log enclosure's conservative
+    end, so True is a proof; with coeff = 0 or arg = 1 the comparison is exact and inclusive."""
+    total = Fraction(*_rank_sum(bound, n)) - (bound is _HARD1)  # hard1's curve starts at rank 2
     lo, hi = ln_enclosure(arg.numerator, arg.denominator)
-    return values[-1] + exact + coeff * hi <= total <= values[0] + exact + coeff * lo
+    return last + exact + coeff * hi <= total <= 1 + exact + coeff * lo
 
 
 def integral_check_gamma(n: int) -> bool:
     """Sandwich check for the average-threshold curve on [0, n-1]."""
     check_int("n", n, 1, MAX_N)
-    values = priority_thresholds(n).taus
+    last = max(Fraction(2 * n, 3 * n - 1), Fraction(9 * n + 1, 12 * n))  # tau_n
     # Past the branch switch point the curve sits on its floor, the last threshold.
     beta = min(Fraction(2 * n * (3 * n - 1), 9 * n + 1), Fraction(n - 1))
-    return _sandwich(values, values[-1] * (n - 1 - beta), 2 * n, (2 * n + beta) / (2 * n))
+    return _sandwich(_GAMMA, n, last, last * (n - 1 - beta), 2 * n, (2 * n + beta) / (2 * n))
 
 
 def integral_check_hard1(n: int) -> bool:
     """Sandwich check for 3n/(3n+x) on [0, n-2]."""
     check_int("n", n, 2, MAX_N)
-    values = [Fraction(3 * n, 3 * n + x) for x in range(n - 1)]
-    return _sandwich(values, Fraction(0), 3 * n, Fraction(4 * n - 2, 3 * n))
+    return _sandwich(_HARD1, n, Fraction(3 * n, 4 * n - 2), Fraction(0), 3 * n, Fraction(4 * n - 2, 3 * n))
 
 
 def integral_check_hard2(n: int) -> bool:
     """Sandwich check for the oblivious-family curve on [0, n-1]."""
     check_int("n", n, 1, MAX_N)
-    values = [
-        min(Fraction(3 * n, 3 * n + x - 1), max(Fraction(5, 6), 1 - Fraction(x, 3 * n)))
-        for x in range(n)
-    ]
+    last = min(Fraction(3 * n, 4 * n - 2), max(Fraction(5, 6), 1 - Fraction(n - 1, 3 * n)))
     end = Fraction(n - 1)
     s1 = min(Fraction(n, 2), end)
     s2 = min(Fraction(3 * n, 5) + 1, end)
     exact = s1 - s1 * s1 / (6 * n) + Fraction(5, 6) * (s2 - s1)
-    return _sandwich(values, exact, 3 * n, (3 * n + end - 1) / (3 * n + s2 - 1))
+    return _sandwich(_HARD2, n, last, exact, 3 * n, (3 * n + end - 1) / (3 * n + s2 - 1))

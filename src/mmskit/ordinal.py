@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Allocation, BagEvent, Instance, Transcript, check_int
+from .core import Allocation, BagEvent, Instance, Transcript, check_int, short_repr
 from .errors import GuaranteeViolation, InputError
 from .transform import normalize, order, pad_agents_to_multiple_of_3, pad_goods, reinstate, unpick
 from .verify import UNORDERED, AgentCheck, check_1_out_of_d, check_targets, check_witness
@@ -159,8 +159,8 @@ def run_1_out_of_d(inst: Instance, node_budget: int | None = None) -> OneOutOfDR
     for c in report:
         if not c.ok:
             raise GuaranteeViolation(
-                f"agent {c.agent} received {c.value}, below her {d_target}-bundle "
-                f"share {c.target}"
+                f"agent {c.agent} received {short_repr(c.value, str)}, below her {d_target}-bundle "
+                f"share {short_repr(c.target, str)}"
             )
     return OneOutOfDResult(allocation, d_target, transcript, report)
 

@@ -343,5 +343,5 @@ def require_unit_shares(inst: Instance) -> None:
     n = inst.num_agents
     for i, result in enumerate(oracle.mms_all(inst, n)):
         if result.value < 1:
-            raise InputError(f"agent {i}'s {n}-share is {result.value}, below a unit share")
+            raise InputError(f"agent {i}'s {n}-share is {short_repr(result.value, str)}, below a unit share")
 

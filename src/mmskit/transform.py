@@ -114,8 +114,8 @@ def unpick(ordered_alloc: Allocation, normalized: Instance, ordered: Instance) -
         had = sum(ordered.scaled[a][0][p] for p in ordered_alloc.bundles[a])
         if got < had:
             raise GuaranteeViolation(
-                f"picking lowered agent {a}'s value from {Fraction(had, scale)} to {Fraction(got, scale)}; "
-                f"this contradicts the picking argument"
+                f"picking lowered agent {a}'s value from {short_repr(Fraction(had, scale), str)} "
+                f"to {short_repr(Fraction(got, scale), str)}; this contradicts the picking argument"
             )
     return result
 

@@ -157,6 +157,11 @@ def equivalence_expand(inst: Instance, d: int) -> tuple[Instance, ThresholdList]
 UNORDERED = "instance is not ordered (some agent's values increase)"
 
 
+def _worth(count: int, scale: int) -> str:
+    """An agent's value ``count / scale`` as a message shows it."""
+    return short_repr(Fraction(count, scale), str)
+
+
 def check_witness(inst: Instance, agent: int, witness: Partition) -> tuple[str, ...]:
     """Violations of a unit-share witness, empty if none: its parts must cover
     exactly the goods 0..m-1, and each must be worth exactly 1 to ``agent``.
@@ -167,7 +172,7 @@ def check_witness(inst: Instance, agent: int, witness: Partition) -> tuple[str, 
         return (f"witness does not cover exactly the {inst.num_goods} goods",)
     ints, scale = inst.scaled[agent]
     sums = (sum(ints[g] for g in part) for part in witness.parts)
-    return tuple(f"witness part worth {Fraction(s, scale)} != 1" for s in sums if s != scale)
+    return tuple(f"witness part worth {_worth(s, scale)} != 1" for s in sums if s != scale)
 
 
 def unit_share_violations(inst: Instance, d: int) -> tuple[str, ...]:
@@ -189,7 +194,7 @@ def unit_share_violations(inst: Instance, d: int) -> tuple[str, ...]:
         for i, t in enumerate(inst.totals) if t != d
     ]
     violations += [  # ordered: good 0 is the top good
-        f"agent {i} values good 0 at {short_repr(Fraction(ints[0], scale), str)} > 1, above a unit share"
+        f"agent {i} values good 0 at {_worth(ints[0], scale)} > 1, above a unit share"
         for i, (ints, scale) in enumerate(inst.scaled) if ints and ints[0] > scale
     ]
     return tuple(violations)
@@ -217,20 +222,20 @@ def check_unit_share_structure(inst: Instance, d: int) -> tuple[str, ...]:
     for i, (ints, scale) in enumerate(inst.scaled):
         middle = ints[d - 1] + ints[d]
         if middle > scale:
-            violations.append(f"agent {i}: middle pair worth {Fraction(middle, scale)} > 1")
+            violations.append(f"agent {i}: middle pair worth {_worth(middle, scale)} > 1")
         if 2 * ints[d] > scale:
-            violations.append(f"agent {i}: good at position {d} worth {Fraction(ints[d], scale)} > 1/2")
+            violations.append(f"agent {i}: good at position {d} worth {_worth(ints[d], scale)} > 1/2")
         tail = 0
         for k in range(d, 0, -1):  # C_k pairs from the middle outwards
             top, bottom = ints[k - 1], ints[2 * d - k]
             pair = top + bottom
             tail += pair
             if tail > (d - k + 1) * scale:
-                violations.append(f"agent {i}: pairs {k}..{d} sum to {Fraction(tail, scale)} > {d - k + 1}")
+                violations.append(f"agent {i}: pairs {k}..{d} sum to {_worth(tail, scale)} > {d - k + 1}")
             if pair > scale:
-                despite = f"despite pair value {Fraction(pair, scale)} > 1"
+                despite = f"despite pair value {_worth(pair, scale)} > 1"
                 if 3 * bottom > scale:
-                    violations.append(f"agent {i}, pair {k}: bottom worth {Fraction(bottom, scale)} > 1/3 {despite}")
+                    violations.append(f"agent {i}, pair {k}: bottom worth {_worth(bottom, scale)} > 1/3 {despite}")
                 if 3 * top <= 2 * scale:
-                    violations.append(f"agent {i}, pair {k}: top worth {Fraction(top, scale)} <= 2/3 {despite}")
+                    violations.append(f"agent {i}, pair {k}: top worth {_worth(top, scale)} <= 2/3 {despite}")
     return tuple(violations)

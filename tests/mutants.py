@@ -54,6 +54,12 @@ _ATANH_SERIES = "tests/test_bobw.py::test_the_atanh_series_enclose_the_log_at_th
 _LN_REFERENCE = "tests/test_bobw.py::test_ln_enclosure_agrees_with_a_decimal_reference"
 _EM_ENCLOSURE = "tests/test_bobw.py::test_the_euler_maclaurin_enclosure_contains_the_exact_window_sum"
 _CONSTANT_SIDE = "tests/test_bobw.py::test_each_constant_lies_on_its_safe_side_of_the_true_value"
+_SANDWICHES = (
+    "tests/test_bobw.py::test_a_sum_inside_the_log_enclosure_is_not_certified",
+    "tests/test_bobw.py::test_each_sandwich_curve_matches_its_tabulated_reference",
+    "tests/test_bobw.py::test_proof_curves_for_small_sizes",
+    "tests/test_acceptance.py::test_criterion_6_upper_bound_calculus",
+)
 
 _SCAN = """\
         for agent in waiting[:]:
@@ -252,6 +258,20 @@ MUTANTS = (
         "q << WINDOW_BITS) <= 0:\n",
         "q << WINDOW_BITS) < 0:\n",
         ("tests/test_bobw.py::test_a_tie_goes_to_the_exact_engine",),
+    ),
+    Mutant(
+        "bobw-sandwich-hard1-keeps-rank-1",
+        _BOBW,
+        " - (bound is _HARD1)",
+        "",
+        (*_SANDWICHES, "tests/test_bobw.py::test_a_constant_curve_with_a_rational_integral_is_certified_at_equality"),
+    ),
+    Mutant(
+        "bobw-sandwich-swaps-its-ends",
+        _BOBW,
+        "    return last + exact + coeff * hi <= total <= 1 + exact + coeff * lo\n",
+        "    return 1 + exact + coeff * hi <= total <= last + exact + coeff * lo\n",
+        _SANDWICHES,
     ),
 )
 

@@ -378,56 +378,82 @@ def test_the_euler_maclaurin_enclosure_contains_the_exact_window_sum():
 # Integral sandwich
 
 
+def _curves(n):
+    """Each sandwich's curve at n, tabulated rank by rank as (numerator,
+    denominator) pairs, which compare and add far faster than Fractions:
+    gamma's is the thresholds, and hard1's starts at rank 2."""
+
+    def low(u, v):
+        return u if u[0] * v[1] <= v[0] * u[1] else v
+
+    def high(u, v):
+        return v if low(u, v) is u else u
+
+    curves = {
+        "gamma": [high((2 * n, 2 * n + x), (9 * n + 1, 12 * n)) for x in range(n)],
+        "hard2": [low((3 * n, 3 * n + x - 1), high((5, 6), (3 * n - x, 3 * n))) for x in range(n)],
+    }
+    if n >= 2:
+        curves["hard1"] = [(3 * n, 3 * n + x) for x in range(n - 1)]
+    return curves
+
+
 def test_a_sum_inside_the_log_enclosure_is_not_certified():
     # Place sum f at the midpoint of f(b) + I (then of f(a) + I), where I's
     # log enclosure cannot decide the comparison: only the conservative end
     # of each side may certify it, so a swap of lo and hi would say True.
     n = 10
-    values = [Fraction(2 * n, 2 * n + x) for x in range(n)]
-    arg = Fraction(3 * n - 1, 2 * n)
+    values = [Fraction(*v) for v in _curves(n)["hard1"]]
+    arg = Fraction(4 * n - 2, 3 * n)
     lo, hi = ln_enclosure(arg.numerator, arg.denominator)
     assert lo < hi
     total = sum(values)
     for end in (values[-1], values[0]):
-        exact = total - end - 2 * n * (lo + hi) / 2
-        assert not bobw._sandwich(values, exact, 2 * n, arg)
-    assert bobw._sandwich(values, Fraction(0), 2 * n, arg)
+        exact = total - end - 3 * n * (lo + hi) / 2
+        assert not bobw._sandwich(bobw._HARD1, n, values[-1], exact, 3 * n, arg)
+    assert bobw._sandwich(bobw._HARD1, n, values[-1], Fraction(0), 3 * n, arg)
 
 
 def test_a_constant_curve_with_a_rational_integral_is_certified_at_equality():
-    values = [Fraction(2, 5)] * 6
-    exact = Fraction(2, 5) * 5  # the integral over [0, 5]
-    assert bobw._sandwich(values, exact, 0, Fraction(4, 3))
-    assert not bobw._sandwich(values, exact + Fraction(1, 10**60), 0, Fraction(4, 3))
-    assert not bobw._sandwich(values, exact - Fraction(1, 10**60), 0, Fraction(4, 3))
+    # At its least n each curve is the one value 1, and its integral over [0, 0] is 0.
+    for bound in (bobw._GAMMA, bobw._HARD1, bobw._HARD2):
+        n = bound.least_n
+        assert bobw._sandwich(bound, n, Fraction(1), Fraction(0), 0, Fraction(4, 3))
+        assert not bobw._sandwich(bound, n, Fraction(1), Fraction(1, 10**60), 0, Fraction(4, 3))
+        assert not bobw._sandwich(bound, n, Fraction(1), -Fraction(1, 10**60), 0, Fraction(4, 3))
 
 
-def test_a_rising_curve_is_a_guarantee_violation():
-    # The curves are the library's own, so a rise is a bug, not bad input.
-    with pytest.raises(GuaranteeViolation, match="not non-increasing"):
-        bobw._sandwich([Fraction(1), Fraction(2)], Fraction(0), 0, Fraction(1))
+def test_each_sandwich_curve_matches_its_tabulated_reference(monkeypatch):
+    # The checks list no curve: each reads its rank sum from its bound record
+    # and states its last value in closed form. Each tabulated curve must not
+    # rise, must run from 1 to the last value its check passes, and must sum
+    # to the total the sandwich compares, which a zero-width integral with
+    # f(b) = f(a) = 1 pins exactly.
+    sandwich, passed = bobw._sandwich, []
 
-
-@pytest.mark.parametrize("n", [2, 3, 7, 30, 101])
-@pytest.mark.parametrize(
-    "check, closed_form, extra",
-    [(integral_check_gamma, gamma_lower_bound, 0), (integral_check_hard1, hard1_upper_bound, -1),
-     (integral_check_hard2, hard2_upper_bound, 0)],
-    ids=["gamma", "hard1", "hard2"],
-)
-def test_each_sandwich_curve_sums_to_its_bound_record(monkeypatch, check, closed_form, extra, n):
-    # A sandwich tabulates its curve, and the bound's record splits the same
-    # rank sum into a flat part and a harmonic window: the two must agree.
-    # The hard1 curve counts rank 1 once, where the bound counts ranks 1 and 2.
-    sandwich, totals = bobw._sandwich, []
-
-    def recording_sandwich(values, *args):
-        totals.append(sum(values))
-        return sandwich(values, *args)
+    def recording_sandwich(bound, n, last, *args):
+        passed.append((bound, n, last))
+        return sandwich(bound, n, last, *args)
 
     monkeypatch.setattr(bobw, "_sandwich", recording_sandwich)
-    assert check(n)
-    assert totals == [n * closed_form(n)[0] + extra]
+    checks = {
+        "gamma": (integral_check_gamma, bobw._GAMMA),
+        "hard1": (integral_check_hard1, bobw._HARD1),
+        "hard2": (integral_check_hard2, bobw._HARD2),
+    }
+    for n in [*range(1, 301), 1000, 2001]:
+        for name, values in _curves(n).items():
+            check, bound = checks[name]
+            passed.clear()
+            assert check(n), (name, n)
+            assert passed == [(bound, n, Fraction(*values[-1]))], (name, n)
+            assert Fraction(*values[0]) == 1, (name, n)
+            assert all(q * u <= p * v for (p, q), (u, v) in zip(values, values[1:])), (name, n)
+            L = math.lcm(*(q for _, q in values))
+            total = Fraction(sum(p * (L // q) for p, q in values), L)
+            assert sandwich(bound, n, Fraction(1), total - 1, 0, Fraction(1)), (name, n)
+    for n in (1, 2, 7, 300, 2001):
+        assert priority_thresholds(n).taus == tuple(Fraction(*v) for v in _curves(n)["gamma"])
 
 
 def test_proof_curves_for_small_sizes():

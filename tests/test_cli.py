@@ -956,27 +956,30 @@ def _add_list_and_rational_flags(draw, argv, n):
 
 
 @st.composite
-def _invocations(draw):
-    """Instance and allocation files and an argv for one subcommand.
+def _invocations(draw, command):
+    """Instance and allocation files and an argv for ``command``.
 
     Most files are well formed, so that runs also reach the allocators: rows
-    of random values, or of n/m each (ordered, every total n, as rbf and bobw
-    need), and bundles dealt round-robin. Any field may be replaced by junk.
-    For verify, one allocation file in two names, in a bundle or as
+    of random values, or of n/m each with m a multiple of n (ordered, every
+    total n and every n-share 1, as rbf and bobw need), and bundles dealt
+    round-robin. Any field may be replaced by junk.
+    For verify, one allocation file in four names, in a bundle or as
     unallocated, a good that is not one: the instance's good count, or
     negative, a bool or a float. Also returns whether it does. The thresholds,
     ranking and epsilon flags come from ``_add_list_and_rational_flags``.
     """
-    command = draw(st.sampled_from(["mms", "ordinal", "rbf", "bobw", "gen", "demo", "verify"]))
-    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 8))
-    value = st.integers(0, 1000) | st.sampled_from(["1/2", "2/3", "0"])
-    if draw(st.booleans()):
+    if draw(st.integers(0, 3)):  # m a multiple of n, so every n-share is 1
+        n = draw(st.integers(1, 4))
+        m = n * draw(st.integers(1, 8 // n))
         value = st.just(f"{n}/{m}")
+    else:
+        n, m = draw(st.integers(0, 4)), draw(st.integers(0, 8))
+        value = st.integers(0, 1000) | st.sampled_from(["1/2", "2/3", "0"])
     rows = [[_or_junk(draw, draw(value), odds=100) for _ in range(m)] for _ in range(n)]
     goods = _or_junk(draw, m)
     bundles = _or_junk(draw, [[g for g in range(m) if g % n == a] for a in range(n)])
     unallocated = []
-    bad_good = command == "verify" and draw(st.booleans())
+    bad_good = command == "verify" and not draw(st.integers(0, 3))
     if bad_good:
         member = goods if draw(st.booleans()) else draw(st.sampled_from([-1, True, False, 0.5, 2.0]))
         lists = [b for b in bundles if isinstance(b, list)] if isinstance(bundles, list) else []
@@ -997,7 +1000,9 @@ def _invocations(draw):
     if command == "verify":
         argv += ["{alloc}", "--mode", draw(st.sampled_from(["1ood", "tmms"]))]
     _add_list_and_rational_flags(draw, argv, n)
-    if command in ("mms", "verify") and draw(st.integers(0, 9)):
+    if (command == "mms" or "1ood" in argv) and draw(st.integers(0, 9)):
+        argv += ["--d", _flag(draw)]
+    elif "tmms" in argv and not draw(st.integers(0, 9)):  # tmms does not read --d
         argv += ["--d", _flag(draw)]
     if command == "mms" and draw(st.booleans()):
         argv += ["--agent", _flag(draw)]
@@ -1027,13 +1032,24 @@ def _run_fuzzed(root, files, argv) -> int:
     return code
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(invocation=_invocations())
-def test_every_subcommand_ends_in_an_exit_code_and_at_most_one_line(tmp_path_factory, invocation):
-    files, argv, bad_good = invocation
-    code = _run_fuzzed(tmp_path_factory.mktemp("fuzz"), files, argv)
-    if bad_good:
-        assert code == EXIT_INPUT
+def test_every_subcommand_ends_in_an_exit_code_and_at_most_one_line(tmp_path_factory):
+    # Each subcommand runs its own derandomized examples. rbf, bobw and verify
+    # must also reach their allocators and checks: each ends in exit 0 in a
+    # few of its examples, not only at a bad file or flag.
+    exits = collections.Counter()
+    for command in ("mms", "ordinal", "rbf", "bobw", "gen", "demo", "verify"):
+
+        @settings(max_examples=25, deadline=None, derandomize=True)
+        @given(invocation=_invocations(command))
+        def run(invocation):
+            files, argv, bad_good = invocation
+            code = _run_fuzzed(tmp_path_factory.mktemp("fuzz"), files, argv)
+            if bad_good:
+                assert code == EXIT_INPUT
+            exits[argv[0], code] += 1
+
+        run()
+    assert min(exits[command, EXIT_OK] for command in ("rbf", "bobw", "verify")) >= 3, exits
 
 
 @st.composite

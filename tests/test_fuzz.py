@@ -179,6 +179,11 @@ class _OddChoice(rbf.TruthfulResponder):
 # Phase 1 takes nothing and phase 2's first round likes no bag, so a loose good is placed.
 _FILLS = Instance.from_rows([["1/2", "1/2", "1/4", "1/4", "1/4", "1/4"]] * 2)
 
+# Values 1/(10**990 + 2k + 1), decreasing: each is short, but a sum of a few
+# has a denominator past Python's 4300-digit limit for str.
+_TINY = tuple(Fraction(1, 10**990 + 2 * k + 1) for k in range(10))
+_TINY_TAU = ThresholdList((1, 1, Fraction(1, 10**5000)))
+
 # Calls that raised a raw error before they were mended, some found by the
 # test above; each must now raise InputError.
 _MENDED = [
@@ -217,6 +222,15 @@ _MENDED = [
     (Instance.from_rows, ([["1/2"] * 4], 10**5000)),
     (Instance, ((((2,), 2 * 10**5000),), 1)),
     (ThresholdList, ((Fraction(10**5000, 10**5000 + 1), 1),)),
+    (adversarial.demonstrate_failure, (adversarial.HardInstanceSpec("hard1", 3, i=3), _TINY_TAU)),
+    (adversarial.demonstrate_failure, (adversarial.HardInstanceSpec("hard2", 3, i=3, k1=1, k2=0, t=3), _TINY_TAU)),
+    (rbf.require_unit_shares, (Instance.from_rows([[Fraction(1, 3), Fraction(1, 3), *_TINY]] * 2),)),
+]
+# Checks whose messages raised a raw ValueError on such values before they
+# were mended; each now returns its violations.
+_MENDED_CHECKS = [
+    (verify.check_witness, (Instance.from_rows([_TINY[:6]] * 2), 0, Partition((frozenset(range(6)),)))),
+    (verify.check_unit_share_structure, (Instance.from_rows([[Fraction(9, 10), Fraction(9, 10) - sum(_TINY[1:6]), *_TINY[1:6]]]), 1)),
 ]
 
 
@@ -224,3 +238,9 @@ _MENDED = [
 def test_each_mended_call_raises_an_input_error(f, args):
     with pytest.raises(InputError):
         f(*args)
+
+
+@pytest.mark.parametrize("f, args", _MENDED_CHECKS, ids=lambda v: v.__name__ if callable(v) else None)
+def test_each_mended_check_reports_each_violation_in_one_short_line(f, args):
+    violations = f(*args)
+    assert violations and all("\n" not in v and len(v) < 1000 for v in violations)

@@ -261,7 +261,14 @@ def test_each_witness_is_checked_once_where_it_is_made(monkeypatch):
 
 def test_error_messages_echo_a_value_only_through_short_repr():
     # A ``!r`` in an f-string echoes the whole value, however long; only
-    # core.short_repr, which cuts it, may use one.
+    # core.short_repr, which cuts it, may use one. A Fraction built in an
+    # f-string is written out whole too, and one past Python's digit limit
+    # for str raises ValueError, so it too must go through short_repr.
+    def builds_a_fraction(value):
+        return not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "short_repr") and any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction" for node in ast.walk(value)
+        )
+
     found = []
     for path, tree in _modules().items():
         exempt = {
@@ -273,7 +280,8 @@ def test_error_messages_echo_a_value_only_through_short_repr():
         found += [
             f"{path}:{node.lineno}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.FormattedValue) and node.conversion == ord("r") and id(node) not in exempt
+            if isinstance(node, ast.FormattedValue) and id(node) not in exempt
+            and (node.conversion == ord("r") or builds_a_fraction(node.value))
         ]
     assert found == []
 
@@ -313,18 +321,30 @@ def test_one_private_sandwich_for_the_three_curves():
         if isinstance(node, (ast.Name, ast.Attribute)) and name(node) == "ln_enclosure"
     }
     assert callers == {("bobw.py", "_sandwich")}
+
+    def owners(target):
+        return {
+            (path, owner(stmt))
+            for path, tree in modules.items()
+            for stmt in tree.body
+            for node in ast.walk(stmt)
+            if name(node) == target
+        }
+
     # One integer log kernel serves ln_enclosure, the sweeps' window enclosure
     # and the bound records' constants.
-    kernel = {
-        (path, owner(stmt))
-        for path, tree in modules.items()
-        for stmt in tree.body
-        for node in ast.walk(stmt)
-        if name(node) == "_ln_fixed"
-    }
-    assert kernel == {
+    assert owners("_ln_fixed") == {
         ("bobw.py", "_ln_fixed"), ("bobw.py", "ln_enclosure"), ("bobw.py", "_harmonic_enclosure"), ("bobw.py", "_AverageBound"),
     }
+    # No sandwich tabulates its curve or adds it up: each rank sum reaches
+    # _sandwich from the record's exact engine, _rank_sum, which _certify
+    # reads too, and only _rank_sum sums a harmonic window exactly.
+    functions = {stmt.name: stmt for stmt in modules["bobw.py"].body if isinstance(stmt, ast.FunctionDef)}
+    for function in ("_sandwich", "integral_check_gamma", "integral_check_hard1", "integral_check_hard2"):
+        called = {name(node.func) for node in ast.walk(functions[function]) if isinstance(node, ast.Call)}
+        assert called & {"sum", "priority_thresholds"} == set(), function
+    assert owners("_rank_sum") == {("bobw.py", "_rank_sum"), ("bobw.py", "_certify"), ("bobw.py", "_sandwich")}
+    assert owners("_reciprocal_range_sum") == {("bobw.py", "_reciprocal_range_sum"), ("bobw.py", "_rank_sum")}
 
 
 def test_only_core_tests_whether_a_value_is_an_int():
