@@ -423,6 +423,23 @@ def test_a_constant_curve_with_a_rational_integral_is_certified_at_equality():
         assert not bobw._sandwich(bound, n, Fraction(1), -Fraction(1, 10**60), 0, Fraction(4, 3))
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 30, 101])
+@pytest.mark.parametrize(
+    "name, bound, closed_form, extra",
+    [("gamma", bobw._GAMMA, gamma_lower_bound, 0), ("hard1", bobw._HARD1, hard1_upper_bound, -1),
+     ("hard2", bobw._HARD2, hard2_upper_bound, 0)],
+    ids=["gamma", "hard1", "hard2"],
+)
+def test_each_sandwich_curve_sums_to_its_bound_record(name, bound, closed_form, extra, n):
+    # The tabulated curve and the bound's record split the same rank sum, and
+    # the sandwich compares exactly that sum. The hard1 curve counts rank 1
+    # once, where the bound counts ranks 1 and 2.
+    total = sum(Fraction(*v) for v in _curves(n)[name])
+    assert total == n * closed_form(n)[0] + extra
+    assert bobw._sandwich(bound, n, Fraction(1), total - 1, 0, Fraction(1))
+    assert not bobw._sandwich(bound, n, Fraction(1), total - 1 + Fraction(1, 10**60), 0, Fraction(1))
+
+
 def test_each_sandwich_curve_matches_its_tabulated_reference(monkeypatch):
     # The checks list no curve: each reads its rank sum from its bound record
     # and states its last value in closed form. Each tabulated curve must not
