@@ -19,6 +19,10 @@ one by the terms that enter and leave, in O(1) memory. The sweeps and the
 exact engine, ``_certify``, share one integer comparison, ``_margin``. The
 exact rank sum, ``_rank_sum``, sums the window by binary splitting (Haible and
 Papanikolaou, 1998) over lcm(a, ..., b), not over the product of its terms.
+Its pair does not depend on where a window splits, so the split falls on
+multiples of BLOCK_TERMS, and the pair of each aligned block inside
+[1, 4 * MAX_N] is kept for the process on first use: the windows of
+different n overlap, and a later window sums only its two partial ends.
 The exact engine reads it for the closed forms and every n the enclosure cannot
 prove, so each ``GuaranteeViolation`` comes from it; each integral sandwich
 reads it for its curve, so no curve is listed value by value.
@@ -43,6 +47,7 @@ WINDOW_BITS = 128  # fixed point of a sweep's window sum
 LN_BITS = (10**ENCLOSURE_DIGITS).bit_length() + 1  # two units of 2**-LN_BITS are below 10**-ENCLOSURE_DIGITS
 GUARD_BITS = 12  # the log kernel's series run this many bits finer than the ends it returns
 LEAF_TERMS = 32  # an exact window of at most this many terms is summed directly
+BLOCK_TERMS = 512  # an exact window reads each whole aligned block of this many terms from _BLOCKS
 
 
 # ---------------------------------------------------------------------------
@@ -132,23 +137,43 @@ def fraction_to_decimal(value: Fraction | int) -> str:
         raise InputError(f"value has too many digits to write in decimal: {short_repr(value)}") from exc
 
 
+_BLOCKS: dict[int, tuple[int, int]] = {}  # first term -> pair of an aligned block inside [1, 4 * MAX_N]
+
+
 def _reciprocal_range_sum(a: int, b: int) -> tuple[int, int]:
     """sum_{j=a}^{b} 1/j as the pair (sum_j L // j, L) with L = lcm(a, ..., b).
 
     A window of at most LEAF_TERMS terms is summed directly; a longer one
-    splits in halves that merge over the lcm of their denominators, so every
-    pair's denominator is its window's lcm, not the product of its terms.
+    splits in two parts that merge over the lcm of their denominators, so every
+    pair's denominator is its window's lcm, not the product of its terms. The
+    lcm of two parts' lcms is the whole window's, and scaling each part's
+    numerator to it gives sum L // j, so the pair does not depend on where
+    the window splits: a window that crosses a multiple of BLOCK_TERMS splits
+    at the multiple nearest its middle, and any other at its middle. Each aligned
+    block [k * BLOCK_TERMS, (k + 1) * BLOCK_TERMS - 1] a window spans is then a
+    node of its own, and the pair of each one inside [1, 4 * MAX_N], which
+    holds every rank sum's window, is kept in ``_BLOCKS`` on first use; a later
+    window reads its whole blocks there and sums only its two partial ends.
     """
     if b - a < LEAF_TERMS:  # an empty window gives (0, 1)
         L = 1
         for j in range(a, b + 1):
             L = L // gcd(L, j) * j
         return sum(L // j for j in range(a, b + 1)), L
+    block = a % BLOCK_TERMS == 0 and b - a == BLOCK_TERMS - 1 and 0 < a and b <= 4 * MAX_N
+    if block and a in _BLOCKS:
+        return _BLOCKS[a]
     mid = (a + b) // 2
+    first, last = a // BLOCK_TERMS + 1, b // BLOCK_TERMS  # the multiples in (a, b], in blocks
+    if first <= last:
+        mid = min(max((mid + 1 + BLOCK_TERMS // 2) // BLOCK_TERMS, first), last) * BLOCK_TERMS - 1
     p1, q1 = _reciprocal_range_sum(a, mid)
     p2, q2 = _reciprocal_range_sum(mid + 1, b)
     g = gcd(q1, q2)
-    return p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2
+    pair = p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2
+    if block:
+        _BLOCKS[a] = pair
+    return pair
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,14 @@ _ATANH_SERIES = "tests/test_bobw.py::test_the_atanh_series_enclose_the_log_at_th
 _LN_REFERENCE = "tests/test_bobw.py::test_ln_enclosure_agrees_with_a_decimal_reference"
 _EM_ENCLOSURE = "tests/test_bobw.py::test_the_euler_maclaurin_enclosure_contains_the_exact_window_sum"
 _CONSTANT_SIDE = "tests/test_bobw.py::test_each_constant_lies_on_its_safe_side_of_the_true_value"
+_BLOCK_WINDOWS = "tests/test_bobw.py::test_the_window_pair_is_exactly_the_lcm_form"
+_BLOCK_TABLE = (
+    _BLOCK_WINDOWS,
+    "tests/test_bobw.py::test_a_window_after_others_partly_filled_the_block_table_is_the_lcm_form",
+    "tests/test_bobw.py::test_the_block_table_holds_only_aligned_blocks_inside_its_bound",
+    "tests/test_bobw.py::test_a_warm_window_sum_reads_its_whole_blocks",
+    "tests/test_bobw.py::test_the_closed_forms_are_pinned",
+)
 _SANDWICHES = (
     "tests/test_bobw.py::test_a_sum_inside_the_log_enclosure_is_not_certified",
     "tests/test_bobw.py::test_each_sandwich_curve_matches_its_tabulated_reference",
@@ -258,6 +266,20 @@ MUTANTS = (
         "q << WINDOW_BITS) <= 0:\n",
         "q << WINDOW_BITS) < 0:\n",
         ("tests/test_bobw.py::test_a_tie_goes_to_the_exact_engine",),
+    ),
+    Mutant(
+        "bobw-block-kept-under-the-next-key",
+        _BOBW,
+        "        _BLOCKS[a] = pair\n",
+        "        _BLOCKS[a + BLOCK_TERMS] = pair\n",
+        _BLOCK_TABLE,
+    ),
+    Mutant(
+        "bobw-window-one-term-off-taken-as-a-block",
+        _BOBW,
+        "b - a == BLOCK_TERMS - 1 and",
+        "abs(b - a - BLOCK_TERMS + 1) <= 1 and",
+        (_BLOCK_WINDOWS,),
     ),
     Mutant(
         "bobw-sandwich-hard1-keeps-rank-1",

@@ -4,7 +4,10 @@ import dataclasses
 import decimal
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -325,11 +328,27 @@ def _lcm_form(a, b):
     return sum(L // j for j in range(a, b + 1)), L
 
 
+def _block_windows():
+    # For a few aligned blocks [start, end]: the block, one term short or long
+    # at either end, a window inside it, and windows of several blocks that
+    # start or end on a boundary, one term before it or one term after it.
+    windows = []
+    for k in (1, 2, 40, 77, 78):  # block 77 is the last inside 4 * MAX_N
+        start = k * bobw.BLOCK_TERMS
+        end = start + bobw.BLOCK_TERMS - 1
+        windows += [(start, end), (start, end - 1), (start, end + 1), (start - 1, end), (start + 1, end)]
+        windows.append((start + 10, start + 300))
+        for d in (-1, 0, 1):
+            windows += [(start + d, start + d + 1500), (max(1, end + d - 1500), end + d)]
+    return windows
+
+
 def test_the_window_pair_is_exactly_the_lcm_form():
-    # The binary splitting merges its halves over their lcm, so each window's
-    # pair is (sum L // j, L) with L = lcm(a..b), not over the product a...b.
-    # Windows of LEAF_TERMS - 1 to LEAF_TERMS + 1 terms sit on either side of
-    # the direct sum.
+    # The binary splitting merges its parts over their lcm, so each window's
+    # pair is (sum L // j, L) with L = lcm(a..b), not over the product a...b,
+    # wherever it splits. Windows of LEAF_TERMS - 1 to LEAF_TERMS + 1 terms sit
+    # on either side of the direct sum. Each window is summed from an empty
+    # block table and again after all the others have filled it.
     windows = [(5, 4), (1, 0), (7, 7), (1, 1), (1, 2), (1, 30), (250, 260), (1000, 1030), (4090, 4100)]
     windows += [(100, 100 + bobw.LEAF_TERMS + k) for k in (-2, -1, 0)]
     rng = random.Random(27)
@@ -339,8 +358,83 @@ def test_the_window_pair_is_exactly_the_lcm_form():
     for bound in (bobw._GAMMA, bobw._HARD1, bobw._HARD2):
         *_, a, b = bound.split(MAX_N)
         windows.append((a, b))
-    for a, b in windows:
+    windows += _block_windows()
+    pairs = [_lcm_form(a, b) for a, b in windows]
+    for (a, b), pair in zip(windows, pairs):
+        bobw._BLOCKS.clear()
+        assert bobw._reciprocal_range_sum(a, b) == pair, (a, b)
+    for (a, b), pair in zip(windows, pairs):
+        assert bobw._reciprocal_range_sum(a, b) == pair, (a, b)
+
+
+def test_a_window_after_others_partly_filled_the_block_table_is_the_lcm_form():
+    # Random windows inside [1, 4 * MAX_N], each summed after up to three
+    # other random windows have kept some of its blocks, and the table is
+    # emptied now and then, so a window mixes kept and fresh blocks.
+    rng = random.Random(39)
+    bobw._BLOCKS.clear()
+    for _ in range(60):
+        if rng.random() < 0.2:
+            bobw._BLOCKS.clear()
+        for _ in range(rng.randint(0, 3)):
+            a = rng.randint(1, 4 * MAX_N)
+            bobw._reciprocal_range_sum(a, min(a + rng.randint(0, 5000), 4 * MAX_N))
+        a = rng.randint(1, 4 * MAX_N)
+        b = min(a + rng.randint(0, 10 ** rng.randint(1, 4)), 4 * MAX_N)
         assert bobw._reciprocal_range_sum(a, b) == _lcm_form(a, b), (a, b)
+
+
+def test_the_block_table_holds_only_aligned_blocks_inside_its_bound():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bobw.__file__)))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import mmskit.bobw as bobw; print(len(bobw._BLOCKS))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert fresh.stdout == "0\n", fresh.stderr  # import fills nothing
+    bobw._BLOCKS.clear()
+    for closed_form in (gamma_lower_bound, hard1_upper_bound, hard2_upper_bound):
+        closed_form(MAX_N)
+    most = 4 * MAX_N // bobw.BLOCK_TERMS
+    assert 0 < len(bobw._BLOCKS) <= most
+    bobw._reciprocal_range_sum(1, 4 * MAX_N)  # every block inside the bound
+    assert len(bobw._BLOCKS) <= most
+    for first, pair in bobw._BLOCKS.items():
+        last = first + bobw.BLOCK_TERMS - 1
+        assert first % bobw.BLOCK_TERMS == 0 and 0 < first and last <= 4 * MAX_N, first
+        assert pair == _lcm_form(first, last), first
+    full = dict(bobw._BLOCKS)
+    a = 4 * MAX_N // bobw.BLOCK_TERMS * bobw.BLOCK_TERMS  # the first block that ends past 4 * MAX_N
+    b = a + 3 * bobw.BLOCK_TERMS - 1
+    assert bobw._reciprocal_range_sum(a, b) == _lcm_form(a, b)
+    assert bobw._BLOCKS == full
+
+
+def test_a_warm_window_sum_reads_its_whole_blocks(monkeypatch):
+    # Machine-independent cost of the closed forms' window sum: the leaf sums,
+    # merges and block-table reads of hard1's 9,998-term window at n = 10^4,
+    # from an empty table and again once its 19 whole blocks are kept.
+    original = bobw._reciprocal_range_sum
+    counts = {"leaf": 0, "merge": 0, "read": 0}
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        before = calls
+        pair = original(a, b)
+        counts["leaf" if b - a < bobw.LEAF_TERMS else "merge" if calls > before else "read"] += 1
+        return pair
+
+    monkeypatch.setattr(bobw, "_reciprocal_range_sum", counting)
+    bobw._BLOCKS.clear()
+    cold = hard1_upper_bound(MAX_N)
+    assert counts == {"leaf": 314, "merge": 313, "read": 0}
+    counts.update(leaf=0, merge=0, read=0)
+    assert hard1_upper_bound(MAX_N) == cold
+    assert counts == {"leaf": 10, "merge": 28, "read": 19}
 
 
 def test_the_hard1_closed_form_carries_a_window_lcm_not_a_product():
