@@ -18,14 +18,19 @@ of ``2**WINDOW_BITS // j`` before; each later window slides from the last
 one by the terms that enter and leave, in O(1) memory. The sweeps and the
 exact engine, ``_certify``, share one integer comparison, ``_margin``. The
 exact rank sum, ``_rank_sum``, sums the window by binary splitting (Haible and
-Papanikolaou, 1998) over lcm(a, ..., b), not over the product of its terms.
-Its pair does not depend on where a window splits, so the split falls on
-multiples of BLOCK_TERMS, and the pair of each aligned block inside
-[1, 4 * MAX_N] is kept for the process on first use: the windows of
-different n overlap, and a later window sums only its two partial ends.
-The exact engine reads it for the closed forms and every n the enclosure cannot
-prove, so each ``GuaranteeViolation`` comes from it; each integral sandwich
-reads it for its curve, so no curve is listed value by value.
+Papanikolaou, 1998) and adds its parts as fractions in lowest terms, whose
+denominators divide lcm(a, ..., b), not the product of the terms. A sum in
+lowest terms is unique, so it does not depend on where a window splits: a
+window splits at the multiple of BLOCK_TERMS with the most trailing zeros, and
+the sum of each aligned run of BLOCK_TERMS * 2**i terms inside [1, 4 * MAX_N]
+is kept for the process on first use. The windows of different n overlap, so
+a later window reads a few runs and sums only its two partial ends. No step
+runs a gcd over the full-size numerator and denominator: an addition takes
+gcds of the two denominators and of their common factor only. The exact
+engine reads it for the closed forms and every
+n the enclosure cannot prove, so each ``GuaranteeViolation`` comes from it;
+each integral sandwich reads it for its curve, so no curve is listed value by
+value.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import prod
 from typing import Callable
 
 from .core import MAX_N, Allocation, Instance, PriorityRanking, ThresholdList, check_int, short_repr
@@ -47,7 +52,7 @@ WINDOW_BITS = 128  # fixed point of a sweep's window sum
 LN_BITS = (10**ENCLOSURE_DIGITS).bit_length() + 1  # two units of 2**-LN_BITS are below 10**-ENCLOSURE_DIGITS
 GUARD_BITS = 12  # the log kernel's series run this many bits finer than the ends it returns
 LEAF_TERMS = 32  # an exact window of at most this many terms is summed directly
-BLOCK_TERMS = 512  # an exact window reads each whole aligned block of this many terms from _BLOCKS
+BLOCK_TERMS = 512  # an exact window reads each aligned run of this many terms times 2**i from _BLOCKS
 
 
 # ---------------------------------------------------------------------------
@@ -137,43 +142,44 @@ def fraction_to_decimal(value: Fraction | int) -> str:
         raise InputError(f"value has too many digits to write in decimal: {short_repr(value)}") from exc
 
 
-_BLOCKS: dict[int, tuple[int, int]] = {}  # first term -> pair of an aligned block inside [1, 4 * MAX_N]
+_BLOCKS: dict[tuple[int, int], Fraction] = {}  # (a, b) -> sum of an aligned run inside [1, 4 * MAX_N]
 
 
-def _reciprocal_range_sum(a: int, b: int) -> tuple[int, int]:
-    """sum_{j=a}^{b} 1/j as the pair (sum_j L // j, L) with L = lcm(a, ..., b).
+def _reciprocal_range_sum(a: int, b: int) -> Fraction:
+    """sum_{j=a}^{b} 1/j in lowest terms, by binary splitting.
 
-    A window of at most LEAF_TERMS terms is summed directly; a longer one
-    splits in two parts that merge over the lcm of their denominators, so every
-    pair's denominator is its window's lcm, not the product of its terms. The
-    lcm of two parts' lcms is the whole window's, and scaling each part's
-    numerator to it gives sum L // j, so the pair does not depend on where
-    the window splits: a window that crosses a multiple of BLOCK_TERMS splits
-    at the multiple nearest its middle, and any other at its middle. Each aligned
-    block [k * BLOCK_TERMS, (k + 1) * BLOCK_TERMS - 1] a window spans is then a
-    node of its own, and the pair of each one inside [1, 4 * MAX_N], which
-    holds every rank sum's window, is kept in ``_BLOCKS`` on first use; a later
-    window reads its whole blocks there and sums only its two partial ends.
+    A window of at most LEAF_TERMS terms is summed directly over the product
+    of its terms and reduced, a gcd of a few hundred bits. A longer one splits
+    in two parts whose sums are added with ``+``: Fraction addition divides
+    both denominators by their gcd before it multiplies, and reduces the new
+    numerator only by that gcd's factors (Henrici's rule), so each sum stays
+    in lowest terms and no gcd runs over the full-size numerator and
+    denominator. A sum in lowest terms is unique, so it does not depend on
+    where the window splits. A window that crosses a multiple of BLOCK_TERMS
+    splits at the multiple with the most trailing zeros in block units, and
+    any other at its middle. No split then falls strictly inside an aligned
+    run [k * s, (k + 1) * s - 1] with s = BLOCK_TERMS * 2**i, so each such run
+    that a window spans is a node of its own, and the sum of each one inside
+    [1, 4 * MAX_N], which holds every rank sum's window, is kept in
+    ``_BLOCKS`` on first use; a later window reads its largest runs there and
+    sums only its two partial ends.
     """
-    if b - a < LEAF_TERMS:  # an empty window gives (0, 1)
-        L = 1
-        for j in range(a, b + 1):
-            L = L // gcd(L, j) * j
-        return sum(L // j for j in range(a, b + 1)), L
-    block = a % BLOCK_TERMS == 0 and b - a == BLOCK_TERMS - 1 and 0 < a and b <= 4 * MAX_N
-    if block and a in _BLOCKS:
-        return _BLOCKS[a]
+    if b - a < LEAF_TERMS:  # an empty window gives 0
+        terms = range(a, b + 1)
+        P = prod(terms)
+        return Fraction(sum(map(P.__floordiv__, terms)), P)
+    run = b + 1 - a
+    node = 0 < a and b <= 4 * MAX_N and run % BLOCK_TERMS == 0 and a % run == 0 and run & (run - 1) == 0
+    if node and (a, b) in _BLOCKS:
+        return _BLOCKS[a, b]
     mid = (a + b) // 2
     first, last = a // BLOCK_TERMS + 1, b // BLOCK_TERMS  # the multiples in (a, b], in blocks
-    if first <= last:
-        mid = min(max((mid + 1 + BLOCK_TERMS // 2) // BLOCK_TERMS, first), last) * BLOCK_TERMS - 1
-    p1, q1 = _reciprocal_range_sum(a, mid)
-    p2, q2 = _reciprocal_range_sum(mid + 1, b)
-    g = gcd(q1, q2)
-    pair = p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2
-    if block:
-        _BLOCKS[a] = pair
-    return pair
+    if first <= last:  # the one with the most trailing zeros
+        mid = (last & -(1 << ((first - 1 ^ last).bit_length() - 1))) * BLOCK_TERMS - 1
+    total = _reciprocal_range_sum(a, mid) + _reciprocal_range_sum(mid + 1, b)
+    if node:
+        _BLOCKS[a, b] = total
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -286,28 +292,31 @@ def _margin(bound: _AverageBound, n: int, num: int, den: int) -> int:
     return margin if bound.floor else -margin
 
 
-def _rank_sum(bound: _AverageBound, n: int) -> tuple[int, int]:
-    """sum_{i=1}^{n} f(i) as an unreduced pair, its harmonic window summed by binary splitting."""
+def _rank_sum(bound: _AverageBound, n: int) -> Fraction:
+    """sum_{i=1}^{n} f(i) in lowest terms: p/q + c * sum_{j=a}^{b} 1/j, its harmonic
+    window summed by binary splitting. The product by c and the addition of p/q each
+    take a gcd of c or q with the window's denominator, not of the full-size pair."""
     p, q, c, a, b = bound.split(n)
-    hp, hq = _reciprocal_range_sum(a, b)
-    return p * hq + c * hp * q, q * hq
+    return Fraction(p, q) + c * _reciprocal_range_sum(a, b)
 
 
-def _certify(bound: _AverageBound, n: int) -> tuple[int, int]:
-    """The exact average at n as an unreduced (numerator, denominator) pair, certified by ``_margin``.
+def _certify(bound: _AverageBound, n: int) -> Fraction:
+    """The exact average at n in lowest terms, certified by ``_margin``.
 
+    ``_margin`` compares the rank sum's own numerator and denominator, and the
+    division by n takes a gcd with n only, so no gcd runs over the full-size pair.
     Its cost grows with n. The closed forms call it, and so do sweeps for each n their
     window enclosure cannot prove; it is the only source of ``GuaranteeViolation``.
     """
     check_int("n", n, bound.least_n, MAX_N)
-    num, den = _rank_sum(bound, n)
-    if _margin(bound, n, num, den) < 0:
+    total = _rank_sum(bound, n)
+    if _margin(bound, n, total.numerator, total.denominator) < 0:
         raise GuaranteeViolation(f"{bound.name} fails at n={n}")
-    return num, n * den
+    return total / n
 
 
 def _closed_form(bound: _AverageBound, n: int) -> tuple[Fraction, str]:
-    return Fraction(*_certify(bound, n)), fraction_to_decimal(Fraction(*bound.target(n)) / n)
+    return _certify(bound, n), fraction_to_decimal(Fraction(*bound.target(n)) / n)
 
 
 def gamma_lower_bound(n: int) -> tuple[Fraction, str]:
@@ -444,7 +453,7 @@ def _sandwich(bound: _AverageBound, n: int, last: Fraction, exact: Fraction, coe
     min(3n/(3n+x-1), max(5/6, 1 - x/(3n))) are maxima and minima of falling or constant
     branches, and hard1's 3n/(3n+x) falls. Each side takes the log enclosure's conservative
     end, so True is a proof; with coeff = 0 or arg = 1 the comparison is exact and inclusive."""
-    total = Fraction(*_rank_sum(bound, n)) - (bound is _HARD1)  # hard1's curve starts at rank 2
+    total = _rank_sum(bound, n) - (bound is _HARD1)  # hard1's curve starts at rank 2
     lo, hi = ln_enclosure(arg.numerator, arg.denominator)
     return last + exact + coeff * hi <= total <= 1 + exact + coeff * lo
 

@@ -55,11 +55,13 @@ _LN_REFERENCE = "tests/test_bobw.py::test_ln_enclosure_agrees_with_a_decimal_ref
 _EM_ENCLOSURE = "tests/test_bobw.py::test_the_euler_maclaurin_enclosure_contains_the_exact_window_sum"
 _CONSTANT_SIDE = "tests/test_bobw.py::test_each_constant_lies_on_its_safe_side_of_the_true_value"
 _BLOCK_WINDOWS = "tests/test_bobw.py::test_the_window_pair_is_exactly_the_lcm_form"
+_BLOCK_SHAPE = "tests/test_bobw.py::test_the_block_table_holds_only_aligned_blocks_inside_its_bound"
+_WARM_COUNTS = "tests/test_bobw.py::test_a_warm_window_sum_reads_its_whole_blocks"
 _BLOCK_TABLE = (
     _BLOCK_WINDOWS,
     "tests/test_bobw.py::test_a_window_after_others_partly_filled_the_block_table_is_the_lcm_form",
-    "tests/test_bobw.py::test_the_block_table_holds_only_aligned_blocks_inside_its_bound",
-    "tests/test_bobw.py::test_a_warm_window_sum_reads_its_whole_blocks",
+    _BLOCK_SHAPE,
+    _WARM_COUNTS,
     "tests/test_bobw.py::test_the_closed_forms_are_pinned",
 )
 _SANDWICHES = (
@@ -268,18 +270,32 @@ MUTANTS = (
         ("tests/test_bobw.py::test_a_tie_goes_to_the_exact_engine",),
     ),
     Mutant(
-        "bobw-block-kept-under-the-next-key",
+        "bobw-run-kept-under-the-next-key",
         _BOBW,
-        "        _BLOCKS[a] = pair\n",
-        "        _BLOCKS[a + BLOCK_TERMS] = pair\n",
+        "        _BLOCKS[a, b] = total\n",
+        "        _BLOCKS[b + 1, 2 * b + 1 - a] = total\n",
         _BLOCK_TABLE,
     ),
     Mutant(
-        "bobw-window-one-term-off-taken-as-a-block",
+        "bobw-window-one-term-long-taken-as-a-run",
         _BOBW,
-        "b - a == BLOCK_TERMS - 1 and",
-        "abs(b - a - BLOCK_TERMS + 1) <= 1 and",
+        "    run = b + 1 - a\n",
+        "    run = b - a\n",
+        (_BLOCK_WINDOWS, _BLOCK_SHAPE, _WARM_COUNTS),
+    ),
+    Mutant(
+        "bobw-run-of-three-blocks-kept",
+        _BOBW,
+        " and run & (run - 1) == 0",
+        "",
         (_BLOCK_WINDOWS,),
+    ),
+    Mutant(
+        "bobw-split-at-the-multiple-nearest-the-middle",
+        _BOBW,
+        "        mid = (last & -(1 << ((first - 1 ^ last).bit_length() - 1))) * BLOCK_TERMS - 1\n",
+        "        mid = min(max((mid + 1 + BLOCK_TERMS // 2) // BLOCK_TERMS, first), last) * BLOCK_TERMS - 1\n",
+        (_WARM_COUNTS,),
     ),
     Mutant(
         "bobw-sandwich-hard1-keeps-rank-1",

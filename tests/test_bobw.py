@@ -332,6 +332,8 @@ def _block_windows():
     # For a few aligned blocks [start, end]: the block, one term short or long
     # at either end, a window inside it, and windows of several blocks that
     # start or end on a boundary, one term before it or one term after it.
+    # Then windows that split into a run of three blocks at a multiple of
+    # three blocks, [9, 12) and [12, 15) in blocks, or are one, [3, 6).
     windows = []
     for k in (1, 2, 40, 77, 78):  # block 77 is the last inside 4 * MAX_N
         start = k * bobw.BLOCK_TERMS
@@ -340,15 +342,24 @@ def _block_windows():
         windows.append((start + 10, start + 300))
         for d in (-1, 0, 1):
             windows += [(start + d, start + d + 1500), (max(1, end + d - 1500), end + d)]
-    return windows
+    B = bobw.BLOCK_TERMS
+    return windows + [(9 * B, 13 * B), (9 * B + 5, 15 * B - 1), (3 * B, 6 * B - 1)]
+
+
+def _assert_the_table_holds_aligned_runs():
+    # Each key is an aligned run of BLOCK_TERMS * 2**i terms inside [1, 4 * MAX_N].
+    for a, b in bobw._BLOCKS:
+        run = b + 1 - a
+        assert 0 < a and b <= 4 * MAX_N and run % bobw.BLOCK_TERMS == 0, (a, b)
+        assert run & (run - 1) == 0 and a % run == 0, (a, b)
 
 
 def test_the_window_pair_is_exactly_the_lcm_form():
-    # The binary splitting merges its parts over their lcm, so each window's
-    # pair is (sum L // j, L) with L = lcm(a..b), not over the product a...b,
-    # wherever it splits. Windows of LEAF_TERMS - 1 to LEAF_TERMS + 1 terms sit
-    # on either side of the direct sum. Each window is summed from an empty
-    # block table and again after all the others have filled it.
+    # Each window's sum is (sum L // j) / L with L = lcm(a..b), reduced,
+    # wherever it splits. Windows of LEAF_TERMS - 1 to LEAF_TERMS + 1
+    # terms sit on either side of the direct sum. Each window is summed from an
+    # empty block table and again after all the others have filled it, and
+    # the table then holds only aligned runs.
     windows = [(5, 4), (1, 0), (7, 7), (1, 1), (1, 2), (1, 30), (250, 260), (1000, 1030), (4090, 4100)]
     windows += [(100, 100 + bobw.LEAF_TERMS + k) for k in (-2, -1, 0)]
     rng = random.Random(27)
@@ -359,12 +370,13 @@ def test_the_window_pair_is_exactly_the_lcm_form():
         *_, a, b = bound.split(MAX_N)
         windows.append((a, b))
     windows += _block_windows()
-    pairs = [_lcm_form(a, b) for a, b in windows]
-    for (a, b), pair in zip(windows, pairs):
+    sums = [Fraction(*_lcm_form(a, b)) for a, b in windows]
+    for (a, b), total in zip(windows, sums):
         bobw._BLOCKS.clear()
-        assert bobw._reciprocal_range_sum(a, b) == pair, (a, b)
-    for (a, b), pair in zip(windows, pairs):
-        assert bobw._reciprocal_range_sum(a, b) == pair, (a, b)
+        assert bobw._reciprocal_range_sum(a, b) == total, (a, b)
+    for (a, b), total in zip(windows, sums):
+        assert bobw._reciprocal_range_sum(a, b) == total, (a, b)
+    _assert_the_table_holds_aligned_runs()
 
 
 def test_a_window_after_others_partly_filled_the_block_table_is_the_lcm_form():
@@ -381,7 +393,26 @@ def test_a_window_after_others_partly_filled_the_block_table_is_the_lcm_form():
             bobw._reciprocal_range_sum(a, min(a + rng.randint(0, 5000), 4 * MAX_N))
         a = rng.randint(1, 4 * MAX_N)
         b = min(a + rng.randint(0, 10 ** rng.randint(1, 4)), 4 * MAX_N)
-        assert bobw._reciprocal_range_sum(a, b) == _lcm_form(a, b), (a, b)
+        assert bobw._reciprocal_range_sum(a, b) == Fraction(*_lcm_form(a, b)), (a, b)
+
+
+def test_a_window_sum_is_the_sum_of_its_two_parts():
+    # A window cut anywhere sums to its two parts: at, one term before and one
+    # term after the boundaries of aligned runs of 1 to 32 blocks, with seeded
+    # ends up to one run away, some past 4 * MAX_N, and the table emptied
+    # now and then, so each side mixes kept and fresh runs.
+    rng = random.Random(40)
+    bobw._BLOCKS.clear()
+    for i in range(6):
+        size = bobw.BLOCK_TERMS << i
+        for k in rng.sample(range(1, (4 * MAX_N + size) // size + 1), 2):
+            for m in (k * size - 1, k * size, k * size + 1):
+                if rng.random() < 0.2:
+                    bobw._BLOCKS.clear()
+                a, b = rng.randint(max(1, m - size), m), rng.randint(m, m + size)
+                whole = bobw._reciprocal_range_sum(a, b)
+                assert bobw._reciprocal_range_sum(a, m) + bobw._reciprocal_range_sum(m + 1, b) == whole, (a, m, b)
+    _assert_the_table_holds_aligned_runs()
 
 
 def test_the_block_table_holds_only_aligned_blocks_inside_its_bound():
@@ -397,25 +428,26 @@ def test_the_block_table_holds_only_aligned_blocks_inside_its_bound():
     bobw._BLOCKS.clear()
     for closed_form in (gamma_lower_bound, hard1_upper_bound, hard2_upper_bound):
         closed_form(MAX_N)
-    most = 4 * MAX_N // bobw.BLOCK_TERMS
+    most = 2 * (4 * MAX_N // bobw.BLOCK_TERMS)  # a binary tree over the blocks inside the bound
     assert 0 < len(bobw._BLOCKS) <= most
-    bobw._reciprocal_range_sum(1, 4 * MAX_N)  # every block inside the bound
+    bobw._reciprocal_range_sum(1, 4 * MAX_N)  # every aligned run inside the bound
     assert len(bobw._BLOCKS) <= most
-    for first, pair in bobw._BLOCKS.items():
-        last = first + bobw.BLOCK_TERMS - 1
-        assert first % bobw.BLOCK_TERMS == 0 and 0 < first and last <= 4 * MAX_N, first
-        assert pair == _lcm_form(first, last), first
+    _assert_the_table_holds_aligned_runs()
+    for (a, b), total in bobw._BLOCKS.items():
+        assert total == Fraction(*_lcm_form(a, b)), (a, b)
     full = dict(bobw._BLOCKS)
     a = 4 * MAX_N // bobw.BLOCK_TERMS * bobw.BLOCK_TERMS  # the first block that ends past 4 * MAX_N
     b = a + 3 * bobw.BLOCK_TERMS - 1
-    assert bobw._reciprocal_range_sum(a, b) == _lcm_form(a, b)
+    assert bobw._reciprocal_range_sum(a, b) == Fraction(*_lcm_form(a, b))
     assert bobw._BLOCKS == full
 
 
 def test_a_warm_window_sum_reads_its_whole_blocks(monkeypatch):
     # Machine-independent cost of the closed forms' window sum: the leaf sums,
     # merges and block-table reads of hard1's 9,998-term window at n = 10^4,
-    # from an empty table and again once its 19 whole blocks are kept.
+    # from an empty table and again once its aligned runs are kept. The warm
+    # window reads five runs, [59, 60), [60, 64), [64, 72), [72, 76) and
+    # [76, 78) in blocks, the largest that fit.
     original = bobw._reciprocal_range_sum
     counts = {"leaf": 0, "merge": 0, "read": 0}
     calls = 0
@@ -424,9 +456,9 @@ def test_a_warm_window_sum_reads_its_whole_blocks(monkeypatch):
         nonlocal calls
         calls += 1
         before = calls
-        pair = original(a, b)
+        total = original(a, b)
         counts["leaf" if b - a < bobw.LEAF_TERMS else "merge" if calls > before else "read"] += 1
-        return pair
+        return total
 
     monkeypatch.setattr(bobw, "_reciprocal_range_sum", counting)
     bobw._BLOCKS.clear()
@@ -434,14 +466,15 @@ def test_a_warm_window_sum_reads_its_whole_blocks(monkeypatch):
     assert counts == {"leaf": 314, "merge": 313, "read": 0}
     counts.update(leaf=0, merge=0, read=0)
     assert hard1_upper_bound(MAX_N) == cold
-    assert counts == {"leaf": 10, "merge": 28, "read": 19}
+    assert counts == {"leaf": 10, "merge": 14, "read": 5}
 
 
 def test_the_hard1_closed_form_carries_a_window_lcm_not_a_product():
     # Machine-independent cost of the closed forms: at n = 10^4 the hard1
-    # pair's denominator is 40,973 bits over the lcm, 150,885 over the product.
-    _, den = bobw._certify(bobw._HARD1, MAX_N)
-    assert den.bit_length() <= 45_000
+    # average's denominator is 40,953 bits in lowest terms, 40,973 over the
+    # window's lcm and 150,885 over the product of its terms.
+    exact = bobw._certify(bobw._HARD1, MAX_N)
+    assert exact.denominator.bit_length() <= 45_000
 
 
 # The least a - 1 at which Euler-Maclaurin's remainder bound is one unit of
@@ -462,7 +495,8 @@ def test_the_euler_maclaurin_enclosure_contains_the_exact_window_sum():
     windows += [(m + 1, m + 1 + rng.randint(0, 300)) for m in below]
     for a, b in windows:
         lo, hi = bobw._harmonic_enclosure(a, b)
-        p, q = bobw._reciprocal_range_sum(a, b)
+        total = bobw._reciprocal_range_sum(a, b)
+        p, q = total.numerator, total.denominator
         assert lo * q <= p << bobw.WINDOW_BITS <= hi * q, (a, b)
         if a - 1 >= EM_LEAST:
             assert hi - lo <= 5
@@ -720,9 +754,8 @@ def _assert_sweep_verdicts_are_exact(monkeypatch, record, lo, hi):
     offsets = [0, Fraction(1, 10**6), Fraction(1, 10**30), Fraction(1, 10**45)]
     constants, expected = {}, set()
     for n in range(max(lo, bound.least_n), hi + 1):
-        num, den = bobw._certify(bound, n)
         offset = rng.choice((-1, 1)) * rng.choice(offsets)
-        constants[n] = Fraction(num, den) + offset
+        constants[n] = bobw._certify(bound, n) + offset
         if (offset > 0) if bound.floor else (offset < 0):
             expected.add(n)
     moved = _moved(bound, constants)
@@ -759,7 +792,7 @@ def test_a_tie_goes_to_the_exact_engine(monkeypatch):
     # For n <= 5 the hard2 window is empty, so a sweep's rank sum is exact,
     # and a constant equal to the exact average is a tie. A sweep proves only
     # a strict margin and leaves each tie to _certify, which accepts it.
-    exact = {n: Fraction(*bobw._certify(bobw._HARD2, n)) for n in range(1, 6)}
+    exact = {n: bobw._certify(bobw._HARD2, n) for n in range(1, 6)}
     assert all(a > b for *_, a, b in map(bobw._HARD2.split, exact))
     certify, ties = bobw._certify, []
 
