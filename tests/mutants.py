@@ -48,6 +48,12 @@ _TRANSCRIPT_PINS = "tests/test_rbf.py::test_transcripts_are_pinned"
 _ORDINAL_TRANSCRIPTS = "tests/test_ordinal.py::test_transcripts_of_random_ordered_normalized_instances_are_well_formed"
 _SUBSET_CUT = "tests/test_oracle.py::test_the_subset_sum_cut_keeps_the_result_and_never_adds_nodes"
 _ORACLE_DIGEST = "tests/test_golden.py::test_oracle_witnesses_match_the_golden_digest"
+_DECISION = "tests/test_oracle.py::test_the_decision_at_the_share_returns_its_witness_and_above_it_nothing"
+_TOP_K_SEED = "tests/test_oracle.py::test_a_seed_worth_the_top_k_bound_needs_no_search"
+_UNIT_NODES = "tests/test_oracle.py::test_unit_share_rows_at_d_equal_n_are_decided_in_pinned_node_counts"
+_POOL_NODES = "tests/test_oracle.py::test_the_shares_pool_takes_a_pinned_node_total"
+_INTEGER_CUT = "tests/test_oracle.py::test_the_integer_cut_solves_a_row_in_a_third_of_the_nodes"
+_SUBSET_ROW = "tests/test_oracle.py::test_the_subset_sum_cut_solves_a_row_in_a_twentieth_of_the_nodes"
 _GOLDEN_CLI = "tests/test_golden.py::test_cli_outputs_match_the_golden_corpus"
 _BOBW = "src/mmskit/bobw.py"
 _ATANH_SERIES = "tests/test_bobw.py::test_the_atanh_series_enclose_the_log_at_their_own_precision"
@@ -162,7 +168,7 @@ MUTANTS = (
         _ORACLE,
         "                window = (2 << room) - 1  # room + 1 bits\n",
         "                window = (1 << room) - 1  # room + 1 bits\n",
-        (_SUBSET_CUT, _ORACLE_DIGEST, "tests/test_oracle.py::test_the_integer_cut_solves_a_row_in_a_fiftieth_of_the_nodes"),
+        (_SUBSET_CUT, _ORACLE_DIGEST, _INTEGER_CUT),
     ),
     Mutant(
         "oracle-window-test-ignores-the-stored-range",
@@ -170,6 +176,62 @@ MUTANTS = (
         "                    if 0 < lo <= cap - room and not (sums_t >> lo) & window:\n",
         "                    if 0 < lo and not (sums_t >> lo) & window:\n",
         (_SUBSET_CUT, _ORACLE_DIGEST, "tests/test_acceptance.py::test_criterion_8_structural_suite"),
+    ),
+    Mutant(
+        "oracle-decision-incumbent-starts-at-the-floor",
+        _ORACLE,
+        "    passes = [(goal - 1, None, goal)]\n",
+        "    passes = [(goal, None, goal)]\n",
+        (_DECISION, _ORACLE_DIGEST, _INTEGER_CUT, _UNIT_NODES, _POOL_NODES),
+    ),
+    Mutant(
+        "oracle-top-k-bound-one-too-low",
+        _ORACLE,
+        "        ub = min(ub, rest // (d - k))\n",
+        "        ub = min(ub, rest // (d - k))\n    ub -= 1\n",
+        (_DECISION, _ORACLE_DIGEST, _INTEGER_CUT, _UNIT_NODES, _POOL_NODES),
+    ),
+    Mutant(
+        "oracle-top-k-bound-dropped",
+        _ORACLE,
+        "    for k in range(1, d):\n",
+        "    for k in range(1, 1):\n",
+        (_TOP_K_SEED, _POOL_NODES),
+    ),
+    Mutant(
+        "oracle-seed-worth-the-bound-is-searched",
+        _ORACLE,
+        "    if seed_val >= goal:\n        return seed_val, tuple(seed)\n",
+        "",
+        (_ORACLE_DIGEST, _TOP_K_SEED, _POOL_NODES),
+    ),
+    Mutant(
+        "oracle-seed-worth-one-below-the-bound-is-searched",
+        _ORACLE,
+        "    if floor is None and seed_val < ub - 1:\n",
+        "    if floor is None and seed_val < ub:\n",
+        (_SUBSET_ROW, _POOL_NODES),
+    ),
+    Mutant(
+        "oracle-search-from-the-seed-stops-at-cap",
+        _ORACLE,
+        "        passes.append((seed_val, tuple(seed), ub - 1))\n",
+        "        passes.append((seed_val, tuple(seed), cap))\n",
+        (_POOL_NODES,),
+    ),
+    Mutant(
+        "oracle-look-ahead-skips-a-part-that-fills-the-room",
+        _ORACLE,
+        "                if s <= limit and s not in seen:\n",
+        "                if s < limit and s not in seen:\n",
+        (_DECISION, _ORACLE_DIGEST, _POOL_NODES),
+    ),
+    Mutant(
+        "oracle-look-ahead-dropped",
+        _ORACLE,
+        "            limit = best_val + 1 + spare[t] - v if v > spare[t] else total\n",
+        "            limit = total\n",
+        (_INTEGER_CUT, _SUBSET_ROW, _UNIT_NODES, _POOL_NODES),
     ),
     Mutant(
         "transcript-phase2-agents-keep-the-first-reduced-agent",

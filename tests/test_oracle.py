@@ -1,9 +1,11 @@
 """Share oracle: exact values, witnesses, budget handling, cross-checks."""
 
 import gc
+import json
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +21,10 @@ from mmskit import (
 )
 from mmskit.oracle import MAX_PARTS, mms_all
 
-from _instances import random_instance, random_normalized_ordered
+from _instances import random_instance, random_normalized_ordered, unit_share_rows
 from _reference import dp_share, mms_naive
+
+SHARES_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "shares_pool.json"
 
 
 def _witness_is_valid(inst, agent, d, goods, result):
@@ -110,29 +114,32 @@ def test_a_seed_worth_the_floor_of_total_over_d_needs_no_search():
     assert res.witness.parts == (frozenset({0, 2, 4}), frozenset({1, 3}))
 
 
-def test_the_integer_cut_solves_a_row_in_a_fiftieth_of_the_nodes():
+def test_the_integer_cut_solves_a_row_in_a_third_of_the_nodes():
     """14 goods at d = 3, total 634: the share is 211 = floor(634 / 3).
 
-    The search takes 52 nodes; cutting only where the water-filling
-    relaxation cannot reach ``best`` took 5104. Mutation check: without the
-    short-parts test it takes 55 nodes, and without the floor stop 59.
+    The decision at 211 takes 17 nodes; cutting only where the water-filling
+    relaxation cannot reach ``best``, and entering every child, it takes 55.
+    Mutation check: entering every child it takes 32; a search from the
+    greedy seed that stops at 211, in place of the decision, takes 21, and
+    so does the decision without its stop at the first leaf worth 211.
     """
     row = [22, 74, 37, 12, 83, 87, 24, 10, 47, 22, 92, 29, 54, 41]
-    res = mms(Instance.from_rows([row]), 0, 3, node_budget=52)
+    res = mms(Instance.from_rows([row]), 0, 3, node_budget=17)
     assert res.value == 211
     assert res.witness.parts == (
         frozenset({0, 5, 7, 10}), frozenset({1, 4, 12}), frozenset({2, 3, 6, 8, 9, 11, 13}),
     )
 
 
-def test_the_subset_sum_cut_solves_a_row_in_a_sixtieth_of_the_nodes():
+def test_the_subset_sum_cut_solves_a_row_in_a_twentieth_of_the_nodes():
     """14 goods at d = 4, total 612: the share is 152, one below 612 // 4.
 
-    The search takes 19 nodes; without the subset-sum cut it takes 1199, all
-    spent proving that no split reaches 153.
+    The search takes 14 nodes; without the subset-sum cut it takes 334, all
+    spent proving that no split reaches 153, after which the greedy seed,
+    worth 152, is optimal.
     """
     row = [100, 96, 84, 60, 44, 43, 41, 40, 31, 28, 17, 16, 11, 1]
-    res = mms(Instance.from_rows([row]), 0, 4, node_budget=19)
+    res = mms(Instance.from_rows([row]), 0, 4, node_budget=14)
     assert res.value == 152
     assert res.witness.parts == (
         frozenset({0, 7, 12, 13}), frozenset({1, 6, 11}), frozenset({2, 5, 9}), frozenset({3, 4, 8, 10}),
@@ -151,15 +158,24 @@ class _CountingBudget(int):
         return int.__lt__(self, other)
 
 
+def _int_form(row):
+    """The positive values of the row's integer form, in descending order."""
+    ints, _ = Instance.from_rows([row]).scaled[0]
+    return tuple(sorted((v for v in ints if v), reverse=True))
+
+
+def _counted_search(vals, d, floor=None):
+    """``oracle._search`` with the default budget: (its result, nodes)."""
+    budget = _CountingBudget(oracle.DEFAULT_NODE_BUDGET)
+    return oracle._search(vals, d, budget, floor), budget.nodes
+
+
 def _search_with_bits(row, d, bits):
     """``oracle._search`` on the row's integer form with ``SUBSET_SUM_BITS``
     set to ``bits``: ((value, assignment), nodes)."""
-    ints, _ = Instance.from_rows([row]).scaled[0]
-    vals = tuple(sorted((v for v in ints if v), reverse=True))
-    budget = _CountingBudget(oracle.DEFAULT_NODE_BUDGET)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "SUBSET_SUM_BITS", bits)
-        return oracle._search(vals, d, budget), budget.nodes
+        return _counted_search(_int_form(row), d)
 
 
 _CUT_ROWS = st.one_of(
@@ -176,6 +192,65 @@ def test_the_subset_sum_cut_keeps_the_result_and_never_adds_nodes(row, d):
     plain, plain_nodes = _search_with_bits(row, d, 0)
     assert cut == plain
     assert cut_nodes <= plain_nodes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(row=_CUT_ROWS, d=st.integers(2, 5))
+def test_the_decision_at_the_share_returns_its_witness_and_above_it_nothing(row, d):
+    # ``mms`` maps the search's assignment to goods, so an equal assignment
+    # is an equal witness.
+    vals = _int_form(row)
+    share, _ = _counted_search(vals, d)
+    assert _counted_search(vals, d, floor=share[0])[0] == share
+    assert _counted_search(vals, d, floor=share[0] + 1)[0] is None
+
+
+def test_a_seed_worth_the_top_k_bound_needs_no_search():
+    """Total 109 at d = 8: cap is 13, but the seven largest goods leave 3 for
+    the eighth part, so no partition is worth 4. The greedy seed is worth 3,
+    so it is optimal and no node is searched. Deciding at cap alone takes 70
+    nodes to return the same seed.
+    """
+    res = mms(Instance.from_rows([[20, 18, 16, 14, 14, 13, 11, 1, 1, 1]]), 0, 8, node_budget=0)
+    assert res.value == 3
+    assert res.witness.parts == (*(frozenset({g}) for g in range(7)), frozenset({7, 8, 9}))
+
+
+def test_unit_share_rows_at_d_equal_n_are_decided_in_pinned_node_counts():
+    # Each share is 1 = ub, so each search is one decision. A search from the
+    # greedy seed that stops at cap ran out of 10**6 nodes on agents 0 to 3.
+    rows = unit_share_rows(random.Random(8), 8, 26)
+    counts = []
+    for row in rows:
+        ints, scale = Instance.from_rows([row]).scaled[0]
+        (value, _), nodes = _counted_search(tuple(ints), 8)  # the row is ordered and positive
+        assert value == scale
+        counts.append(nodes)
+    assert counts == [30, 27, 35, 757, 43, 32, 38, 30]
+
+
+def test_the_shares_pool_takes_a_pinned_node_total():
+    # perfbench's shares pool: every entry's distinct agent rows at its d, as
+    # ``mms_all`` searches them. A search from the greedy seed that stops at
+    # cap took 402,272 nodes; a change to the search order or to a cut moves
+    # the total.
+    pool = json.loads(SHARES_POOL.read_text(encoding="utf-8"))["instances"]
+    searches = nodes = 0
+    for entry in pool:
+        inst = Instance.from_rows(entry["valuations"])
+        d = entry["d"]
+        shares = {}
+        for ints, scale in set(inst.scaled):
+            vals = tuple(sorted((v for v in ints if v), reverse=True))
+            if len(vals) < d:
+                shares[ints, scale] = Fraction(0)
+                continue
+            (value, _), count = _counted_search(vals, d)
+            shares[ints, scale] = Fraction(value, scale)
+            searches += 1
+            nodes += count
+        assert [str(shares[row]) for row in inst.scaled] == entry["shares"]
+    assert (searches, nodes) == (2995, 162327)
 
 
 def test_subset_sum_tables_stay_under_their_bound():
